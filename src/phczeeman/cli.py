@@ -69,6 +69,11 @@ def _read_config(path: str) -> ExperimentConfig:
     return load_config(text)
 
 
+def _check_threads(threads) -> None:
+    if threads is not None and threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {threads}")
+
+
 def _derived_paths(base: str, tags) -> dict[str, str]:
     stem, dot, ext = base.rpartition(".")
     if not dot:
@@ -162,11 +167,12 @@ def _emit_plotscript(csv_path: str, kind: str) -> str:
 
 
 def cmd_bands(args) -> int:
+    _check_threads(args.threads)
     config = _read_config(args.config)
     if args.kpath:
         tokens = tuple(t.strip() for t in args.kpath.split(":") if t.strip())
         config = replace(config, kpath=tokens)
-    if args.samples:
+    if args.samples is not None:
         config = replace(config, samples_per_segment=args.samples)
 
     need_opw = args.model in ("opw", "both")
@@ -406,7 +412,7 @@ def run_validation(config: ExperimentConfig, threads: int | None = None) -> dict
         for direction in ((-1.0, 0.0), (-1.0 / math.sqrt(2), -1.0 / math.sqrt(2))):
             kx = t_pt[0] + frac * window * direction[0]
             ky = t_pt[1] + frac * window * direction[1]
-            w_opw, _ = pw._solve_refined(dp, pf, basis, kx, ky, 8)
+            w_opw = pw._solve_omegas(dp, pf, basis, kx, ky, 8)
             k_rel = np.array([[kx - t_pt[0], ky - t_pt[1]]])
             spec8 = kpmod.kp_bands(model, k_rel, RotationSpec(0.0)).omegas[0]
             for w_kp in spec8:
@@ -477,6 +483,7 @@ def run_validation(config: ExperimentConfig, threads: int | None = None) -> dict
 
 
 def cmd_validate(args) -> int:
+    _check_threads(args.threads)
     config = _read_config(args.config)
     report = run_validation(config, threads=args.threads)
     for check in report["checks"]:
@@ -518,7 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="samples per path segment")
     p_bands.add_argument("--model", choices=("opw", "kp", "both"),
                          default="opw")
-    p_bands.add_argument("--threads", type=int, default=None)
+    p_bands.add_argument("--threads", type=int, default=None,
+                         help="k-point worker pool size (default: serial)")
     p_bands.add_argument("--emit-plotscript", action="store_true")
     p_bands.set_defaults(func=cmd_bands)
 
@@ -548,7 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("config")
     p_val.add_argument("-o", "--output", default=None,
                        help="write the JSON report here")
-    p_val.add_argument("--threads", type=int, default=None)
+    p_val.add_argument("--threads", type=int, default=None,
+                       help="k-point worker pool size (default: serial)")
     p_val.set_defaults(func=cmd_validate)
 
     p_dump = sub.add_parser("dump-fourier",

@@ -9,15 +9,16 @@ masses, and evaluates the longitudinal Bloch factor and the paraxial field
 reconstruction.
 
 Numerical notes: the eigenproblem is assembled and solved in detuning units
-(carrier frequency subtracted from the diagonal) and the retained low
+(carrier frequency subtracted from the diagonal). Along a k-path only the
+named nodes (G, Z, T) get eigenvectors, and there the retained low
 eigenpairs are refined with one Rayleigh-Ritz step; this keeps degenerate
 pairs coherent to ~1e-3 rad/s instead of the ~1e2 rad/s the raw solver
-delivers at the full frequency scale.
+delivers at the full frequency scale. Interior path points need only their
+frequencies and are solved eigenvalue-only, with no vectors and no Ritz step.
 """
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -124,8 +125,10 @@ def build_kpath(nodes, pitch: float, samples_per_segment: int) -> list[KPathPoin
 
 @dataclass(frozen=True, eq=False)
 class BlochState:
-    """One scalar eigenstate: unit-norm plane-wave coefficients and omega.
+    """One scalar eigenstate: omega and unit-norm plane-wave coefficients.
 
+    ``coefficients`` is None for a frequency-only state, as solve_bands
+    returns at interior path points; vectors, when present, are unit-norm.
     ``degeneracy`` is 2: every scalar band carries the two photon spin
     states, which stay degenerate in the absence of rotation.
     """
@@ -133,15 +136,16 @@ class BlochState:
     band_index: int
     k_perp: tuple[float, float]
     omega: float
-    coefficients: np.ndarray
+    coefficients: np.ndarray | None
     basis: tuple[ReciprocalVector, ...]
     degeneracy: int = 2
     rep_label: str | None = None
 
     def __post_init__(self):
-        norm = float(np.sum(np.abs(self.coefficients) ** 2))
-        if abs(norm - 1.0) > 1e-10:
-            raise ValidationError(f"state coefficients not unit-norm: {norm}")
+        if self.coefficients is not None:
+            norm = float(np.sum(np.abs(self.coefficients) ** 2))
+            if abs(norm - 1.0) > 1e-10:
+                raise ValidationError(f"state coefficients not unit-norm: {norm}")
         if not self.omega > 0:
             raise ValidationError(f"state omega must be positive, got {self.omega}")
 
@@ -189,6 +193,16 @@ class FieldSample:
     H: np.ndarray
 
 
+def _state_vector(state: BlochState) -> np.ndarray:
+    """The state's coefficients; ValidationError for a frequency-only state."""
+    if state.coefficients is None:
+        raise ValidationError(
+            f"state (band {state.band_index}, k = {state.k_perp}) has no "
+            "coefficients; solve_bands keeps them only at the named nodes"
+        )
+    return np.asarray(state.coefficients)
+
+
 # --------------------------------------------------------------------------
 # Hamiltonian assembly
 
@@ -234,29 +248,46 @@ def build_hamiltonian(dp: DerivedParams, pf: PatternFourier, basis,
     return HermitianMatrix(_assemble(dp, pf, basis, kx, ky, carrier=True))
 
 
-def _solve_refined(dp, pf, basis, kx, ky, n_bands):
-    """Detuned eigensolve with a Rayleigh-Ritz pass on the retained subspace."""
-    h = _assemble(dp, pf, basis, kx, ky, carrier=False)
+def _lapack(solver, h):
+    """``solver(h)`` with a LAPACK convergence failure as ComputationError."""
     try:
-        w, v = np.linalg.eigh(h)
+        return solver(h)
     except np.linalg.LinAlgError as exc:
         raise ComputationError(
             f"eigensolver failed to converge on a {h.shape[0]}x{h.shape[0]} matrix"
         ) from exc
+
+
+def _solve_refined(dp, pf, basis, kx, ky, n_bands):
+    """Detuned eigensolve with a Rayleigh-Ritz pass on the retained subspace."""
+    h = _assemble(dp, pf, basis, kx, ky, carrier=False)
+    w, v = _lapack(np.linalg.eigh, h)
     low = v[:, :n_bands]
     ritz = low.T @ (h @ low)
     ritz = 0.5 * (ritz + ritz.T)
-    wr, u = np.linalg.eigh(ritz)
+    wr, u = _lapack(np.linalg.eigh, ritz)
     return dp.omega0 + wr, low @ u
+
+
+def _solve_omegas(dp, pf, basis, kx, ky, n_bands):
+    """Lowest ``n_bands`` omegas of the detuned problem, without vectors."""
+    h = _assemble(dp, pf, basis, kx, ky, carrier=False)
+    return dp.omega0 + _lapack(np.linalg.eigvalsh, h)[:n_bands]
 
 
 def solve_bands(config: ExperimentConfig, n_bands: int = DEFAULT_N_BANDS,
                 threads: int | None = None) -> BandStructure:
     """Lowest scalar bands along the configured k-path (deterministic).
 
-    Per-k solves are independent; with ``threads`` != 1 they run on a thread
-    pool and are reassembled in path order.
+    Each k-point is assembled and solved on its own. Named nodes (G, Z, T)
+    get refined unit-norm eigenvectors, and T states their representation
+    labels; interior points are solved eigenvalue-only and their states carry
+    ``coefficients=None``. The solves run serially unless ``threads`` > 1
+    asks for a pool of that many workers, which only pays off when BLAS
+    itself is single-threaded; results are reassembled in path order.
     """
+    if threads is not None and threads < 1:
+        raise ValidationError(f"threads must be >= 1, got {threads}")
     dp = derive_params(config.lattice)
     basis = tuple(reciprocal_basis(config.basis_halfwidth, config.lattice.pitch))
     if n_bands > len(basis):
@@ -269,7 +300,10 @@ def solve_bands(config: ExperimentConfig, n_bands: int = DEFAULT_N_BANDS,
 
     def solve_one(kp: KPathPoint):
         try:
-            w, v = _solve_refined(dp, pf, basis, kp.kx, kp.ky, n_bands)
+            if kp.label:
+                w, v = _solve_refined(dp, pf, basis, kp.kx, kp.ky, n_bands)
+            else:
+                w, v = _solve_omegas(dp, pf, basis, kp.kx, kp.ky, n_bands), None
         except ComputationError as exc:
             raise ComputationError(
                 f"{exc} at k-point {kp.index} (kx={kp.kx:.6g}, ky={kp.ky:.6g})"
@@ -279,16 +313,16 @@ def solve_bands(config: ExperimentConfig, n_bands: int = DEFAULT_N_BANDS,
                 band_index=b,
                 k_perp=(kp.kx, kp.ky),
                 omega=float(w[b]),
-                coefficients=v[:, b].astype(complex),
+                coefficients=None if v is None else v[:, b].astype(complex),
                 basis=basis,
             )
             for b in range(n_bands)
         )
 
-    if threads == 1:
+    if threads is None or threads == 1:
         rows = [solve_one(kp) for kp in kpts]
     else:
-        with ThreadPoolExecutor(max_workers=threads or os.cpu_count()) as ex:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
             rows = list(ex.map(solve_one, kpts))
 
     # attach representation labels at exact T nodes, with the degenerate-pair
@@ -576,7 +610,7 @@ def effective_mass_fd(solver, reference: BlochState, direction,
     d = np.asarray(direction, dtype=float)
     d = d / np.linalg.norm(d)
     k0 = np.asarray(reference.k_perp, dtype=float)
-    ref = np.asarray(reference.coefficients)
+    ref = _state_vector(reference)
 
     def omega_at(t: float) -> float:
         w, v = solver(k0[0] + t * d[0], k0[1] + t * d[1])
@@ -646,10 +680,10 @@ def longitudinal_profile(state: BlochState, pf: PatternFourier,
     is purely imaginary, so |1 + eta| = 1 identically and the wrapped sum of
     eta increments over the period vanishes.
     """
+    c = _state_vector(state)
     m_idx, n_idx = _basis_indices(state.basis)
     span = int(max(np.max(m_idx) - np.min(m_idx), np.max(n_idx) - np.min(n_idx)))
     pf = pf.ensure(span)
-    c = np.asarray(state.coefficients)
     alpha = _kernels.pattern_overlap(
         np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag),
         m_idx, n_idx, pf.table, pf.halfwidth,
@@ -678,6 +712,7 @@ def reconstruct_fields(state: BlochState, dp: DerivedParams,
     units follow the unit-norm coefficient convention with the 1/sqrt(2 pi)
     and sqrt(Z) prefactors of the field ansatz.
     """
+    c = _state_vector(state)
     pol = np.asarray(polarization, dtype=float)
     if pol.shape != (2,) or abs(np.linalg.norm(pol) - 1.0) > 1e-9:
         raise ValidationError("polarization must be a unit 2-vector")
@@ -712,7 +747,6 @@ def reconstruct_fields(state: BlochState, dp: DerivedParams,
         ez = -kdotpsi / kz
         return ex, ey, ez
 
-    c = np.asarray(state.coefficients)
     phase = np.exp(
         1j * (pos[:, 0:1] * kapx[None, :] + pos[:, 1:2] * kapy[None, :]
               + kz * pos[:, 2:3])

@@ -136,6 +136,26 @@ class TestBandsCommand:
         assert rc == 0
         assert (tmp_path / "bands.gp").exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_nonpositive_threads_rejected(self, bands_cfg_file, tmp_path,
+                                          threads, capsys):
+        out = tmp_path / "bands.csv"
+        rc = main(["bands", bands_cfg_file, "-o", str(out), "--kpath", "Z:T",
+                   "--samples", "2", "--threads", threads])
+        assert rc == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_nonpositive_samples_rejected(self, bands_cfg_file, tmp_path,
+                                          samples, capsys):
+        out = tmp_path / "bands.csv"
+        rc = main(["bands", bands_cfg_file, "-o", str(out), "--kpath", "Z:T",
+                   "--samples", samples])
+        assert rc == 2
+        assert "samples_per_segment" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_not_mutated(self, bands_cfg_file, tmp_path):
         before = open(bands_cfg_file, "rb").read()
         main(["bands", bands_cfg_file, "-o", str(tmp_path / "b.csv"),
@@ -267,6 +287,17 @@ class TestValidateCommand:
         cfg.write_text(json.dumps({**BANDS_DOC, "ff": 1.2}))
         rc = main(["validate", str(cfg)])
         assert rc == 2
+
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_nonpositive_threads_rejected(self, bands_cfg_file, tmp_path,
+                                          threads, capsys):
+        report_path = tmp_path / "report.json"
+        rc = main(["validate", bands_cfg_file, "-o", str(report_path),
+                   "--threads", threads])
+        assert rc == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not report_path.exists()
 
 
 class TestDumpFourier:

@@ -210,6 +210,66 @@ class TestSolveBands:
             solve_bands(cfg, n_bands=100)
 
 
+    def test_nonpositive_threads_rejected(self, bands_config):
+        cfg = replace(bands_config, kpath=("G", "Z"), samples_per_segment=1,
+                      basis_halfwidth=2)
+        with pytest.raises(ValidationError, match="threads"):
+            solve_bands(cfg, threads=0)
+
+
+class TestFrequencyOnlyInterior:
+    """Interior path points carry omegas only; named nodes keep vectors."""
+
+    @pytest.fixture(scope="class")
+    def small_path(self, bands_config):
+        cfg = replace(bands_config, kpath=("G", "Z", "T"),
+                      samples_per_segment=3, basis_halfwidth=4)
+        return solve_bands(cfg)
+
+    def test_vectors_only_at_named_nodes(self, small_path):
+        labels = [kp.label for kp in small_path.kpoints]
+        assert labels == ["G", "", "", "Z", "", "", "T"]
+        for kp_pt, row in zip(small_path.kpoints, small_path.states):
+            for st in row:
+                if kp_pt.label:
+                    norm = float(np.sum(np.abs(st.coefficients) ** 2))
+                    assert norm == pytest.approx(1.0, abs=1e-10)
+                else:
+                    assert st.coefficients is None
+
+    def test_interior_omegas_match_refined_solve(self, small_path):
+        cfg = small_path.config
+        dp = derive_params(cfg.lattice)
+        pf = PatternFourier.from_lattice(cfg.lattice, 2 * cfg.basis_halfwidth)
+        for kp_pt, row in zip(small_path.kpoints, small_path.states):
+            if kp_pt.label:
+                continue
+            w_ref, _ = _solve_refined(dp, pf, small_path.basis, kp_pt.kx,
+                                      kp_pt.ky, small_path.n_bands)
+            w = np.array([st.omega for st in row])
+            assert np.max(np.abs(w - w_ref)) <= 16.0
+
+    def test_profile_and_fields_reject_interior_state(self, small_path,
+                                                      bands_dp):
+        state = small_path.states[1][0]
+        pf = PatternFourier.from_lattice(small_path.config.lattice, 8)
+        with pytest.raises(ValidationError, match="no coefficients"):
+            longitudinal_profile(state, pf)
+        with pytest.raises(ValidationError, match="no coefficients"):
+            reconstruct_fields(state, bands_dp, RotationSpec(0.0), (1.0, 0.0),
+                               [[0.0, 0.0, 0.0]])
+
+    def test_eigenvalue_failure_names_kpoint(self, bands_config, monkeypatch):
+        def fail(_h):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        cfg = replace(bands_config, kpath=("G", "Z"), samples_per_segment=2,
+                      basis_halfwidth=2)
+        with pytest.raises(ComputationError, match="at k-point 1 "):
+            solve_bands(cfg)
+
+
 class TestClassification:
     def test_empty_lattice_symmetric_combo_is_s(self, bands_lattice):
         basis = reciprocal_basis(3, bands_lattice.pitch)
