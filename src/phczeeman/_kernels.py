@@ -1,87 +1,34 @@
-"""Hot numeric kernels: dense Hamiltonian assembly and pattern-overlap sums.
+"""Numeric kernels over the plane-wave basis: Hamiltonian assembly and the
+pattern-overlap sum.
 
-Two interchangeable backends:
-
-* ``numba`` -- @njit-compiled loops, used when numba imports successfully and
-  the environment variable ``PHCZEEMAN_DISABLE_NUMBA`` is unset/false;
-* ``numpy`` -- vectorized fallback, always available.
-
-Both backends produce bitwise-identical Hamiltonians (same per-entry
-operation order); the overlap sums agree to round-off. ``BACKEND`` names the
-active one. ``benchmarks/bench_kernels.py`` compares their throughput.
+Both gather the pattern Fourier table at the index differences of a basis,
+phi[(mi - mj, ni - nj)], with numpy fancy indexing. ``BACKEND`` names the
+implementation for run reports.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-
-def _numba_disabled() -> bool:
-    return os.environ.get("PHCZEEMAN_DISABLE_NUMBA", "").strip().lower() in {
-        "1", "true", "yes", "on",
-    }
+BACKEND = "numpy"
 
 
-def fill_hamiltonian_numpy(m_idx, n_idx, kin_diag, table, offset, v_prefactor):
-    """Assemble H[i,j] = -v*phi[(mi-mj, ni-nj)] + delta_ij*kin_diag[i]."""
+def _pattern_matrix(m_idx, n_idx, table, offset) -> np.ndarray:
+    """phi[(mi-mj, ni-nj)] for every pair of basis waves."""
     dm = m_idx[:, None] - m_idx[None, :] + offset
     dn = n_idx[:, None] - n_idx[None, :] + offset
-    h = -v_prefactor * table[dm, dn]
+    return table[dm, dn]
+
+
+def fill_hamiltonian(m_idx, n_idx, kin_diag, table, offset, v_prefactor):
+    """Assemble H[i,j] = -v*phi[(mi-mj, ni-nj)] + delta_ij*kin_diag[i]."""
+    h = -v_prefactor * _pattern_matrix(m_idx, n_idx, table, offset)
     h[np.diag_indices(m_idx.size)] += kin_diag
     return h
 
 
-def pattern_overlap_numpy(coeff_re, coeff_im, m_idx, n_idx, table, offset):
+def pattern_overlap(coeffs, m_idx, n_idx, table, offset) -> float:
     """Real part of sum_ij conj(c_i) c_j phi[(mi-mj, ni-nj)]."""
-    dm = m_idx[:, None] - m_idx[None, :] + offset
-    dn = n_idx[:, None] - n_idx[None, :] + offset
-    phi = table[dm, dn]
-    return float(coeff_re @ phi @ coeff_re + coeff_im @ phi @ coeff_im)
-
-
-HAVE_NUMBA = False
-if not _numba_disabled():
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        HAVE_NUMBA = False
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _fill_hamiltonian_jit(m_idx, n_idx, kin_diag, table, offset, v_prefactor):
-        ns = m_idx.size
-        h = np.empty((ns, ns))
-        for i in range(ns):
-            for j in range(ns):
-                h[i, j] = -v_prefactor * table[
-                    m_idx[i] - m_idx[j] + offset, n_idx[i] - n_idx[j] + offset
-                ]
-            h[i, i] += kin_diag[i]
-        return h
-
-    @njit(cache=True, nogil=True)
-    def _pattern_overlap_jit(coeff_re, coeff_im, m_idx, n_idx, table, offset):
-        ns = m_idx.size
-        acc = 0.0
-        for i in range(ns):
-            row_re = 0.0
-            row_im = 0.0
-            for j in range(ns):
-                phi = table[m_idx[i] - m_idx[j] + offset,
-                            n_idx[i] - n_idx[j] + offset]
-                row_re += phi * coeff_re[j]
-                row_im += phi * coeff_im[j]
-            acc += coeff_re[i] * row_re + coeff_im[i] * row_im
-        return acc
-
-    fill_hamiltonian = _fill_hamiltonian_jit
-    pattern_overlap = _pattern_overlap_jit
-    BACKEND = "numba"
-else:
-    fill_hamiltonian = fill_hamiltonian_numpy
-    pattern_overlap = pattern_overlap_numpy
-    BACKEND = "numpy"
+    phi = _pattern_matrix(m_idx, n_idx, table, offset)
+    re = np.ascontiguousarray(coeffs.real)
+    im = np.ascontiguousarray(coeffs.imag)
+    return float(re @ phi @ re + im @ phi @ im)

@@ -46,8 +46,11 @@ SWEEP_HEADER = ("dphi,pitch_um,M_plus,M_minus,M,dwL_over_Omega,dwS_over_Omega,"
 
 
 def _fmt(x) -> str:
-    """Shortest-round-trip float formatting."""
-    return repr(float(x))
+    """Shortest-round-trip float formatting; NaN and inf never reach a file."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ComputationError(f"non-finite value {x} in the output")
+    return repr(x)
 
 
 def _write_csv(path: str, header: str, rows) -> None:
@@ -161,8 +164,11 @@ def _emit_plotscript(csv_path: str, kind: str) -> str:
             plots=(f"'{csv_path}' every ::1 using 1:6 with linespoints, "
                    f"'{csv_path}' every ::1 using 1:7 with linespoints"),
         )
-    with open(gp_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(body)
+    try:
+        with open(gp_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(body)
+    except OSError as exc:
+        raise ConfigError(f"cannot write plot script {gp_path}: {exc}") from exc
     return gp_path
 
 
@@ -218,6 +224,7 @@ def cmd_split(args) -> int:
         raise ConfigError(f"bad --omega-list: {exc}") from exc
     if not omega_list:
         raise ConfigError("--omega-list must contain at least one value")
+    rotations = [RotationSpec(w) for w in omega_list]  # rejects NaN/inf up front
 
     analysis = pw.t_point_analysis(config)
     model = kpmod.kp_from_opw(analysis.edges, config.lattice,
@@ -229,10 +236,9 @@ def cmd_split(args) -> int:
         )
 
     rows = []
-    for omega_rot in omega_list:
-        dws_kp, dwl_kp = kpmod.zeeman_splittings_at_T(
-            model, RotationSpec(omega_rot)
-        )
+    for rot in rotations:
+        omega_rot = rot.omega_z
+        dws_kp, dwl_kp = kpmod.zeeman_splittings_at_T(model, rot)
         dws_f, dwl_f = zm.splittings(model.m_plus, model.m_minus,
                                      config.lattice.n_refr, omega_rot)
         def _rel(a, b):
@@ -266,16 +272,15 @@ def cmd_sweep(args) -> int:
     config = _read_config(args.config)
     if args.points < 2:
         raise ConfigError("--points must be >= 2")
+    # validate both bounds before any computation
+    for bound in (args.sweep_from, args.sweep_to):
+        _sweep_lattice(config.lattice, args.param, bound)
     if args.log:
         if args.sweep_from <= 0 or args.sweep_to <= 0:
             raise ConfigError("--log sweep requires positive bounds")
         values = np.geomspace(args.sweep_from, args.sweep_to, args.points)
     else:
         values = np.linspace(args.sweep_from, args.sweep_to, args.points)
-
-    # validate both bounds before any computation
-    for bound in (args.sweep_from, args.sweep_to):
-        _sweep_lattice(config.lattice, args.param, bound)
 
     if args.param == "dphi" and (args.sweep_from < 0 or args.sweep_to < 0):
         warnings.warn(
@@ -580,6 +585,9 @@ def main(argv=None) -> int:
         return 2
     except ComputationError as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:  # float overflow or division by zero
+        print(f"computation failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

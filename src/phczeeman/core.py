@@ -53,6 +53,10 @@ class LatticeSpec:
     dphi: float
 
     def __post_init__(self):
+        for name in ("lambda_vac", "n_refr", "pitch", "fill_factor", "dphi"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if not self.lambda_vac > 0:
             raise ValidationError(f"lambda_vac must be > 0, got {self.lambda_vac}")
         if not self.pitch > 0:
@@ -89,6 +93,8 @@ class RotationSpec:
     omega_z: float = 0.0
 
     def __post_init__(self):
+        if not math.isfinite(self.omega_z):
+            raise ValidationError(f"omega_z must be finite, got {self.omega_z}")
         if abs(self.omega_z) * DOMAIN_RADIUS / C > 1e-3:
             warnings.warn(
                 f"omega_z = {self.omega_z:.3g} rad/s leaves the first-order "
@@ -121,8 +127,11 @@ class DerivedParams:
     def __post_init__(self):
         for name in ("k_z", "l_z", "m0", "p_interband", "omega0",
                      "v_prefactor", "z_impedance", "eps", "mu"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"derived parameter {name} must be positive")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValidationError(
+                    f"derived parameter {name} must be positive and finite, got {value}"
+                )
         ident = self.m0 * C**2 / (self.eps * HBAR)
         if abs(ident - self.omega0) > 1e-12 * self.omega0:
             raise ValidationError(
@@ -195,6 +204,9 @@ def eigh(h) -> tuple[np.ndarray, np.ndarray]:
 
 DEFAULT_KPATH = ("G", "Z", "T", "G")
 DEFAULT_BASIS_HALFWIDTH = 7
+# Largest plane-wave cutoff: the dense Hamiltonian of (2h+1)^2 waves takes
+# (2h+1)^4 * 8 bytes, ~0.3 GB at h = 40.
+MAX_BASIS_HALFWIDTH = 40
 DEFAULT_SAMPLES_PER_SEGMENT = 40
 
 
@@ -212,6 +224,11 @@ class ExperimentConfig:
         if self.basis_halfwidth < 2:
             raise ValidationError(
                 f"basis_halfwidth must be >= 2, got {self.basis_halfwidth}"
+            )
+        if self.basis_halfwidth > MAX_BASIS_HALFWIDTH:
+            raise ValidationError(
+                f"basis_halfwidth must be <= {MAX_BASIS_HALFWIDTH}, "
+                f"got {self.basis_halfwidth}"
             )
         if not self.kpath:
             raise ValidationError("kpath must be nonempty")
@@ -252,7 +269,13 @@ def load_config(text: str) -> ExperimentConfig:
         val = doc.get(key, default)
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             raise ConfigError(f"config key '{key}' must be a number, got {val!r}")
-        return float(val)
+        try:
+            return float(val)
+        except OverflowError:
+            raise ValidationError(
+                f"config key '{key}' must be finite, got an integer too large "
+                "for a float"
+            ) from None
 
     lattice = LatticeSpec(
         lambda_vac=_num("lambda_nm") * 1e-9,

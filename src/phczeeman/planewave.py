@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -308,6 +308,12 @@ def solve_bands(config: ExperimentConfig, n_bands: int = DEFAULT_N_BANDS,
             raise ComputationError(
                 f"{exc} at k-point {kp.index} (kx={kp.kx:.6g}, ky={kp.ky:.6g})"
             ) from exc
+        labels = [None] * n_bands
+        if kp.label == "T":
+            groups, group_labels, v = _label_t_point(w, v.astype(complex), basis)
+            for grp, lab in zip(groups, group_labels):
+                for i in grp:
+                    labels[i] = lab
         return tuple(
             BlochState(
                 band_index=b,
@@ -315,6 +321,7 @@ def solve_bands(config: ExperimentConfig, n_bands: int = DEFAULT_N_BANDS,
                 omega=float(w[b]),
                 coefficients=None if v is None else v[:, b].astype(complex),
                 basis=basis,
+                rep_label=labels[b],
             )
             for b in range(n_bands)
         )
@@ -324,30 +331,8 @@ def solve_bands(config: ExperimentConfig, n_bands: int = DEFAULT_N_BANDS,
     else:
         with ThreadPoolExecutor(max_workers=threads) as ex:
             rows = list(ex.map(solve_one, kpts))
-
-    # attach representation labels at exact T nodes, with the degenerate-pair
-    # basis fixed onto its x-odd / y-odd members
-    labeled_rows = []
-    for kp, row in zip(kpts, rows):
-        if kp.label == "T":
-            omegas = np.array([st.omega for st in row])
-            groups = cluster_degenerate(omegas)
-            vectors = np.column_stack([st.coefficients for st in row])
-            labels = classify_t_states(
-                [vectors[:, grp] for grp in groups], basis
-            )
-            vectors = _fix_pair_vectors(vectors, groups, labels, basis)
-            new_row = list(row)
-            for grp, lab in zip(groups, labels):
-                for i in grp:
-                    new_row[i] = replace(row[i], rep_label=lab,
-                                         coefficients=vectors[:, i])
-            row = tuple(new_row)
-        labeled_rows.append(row)
-
     return BandStructure(
-        kpoints=tuple(kpts), states=tuple(labeled_rows), basis=basis,
-        config=config,
+        kpoints=tuple(kpts), states=tuple(rows), basis=basis, config=config,
     )
 
 
@@ -412,6 +397,18 @@ def _group_matrix(group) -> np.ndarray:
     return np.column_stack([np.asarray(st.coefficients) for st in group])
 
 
+def _channel_weights(mat: np.ndarray, channels) -> dict[str, float]:
+    """Weight of the states in ``mat`` (ns, g) on each corner channel.
+
+    The weight is the squared channel projection summed over the group, so it
+    ranges from 0 to the group size.
+    """
+    return {
+        name: float(np.sum(np.abs(vec @ mat.conj()) ** 2))
+        for name, vec in channels.items()
+    }
+
+
 def classify_t_states(groups, basis) -> list[str]:
     """Representation labels for degenerate eigenvector groups at T.
 
@@ -425,10 +422,7 @@ def classify_t_states(groups, basis) -> list[str]:
     for group in groups:
         mat = _group_matrix(group)
         g = mat.shape[1]
-        weight = {
-            name: float(np.sum(np.abs(vec @ mat.conj()) ** 2))
-            for name, vec in channels.items()
-        }
+        weight = _channel_weights(mat, channels)
         scores = {
             LABEL_S: weight["S"] / g,
             LABEL_PAIR: (weight["X"] + weight["Y"]) / g,
@@ -488,33 +482,38 @@ class TPointAnalysis:
         )
 
 
+def _label_t_point(omegas, vectors, basis):
+    """Cluster the T-point eigenpairs and label each group by representation.
+
+    Returns ``(groups, labels, vectors)``, the vectors with each degenerate
+    pair rotated onto its x-odd / y-odd members.
+    """
+    groups = cluster_degenerate(omegas)
+    labels = classify_t_states([vectors[:, grp] for grp in groups], basis)
+    return groups, labels, _fix_pair_vectors(vectors, groups, labels, basis)
+
+
 def _channel_edges(omegas, vectors, basis) -> tuple[float, float, float]:
     """Vector band edges from scalar states via channel projections.
 
     Scalar-representation x spin reduction assigns: vector T5 edge = scalar
     S edge, vector T1 edge = scalar (X,Y) edge, vector T5' edge = scalar XY
-    edge. Works on the empty lattice too, where one fourfold group carries
-    every channel and the three edges coincide.
+    edge. Each edge is the group holding most of its channel's weight per
+    channel dimension. Works on the empty lattice too, where one fourfold
+    group carries every channel and the three edges coincide.
     """
     channels = _corner_channels(basis)
     groups = cluster_degenerate(omegas)
+    weights = [_channel_weights(vectors[:, grp], channels) for grp in groups]
     edges = {}
     for chan_name, dim, members in (
         ("S", 1, ("S",)),
         ("pair", 2, ("X", "Y")),
         ("XY", 1, ("XY",)),
     ):
-        best_grp, best_score = None, 0.0
-        for grp in groups:
-            mat = vectors[:, grp]
-            weight = sum(
-                float(np.sum(np.abs(channels[m] @ mat.conj()) ** 2))
-                for m in members
-            )
-            score = weight / dim
-            if score > best_score:
-                best_score, best_grp = score, grp
-        if best_score <= 0.5:
+        scores = [sum(w[m] for m in members) / dim for w in weights]
+        best = max(range(len(groups)), key=scores.__getitem__)
+        if scores[best] <= 0.5:
             found = classify_t_states(
                 [vectors[:, grp] for grp in groups], basis
             )
@@ -522,7 +521,7 @@ def _channel_edges(omegas, vectors, basis) -> tuple[float, float, float]:
                 f"missing required representation for channel {chan_name!r} "
                 f"among the lowest bands; found labels {found}"
             )
-        edges[chan_name] = float(np.mean(omegas[list(best_grp)]))
+        edges[chan_name] = float(np.mean(omegas[groups[best]]))
     return (edges["S"], edges["pair"], edges["XY"])
 
 
@@ -536,14 +535,11 @@ def t_point_analysis(config: ExperimentConfig,
     pf = PatternFourier.from_lattice(config.lattice, 2 * hw + 2)
     kt = named_kpoint("T", config.lattice.pitch)
     w, v = _solve_refined(dp, pf, basis, kt[0], kt[1], n_bands)
-    groups = cluster_degenerate(w)
-    labels = classify_t_states([v[:, grp] for grp in groups], basis)
-    v = _fix_pair_vectors(v, groups, labels, basis)
-    edges = _channel_edges(w, v, basis)
+    groups, labels, v = _label_t_point(w, v, basis)
     return TPointAnalysis(
         omegas=w, vectors=v, basis=basis,
         groups=tuple(tuple(g) for g in groups), labels=tuple(labels),
-        edges=edges,
+        edges=_channel_edges(w, v, basis),
     )
 
 
@@ -684,10 +680,7 @@ def longitudinal_profile(state: BlochState, pf: PatternFourier,
     m_idx, n_idx = _basis_indices(state.basis)
     span = int(max(np.max(m_idx) - np.min(m_idx), np.max(n_idx) - np.min(n_idx)))
     pf = pf.ensure(span)
-    alpha = _kernels.pattern_overlap(
-        np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag),
-        m_idx, n_idx, pf.table, pf.halfwidth,
-    )
+    alpha = _kernels.pattern_overlap(c, m_idx, n_idx, pf.table, pf.halfwidth)
     # z/(2 l_z) in [-1/2, 1/2); sawtooth theta(z) - 1/2 - z/(2 l_z)
     frac = -0.5 + np.arange(samples) / samples
     saw = np.where(frac >= 0.0, 0.5, -0.5) - frac

@@ -47,18 +47,34 @@ def m_closed_form(lattice: LatticeSpec, dp: DerivedParams) -> tuple[float, float
 
     m_pm = 2*n*l_z*P^2 / (hbar*m0*c*FF*dphi) / (s*(1 +- s)) with
     s = sinc(pi*sqrt(FF)); the sign follows the sign of dphi. Singular at
-    dphi = 0 (empty lattice, where the corner model itself is undefined).
+    dphi = 0 (empty lattice, where the corner model itself is undefined);
+    ValidationError also where a division by zero, an overflow or an
+    underflow to zero in floating point leaves them unusable.
     """
     if lattice.dphi == 0.0:
         raise ValidationError(
             "closed-form orbital parameters are singular at dphi = 0"
         )
     s = pattern_sinc(lattice.fill_factor)
-    prefactor = (
-        2.0 * lattice.n_refr * dp.l_z * dp.p_interband ** 2
-        / (HBAR * dp.m0 * C * lattice.fill_factor * lattice.dphi)
-    )
-    return prefactor / (s * (1.0 + s)), prefactor / (s * (1.0 - s))
+    try:
+        prefactor = (
+            2.0 * lattice.n_refr * dp.l_z * dp.p_interband ** 2
+            / (HBAR * dp.m0 * C * lattice.fill_factor * lattice.dphi)
+        )
+        m_plus = prefactor / (s * (1.0 + s))
+        m_minus = prefactor / (s * (1.0 - s))
+        # the spread squares them and the consistency ratio divides by their sum
+        in_range = m_plus != 0.0 and math.isfinite(m_plus * m_plus
+                                                   + m_minus * m_minus)
+    except ArithmeticError:  # division by zero or overflow in ** 2
+        in_range = False
+    if not in_range:
+        raise ValidationError(
+            "closed-form orbital parameters are singular or leave the float "
+            f"range at dphi = {lattice.dphi}, fill_factor = "
+            f"{lattice.fill_factor}, pitch = {lattice.pitch}"
+        )
+    return m_plus, m_minus
 
 
 def splittings(m_plus: float, m_minus: float, n_refr: float,

@@ -316,3 +316,79 @@ class TestDumpFourier:
             assert float(value) == pytest.approx(
                 fourier_coefficient(lattice, int(m), int(n)), rel=1e-12
             )
+
+
+def _no_nan_written(path):
+    return not path.exists() or "nan" not in path.read_text().lower()
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("key,field", [
+        ("lambda_nm", "lambda_vac"), ("n", "n_refr"), ("pitch_um", "pitch"),
+        ("ff", "fill_factor"), ("dphi", "dphi"), ("omega_rad_s", "omega_z"),
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_config_number(self, tmp_path, capsys, key, field, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**WEAK_DOC, key: value}))
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", str(cfg), "-o", str(out), "--param", "dphi",
+                   "--from", "1e-5", "--to", "1e-3", "--points", "3"])
+        assert rc == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bounds", [("nan", "1e-3"), ("1e-5", "nan"),
+                                        ("1e-5", "inf"), ("-inf", "1e-3")])
+    @pytest.mark.parametrize("log", [False, True])
+    def test_sweep_bounds(self, weak_cfg_file, tmp_path, capsys, bounds, log):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", weak_cfg_file, "-o", str(out), "--param", "dphi",
+                f"--from={bounds[0]}", f"--to={bounds[1]}", "--points", "3"]
+        rc = main(argv + (["--log"] if log else []))
+        assert rc == 2
+        assert "dphi must be finite" in capsys.readouterr().err
+        assert _no_nan_written(out)
+
+    @pytest.mark.parametrize("omega_list", ["nan", "1,nan", "inf", "0,-inf"])
+    def test_split_omega_list(self, weak_cfg_file, tmp_path, capsys,
+                              omega_list):
+        out = tmp_path / "split.csv"
+        rc = main(["split", weak_cfg_file, "-o", str(out),
+                   "--omega-list", omega_list])
+        assert rc == 2
+        assert "omega_z must be finite" in capsys.readouterr().err
+        assert _no_nan_written(out)
+
+
+    @pytest.mark.filterwarnings("ignore")  # fast-rotation and overflow warnings
+    def test_overflowing_splitting_is_computation_failure(self, tmp_path,
+                                                          capsys):
+        cfg = tmp_path / "vacuum.json"
+        cfg.write_text(json.dumps({**WEAK_DOC, "n": 1.0}))
+        out = tmp_path / "split.csv"
+        rc = main(["split", str(cfg), "-o", str(out),
+                   "--omega-list=-1e308,1e308"])
+        assert rc == 1
+        assert "non-finite value" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestResourceAndWriteErrors:
+    def test_basis_halfwidth_above_cap(self, tmp_path, capsys):
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({**BANDS_DOC, "basis_halfwidth": 1000}))
+        out = tmp_path / "bands.csv"
+        rc = main(["bands", str(cfg), "-o", str(out)])
+        assert rc == 2
+        assert "basis_halfwidth must be <=" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_plotscript(self, weak_cfg_file, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        (tmp_path / "x.gp").mkdir()
+        rc = main(["sweep", weak_cfg_file, "-o", str(out), "--param", "ff",
+                   "--from", "0.3", "--to", "0.9", "--points", "3",
+                   "--emit-plotscript"])
+        assert rc == 2
+        assert "cannot write plot script" in capsys.readouterr().err

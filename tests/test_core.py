@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from phczeeman import (
     ComputationError,
     ConfigError,
+    ExperimentConfig,
     HermitianMatrix,
     LatticeSpec,
     RotationSpec,
@@ -18,6 +19,7 @@ from phczeeman import (
     load_config,
 )
 from phczeeman.constants import C
+from phczeeman.core import MAX_BASIS_HALFWIDTH
 
 
 BANDS_JSON = json.dumps(
@@ -115,6 +117,29 @@ class TestLoadConfig:
             LatticeSpec(lambda_vac=960e-9, n_refr=1.0, pitch=1e-6,
                         fill_factor=0.65, dphi=0.01)
 
+    @pytest.mark.parametrize("name", ["lambda_vac", "n_refr", "pitch",
+                                      "fill_factor", "dphi"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lattice_field(self, name, value):
+        fields = dict(lambda_vac=960e-9, n_refr=3.53, pitch=4e-6,
+                      fill_factor=0.65, dphi=0.02)
+        fields[name] = value
+        with pytest.raises(ValidationError, match=f"{name} must be finite"):
+            LatticeSpec(**fields)
+
+    def test_integer_too_large_for_float(self):
+        doc = BANDS_JSON[:-1] + ', "omega_rad_s": ' + "9" * 400 + "}"
+        with pytest.raises(ValidationError, match="omega_rad_s"):
+            load_config(doc)
+
+    def test_basis_halfwidth_cap(self, bands_lattice):
+        # construction only: the config allocates nothing for its basis
+        ExperimentConfig(lattice=bands_lattice,
+                         basis_halfwidth=MAX_BASIS_HALFWIDTH)
+        with pytest.raises(ValidationError, match="basis_halfwidth"):
+            ExperimentConfig(lattice=bands_lattice,
+                             basis_halfwidth=MAX_BASIS_HALFWIDTH + 1)
+
 
 class TestDeriveParams:
     # frozen from a 40-digit mpmath evaluation of the defining formulas
@@ -179,6 +204,13 @@ class TestDeriveParams:
         a, b = derive_params(bands_lattice), derive_params(bands_lattice)
         assert a == b
 
+    def test_overflow_rejected(self):
+        # finite inputs whose wavenumber 2*pi*n/lambda overflows to inf
+        lattice = LatticeSpec(lambda_vac=1e-309, n_refr=3.53, pitch=4e-6,
+                              fill_factor=0.65, dphi=0.02)
+        with pytest.raises(ValidationError, match="k_z must be positive and finite"):
+            derive_params(lattice)
+
 
 class TestRotationSpec:
     def test_default_zero(self):
@@ -191,6 +223,11 @@ class TestRotationSpec:
     def test_moderate_rotation_silent(self, recwarn):
         RotationSpec(1e6)
         assert not recwarn
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValidationError, match="omega_z must be finite"):
+            RotationSpec(value)
 
 
 class TestEigh:

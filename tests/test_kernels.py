@@ -1,6 +1,3 @@
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -24,7 +21,7 @@ def fill_args(bands_lattice):
 
 def test_numpy_fill_matches_direct_formula(bands_lattice, fill_args):
     m_idx, n_idx, kin, table, offset, v = fill_args
-    h = _kernels.fill_hamiltonian_numpy(*fill_args)
+    h = _kernels.fill_hamiltonian(*fill_args)
     ns = m_idx.size
     for i in range(0, ns, 17):
         for j in range(0, ns, 13):
@@ -37,24 +34,6 @@ def test_numpy_fill_matches_direct_formula(bands_lattice, fill_args):
             assert h[i, j] == pytest.approx(expected, rel=1e-15, abs=1e-3)
 
 
-def test_backends_fill_bitwise_identical(fill_args):
-    h_np = _kernels.fill_hamiltonian_numpy(*fill_args)
-    h_active = _kernels.fill_hamiltonian(*fill_args)
-    assert np.array_equal(h_np, h_active)
-
-
-def test_backends_overlap_agree(fill_args):
-    m_idx, n_idx, _, table, offset, _ = fill_args
-    rng = np.random.default_rng(21)
-    c = rng.normal(size=m_idx.size) + 1j * rng.normal(size=m_idx.size)
-    c /= np.linalg.norm(c)
-    re = np.ascontiguousarray(c.real)
-    im = np.ascontiguousarray(c.imag)
-    a_np = _kernels.pattern_overlap_numpy(re, im, m_idx, n_idx, table, offset)
-    a_active = _kernels.pattern_overlap(re, im, m_idx, n_idx, table, offset)
-    assert a_active == pytest.approx(a_np, rel=1e-12, abs=1e-18)
-
-
 def test_overlap_matches_quadratic_form(fill_args):
     m_idx, n_idx, _, table, offset, _ = fill_args
     rng = np.random.default_rng(22)
@@ -63,51 +42,5 @@ def test_overlap_matches_quadratic_form(fill_args):
     phi = table[m_idx[:, None] - m_idx[None, :] + offset,
                 n_idx[:, None] - n_idx[None, :] + offset]
     direct = float(np.real(c.conj() @ phi @ c))
-    got = _kernels.pattern_overlap(
-        np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag),
-        m_idx, n_idx, table, offset,
-    )
+    got = _kernels.pattern_overlap(c, m_idx, n_idx, table, offset)
     assert got == pytest.approx(direct, rel=1e-12)
-
-
-def test_env_flag_selects_numpy_backend():
-    code = (
-        "import os; os.environ['PHCZEEMAN_DISABLE_NUMBA'] = '1'; "
-        "from phczeeman import _kernels; "
-        "print(_kernels.BACKEND); "
-        "assert _kernels.fill_hamiltonian is _kernels.fill_hamiltonian_numpy"
-    )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "numpy"
-
-
-def test_backend_reported():
-    assert _kernels.BACKEND in ("numba", "numpy")
-
-
-def test_solver_output_backend_independent(bands_lattice):
-    """Full detuned solve gives bitwise-identical spectra on both backends."""
-    import json
-    code = """
-import os, json, sys
-os.environ['PHCZEEMAN_DISABLE_NUMBA'] = os.environ.get('_WANT_NUMPY', '0')
-from phczeeman import ExperimentConfig, LatticeSpec, solve_bands
-from dataclasses import replace
-lattice = LatticeSpec(lambda_vac=960e-9, n_refr=3.53, pitch=4e-6,
-                      fill_factor=0.65, dphi=0.02)
-cfg = ExperimentConfig(lattice=lattice, kpath=("Z", "T"),
-                       samples_per_segment=2, basis_halfwidth=3)
-bs = solve_bands(cfg)
-print(json.dumps([[st.omega for st in row] for row in bs.states]))
-"""
-    outs = []
-    for want_numpy in ("0", "1"):
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            env={**__import__("os").environ, "_WANT_NUMPY": want_numpy},
-        )
-        assert proc.returncode == 0, proc.stderr
-        outs.append(json.loads(proc.stdout))
-    assert outs[0] == outs[1]

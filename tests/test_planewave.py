@@ -27,7 +27,10 @@ from phczeeman import (
     solve_bands,
     t_point_analysis,
 )
-from phczeeman.planewave import LABEL_PAIR, LABEL_S, LABEL_XY, _solve_refined
+from phczeeman.lattice import t_centered_basis
+from phczeeman.planewave import (
+    LABEL_PAIR, LABEL_S, LABEL_XY, _assemble, _solve_refined,
+)
 from phczeeman.zeeman import m_closed_form
 from oracles import folded_free_bands
 
@@ -215,6 +218,28 @@ class TestSolveBands:
                       basis_halfwidth=2)
         with pytest.raises(ValidationError, match="threads"):
             solve_bands(cfg, threads=0)
+
+
+class TestEigenpairContract:
+    """The eigh contract (residual and orthonormality) on production solves.
+
+    The matrix checked is the detuned Hamiltonian that _solve_refined
+    diagonalizes, with its Ritz-refined pairs.
+    """
+
+    @pytest.mark.parametrize("window", [reciprocal_basis, t_centered_basis])
+    @pytest.mark.parametrize("node", ["G", "Z", "T"])
+    def test_refined_pairs(self, bands_lattice, bands_dp, window, node):
+        basis = tuple(window(7, bands_lattice.pitch))
+        pf = PatternFourier.from_lattice(bands_lattice, 16)
+        kx, ky = named_kpoint(node, bands_lattice.pitch)
+        w, v = _solve_refined(bands_dp, pf, basis, kx, ky, 8)
+        h = _assemble(bands_dp, pf, basis, kx, ky, carrier=False)
+        residual = np.max(np.linalg.norm(h @ v - v * (w - bands_dp.omega0),
+                                         axis=0))
+        assert residual <= 1e-10 * np.linalg.norm(h)
+        assert np.max(np.abs(v.conj().T @ v - np.eye(8))) <= 1e-10
+        assert np.all(np.diff(w) >= 0)
 
 
 class TestFrequencyOnlyInterior:

@@ -76,6 +76,17 @@ class TestClosedForm:
         with pytest.raises(ValidationError, match="dphi = 0"):
             m_closed_form(empty, derive_params(empty))
 
+    @pytest.mark.parametrize("change", [
+        {"dphi": 1e-300},           # overflows when squared for the spread
+        {"dphi": 2.8e-268},         # the prefactor's denominator underflows
+        {"fill_factor": 3e-91},     # s rounds to 1, so 1 - s is zero
+        {"pitch": 1e200},           # underflows to zero
+    ])
+    def test_out_of_float_range_rejected(self, weak_lattice, change):
+        lattice = replace(weak_lattice, **change)
+        with pytest.raises(ValidationError, match="float range"):
+            m_closed_form(lattice, derive_params(lattice))
+
     @settings(max_examples=50, deadline=None)
     @given(st.floats(0.01, 0.99))
     def test_ordering_for_all_fill_factors(self, weak_lattice, ff):
