@@ -20,6 +20,8 @@ from . import kp as kpmod
 from . import planewave as pw
 from . import zeeman as zm
 from .core import (
+    MAX_FOURIER_HALFWIDTH,
+    MAX_SAMPLES_PER_SEGMENT,
     ComputationError,
     ConfigError,
     ExperimentConfig,
@@ -313,7 +315,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_dump_fourier(args) -> int:
     config = _read_config(args.config)
-    hw = args.halfwidth or config.basis_halfwidth
+    hw = config.basis_halfwidth if args.halfwidth is None else args.halfwidth
+    if not 1 <= hw <= MAX_FOURIER_HALFWIDTH:
+        raise ConfigError(
+            f"--halfwidth must be in [1, {MAX_FOURIER_HALFWIDTH}], got {hw}"
+        )
     rows = (
         (str(m), str(n), _fmt(fourier_coefficient(config.lattice, m, n)))
         for m in range(-hw, hw + 1)
@@ -411,13 +417,14 @@ def run_validation(config: ExperimentConfig, threads: int | None = None) -> dict
     t_pt = pw.named_kpoint("T", lattice.pitch)
     basis = tuple(reciprocal_basis(config.basis_halfwidth, lattice.pitch))
     pf = PatternFourier.from_lattice(lattice, 2 * config.basis_halfwidth)
+    mirrors = pw._path_mirrors(basis)
     worst_rel = 0.0
     window = 0.25 * math.pi / lattice.pitch
     for frac in np.linspace(0.0, 1.0, 9):
         for direction in ((-1.0, 0.0), (-1.0 / math.sqrt(2), -1.0 / math.sqrt(2))):
             kx = t_pt[0] + frac * window * direction[0]
             ky = t_pt[1] + frac * window * direction[1]
-            w_opw = pw._solve_omegas(dp, pf, basis, kx, ky, 8)
+            w_opw = pw._solve_omegas(dp, pf, basis, kx, ky, 8, mirrors)
             k_rel = np.array([[kx - t_pt[0], ky - t_pt[1]]])
             spec8 = kpmod.kp_bands(model, k_rel, RotationSpec(0.0)).omegas[0]
             for w_kp in spec8:
@@ -527,7 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bands.add_argument("--kpath", default=None,
                          help="colon-separated node names, e.g. G:Z:T:G")
     p_bands.add_argument("--samples", type=int, default=None,
-                         help="samples per path segment")
+                         help="samples per path segment "
+                         f"(1 to {MAX_SAMPLES_PER_SEGMENT})")
     p_bands.add_argument("--model", choices=("opw", "kp", "both"),
                          default="opw")
     p_bands.add_argument("--threads", type=int, default=None,
@@ -569,7 +577,10 @@ def build_parser() -> argparse.ArgumentParser:
                             help="dump pattern Fourier coefficients as CSV")
     p_dump.add_argument("config")
     p_dump.add_argument("-o", "--output", required=True)
-    p_dump.add_argument("--halfwidth", type=int, default=None)
+    p_dump.add_argument("--halfwidth", type=int, default=None,
+                        help="largest |m|, |n| dumped (1 to "
+                        f"{MAX_FOURIER_HALFWIDTH}; default: the config's "
+                        "basis_halfwidth)")
     p_dump.set_defaults(func=cmd_dump_fourier)
 
     return parser

@@ -160,6 +160,7 @@ class HermitianMatrix:
     """Dense Hermitian matrix; hermiticity is validated at construction.
 
     ``entries`` is row-major (ndarray); real symmetric input is kept real.
+    A non-finite entry (an overflow upstream) raises ComputationError.
     """
 
     entries: np.ndarray
@@ -171,6 +172,10 @@ class HermitianMatrix:
         a = np.asarray(self.entries)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValidationError(f"matrix must be square, got shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ComputationError(
+                f"matrix holds a non-finite value ({a.shape[0]}x{a.shape[0]})"
+            )
         scale = np.max(np.abs(a)) or 1.0
         defect = np.max(np.abs(a - a.conj().T))
         if defect > self.HERMITICITY_RTOL * scale:
@@ -207,7 +212,12 @@ DEFAULT_BASIS_HALFWIDTH = 7
 # Largest plane-wave cutoff: the dense Hamiltonian of (2h+1)^2 waves takes
 # (2h+1)^4 * 8 bytes, ~0.3 GB at h = 40.
 MAX_BASIS_HALFWIDTH = 40
+# Largest pattern-table halfwidth: every index difference of a capped basis.
+MAX_FOURIER_HALFWIDTH = 2 * MAX_BASIS_HALFWIDTH
 DEFAULT_SAMPLES_PER_SEGMENT = 40
+# Most samples per k-path segment: each sample is one dense eigensolve, so a
+# three-segment path at the cap is 30001 solves.
+MAX_SAMPLES_PER_SEGMENT = 10_000
 
 
 @dataclass(frozen=True)
@@ -235,6 +245,11 @@ class ExperimentConfig:
         if self.samples_per_segment < 1:
             raise ValidationError(
                 f"samples_per_segment must be >= 1, got {self.samples_per_segment}"
+            )
+        if self.samples_per_segment > MAX_SAMPLES_PER_SEGMENT:
+            raise ValidationError(
+                f"samples_per_segment must be <= {MAX_SAMPLES_PER_SEGMENT}, "
+                f"got {self.samples_per_segment}"
             )
 
 

@@ -15,6 +15,12 @@ eigenpairs are refined with one Rayleigh-Ritz step; this keeps degenerate
 pairs coherent to ~1e-3 rad/s instead of the ~1e2 rad/s the raw solver
 delivers at the full frequency scale. Interior path points need only their
 frequencies and are solved eigenvalue-only, with no vectors and no Ritz step.
+Those on a mirror line of the path are solved as two parity blocks: on G-Z
+(ky == 0) the mirror y -> -y maps wave (m, n) to (m, -n), on T-G (kx == ky)
+the mirror x <-> y maps it to (n, m). The symmetric window is closed under
+both, so H splits exactly into an even block of (h+1)(2h+1) and an odd block
+of h(2h+1) waves. Z-T points stay dense: their mirror maps m to -1-m, under
+which the symmetric window is not closed.
 """
 from __future__ import annotations
 
@@ -269,10 +275,99 @@ def _solve_refined(dp, pf, basis, kx, ky, n_bands):
     return dp.omega0 + wr, low @ u
 
 
-def _solve_omegas(dp, pf, basis, kx, ky, n_bands):
-    """Lowest ``n_bands`` omegas of the detuned problem, without vectors."""
+@dataclass(frozen=True, eq=False)
+class _MirrorFold:
+    """A mirror of the basis as gather indices for its even and odd blocks.
+
+    With R the wave permutation, ``even`` lists the ``n_fixed`` fixed waves
+    (R f = f) and then one wave p of each swapped pair, with ``even_image``
+    = R[even]. The even block H[a, b] + H[a, R b], with each fixed row and
+    column scaled by 1/sqrt(2), holds H[f, f'], sqrt(2) H[f, p] and
+    H[p, q] + H[p, R q]; the odd block over ``odd`` (the pair waves p) is
+    H[p, q] - H[p, R q]. Both are exact when H commutes with R.
+    """
+
+    n_fixed: int
+    even: np.ndarray
+    even_image: np.ndarray
+    odd: np.ndarray
+    odd_image: np.ndarray
+
+    def blocks(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        rows = h[self.even]
+        even = rows[:, self.even] + rows[:, self.even_image]
+        even[:self.n_fixed] *= math.sqrt(0.5)
+        even[:, :self.n_fixed] *= math.sqrt(0.5)
+        rows = h[self.odd]
+        return even, rows[:, self.odd] - rows[:, self.odd_image]
+
+
+def _mirror_fold(basis, image) -> _MirrorFold | None:
+    """The fold of ``basis`` under the wave map ``image(m, n) -> (m', n')``.
+
+    None when the window is not closed under the map.
+    """
+    pos = {(rv.m, rv.n): i for i, rv in enumerate(basis)}
+    try:
+        partner = np.array([pos[image(rv.m, rv.n)] for rv in basis],
+                           dtype=np.int64)
+    except KeyError:
+        return None
+    idx = np.arange(partner.size)
+    fixed = idx[partner == idx]
+    pairs = idx[idx < partner]
+    even = np.concatenate([fixed, pairs])
+    return _MirrorFold(n_fixed=fixed.size, even=even,
+                       even_image=partner[even], odd=pairs,
+                       odd_image=partner[pairs])
+
+
+@dataclass(frozen=True, eq=False)
+class _PathMirrors:
+    """The basis folds under the mirrors that fix the G-Z and T-G lines.
+
+    ``along_x`` is n -> -n, the mirror y -> -y of every k with ky == 0;
+    ``diagonal`` is (m, n) -> (n, m), the mirror x <-> y of every k with
+    kx == ky. Either is None when the window is not closed under it.
+    """
+
+    along_x: _MirrorFold | None
+    diagonal: _MirrorFold | None
+
+    def at(self, kx: float, ky: float) -> _MirrorFold | None:
+        """The fold H commutes with at (kx, ky), or None (solve dense)."""
+        if ky == 0.0:
+            return self.along_x
+        if kx == ky:
+            return self.diagonal
+        return None
+
+
+def _path_mirrors(basis) -> _PathMirrors:
+    return _PathMirrors(along_x=_mirror_fold(basis, lambda m, n: (m, -n)),
+                        diagonal=_mirror_fold(basis, lambda m, n: (n, m)))
+
+
+def _solve_omegas(dp, pf, basis, kx, ky, n_bands, mirrors: _PathMirrors):
+    """Lowest ``n_bands`` omegas of the detuned problem, without vectors.
+
+    ``mirrors`` is ``_path_mirrors(basis)``, computed once per basis. On a
+    mirror line of the path (ky == 0, or kx == ky) H splits exactly into the
+    mirror's even and odd blocks; each is solved on its own and the lowest
+    ``n_bands`` of their merged eigenvalues returned. Elsewhere, and where
+    the window is not closed under the mirror, H is solved dense.
+    """
     h = _assemble(dp, pf, basis, kx, ky, carrier=False)
-    return dp.omega0 + _lapack(np.linalg.eigvalsh, h)[:n_bands]
+    fold = mirrors.at(kx, ky)
+    if fold is None:
+        w = _lapack(np.linalg.eigvalsh, h)
+    else:
+        even, odd = fold.blocks(h)
+        w = np.sort(np.concatenate([
+            _lapack(np.linalg.eigvalsh, even)[:n_bands],
+            _lapack(np.linalg.eigvalsh, odd)[:n_bands],
+        ]))
+    return dp.omega0 + w[:n_bands]
 
 
 def solve_bands(config: ExperimentConfig, n_bands: int = DEFAULT_N_BANDS,
@@ -282,9 +377,12 @@ def solve_bands(config: ExperimentConfig, n_bands: int = DEFAULT_N_BANDS,
     Each k-point is assembled and solved on its own. Named nodes (G, Z, T)
     get refined unit-norm eigenvectors, and T states their representation
     labels; interior points are solved eigenvalue-only and their states carry
-    ``coefficients=None``. The solves run serially unless ``threads`` > 1
-    asks for a pool of that many workers, which only pays off when BLAS
-    itself is single-threaded; results are reassembled in path order.
+    ``coefficients=None``. Interior points on G-Z (ky == 0) and T-G
+    (kx == ky) are solved as the even and odd blocks of the mirror that fixes
+    their line (see ``_solve_omegas``); Z-T points are solved dense. The
+    solves run serially unless ``threads`` > 1 asks for a pool of that many
+    workers, which only pays off when BLAS itself is single-threaded;
+    results are reassembled in path order.
     """
     if threads is not None and threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
@@ -297,13 +395,15 @@ def solve_bands(config: ExperimentConfig, n_bands: int = DEFAULT_N_BANDS,
     pf = PatternFourier.from_lattice(config.lattice, 2 * config.basis_halfwidth)
     kpts = build_kpath(config.kpath, config.lattice.pitch,
                        config.samples_per_segment)
+    mirrors = _path_mirrors(basis)
 
     def solve_one(kp: KPathPoint):
         try:
             if kp.label:
                 w, v = _solve_refined(dp, pf, basis, kp.kx, kp.ky, n_bands)
             else:
-                w, v = _solve_omegas(dp, pf, basis, kp.kx, kp.ky, n_bands), None
+                w = _solve_omegas(dp, pf, basis, kp.kx, kp.ky, n_bands, mirrors)
+                v = None
         except ComputationError as exc:
             raise ComputationError(
                 f"{exc} at k-point {kp.index} (kx={kp.kx:.6g}, ky={kp.ky:.6g})"
@@ -498,9 +598,13 @@ def _channel_edges(omegas, vectors, basis) -> tuple[float, float, float]:
 
     Scalar-representation x spin reduction assigns: vector T5 edge = scalar
     S edge, vector T1 edge = scalar (X,Y) edge, vector T5' edge = scalar XY
-    edge. Each edge is the group holding most of its channel's weight per
-    channel dimension. Works on the empty lattice too, where one fourfold
-    group carries every channel and the three edges coincide.
+    edge. Each edge is the mean omega of the states that carry its channel:
+    the fewest groups, taken by descending channel weight, that together hold
+    more than half of the channel's weight per channel dimension. That is
+    one group for a degenerate pair, and both members of a pair that the
+    symmetric window splits by more than the cluster tolerance at small
+    halfwidths. Works on the empty lattice too, where one fourfold group
+    carries every channel and the three edges coincide.
     """
     channels = _corner_channels(basis)
     groups = cluster_degenerate(omegas)
@@ -511,9 +615,14 @@ def _channel_edges(omegas, vectors, basis) -> tuple[float, float, float]:
         ("pair", 2, ("X", "Y")),
         ("XY", 1, ("XY",)),
     ):
-        scores = [sum(w[m] for m in members) / dim for w in weights]
-        best = max(range(len(groups)), key=scores.__getitem__)
-        if scores[best] <= 0.5:
+        held = [sum(w[m] for m in members) for w in weights]
+        states, total = [], 0.0
+        for g in sorted(range(len(groups)), key=held.__getitem__, reverse=True):
+            states += groups[g]
+            total += held[g]
+            if total > 0.5 * dim:
+                break
+        else:
             found = classify_t_states(
                 [vectors[:, grp] for grp in groups], basis
             )
@@ -521,7 +630,7 @@ def _channel_edges(omegas, vectors, basis) -> tuple[float, float, float]:
                 f"missing required representation for channel {chan_name!r} "
                 f"among the lowest bands; found labels {found}"
             )
-        edges[chan_name] = float(np.mean(omegas[groups[best]]))
+        edges[chan_name] = float(np.mean(omegas[sorted(states)]))
     return (edges["S"], edges["pair"], edges["XY"])
 
 

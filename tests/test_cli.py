@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from phczeeman.cli import main
+from phczeeman.core import MAX_FOURIER_HALFWIDTH, MAX_SAMPLES_PER_SEGMENT
 from oracles import folded_free_bands
 from phczeeman import LatticeSpec
 
@@ -382,6 +383,24 @@ class TestResourceAndWriteErrors:
         rc = main(["bands", str(cfg), "-o", str(out)])
         assert rc == 2
         assert "basis_halfwidth must be <=" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_samples_above_cap(self, bands_cfg_file, tmp_path, capsys):
+        out = tmp_path / "bands.csv"
+        rc = main(["bands", bands_cfg_file, "-o", str(out),
+                   f"--samples={MAX_SAMPLES_PER_SEGMENT + 1}"])
+        assert rc == 2
+        assert "samples_per_segment must be <=" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("halfwidth", [0, -3, MAX_FOURIER_HALFWIDTH + 1])
+    def test_dump_fourier_halfwidth_out_of_range(self, bands_cfg_file,
+                                                 tmp_path, capsys, halfwidth):
+        out = tmp_path / "fourier.csv"
+        rc = main(["dump-fourier", bands_cfg_file, "-o", str(out),
+                   f"--halfwidth={halfwidth}"])
+        assert rc == 2
+        assert "--halfwidth must be in" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unwritable_plotscript(self, weak_cfg_file, tmp_path, capsys):

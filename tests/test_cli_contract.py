@@ -4,8 +4,9 @@ For any JSON config and any flags argparse accepts, ``main`` returns 0
 (success), 1 (computation failure) or 2 (usage/config error) and never lets
 an exception escape. Generated values include NaN, infinities, huge and
 negative numbers, wrong types, bad k-path tokens and bad rate lists. Costs
-stay small: valid basis halfwidths are at most 3 (larger ones are above the
-cap and rejected before any allocation), at most two samples per segment.
+stay small: valid basis halfwidths are at most 3, valid sample counts at most
+2 and valid dump-fourier halfwidths at most 4; the larger sizes generated are
+above their caps and rejected before any work.
 """
 import json
 import math
@@ -18,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from phczeeman.cli import main
+from phczeeman.core import MAX_FOURIER_HALFWIDTH, MAX_SAMPLES_PER_SEGMENT
 
 REFERENCE = {"lambda_nm": 960, "n": 3.53, "pitch_um": 4, "ff": 0.65,
              "dphi": 0.02}
@@ -47,7 +49,8 @@ VALUES = {
     "dphi": st.floats(-0.1, 0.1),
     "omega_rad_s": st.floats(-1e4, 1e4),
     "basis_halfwidth": st.sampled_from([2, 3, 41, 1000, 10 ** 30, 1, 0, -5]),
-    "samples_per_segment": st.sampled_from([1, 2, 0, -1]),
+    "samples_per_segment": st.sampled_from(
+        [1, 2, 0, -1, MAX_SAMPLES_PER_SEGMENT + 1, 10 ** 9]),
     "kpath": kpath_text,
     "pitch_nm": st.just(4000),  # an unknown key
 }
@@ -95,7 +98,8 @@ def flags(draw):
         argv += ["--model", draw(st.sampled_from(["opw", "kp", "both"]))]
         if draw(st.booleans()):
             argv += [f"--kpath={draw(kpath_text)}"]
-        samples = draw(st.sampled_from([None, 1, 2, 0, -3]))
+        samples = draw(st.sampled_from(
+            [None, 1, 2, 0, -3, MAX_SAMPLES_PER_SEGMENT + 1, 10 ** 9]))
         if samples is not None:
             argv += [f"--samples={samples}"]
         threads = draw(st.sampled_from([None, 1, 2, 0, -1]))
@@ -110,7 +114,9 @@ def flags(draw):
         if draw(st.booleans()):
             argv.append("--log")
     elif sub == "dump-fourier":
-        argv += [f"--halfwidth={draw(st.sampled_from([-3, 0, 1, 4]))}"]
+        halfwidth = draw(st.sampled_from(
+            [-3, 0, 1, 4, MAX_FOURIER_HALFWIDTH + 1, 10 ** 9]))
+        argv += [f"--halfwidth={halfwidth}"]
     if sub in ("bands", "split", "sweep") and draw(st.booleans()):
         argv.append("--emit-plotscript")
     return sub, argv

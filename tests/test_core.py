@@ -19,7 +19,7 @@ from phczeeman import (
     load_config,
 )
 from phczeeman.constants import C
-from phczeeman.core import MAX_BASIS_HALFWIDTH
+from phczeeman.core import MAX_BASIS_HALFWIDTH, MAX_SAMPLES_PER_SEGMENT
 
 
 BANDS_JSON = json.dumps(
@@ -139,6 +139,13 @@ class TestLoadConfig:
         with pytest.raises(ValidationError, match="basis_halfwidth"):
             ExperimentConfig(lattice=bands_lattice,
                              basis_halfwidth=MAX_BASIS_HALFWIDTH + 1)
+
+    def test_samples_per_segment_cap(self, bands_lattice):
+        ExperimentConfig(lattice=bands_lattice,
+                         samples_per_segment=MAX_SAMPLES_PER_SEGMENT)
+        with pytest.raises(ValidationError, match="samples_per_segment"):
+            ExperimentConfig(lattice=bands_lattice,
+                             samples_per_segment=MAX_SAMPLES_PER_SEGMENT + 1)
 
 
 class TestDeriveParams:
@@ -271,6 +278,13 @@ class TestEigh:
         bad = np.array([[0.0, 1.0], [0.5, 0.0]])
         with pytest.raises(ValidationError, match="Hermitian"):
             eigh(bad)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, value, recwarn):
+        with pytest.raises(ComputationError, match="non-finite value"):
+            HermitianMatrix(np.array([[1.0, value], [value, 1.0]]))
+        assert not [w for w in recwarn if issubclass(w.category,
+                                                     RuntimeWarning)]
 
     def test_non_square_rejected(self):
         with pytest.raises(ValidationError, match="square"):

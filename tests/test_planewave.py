@@ -29,7 +29,8 @@ from phczeeman import (
 )
 from phczeeman.lattice import t_centered_basis
 from phczeeman.planewave import (
-    LABEL_PAIR, LABEL_S, LABEL_XY, _assemble, _solve_refined,
+    LABEL_PAIR, LABEL_S, LABEL_XY, _assemble, _path_mirrors, _solve_omegas,
+    _solve_refined,
 )
 from phczeeman.zeeman import m_closed_form
 from oracles import folded_free_bands
@@ -295,6 +296,90 @@ class TestFrequencyOnlyInterior:
             solve_bands(cfg)
 
 
+class TestMirrorBlockedSolve:
+    """Eigenvalue-only points on G-Z (ky == 0) and T-G (kx == ky) are solved
+    as the even and odd blocks of the mirror that fixes their line."""
+
+    @staticmethod
+    def _record_eigvalsh(monkeypatch):
+        shapes = []
+        original = np.linalg.eigvalsh
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        return shapes
+
+    @pytest.mark.parametrize("halfwidth", [2, 3, 7])
+    def test_blocked_omegas_match_dense(self, bands_lattice, bands_dp,
+                                        halfwidth):
+        basis = tuple(reciprocal_basis(halfwidth, bands_lattice.pitch))
+        pf = PatternFourier.from_lattice(bands_lattice, 2 * halfwidth)
+        mirrors = _path_mirrors(basis)
+        kpts = [kp for kp in build_kpath(("G", "Z", "T", "G"),
+                                         bands_lattice.pitch, 4)
+                if not kp.label and (kp.ky == 0.0 or kp.kx == kp.ky)]
+        assert len(kpts) == 6  # three on G-Z, three on T-G
+        for kp in kpts:
+            assert mirrors.at(kp.kx, kp.ky) is not None
+            h = _assemble(bands_dp, pf, basis, kp.kx, kp.ky, carrier=False)
+            dense = np.linalg.eigvalsh(h)[:8]
+            w = _solve_omegas(bands_dp, pf, basis, kp.kx, kp.ky, 8, mirrors)
+            assert np.max(np.abs((w - bands_dp.omega0) - dense)) <= (
+                1e-12 * np.linalg.norm(h))
+
+    @pytest.mark.parametrize("halfwidth", [2, 3, 7])
+    def test_block_sizes(self, bands_lattice, halfwidth):
+        mirrors = _path_mirrors(reciprocal_basis(halfwidth,
+                                                 bands_lattice.pitch))
+        for fold in (mirrors.along_x, mirrors.diagonal):
+            even, odd = fold.even.size, fold.odd.size
+            assert even == (halfwidth + 1) * (2 * halfwidth + 1)
+            assert odd == halfwidth * (2 * halfwidth + 1)
+            assert even + odd == (2 * halfwidth + 1) ** 2
+
+    @pytest.mark.parametrize("kx_frac,ky_frac", [(0.3, 0.0), (0.3, 0.3)])
+    def test_block_solves_reach_eigvalsh(self, bands_lattice, bands_dp,
+                                         monkeypatch, kx_frac, ky_frac):
+        basis = tuple(reciprocal_basis(7, bands_lattice.pitch))
+        pf = PatternFourier.from_lattice(bands_lattice, 14)
+        mirrors = _path_mirrors(basis)
+        shapes = self._record_eigvalsh(monkeypatch)
+        kx = 2 * math.pi * kx_frac / bands_lattice.pitch
+        ky = 2 * math.pi * ky_frac / bands_lattice.pitch
+        _solve_omegas(bands_dp, pf, basis, kx, ky, 8, mirrors)
+        assert shapes == [(120, 120), (105, 105)]
+
+    @pytest.mark.parametrize("nodes,mirror", [
+        (("Z", "G"), "along_x"), (("G", "T"), "diagonal"), (("T", "Z"), None),
+    ])
+    def test_user_path_mirror(self, bands_lattice, nodes, mirror):
+        mirrors = _path_mirrors(reciprocal_basis(3, bands_lattice.pitch))
+        expected = None if mirror is None else getattr(mirrors, mirror)
+        interior = [kp for kp in build_kpath(nodes, bands_lattice.pitch, 4)
+                    if not kp.label]
+        assert len(interior) == 3
+        for kp in interior:
+            assert mirrors.at(kp.kx, kp.ky) is expected
+
+    def test_t_centered_window_solves_g_z_dense(self, bands_lattice,
+                                                bands_dp, monkeypatch):
+        # n -> -n maps the window [-h-1, h] onto [-h, h+1]: not closed
+        basis = tuple(t_centered_basis(3, bands_lattice.pitch))
+        pf = PatternFourier.from_lattice(bands_lattice, 8)
+        mirrors = _path_mirrors(basis)
+        assert mirrors.along_x is None
+        assert mirrors.diagonal is not None
+        kx = 0.6 * math.pi / bands_lattice.pitch
+        shapes = self._record_eigvalsh(monkeypatch)
+        w = _solve_omegas(bands_dp, pf, basis, kx, 0.0, 8, mirrors)
+        assert shapes == [(64, 64)]
+        h = _assemble(bands_dp, pf, basis, kx, 0.0, carrier=False)
+        assert np.array_equal(w, bands_dp.omega0 + np.linalg.eigvalsh(h)[:8])
+
+
 class TestClassification:
     def test_empty_lattice_symmetric_combo_is_s(self, bands_lattice):
         basis = reciprocal_basis(3, bands_lattice.pitch)
@@ -367,6 +452,19 @@ class TestBandEdges:
         # standard-window edges agree with the corner-window analysis
         for a, b in zip(edges, bands_t_analysis.edges):
             assert a == pytest.approx(b, rel=1e-7)
+
+    def test_band_edges_at_small_halfwidth(self, bands_config):
+        # the symmetric window splits the pair beyond the cluster tolerance
+        cfg = replace(bands_config, kpath=("T",), samples_per_segment=1,
+                      basis_halfwidth=3)
+        bs = solve_bands(cfg)
+        row = bs.states[0]
+        assert [st.rep_label for st in row[:4]] == [LABEL_S, LABEL_PAIR,
+                                                    LABEL_PAIR, LABEL_XY]
+        assert row[2].omega - row[1].omega > 1.0
+        edges = band_edges(bs)
+        assert edges == (row[0].omega, np.mean([row[1].omega, row[2].omega]),
+                         row[3].omega)
 
     def test_band_edges_requires_t(self, bands_config):
         cfg = replace(bands_config, kpath=("G", "Z"), samples_per_segment=2,
