@@ -74,11 +74,6 @@ def _read_config(path: str) -> ExperimentConfig:
     return load_config(text)
 
 
-def _check_threads(threads) -> None:
-    if threads is not None and threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {threads}")
-
-
 def _derived_paths(base: str, tags) -> dict[str, str]:
     stem, dot, ext = base.rpartition(".")
     if not dot:
@@ -101,14 +96,13 @@ def _band_rows(bs: pw.BandStructure):
             )
 
 
-def _kp_spectrum_on_path(config: ExperimentConfig, kpts):
+def _kp_spectrum_on_path(config: ExperimentConfig, kpts) -> kpmod.KpSpectrum:
     analysis = pw.t_point_analysis(config)
     model = kpmod.kp_from_opw(analysis.edges, config.lattice,
                               source="closed_form")
     t_pt = pw.named_kpoint("T", config.lattice.pitch)
     k_rel = np.array([[p.kx - t_pt[0], p.ky - t_pt[1]] for p in kpts])
-    spectrum = kpmod.kp_bands(model, k_rel, config.rotation)
-    return model, spectrum
+    return kpmod.kp_bands(model, k_rel, config.rotation)
 
 
 def _kp_rows(config: ExperimentConfig, kpts, spectrum: kpmod.KpSpectrum):
@@ -175,7 +169,6 @@ def _emit_plotscript(csv_path: str, kind: str) -> str:
 
 
 def cmd_bands(args) -> int:
-    _check_threads(args.threads)
     config = _read_config(args.config)
     if args.kpath:
         tokens = tuple(t.strip() for t in args.kpath.split(":") if t.strip())
@@ -190,10 +183,10 @@ def cmd_bands(args) -> int:
 
     bs = None
     if need_opw:
-        bs = pw.solve_bands(config, threads=args.threads)
+        bs = pw.solve_bands(config)
     spectrum = None
     if need_kp:
-        _, spectrum = _kp_spectrum_on_path(config, kpts)
+        spectrum = _kp_spectrum_on_path(config, kpts)
 
     if args.model == "both":
         paths = _derived_paths(args.output, ("opw", "kp", "diff"))
@@ -351,7 +344,34 @@ def _gl_quadrature_coefficient(lattice, m: int, n: int, order: int = 48) -> floa
     return float(wx @ vals @ wx) / lattice.pitch ** 2
 
 
-def run_validation(config: ExperimentConfig, threads: int | None = None) -> dict:
+def _kp_vs_opw_worst(config: ExperimentConfig, dp, pf: PatternFourier,
+                     model: kpmod.KpModel, span: float) -> float:
+    """Worst |omega_kp - omega_opw| / span within 0.25*pi/pitch of T.
+
+    A function of its own so that the plane-wave problem is freed before
+    the later checks run.
+    """
+    lattice = config.lattice
+    basis = tuple(reciprocal_basis(config.basis_halfwidth, lattice.pitch))
+    problem = pw._problem(dp, pf, basis)
+    t_pt = pw.named_kpoint("T", lattice.pitch)
+    worst_rel = 0.0
+    window = 0.25 * math.pi / lattice.pitch
+    for frac in np.linspace(0.0, 1.0, 9):
+        for direction in ((-1.0, 0.0), (-1.0 / math.sqrt(2), -1.0 / math.sqrt(2))):
+            kx = t_pt[0] + frac * window * direction[0]
+            ky = t_pt[1] + frac * window * direction[1]
+            w_opw = pw._solve_omegas(problem, kx, ky, 8)
+            k_rel = np.array([[kx - t_pt[0], ky - t_pt[1]]])
+            spec8 = kpmod.kp_bands(model, k_rel, RotationSpec(0.0)).omegas[0]
+            for w_kp in spec8:
+                worst_rel = max(
+                    worst_rel, float(np.min(np.abs(w_opw - w_kp))) / span
+                )
+    return worst_rel
+
+
+def run_validation(config: ExperimentConfig) -> dict:
     """Cross-validation suite; returns a machine-readable report."""
     checks = []
     lattice = config.lattice
@@ -414,23 +434,8 @@ def run_validation(config: ExperimentConfig, threads: int | None = None) -> dict
     # 4. k.p vs plane-wave band agreement near T
     model = kpmod.kp_from_opw(analysis.edges, lattice, source="closed_form")
     span = analysis.edges[2] - analysis.edges[0]
-    t_pt = pw.named_kpoint("T", lattice.pitch)
-    basis = tuple(reciprocal_basis(config.basis_halfwidth, lattice.pitch))
     pf = PatternFourier.from_lattice(lattice, 2 * config.basis_halfwidth)
-    mirrors = pw._path_mirrors(basis)
-    worst_rel = 0.0
-    window = 0.25 * math.pi / lattice.pitch
-    for frac in np.linspace(0.0, 1.0, 9):
-        for direction in ((-1.0, 0.0), (-1.0 / math.sqrt(2), -1.0 / math.sqrt(2))):
-            kx = t_pt[0] + frac * window * direction[0]
-            ky = t_pt[1] + frac * window * direction[1]
-            w_opw = pw._solve_omegas(dp, pf, basis, kx, ky, 8, mirrors)
-            k_rel = np.array([[kx - t_pt[0], ky - t_pt[1]]])
-            spec8 = kpmod.kp_bands(model, k_rel, RotationSpec(0.0)).omegas[0]
-            for w_kp in spec8:
-                worst_rel = max(
-                    worst_rel, float(np.min(np.abs(w_opw - w_kp))) / span
-                )
+    worst_rel = _kp_vs_opw_worst(config, dp, pf, model, span)
     record("kp_vs_opw", "pass" if worst_rel <= 0.05 else "fail",
            f"worst |omega_kp - omega_opw| / span = {worst_rel:.3e} "
            "(bound 0.05) within 0.25*pi/pitch of T")
@@ -459,7 +464,7 @@ def run_validation(config: ExperimentConfig, threads: int | None = None) -> dict
 
     # 7. unimodular longitudinal factor and bounded alpha at Gamma
     gamma_cfg = replace(config, kpath=("G",), samples_per_segment=1)
-    bs_gamma = pw.solve_bands(gamma_cfg, threads=threads)
+    bs_gamma = pw.solve_bands(gamma_cfg)
     ground = bs_gamma.states[0][0]
     profile = pw.longitudinal_profile(ground, pf)
     dev_eta = float(np.max(np.abs(np.abs(1.0 + profile.eta_samples) - 1.0)))
@@ -495,9 +500,8 @@ def run_validation(config: ExperimentConfig, threads: int | None = None) -> dict
 
 
 def cmd_validate(args) -> int:
-    _check_threads(args.threads)
     config = _read_config(args.config)
-    report = run_validation(config, threads=args.threads)
+    report = run_validation(config)
     for check in report["checks"]:
         print(f"[{check['status'].upper():>4}] {check['name']}: {check['detail']}")
     if args.output:
@@ -538,8 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
                          f"(1 to {MAX_SAMPLES_PER_SEGMENT})")
     p_bands.add_argument("--model", choices=("opw", "kp", "both"),
                          default="opw")
-    p_bands.add_argument("--threads", type=int, default=None,
-                         help="k-point worker pool size (default: serial)")
     p_bands.add_argument("--emit-plotscript", action="store_true")
     p_bands.set_defaults(func=cmd_bands)
 
@@ -569,8 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("config")
     p_val.add_argument("-o", "--output", default=None,
                        help="write the JSON report here")
-    p_val.add_argument("--threads", type=int, default=None,
-                       help="k-point worker pool size (default: serial)")
     p_val.set_defaults(func=cmd_validate)
 
     p_dump = sub.add_parser("dump-fourier",

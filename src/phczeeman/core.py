@@ -76,7 +76,7 @@ class LatticeSpec:
                 f"|dphi| = {abs(self.dphi)} exceeds the weak-contrast regime "
                 f"(|dphi| <= {DPHI_SOFT_LIMIT}); results are extrapolations",
                 UserWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
         # pitch must greatly exceed the cavity length pitch*n/lambda = pitch/l_z
         if self.pitch * self.n_refr / self.lambda_vac < 2:
@@ -100,7 +100,7 @@ class RotationSpec:
                 f"omega_z = {self.omega_z:.3g} rad/s leaves the first-order "
                 "slow-rotation regime over the mm-scale mode spread",
                 UserWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
 

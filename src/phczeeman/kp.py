@@ -136,12 +136,14 @@ def _block_matrices(model: KpModel, kx: float, ky: float,
     mp_ = model.m_plus
     mm_ = model.m_minus
     mt = model.m_total
-    h_rot = -x * np.array([
-        [1.0, -mm_ * a * km, mm_ * a * kp, 0.0],
-        [-mm_ * a * kp, -mt + 1.0, 0.0, -mp_ * a * km],
-        [mm_ * a * km, 0.0, mt + 1.0, -mp_ * a * kp],
-        [0.0, -mp_ * a * kp, -mp_ * a * km, 1.0],
-    ])
+    # an out-of-range rate overflows here; HermitianMatrix rejects the block
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_rot = -x * np.array([
+            [1.0, -mm_ * a * km, mm_ * a * kp, 0.0],
+            [-mm_ * a * kp, -mt + 1.0, 0.0, -mp_ * a * km],
+            [mm_ * a * km, 0.0, mt + 1.0, -mp_ * a * kp],
+            [0.0, -mp_ * a * kp, -mp_ * a * km, 1.0],
+        ])
     kin = HBAR * (kx * kx + ky * ky) / (2.0 * model.m0)
     free = kin * np.eye(4)
     upper = h0 + hkp + h_rot + free

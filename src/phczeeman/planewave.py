@@ -9,24 +9,24 @@ masses, and evaluates the longitudinal Bloch factor and the paraxial field
 reconstruction.
 
 Numerical notes: the eigenproblem is assembled and solved in detuning units
-(carrier frequency subtracted from the diagonal). Along a k-path only the
-named nodes (G, Z, T) get eigenvectors, and there the retained low
-eigenpairs are refined with one Rayleigh-Ritz step; this keeps degenerate
-pairs coherent to ~1e-3 rad/s instead of the ~1e2 rad/s the raw solver
-delivers at the full frequency scale. Interior path points need only their
-frequencies and are solved eigenvalue-only, with no vectors and no Ritz step.
-Those on a mirror line of the path are solved as two parity blocks: on G-Z
-(ky == 0) the mirror y -> -y maps wave (m, n) to (m, -n), on T-G (kx == ky)
-the mirror x <-> y maps it to (n, m). The symmetric window is closed under
-both, so H splits exactly into an even block of (h+1)(2h+1) and an odd block
-of h(2h+1) waves. Z-T points stay dense: their mirror maps m to -1-m, under
-which the symmetric window is not closed.
+(carrier frequency subtracted from the diagonal). The pattern term
+-v*phi[G'-G] does not depend on k and is built once per basis; each k-point
+adds only its kinetic diagonal. In detuning units one dense eigensolve keeps
+the T-point pair of the corner window split by at most 1 ulp of the full
+frequency (0.25 rad/s at 1.96e15 rad/s). Along a k-path only the named nodes
+(G, Z, T) get eigenvectors; interior path points need only their frequencies
+and are solved eigenvalue-only. Those on a mirror line of the path are
+solved as two parity blocks: on G-Z (ky == 0) the mirror y -> -y maps wave
+(m, n) to (m, -n), on T-G (kx == ky) the mirror x <-> y maps it to (n, m).
+The symmetric window is closed under both, so H splits exactly into an even
+block of (h+1)(2h+1) and an odd block of h(2h+1) waves. Z-T points stay
+dense: their mirror maps m to -1-m, under which the symmetric window is not
+closed.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,63 +218,6 @@ def _basis_indices(basis) -> tuple[np.ndarray, np.ndarray]:
     return m_idx, n_idx
 
 
-def _kinetic_diagonal(dp: DerivedParams, basis, kx: float, ky: float,
-                      carrier: bool) -> np.ndarray:
-    gx = np.array([rv.gx for rv in basis])
-    gy = np.array([rv.gy for rv in basis])
-    kin = HBAR * ((kx + gx) ** 2 + (ky + gy) ** 2) / (2.0 * dp.m0)
-    if carrier:
-        kin = dp.omega0 + kin
-    return kin
-
-
-def _assemble(dp, pf, basis, kx, ky, carrier):
-    m_idx, n_idx = _basis_indices(basis)
-    span = int(max(np.max(m_idx) - np.min(m_idx), np.max(n_idx) - np.min(n_idx)))
-    pf = pf.ensure(span)
-    kin = _kinetic_diagonal(dp, basis, kx, ky, carrier)
-    return _kernels.fill_hamiltonian(
-        m_idx, n_idx, kin, pf.table, pf.halfwidth, dp.v_prefactor
-    )
-
-
-def build_hamiltonian(dp: DerivedParams, pf: PatternFourier, basis,
-                      k_perp) -> HermitianMatrix:
-    """Plane-wave Hamiltonian in angular-frequency units.
-
-    Entry (G', G) = delta_{G'G} * [omega0 + hbar|k+G|^2/(2 m0)]
-                    - v_prefactor * phi_{G'-G};
-    real symmetric for the centered pattern, eigenvalues are omega directly.
-    """
-    if not len(basis):
-        raise ValidationError("basis must be nonempty")
-    kx, ky = float(k_perp[0]), float(k_perp[1])
-    if not (math.isfinite(kx) and math.isfinite(ky)):
-        raise ValidationError("k_perp must be finite")
-    return HermitianMatrix(_assemble(dp, pf, basis, kx, ky, carrier=True))
-
-
-def _lapack(solver, h):
-    """``solver(h)`` with a LAPACK convergence failure as ComputationError."""
-    try:
-        return solver(h)
-    except np.linalg.LinAlgError as exc:
-        raise ComputationError(
-            f"eigensolver failed to converge on a {h.shape[0]}x{h.shape[0]} matrix"
-        ) from exc
-
-
-def _solve_refined(dp, pf, basis, kx, ky, n_bands):
-    """Detuned eigensolve with a Rayleigh-Ritz pass on the retained subspace."""
-    h = _assemble(dp, pf, basis, kx, ky, carrier=False)
-    w, v = _lapack(np.linalg.eigh, h)
-    low = v[:, :n_bands]
-    ritz = low.T @ (h @ low)
-    ritz = 0.5 * (ritz + ritz.T)
-    wr, u = _lapack(np.linalg.eigh, ritz)
-    return dp.omega0 + wr, low @ u
-
-
 @dataclass(frozen=True, eq=False)
 class _MirrorFold:
     """A mirror of the basis as gather indices for its even and odd blocks.
@@ -323,18 +266,33 @@ def _mirror_fold(basis, image) -> _MirrorFold | None:
 
 
 @dataclass(frozen=True, eq=False)
-class _PathMirrors:
-    """The basis folds under the mirrors that fix the G-Z and T-G lines.
+class _Problem:
+    """The k-independent part of the detuned eigenproblem on one basis.
 
-    ``along_x`` is n -> -n, the mirror y -> -y of every k with ky == 0;
-    ``diagonal`` is (m, n) -> (n, m), the mirror x <-> y of every k with
+    ``potential`` is -v_prefactor * phi[G' - G], gathered once (read-only);
+    only the kinetic diagonal depends on k. ``along_x`` is the fold under
+    n -> -n, the mirror y -> -y of every k with ky == 0; ``diagonal`` the
+    fold under (m, n) -> (n, m), the mirror x <-> y of every k with
     kx == ky. Either is None when the window is not closed under it.
     """
 
+    omega0: float
+    m0: float
+    gx: np.ndarray
+    gy: np.ndarray
+    potential: np.ndarray
     along_x: _MirrorFold | None
     diagonal: _MirrorFold | None
 
-    def at(self, kx: float, ky: float) -> _MirrorFold | None:
+    def hamiltonian(self, kx: float, ky: float) -> np.ndarray:
+        """Detuned H at (kx, ky): a fresh copy of the potential plus the
+        kinetic diagonal hbar|k+G|^2/(2 m0)."""
+        h = self.potential.copy()
+        h[np.diag_indices_from(h)] += HBAR * (
+            (kx + self.gx) ** 2 + (ky + self.gy) ** 2) / (2.0 * self.m0)
+        return h
+
+    def fold_at(self, kx: float, ky: float) -> _MirrorFold | None:
         """The fold H commutes with at (kx, ky), or None (solve dense)."""
         if ky == 0.0:
             return self.along_x
@@ -343,22 +301,70 @@ class _PathMirrors:
         return None
 
 
-def _path_mirrors(basis) -> _PathMirrors:
-    return _PathMirrors(along_x=_mirror_fold(basis, lambda m, n: (m, -n)),
-                        diagonal=_mirror_fold(basis, lambda m, n: (n, m)))
+def _problem(dp: DerivedParams, pf: PatternFourier, basis) -> _Problem:
+    """Build the per-basis problem; ``pf`` is extended to the basis' span."""
+    m_idx, n_idx = _basis_indices(basis)
+    span = int(max(np.max(m_idx) - np.min(m_idx), np.max(n_idx) - np.min(n_idx)))
+    pf = pf.ensure(span)
+    potential = _kernels.fill_hamiltonian(
+        m_idx, n_idx, np.zeros(m_idx.size), pf.table, pf.halfwidth,
+        dp.v_prefactor,
+    )
+    potential.setflags(write=False)
+    return _Problem(
+        omega0=dp.omega0, m0=dp.m0,
+        gx=np.array([rv.gx for rv in basis]),
+        gy=np.array([rv.gy for rv in basis]),
+        potential=potential,
+        along_x=_mirror_fold(basis, lambda m, n: (m, -n)),
+        diagonal=_mirror_fold(basis, lambda m, n: (n, m)),
+    )
 
 
-def _solve_omegas(dp, pf, basis, kx, ky, n_bands, mirrors: _PathMirrors):
+def build_hamiltonian(dp: DerivedParams, pf: PatternFourier, basis,
+                      k_perp) -> HermitianMatrix:
+    """Plane-wave Hamiltonian in angular-frequency units.
+
+    Entry (G', G) = delta_{G'G} * [omega0 + hbar|k+G|^2/(2 m0)]
+                    - v_prefactor * phi_{G'-G};
+    real symmetric for the centered pattern, eigenvalues are omega directly.
+    """
+    if not len(basis):
+        raise ValidationError("basis must be nonempty")
+    kx, ky = float(k_perp[0]), float(k_perp[1])
+    if not (math.isfinite(kx) and math.isfinite(ky)):
+        raise ValidationError("k_perp must be finite")
+    h = _problem(dp, pf, basis).hamiltonian(kx, ky)
+    h[np.diag_indices_from(h)] += dp.omega0
+    return HermitianMatrix(h)
+
+
+def _lapack(solver, h):
+    """``solver(h)`` with a LAPACK convergence failure as ComputationError."""
+    try:
+        return solver(h)
+    except np.linalg.LinAlgError as exc:
+        raise ComputationError(
+            f"eigensolver failed to converge on a {h.shape[0]}x{h.shape[0]} matrix"
+        ) from exc
+
+
+def _solve_refined(problem: _Problem, kx, ky, n_bands):
+    """Lowest ``n_bands`` omegas and unit eigenvectors at (kx, ky)."""
+    w, v = _lapack(np.linalg.eigh, problem.hamiltonian(kx, ky))
+    return problem.omega0 + w[:n_bands], v[:, :n_bands]
+
+
+def _solve_omegas(problem: _Problem, kx, ky, n_bands):
     """Lowest ``n_bands`` omegas of the detuned problem, without vectors.
 
-    ``mirrors`` is ``_path_mirrors(basis)``, computed once per basis. On a
-    mirror line of the path (ky == 0, or kx == ky) H splits exactly into the
-    mirror's even and odd blocks; each is solved on its own and the lowest
-    ``n_bands`` of their merged eigenvalues returned. Elsewhere, and where
-    the window is not closed under the mirror, H is solved dense.
+    On a mirror line of the path (ky == 0, or kx == ky) H splits exactly into
+    the mirror's even and odd blocks; each is solved on its own and the
+    lowest ``n_bands`` of their merged eigenvalues returned. Elsewhere, and
+    where the window is not closed under the mirror, H is solved dense.
     """
-    h = _assemble(dp, pf, basis, kx, ky, carrier=False)
-    fold = mirrors.at(kx, ky)
+    h = problem.hamiltonian(kx, ky)
+    fold = problem.fold_at(kx, ky)
     if fold is None:
         w = _lapack(np.linalg.eigvalsh, h)
     else:
@@ -367,25 +373,21 @@ def _solve_omegas(dp, pf, basis, kx, ky, n_bands, mirrors: _PathMirrors):
             _lapack(np.linalg.eigvalsh, even)[:n_bands],
             _lapack(np.linalg.eigvalsh, odd)[:n_bands],
         ]))
-    return dp.omega0 + w[:n_bands]
+    return problem.omega0 + w[:n_bands]
 
 
-def solve_bands(config: ExperimentConfig, n_bands: int = DEFAULT_N_BANDS,
-                threads: int | None = None) -> BandStructure:
+def solve_bands(config: ExperimentConfig,
+                n_bands: int = DEFAULT_N_BANDS) -> BandStructure:
     """Lowest scalar bands along the configured k-path (deterministic).
 
-    Each k-point is assembled and solved on its own. Named nodes (G, Z, T)
-    get refined unit-norm eigenvectors, and T states their representation
-    labels; interior points are solved eigenvalue-only and their states carry
+    The k-independent potential is built once; each k-point adds its kinetic
+    diagonal and is solved on its own, in path order. Named nodes (G, Z, T)
+    get unit-norm eigenvectors, and T states their representation labels;
+    interior points are solved eigenvalue-only and their states carry
     ``coefficients=None``. Interior points on G-Z (ky == 0) and T-G
     (kx == ky) are solved as the even and odd blocks of the mirror that fixes
-    their line (see ``_solve_omegas``); Z-T points are solved dense. The
-    solves run serially unless ``threads`` > 1 asks for a pool of that many
-    workers, which only pays off when BLAS itself is single-threaded;
-    results are reassembled in path order.
+    their line (see ``_solve_omegas``); Z-T points are solved dense.
     """
-    if threads is not None and threads < 1:
-        raise ValidationError(f"threads must be >= 1, got {threads}")
     dp = derive_params(config.lattice)
     basis = tuple(reciprocal_basis(config.basis_halfwidth, config.lattice.pitch))
     if n_bands > len(basis):
@@ -395,15 +397,15 @@ def solve_bands(config: ExperimentConfig, n_bands: int = DEFAULT_N_BANDS,
     pf = PatternFourier.from_lattice(config.lattice, 2 * config.basis_halfwidth)
     kpts = build_kpath(config.kpath, config.lattice.pitch,
                        config.samples_per_segment)
-    mirrors = _path_mirrors(basis)
+    problem = _problem(dp, pf, basis)
 
-    def solve_one(kp: KPathPoint):
+    rows = []
+    for kp in kpts:
         try:
             if kp.label:
-                w, v = _solve_refined(dp, pf, basis, kp.kx, kp.ky, n_bands)
+                w, v = _solve_refined(problem, kp.kx, kp.ky, n_bands)
             else:
-                w = _solve_omegas(dp, pf, basis, kp.kx, kp.ky, n_bands, mirrors)
-                v = None
+                w, v = _solve_omegas(problem, kp.kx, kp.ky, n_bands), None
         except ComputationError as exc:
             raise ComputationError(
                 f"{exc} at k-point {kp.index} (kx={kp.kx:.6g}, ky={kp.ky:.6g})"
@@ -414,7 +416,7 @@ def solve_bands(config: ExperimentConfig, n_bands: int = DEFAULT_N_BANDS,
             for grp, lab in zip(groups, group_labels):
                 for i in grp:
                     labels[i] = lab
-        return tuple(
+        rows.append(tuple(
             BlochState(
                 band_index=b,
                 k_perp=(kp.kx, kp.ky),
@@ -424,13 +426,7 @@ def solve_bands(config: ExperimentConfig, n_bands: int = DEFAULT_N_BANDS,
                 rep_label=labels[b],
             )
             for b in range(n_bands)
-        )
-
-    if threads is None or threads == 1:
-        rows = [solve_one(kp) for kp in kpts]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            rows = list(ex.map(solve_one, kpts))
+        ))
     return BandStructure(
         kpoints=tuple(kpts), states=tuple(rows), basis=basis, config=config,
     )
@@ -490,13 +486,6 @@ def _corner_channels(basis) -> dict[str, np.ndarray]:
     return channels
 
 
-def _group_matrix(group) -> np.ndarray:
-    """Coefficient matrix (ns, g) from a group of states or a raw array."""
-    if isinstance(group, np.ndarray):
-        return group if group.ndim == 2 else group[:, None]
-    return np.column_stack([np.asarray(st.coefficients) for st in group])
-
-
 def _channel_weights(mat: np.ndarray, channels) -> dict[str, float]:
     """Weight of the states in ``mat`` (ns, g) on each corner channel.
 
@@ -512,7 +501,8 @@ def _channel_weights(mat: np.ndarray, channels) -> dict[str, float]:
 def classify_t_states(groups, basis) -> list[str]:
     """Representation labels for degenerate eigenvector groups at T.
 
-    Each group is projected onto the symmetrized corner-wave channels; the
+    Each group is an (ns, g) array whose g columns are the group's
+    coefficient vectors over ``basis``. It is projected onto the symmetrized corner-wave channels; the
     label is the channel holding more than half of the group's weight, or
     ``unclassified`` when the group is dominated by higher shells (not an
     error) or spans several channels (empty-lattice fourfold group).
@@ -520,9 +510,8 @@ def classify_t_states(groups, basis) -> list[str]:
     channels = _corner_channels(basis)
     labels = []
     for group in groups:
-        mat = _group_matrix(group)
-        g = mat.shape[1]
-        weight = _channel_weights(mat, channels)
+        g = group.shape[1]
+        weight = _channel_weights(group, channels)
         scores = {
             LABEL_S: weight["S"] / g,
             LABEL_PAIR: (weight["X"] + weight["Y"]) / g,
@@ -643,7 +632,7 @@ def t_point_analysis(config: ExperimentConfig,
     basis = tuple(t_centered_basis(hw, config.lattice.pitch))
     pf = PatternFourier.from_lattice(config.lattice, 2 * hw + 2)
     kt = named_kpoint("T", config.lattice.pitch)
-    w, v = _solve_refined(dp, pf, basis, kt[0], kt[1], n_bands)
+    w, v = _solve_refined(_problem(dp, pf, basis), kt[0], kt[1], n_bands)
     groups, labels, v = _label_t_point(w, v, basis)
     return TPointAnalysis(
         omegas=w, vectors=v, basis=basis,
@@ -656,8 +645,8 @@ def band_edges(bs: BandStructure) -> tuple[float, float, float]:
     """Vector band edges (omega_T5, omega_T1, omega_T5p) from a solved path.
 
     Requires the path to contain the T node. For edge values feeding the k.p
-    model prefer :func:`t_point_analysis`, which uses the corner-adapted
-    window and keeps the degenerate pair exactly coherent.
+    model prefer :func:`t_point_analysis`, whose corner-adapted window
+    keeps the degenerate pair within 1 ulp of each other.
     """
     for kp, row in zip(bs.kpoints, bs.states):
         if kp.label == "T":
@@ -763,9 +752,10 @@ def opw_mass_at_t(config: ExperimentConfig, edge_label: str,
         basis=analysis.basis,
     )
     n_bands = analysis.omegas.size
+    problem = _problem(dp, pf, analysis.basis)
 
     def solver(kx, ky):
-        return _solve_refined(dp, pf, analysis.basis, kx, ky, n_bands)
+        return _solve_refined(problem, kx, ky, n_bands)
 
     if step is None:
         step = 1e-3 * math.pi / config.lattice.pitch

@@ -32,7 +32,7 @@ from phczeeman import (
     zeeman_splittings_at_T,
 )
 from phczeeman.cli import main
-from phczeeman.planewave import LABEL_S, LABEL_XY, _solve_refined
+from phczeeman.planewave import LABEL_S, LABEL_XY, _problem, _solve_refined
 from oracles import mp_closed_form_total, quadrature_fourier_coefficient
 
 
@@ -52,6 +52,7 @@ def test_criterion_01_kp_opw_agreement(bands_config, bands_t_analysis):
     t_pt = named_kpoint("T", lattice.pitch)
     basis = reciprocal_basis(bands_config.basis_halfwidth, lattice.pitch)
     pf = PatternFourier.from_lattice(lattice, 2 * bands_config.basis_halfwidth)
+    problem = _problem(dp, pf, basis)
     window = 0.25 * math.pi / lattice.pitch
     worst = 0.0
     for frac in np.linspace(0.0, 1.0, 11):
@@ -59,7 +60,7 @@ def test_criterion_01_kp_opw_agreement(bands_config, bands_t_analysis):
                           (-1.0 / math.sqrt(2), -1.0 / math.sqrt(2))):
             kx = t_pt[0] + frac * window * direction[0]
             ky = t_pt[1] + frac * window * direction[1]
-            w_opw, _ = _solve_refined(dp, pf, basis, kx, ky, 8)
+            w_opw, _ = _solve_refined(problem, kx, ky, 8)
             k_rel = np.array([[kx - t_pt[0], ky - t_pt[1]]])
             kp8 = kp_bands(model, k_rel, RotationSpec(0.0)).omegas[0]
             for w in kp8:

@@ -102,9 +102,6 @@ def flags(draw):
             [None, 1, 2, 0, -3, MAX_SAMPLES_PER_SEGMENT + 1, 10 ** 9]))
         if samples is not None:
             argv += [f"--samples={samples}"]
-        threads = draw(st.sampled_from([None, 1, 2, 0, -1]))
-        if threads is not None:
-            argv += [f"--threads={threads}"]
     elif sub == "split":
         argv += [f"--omega-list={draw(rate_text)}"]
     elif sub == "sweep":

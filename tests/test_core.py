@@ -85,6 +85,10 @@ class TestLoadConfig:
         )
         with pytest.warns(UserWarning, match="weak-contrast"):
             load_config(doc)
+        with pytest.warns(UserWarning, match="weak-contrast") as record:
+            LatticeSpec(lambda_vac=960e-9, n_refr=3.53, pitch=4e-6,
+                        fill_factor=0.65, dphi=0.05)
+        assert record[0].filename == __file__
 
     def test_dphi_at_soft_limit_no_warning(self, recwarn):
         load_config(BANDS_JSON)
@@ -224,8 +228,9 @@ class TestRotationSpec:
         assert RotationSpec().omega_z == 0.0
 
     def test_fast_rotation_warns(self):
-        with pytest.warns(UserWarning, match="slow-rotation"):
+        with pytest.warns(UserWarning, match="slow-rotation") as record:
             RotationSpec(1e12)
+        assert record[0].filename == __file__
 
     def test_moderate_rotation_silent(self, recwarn):
         RotationSpec(1e6)

@@ -28,9 +28,9 @@ from phczeeman import (
     t_point_analysis,
 )
 from phczeeman.lattice import t_centered_basis
+from phczeeman import _kernels
 from phczeeman.planewave import (
-    LABEL_PAIR, LABEL_S, LABEL_XY, _assemble, _path_mirrors, _solve_omegas,
-    _solve_refined,
+    LABEL_PAIR, LABEL_S, LABEL_XY, _problem, _solve_omegas, _solve_refined,
 )
 from phczeeman.zeeman import m_closed_form
 from oracles import folded_free_bands
@@ -140,7 +140,7 @@ class TestSolveBands:
         basis = reciprocal_basis(7, empty_config.lattice.pitch)
         pf = PatternFourier.from_lattice(empty_config.lattice, 14)
         kx, ky = 0.3 * math.pi / 4e-6, 0.15 * math.pi / 4e-6
-        w, _ = _solve_refined(dp, pf, basis, kx, ky, 8)
+        w, _ = _solve_refined(_problem(dp, pf, basis), kx, ky, 8)
         oracle = folded_free_bands(empty_config.lattice, kx, ky, 7, 8)
         assert np.allclose(w, oracle, rtol=1e-12)
 
@@ -169,11 +169,11 @@ class TestSolveBands:
         assert list(bands_t_analysis.labels[:3]) == [LABEL_S, LABEL_PAIR,
                                                     LABEL_XY]
 
-    def test_deterministic_and_thread_invariant(self, bands_config):
+    def test_deterministic(self, bands_config):
         cfg = replace(bands_config, kpath=("G", "T"), samples_per_segment=3,
                       basis_halfwidth=4)
-        a = solve_bands(cfg, threads=1)
-        b = solve_bands(cfg, threads=2)
+        a = solve_bands(cfg)
+        b = solve_bands(cfg)
         assert np.array_equal(a.omegas(), b.omegas())
 
     def test_band_count_constant(self, bands_config):
@@ -191,9 +191,10 @@ class TestSolveBands:
         pf = PatternFourier.from_lattice(bands_config.lattice, 10)
         rng = np.random.default_rng(5)
         kx, ky = rng.uniform(0.05, 0.45, size=2) * math.pi / 4e-6
-        w0, _ = _solve_refined(dp, pf, basis, kx, ky, 6)
+        problem = _problem(dp, pf, basis)
+        w0, _ = _solve_refined(problem, kx, ky, 6)
         for kim in ((ky, kx), (-kx, ky), (kx, -ky), (-ky, -kx)):
-            wi, _ = _solve_refined(dp, pf, basis, kim[0], kim[1], 6)
+            wi, _ = _solve_refined(problem, kim[0], kim[1], 6)
             assert np.allclose(wi, w0, rtol=1e-10)
 
     def test_variational_bounds(self, bands_config):
@@ -208,24 +209,45 @@ class TestSolveBands:
             free = folded_free_bands(cfg.lattice, kp_pt.kx, kp_pt.ky, 5, 1)[0]
             assert row[0].omega <= free + depth
 
-    def test_eigensolver_error_names_kpoint(self, bands_config):
+    def test_n_bands_above_basis_size_rejected(self, bands_config):
         cfg = replace(bands_config, basis_halfwidth=2)
         with pytest.raises(ValidationError, match="n_bands"):
             solve_bands(cfg, n_bands=100)
 
+    def test_potential_gathered_once(self, bands_config, monkeypatch):
+        calls = []
+        original = _kernels.fill_hamiltonian
 
-    def test_nonpositive_threads_rejected(self, bands_config):
-        cfg = replace(bands_config, kpath=("G", "Z"), samples_per_segment=1,
-                      basis_halfwidth=2)
-        with pytest.raises(ValidationError, match="threads"):
-            solve_bands(cfg, threads=0)
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(_kernels, "fill_hamiltonian", counting)
+        cfg = replace(bands_config, samples_per_segment=3, basis_halfwidth=3)
+        bs = solve_bands(cfg)
+        assert len(bs.kpoints) == 10
+        assert len(calls) == 1
+
+
+class TestProblem:
+    """The per-basis problem: potential built once, H fresh at each k."""
+
+    def test_hamiltonian_is_fresh(self, bands_lattice, bands_dp):
+        basis = tuple(reciprocal_basis(3, bands_lattice.pitch))
+        pf = PatternFourier.from_lattice(bands_lattice, 6)
+        problem = _problem(bands_dp, pf, basis)
+        kx, ky = named_kpoint("T", bands_lattice.pitch)
+        first = problem.hamiltonian(kx, ky)
+        expected = first.copy()
+        first[:] = 0.0
+        assert np.array_equal(problem.hamiltonian(kx, ky), expected)
 
 
 class TestEigenpairContract:
     """The eigh contract (residual and orthonormality) on production solves.
 
     The matrix checked is the detuned Hamiltonian that _solve_refined
-    diagonalizes, with its Ritz-refined pairs.
+    diagonalizes, with the eigenpairs of its one dense eigensolve.
     """
 
     @pytest.mark.parametrize("window", [reciprocal_basis, t_centered_basis])
@@ -234,8 +256,9 @@ class TestEigenpairContract:
         basis = tuple(window(7, bands_lattice.pitch))
         pf = PatternFourier.from_lattice(bands_lattice, 16)
         kx, ky = named_kpoint(node, bands_lattice.pitch)
-        w, v = _solve_refined(bands_dp, pf, basis, kx, ky, 8)
-        h = _assemble(bands_dp, pf, basis, kx, ky, carrier=False)
+        problem = _problem(bands_dp, pf, basis)
+        w, v = _solve_refined(problem, kx, ky, 8)
+        h = problem.hamiltonian(kx, ky)
         residual = np.max(np.linalg.norm(h @ v - v * (w - bands_dp.omega0),
                                          axis=0))
         assert residual <= 1e-10 * np.linalg.norm(h)
@@ -267,11 +290,12 @@ class TestFrequencyOnlyInterior:
         cfg = small_path.config
         dp = derive_params(cfg.lattice)
         pf = PatternFourier.from_lattice(cfg.lattice, 2 * cfg.basis_halfwidth)
+        problem = _problem(dp, pf, small_path.basis)
         for kp_pt, row in zip(small_path.kpoints, small_path.states):
             if kp_pt.label:
                 continue
-            w_ref, _ = _solve_refined(dp, pf, small_path.basis, kp_pt.kx,
-                                      kp_pt.ky, small_path.n_bands)
+            w_ref, _ = _solve_refined(problem, kp_pt.kx, kp_pt.ky,
+                                      small_path.n_bands)
             w = np.array([st.omega for st in row])
             assert np.max(np.abs(w - w_ref)) <= 16.0
 
@@ -317,24 +341,25 @@ class TestMirrorBlockedSolve:
                                         halfwidth):
         basis = tuple(reciprocal_basis(halfwidth, bands_lattice.pitch))
         pf = PatternFourier.from_lattice(bands_lattice, 2 * halfwidth)
-        mirrors = _path_mirrors(basis)
+        problem = _problem(bands_dp, pf, basis)
         kpts = [kp for kp in build_kpath(("G", "Z", "T", "G"),
                                          bands_lattice.pitch, 4)
                 if not kp.label and (kp.ky == 0.0 or kp.kx == kp.ky)]
         assert len(kpts) == 6  # three on G-Z, three on T-G
         for kp in kpts:
-            assert mirrors.at(kp.kx, kp.ky) is not None
-            h = _assemble(bands_dp, pf, basis, kp.kx, kp.ky, carrier=False)
+            assert problem.fold_at(kp.kx, kp.ky) is not None
+            h = problem.hamiltonian(kp.kx, kp.ky)
             dense = np.linalg.eigvalsh(h)[:8]
-            w = _solve_omegas(bands_dp, pf, basis, kp.kx, kp.ky, 8, mirrors)
+            w = _solve_omegas(problem, kp.kx, kp.ky, 8)
             assert np.max(np.abs((w - bands_dp.omega0) - dense)) <= (
                 1e-12 * np.linalg.norm(h))
 
     @pytest.mark.parametrize("halfwidth", [2, 3, 7])
-    def test_block_sizes(self, bands_lattice, halfwidth):
-        mirrors = _path_mirrors(reciprocal_basis(halfwidth,
-                                                 bands_lattice.pitch))
-        for fold in (mirrors.along_x, mirrors.diagonal):
+    def test_block_sizes(self, bands_lattice, bands_dp, halfwidth):
+        basis = reciprocal_basis(halfwidth, bands_lattice.pitch)
+        pf = PatternFourier.from_lattice(bands_lattice, 2 * halfwidth)
+        problem = _problem(bands_dp, pf, basis)
+        for fold in (problem.along_x, problem.diagonal):
             even, odd = fold.even.size, fold.odd.size
             assert even == (halfwidth + 1) * (2 * halfwidth + 1)
             assert odd == halfwidth * (2 * halfwidth + 1)
@@ -345,38 +370,40 @@ class TestMirrorBlockedSolve:
                                          monkeypatch, kx_frac, ky_frac):
         basis = tuple(reciprocal_basis(7, bands_lattice.pitch))
         pf = PatternFourier.from_lattice(bands_lattice, 14)
-        mirrors = _path_mirrors(basis)
+        problem = _problem(bands_dp, pf, basis)
         shapes = self._record_eigvalsh(monkeypatch)
         kx = 2 * math.pi * kx_frac / bands_lattice.pitch
         ky = 2 * math.pi * ky_frac / bands_lattice.pitch
-        _solve_omegas(bands_dp, pf, basis, kx, ky, 8, mirrors)
+        _solve_omegas(problem, kx, ky, 8)
         assert shapes == [(120, 120), (105, 105)]
 
     @pytest.mark.parametrize("nodes,mirror", [
         (("Z", "G"), "along_x"), (("G", "T"), "diagonal"), (("T", "Z"), None),
     ])
-    def test_user_path_mirror(self, bands_lattice, nodes, mirror):
-        mirrors = _path_mirrors(reciprocal_basis(3, bands_lattice.pitch))
-        expected = None if mirror is None else getattr(mirrors, mirror)
+    def test_user_path_mirror(self, bands_lattice, bands_dp, nodes, mirror):
+        basis = reciprocal_basis(3, bands_lattice.pitch)
+        pf = PatternFourier.from_lattice(bands_lattice, 6)
+        problem = _problem(bands_dp, pf, basis)
+        expected = None if mirror is None else getattr(problem, mirror)
         interior = [kp for kp in build_kpath(nodes, bands_lattice.pitch, 4)
                     if not kp.label]
         assert len(interior) == 3
         for kp in interior:
-            assert mirrors.at(kp.kx, kp.ky) is expected
+            assert problem.fold_at(kp.kx, kp.ky) is expected
 
     def test_t_centered_window_solves_g_z_dense(self, bands_lattice,
                                                 bands_dp, monkeypatch):
         # n -> -n maps the window [-h-1, h] onto [-h, h+1]: not closed
         basis = tuple(t_centered_basis(3, bands_lattice.pitch))
         pf = PatternFourier.from_lattice(bands_lattice, 8)
-        mirrors = _path_mirrors(basis)
-        assert mirrors.along_x is None
-        assert mirrors.diagonal is not None
+        problem = _problem(bands_dp, pf, basis)
+        assert problem.along_x is None
+        assert problem.diagonal is not None
         kx = 0.6 * math.pi / bands_lattice.pitch
         shapes = self._record_eigvalsh(monkeypatch)
-        w = _solve_omegas(bands_dp, pf, basis, kx, 0.0, 8, mirrors)
+        w = _solve_omegas(problem, kx, 0.0, 8)
         assert shapes == [(64, 64)]
-        h = _assemble(bands_dp, pf, basis, kx, 0.0, carrier=False)
+        h = problem.hamiltonian(kx, 0.0)
         assert np.array_equal(w, bands_dp.omega0 + np.linalg.eigvalsh(h)[:8])
 
 
@@ -506,8 +533,10 @@ class TestEffectiveMass:
                          omega=dp.omega0 + 1.0, coefficients=coeffs,
                          basis=tuple(basis))
 
+        problem = _problem(dp, pf, basis)
+
         def solver(kx, ky):
-            return _solve_refined(dp, pf, basis, kx, ky, 8)
+            return _solve_refined(problem, kx, ky, 8)
 
         for direction in ((1.0, 0.0), (1.0, 1.0)):
             mass = effective_mass_fd(solver, ref, direction,
