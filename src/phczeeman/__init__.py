@@ -42,8 +42,6 @@ from .planewave import (
     KPathPoint,
     LongitudinalProfile,
     TPointAnalysis,
-    band_edges,
-    build_hamiltonian,
     build_kpath,
     classify_t_states,
     cluster_degenerate,
@@ -78,8 +76,8 @@ __all__ = [
     "fourier_coefficient", "reciprocal_basis", "t_centered_basis", "sinc",
     "BlochState", "BandStructure", "LongitudinalProfile", "FieldSample",
     "KPathPoint", "TPointAnalysis", "named_kpoint", "build_kpath",
-    "build_hamiltonian", "solve_bands", "cluster_degenerate",
-    "classify_t_states", "band_edges", "t_point_analysis",
+    "solve_bands", "cluster_degenerate", "classify_t_states",
+    "t_point_analysis",
     "perturbative_edges", "effective_mass_fd", "opw_mass_at_t",
     "longitudinal_profile", "reconstruct_fields",
     "KpModel", "KpSpectrum", "kp_from_opw", "build_kp_hamiltonian",

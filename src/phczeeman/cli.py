@@ -74,6 +74,30 @@ def _read_config(path: str) -> ExperimentConfig:
     return load_config(text)
 
 
+def _build_each(build, values, what: str) -> list:
+    """``[build(v) for v in values]`` with the specs' regime warnings merged.
+
+    A spec warns with its own value in the message, so Python's
+    once-per-location filter would print one warning per value; this issues
+    one instead, with the count of out-of-regime values and the warning of
+    the largest |value|.
+    """
+    built, flagged = [], []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for value in values:
+            before = len(caught)
+            built.append(build(value))
+            if len(caught) > before:
+                flagged.append((abs(value), str(caught[-1].message)))
+    if flagged:
+        warnings.warn(
+            f"{len(flagged)} of {len(built)} {what} are out of regime; the "
+            f"largest: {max(flagged)[1]}", UserWarning, stacklevel=2,
+        )
+    return built
+
+
 def _derived_paths(base: str, tags) -> dict[str, str]:
     stem, dot, ext = base.rpartition(".")
     if not dot:
@@ -219,7 +243,8 @@ def cmd_split(args) -> int:
         raise ConfigError(f"bad --omega-list: {exc}") from exc
     if not omega_list:
         raise ConfigError("--omega-list must contain at least one value")
-    rotations = [RotationSpec(w) for w in omega_list]  # rejects NaN/inf up front
+    # rejects NaN/inf up front
+    rotations = _build_each(RotationSpec, omega_list, "rotation rates")
 
     analysis = pw.t_point_analysis(config)
     model = kpmod.kp_from_opw(analysis.edges, config.lattice,
@@ -267,9 +292,12 @@ def cmd_sweep(args) -> int:
     config = _read_config(args.config)
     if args.points < 2:
         raise ConfigError("--points must be >= 2")
-    # validate both bounds before any computation
-    for bound in (args.sweep_from, args.sweep_to):
-        _sweep_lattice(config.lattice, args.param, bound)
+    # validate both bounds before any computation; the sweep below warns
+    # for them if they are out of regime
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for bound in (args.sweep_from, args.sweep_to):
+            _sweep_lattice(config.lattice, args.param, bound)
     if args.log:
         if args.sweep_from <= 0 or args.sweep_to <= 0:
             raise ConfigError("--log sweep requires positive bounds")
@@ -283,9 +311,11 @@ def cmd_sweep(args) -> int:
             "orbital parameters are negative", UserWarning,
         )
 
+    lattices = _build_each(
+        lambda value: _sweep_lattice(config.lattice, args.param, float(value)),
+        values, f"swept {args.param} values")
     rows = []
-    for value in values:
-        lattice = _sweep_lattice(config.lattice, args.param, float(value))
+    for lattice in lattices:
         res = zm.zeeman_result(lattice)
         ratio = zm.consistency_ratio(lattice, res.m_plus, res.m_minus,
                                      lattice.n_refr)

@@ -11,17 +11,18 @@ reconstruction.
 Numerical notes: the eigenproblem is assembled and solved in detuning units
 (carrier frequency subtracted from the diagonal). The pattern term
 -v*phi[G'-G] does not depend on k and is built once per basis; each k-point
-adds only its kinetic diagonal. In detuning units one dense eigensolve keeps
-the T-point pair of the corner window split by at most 1 ulp of the full
-frequency (0.25 rad/s at 1.96e15 rad/s). Along a k-path only the named nodes
-(G, Z, T) get eigenvectors; interior path points need only their frequencies
-and are solved eigenvalue-only. Those on a mirror line of the path are
-solved as two parity blocks: on G-Z (ky == 0) the mirror y -> -y maps wave
-(m, n) to (m, -n), on T-G (kx == ky) the mirror x <-> y maps it to (n, m).
-The symmetric window is closed under both, so H splits exactly into an even
+adds only its kinetic diagonal. Along a k-path only the named nodes (G, Z, T)
+get eigenvectors; interior path points need only their frequencies and are
+solved eigenvalue-only. Those on a mirror line of the path are solved as two
+parity blocks: on G-Z (ky == 0) the mirror y -> -y maps wave (m, n) to
+(m, -n), on T-G (kx == ky) the mirror x <-> y maps it to (n, m). The
+symmetric window is closed under both, so H splits exactly into an even
 block of (h+1)(2h+1) and an odd block of h(2h+1) waves. Z-T points stay
 dense: their mirror maps m to -1-m, under which the symmetric window is not
-closed.
+closed. The T point itself is analysed on the corner window, which is
+closed under the whole C4v little group of T: H is solved there in its exact
+parity sectors (see ``t_point_analysis``), so the degenerate pair comes out
+exactly degenerate and every state's label is the sector it was solved in.
 """
 from __future__ import annotations
 
@@ -37,7 +38,6 @@ from .core import (
     ComputationError,
     DerivedParams,
     ExperimentConfig,
-    HermitianMatrix,
     LatticeSpec,
     RotationSpec,
     ValidationError,
@@ -244,16 +244,29 @@ class _MirrorFold:
         rows = h[self.odd]
         return even, rows[:, self.odd] - rows[:, self.odd_image]
 
+    def lift(self, u: np.ndarray, odd: bool = False) -> np.ndarray:
+        """Columns ``u`` over the even (or odd) block as unit-norm vectors
+        over the folded waves: u[f] on a fixed wave, u[p] / sqrt(2) on p and
+        +-u[p] / sqrt(2) on its image R p."""
+        src, image = (self.odd, self.odd_image) if odd else (self.even,
+                                                             self.even_image)
+        n_fixed = 0 if odd else self.n_fixed
+        out = np.zeros((self.n_fixed + 2 * self.odd.size, u.shape[1]))
+        out[src[:n_fixed]] = u[:n_fixed]
+        pair = math.sqrt(0.5) * u[n_fixed:]
+        out[src[n_fixed:]] = pair
+        out[image[n_fixed:]] = -pair if odd else pair
+        return out
 
-def _mirror_fold(basis, image) -> _MirrorFold | None:
-    """The fold of ``basis`` under the wave map ``image(m, n) -> (m', n')``.
 
-    None when the window is not closed under the map.
+def _mirror_fold(waves, image) -> _MirrorFold | None:
+    """The fold of the waves ``(m, n)`` under the map ``image(m, n) -> (m', n')``.
+
+    None when the waves are not closed under the map.
     """
-    pos = {(rv.m, rv.n): i for i, rv in enumerate(basis)}
+    pos = {wave: i for i, wave in enumerate(waves)}
     try:
-        partner = np.array([pos[image(rv.m, rv.n)] for rv in basis],
-                           dtype=np.int64)
+        partner = np.array([pos[image(m, n)] for m, n in waves], dtype=np.int64)
     except KeyError:
         return None
     idx = np.arange(partner.size)
@@ -306,6 +319,7 @@ def _problem(dp: DerivedParams, pf: PatternFourier, basis) -> _Problem:
     m_idx, n_idx = _basis_indices(basis)
     span = int(max(np.max(m_idx) - np.min(m_idx), np.max(n_idx) - np.min(n_idx)))
     pf = pf.ensure(span)
+    waves = list(zip(m_idx.tolist(), n_idx.tolist()))
     potential = _kernels.fill_hamiltonian(
         m_idx, n_idx, np.zeros(m_idx.size), pf.table, pf.halfwidth,
         dp.v_prefactor,
@@ -316,27 +330,9 @@ def _problem(dp: DerivedParams, pf: PatternFourier, basis) -> _Problem:
         gx=np.array([rv.gx for rv in basis]),
         gy=np.array([rv.gy for rv in basis]),
         potential=potential,
-        along_x=_mirror_fold(basis, lambda m, n: (m, -n)),
-        diagonal=_mirror_fold(basis, lambda m, n: (n, m)),
+        along_x=_mirror_fold(waves, lambda m, n: (m, -n)),
+        diagonal=_mirror_fold(waves, lambda m, n: (n, m)),
     )
-
-
-def build_hamiltonian(dp: DerivedParams, pf: PatternFourier, basis,
-                      k_perp) -> HermitianMatrix:
-    """Plane-wave Hamiltonian in angular-frequency units.
-
-    Entry (G', G) = delta_{G'G} * [omega0 + hbar|k+G|^2/(2 m0)]
-                    - v_prefactor * phi_{G'-G};
-    real symmetric for the centered pattern, eigenvalues are omega directly.
-    """
-    if not len(basis):
-        raise ValidationError("basis must be nonempty")
-    kx, ky = float(k_perp[0]), float(k_perp[1])
-    if not (math.isfinite(kx) and math.isfinite(ky)):
-        raise ValidationError("k_perp must be finite")
-    h = _problem(dp, pf, basis).hamiltonian(kx, ky)
-    h[np.diag_indices_from(h)] += dp.omega0
-    return HermitianMatrix(h)
 
 
 def _lapack(solver, h):
@@ -412,7 +408,8 @@ def solve_bands(config: ExperimentConfig,
             ) from exc
         labels = [None] * n_bands
         if kp.label == "T":
-            groups, group_labels, v = _label_t_point(w, v.astype(complex), basis)
+            groups = cluster_degenerate(w)
+            group_labels = classify_t_states([v[:, g] for g in groups], basis)
             for grp, lab in zip(groups, group_labels):
                 for i in grp:
                     labels[i] = lab
@@ -486,32 +483,24 @@ def _corner_channels(basis) -> dict[str, np.ndarray]:
     return channels
 
 
-def _channel_weights(mat: np.ndarray, channels) -> dict[str, float]:
-    """Weight of the states in ``mat`` (ns, g) on each corner channel.
-
-    The weight is the squared channel projection summed over the group, so it
-    ranges from 0 to the group size.
-    """
-    return {
-        name: float(np.sum(np.abs(vec @ mat.conj()) ** 2))
-        for name, vec in channels.items()
-    }
-
-
 def classify_t_states(groups, basis) -> list[str]:
     """Representation labels for degenerate eigenvector groups at T.
 
-    Each group is an (ns, g) array whose g columns are the group's
-    coefficient vectors over ``basis``. It is projected onto the symmetrized corner-wave channels; the
-    label is the channel holding more than half of the group's weight, or
-    ``unclassified`` when the group is dominated by higher shells (not an
-    error) or spans several channels (empty-lattice fourfold group).
+    Used at the T node of a k-path, whose symmetric window is not closed
+    under the corner mirrors, so its states carry no exact sector. Each group
+    is an (ns, g) array whose g columns are the group's coefficient vectors
+    over ``basis``. Its weight on each symmetrized corner-wave channel is
+    the squared projection summed over the group; the label is the channel
+    holding more than half of the group's weight, or ``unclassified`` when
+    the group is dominated by higher shells (not an error) or spans several
+    channels.
     """
     channels = _corner_channels(basis)
     labels = []
     for group in groups:
+        weight = {name: float(np.sum(np.abs(vec @ group.conj()) ** 2))
+                  for name, vec in channels.items()}
         g = group.shape[1]
-        weight = _channel_weights(group, channels)
         scores = {
             LABEL_S: weight["S"] / g,
             LABEL_PAIR: (weight["X"] + weight["Y"]) / g,
@@ -522,38 +511,16 @@ def classify_t_states(groups, basis) -> list[str]:
     return labels
 
 
-def _fix_pair_vectors(vectors: np.ndarray, groups, labels, basis) -> np.ndarray:
-    """Rotate each twofold group onto its x-odd / y-odd channel members.
-
-    Within a degenerate pair the eigensolver returns an arbitrary orthonormal
-    basis; projecting the channel vectors into the degenerate subspace fixes
-    it deterministically (member 0 x-odd, member 1 y-odd, phases canonical),
-    which keeps representation labels and downstream consumers stable.
-    """
-    channels = _corner_channels(basis)
-    out = np.array(vectors, copy=True)
-    for grp, lab in zip(groups, labels):
-        if lab != LABEL_PAIR or len(grp) != 2:
-            continue
-        sub = out[:, list(grp)]
-        v_x = sub @ (sub.conj().T @ channels["X"])
-        norm_x = np.linalg.norm(v_x)
-        if norm_x < 0.5:
-            continue
-        v_x = v_x / norm_x
-        v_y = sub @ (sub.conj().T @ channels["Y"])
-        v_y = v_y - v_x * (v_x.conj() @ v_y)
-        norm_y = np.linalg.norm(v_y)
-        if norm_y < 0.5:
-            continue
-        out[:, grp[0]] = v_x
-        out[:, grp[1]] = v_y / norm_y
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class TPointAnalysis:
-    """Classified eigenstates at the T point on the corner-adapted window."""
+    """Eigenstates at the T point on the corner window, by C4v sector.
+
+    ``omegas`` and the columns of ``vectors`` are the lowest
+    ``DEFAULT_N_BANDS`` states; ``groups`` are their degenerate clusters and
+    ``labels`` each group's common sector (``unclassified`` when a group
+    mixes sectors or lies in one of the two sectors without a corner
+    channel). ``edges`` are the lowest S, (X, Y) and XY sector omegas.
+    """
 
     omegas: np.ndarray
     vectors: np.ndarray
@@ -571,89 +538,81 @@ class TPointAnalysis:
         )
 
 
-def _label_t_point(omegas, vectors, basis):
-    """Cluster the T-point eigenpairs and label each group by representation.
-
-    Returns ``(groups, labels, vectors)``, the vectors with each degenerate
-    pair rotated onto its x-odd / y-odd members.
-    """
-    groups = cluster_degenerate(omegas)
-    labels = classify_t_states([vectors[:, grp] for grp in groups], basis)
-    return groups, labels, _fix_pair_vectors(vectors, groups, labels, basis)
-
-
-def _channel_edges(omegas, vectors, basis) -> tuple[float, float, float]:
-    """Vector band edges from scalar states via channel projections.
-
-    Scalar-representation x spin reduction assigns: vector T5 edge = scalar
-    S edge, vector T1 edge = scalar (X,Y) edge, vector T5' edge = scalar XY
-    edge. Each edge is the mean omega of the states that carry its channel:
-    the fewest groups, taken by descending channel weight, that together hold
-    more than half of the channel's weight per channel dimension. That is
-    one group for a degenerate pair, and both members of a pair that the
-    symmetric window splits by more than the cluster tolerance at small
-    halfwidths. Works on the empty lattice too, where one fourfold group
-    carries every channel and the three edges coincide.
-    """
-    channels = _corner_channels(basis)
-    groups = cluster_degenerate(omegas)
-    weights = [_channel_weights(vectors[:, grp], channels) for grp in groups]
-    edges = {}
-    for chan_name, dim, members in (
-        ("S", 1, ("S",)),
-        ("pair", 2, ("X", "Y")),
-        ("XY", 1, ("XY",)),
-    ):
-        held = [sum(w[m] for m in members) for w in weights]
-        states, total = [], 0.0
-        for g in sorted(range(len(groups)), key=held.__getitem__, reverse=True):
-            states += groups[g]
-            total += held[g]
-            if total > 0.5 * dim:
-                break
-        else:
-            found = classify_t_states(
-                [vectors[:, grp] for grp in groups], basis
-            )
-            raise ComputationError(
-                f"missing required representation for channel {chan_name!r} "
-                f"among the lowest bands; found labels {found}"
-            )
-        edges[chan_name] = float(np.mean(omegas[sorted(states)]))
-    return (edges["S"], edges["pair"], edges["XY"])
-
-
 def t_point_analysis(config: ExperimentConfig,
-                     n_bands: int = DEFAULT_N_BANDS,
                      halfwidth: int | None = None) -> TPointAnalysis:
-    """Solve and classify the T point on the C4v-symmetric corner window."""
+    """Solve the T point on the corner window in its exact C4v sectors.
+
+    The window m, n in [-h-1, h] is closed under x -> -x (m -> -1-m),
+    y -> -y (n -> -1-n) and x <-> y, so H at T folds exactly: first by the
+    two axis mirrors, then the (even, even) and (odd, odd) blocks by x <-> y.
+    With k = h + 1 that leaves the sectors T1(S) of k(k+1)/2 waves, its
+    x <-> y-odd partner of k(k-1)/2, T4(XY) of k(k+1)/2 and its partner of
+    k(k-1)/2, and the (x-odd, y-even) sector of k^2 waves, whose x <-> y
+    image is the (x-even, y-odd) sector; each is solved by one eigh. A T5
+    pair is an (x-odd, y-even) state and its x <-> y image, so it is exactly
+    degenerate and already in its parity members, x member first. Vectors
+    take the sign that makes their (0, 0) coefficient non-negative.
+    """
     dp = derive_params(config.lattice)
     hw = halfwidth if halfwidth is not None else config.basis_halfwidth
     basis = tuple(t_centered_basis(hw, config.lattice.pitch))
     pf = PatternFourier.from_lattice(config.lattice, 2 * hw + 2)
     kt = named_kpoint("T", config.lattice.pitch)
-    w, v = _solve_refined(_problem(dp, pf, basis), kt[0], kt[1], n_bands)
-    groups, labels, v = _label_t_point(w, v, basis)
+    h = _problem(dp, pf, basis).hamiltonian(kt[0], kt[1])
+
+    waves = [(rv.m, rv.n) for rv in basis]
+    fold_x = _mirror_fold(waves, lambda m, n: (-1 - m, n))
+    half = [waves[i] for i in fold_x.odd]
+    fold_y = _mirror_fold(half, lambda m, n: (m, -1 - n))
+    quarter = [half[i] for i in fold_y.odd]
+    fold_d = _mirror_fold(quarter, lambda m, n: (n, m))
+    x_even, x_odd = fold_x.blocks(h)
+    even_even = fold_y.blocks(x_even)[0]
+    odd_even, odd_odd = fold_y.blocks(x_odd)
+    s_block, s_partner = fold_d.blocks(even_even)
+    xy_block, xy_partner = fold_d.blocks(odd_odd)
+
+    n_bands = DEFAULT_N_BANDS
+
+    def solve(block, lift):
+        w, u = _lapack(np.linalg.eigh, block)
+        return w[:n_bands], lift(u[:, :n_bands])
+
+    def unfold_axes(u, x_odd, y_odd):
+        return fold_x.lift(fold_y.lift(u, y_odd), x_odd)
+
+    s_states = solve(s_block, lambda u: unfold_axes(fold_d.lift(u), False, False))
+    s_partner_states = solve(
+        s_partner, lambda u: unfold_axes(fold_d.lift(u, True), False, False))
+    xy_states = solve(xy_block, lambda u: unfold_axes(fold_d.lift(u), True, True))
+    xy_partner_states = solve(
+        xy_partner, lambda u: unfold_axes(fold_d.lift(u, True), True, True))
+    x_states = solve(odd_even, lambda u: unfold_axes(u, True, False))
+    pos = {wave: i for i, wave in enumerate(waves)}
+    swap = [pos[n, m] for m, n in waves]
+    y_states = (x_states[0], x_states[1][swap])
+
+    sectors = ((s_states, LABEL_S), (s_partner_states, LABEL_NONE),
+               (xy_states, LABEL_XY), (xy_partner_states, LABEL_NONE),
+               (x_states, LABEL_PAIR), (y_states, LABEL_PAIR))
+    w = np.concatenate([sec[0] for sec, _ in sectors])
+    sector_label = [lab for sec, lab in sectors for _ in sec[0]]
+    order = np.argsort(w, kind="stable")[:n_bands]
+    omegas = dp.omega0 + w[order]
+    v = np.hstack([sec[1] for sec, _ in sectors])[:, order]
+    v *= np.where(v[pos[0, 0]] < 0.0, -1.0, 1.0)
+    groups = cluster_degenerate(omegas)
+    labels = []
+    for grp in groups:
+        members = {sector_label[order[i]] for i in grp}
+        labels.append(members.pop() if len(members) == 1 else LABEL_NONE)
+    edges = tuple(float(dp.omega0 + sec[0][0])
+                  for sec in (s_states, x_states, xy_states))
     return TPointAnalysis(
-        omegas=w, vectors=v, basis=basis,
+        omegas=omegas, vectors=v, basis=basis,
         groups=tuple(tuple(g) for g in groups), labels=tuple(labels),
-        edges=_channel_edges(w, v, basis),
+        edges=edges,
     )
-
-
-def band_edges(bs: BandStructure) -> tuple[float, float, float]:
-    """Vector band edges (omega_T5, omega_T1, omega_T5p) from a solved path.
-
-    Requires the path to contain the T node. For edge values feeding the k.p
-    model prefer :func:`t_point_analysis`, whose corner-adapted window
-    keeps the degenerate pair within 1 ulp of each other.
-    """
-    for kp, row in zip(bs.kpoints, bs.states):
-        if kp.label == "T":
-            omegas = np.array([st.omega for st in row])
-            vectors = np.column_stack([st.coefficients for st in row])
-            return _channel_edges(omegas, vectors, bs.basis)
-    raise ComputationError("band structure contains no T-point sample")
 
 
 def perturbative_edges(lattice: LatticeSpec) -> tuple[float, float, float]:

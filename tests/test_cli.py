@@ -192,6 +192,18 @@ class TestSplitCommand:
         assert rc == 2
 
 
+    def test_one_fast_rotation_warning(self, weak_cfg_file, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["split", weak_cfg_file, "-o", str(tmp_path / "s.csv"),
+                       "--omega-list", "1e9,2e9,3e9,4e9"])
+        assert rc == 0
+        regime = [w for w in caught if "slow-rotation" in str(w.message)]
+        assert len(regime) == 1
+        assert "4 of 4 rotation rates" in str(regime[0].message)
+        assert "omega_z = 4e+09" in str(regime[0].message)
+
+
 class TestSweepCommand:
     def test_dphi_log_sweep_slope(self, weak_cfg_file, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -230,6 +242,18 @@ class TestSweepCommand:
         _, rows = _read_rows(out)
         ratio = [float(r[3]) / float(r[2]) for r in rows]  # M-/M+
         assert all(a > b for a, b in zip(ratio, ratio[1:]))
+
+    def test_one_weak_contrast_warning(self, weak_cfg_file, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["sweep", weak_cfg_file, "-o", str(tmp_path / "s.csv"),
+                       "--param", "dphi", "--from", "0.001", "--to", "0.03",
+                       "--points", "50"])
+        assert rc == 0
+        regime = [w for w in caught if "weak-contrast" in str(w.message)]
+        assert len(regime) == 1
+        assert "17 of 50 swept dphi values" in str(regime[0].message)
+        assert "|dphi| = 0.03 " in str(regime[0].message)
 
     def test_bounds_validated_before_run(self, weak_cfg_file, tmp_path):
         out = tmp_path / "sweep.csv"

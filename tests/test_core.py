@@ -325,3 +325,13 @@ class TestComputationError:
     def test_config_errors_are_value_errors(self):
         assert issubclass(ConfigError, ValueError)
         assert issubclass(ValidationError, ConfigError)
+
+
+class TestPublicApi:
+    def test_all_names_resolve(self):
+        import phczeeman
+
+        missing = [name for name in phczeeman.__all__
+                   if not hasattr(phczeeman, name)]
+        assert missing == []
+        assert len(set(phczeeman.__all__)) == len(phczeeman.__all__)

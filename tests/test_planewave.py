@@ -11,8 +11,6 @@ from phczeeman import (
     PatternFourier,
     RotationSpec,
     ValidationError,
-    band_edges,
-    build_hamiltonian,
     build_kpath,
     classify_t_states,
     cluster_degenerate,
@@ -30,7 +28,8 @@ from phczeeman import (
 from phczeeman.lattice import t_centered_basis
 from phczeeman import _kernels
 from phczeeman.planewave import (
-    LABEL_PAIR, LABEL_S, LABEL_XY, _problem, _solve_omegas, _solve_refined,
+    DEFAULT_N_BANDS, LABEL_NONE, LABEL_PAIR, LABEL_S, LABEL_XY, _problem,
+    _solve_omegas, _solve_refined,
 )
 from phczeeman.zeeman import m_closed_form
 from oracles import folded_free_bands
@@ -43,6 +42,19 @@ def _corner_state(basis, pattern):
     for (m, n), val in zip([(0, 0), (-1, 0), (0, -1), (-1, -1)], pattern):
         vec[pos[(m, n)]] = val
     return vec / np.linalg.norm(vec)
+
+
+def _record_shapes(monkeypatch, solver):
+    """Record the shape of every matrix passed to ``np.linalg.<solver>``."""
+    shapes = []
+    original = getattr(np.linalg, solver)
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, solver, recording)
+    return shapes
 
 
 class TestKPath:
@@ -77,22 +89,24 @@ class TestKPath:
 
 
 class TestBuildHamiltonian:
+    """The detuned Hamiltonian as the per-basis problem assembles it."""
+
     def test_empty_lattice_diagonal(self, bands_lattice, bands_dp):
         lattice = replace(bands_lattice, dphi=0.0)
         basis = reciprocal_basis(3, lattice.pitch)
         pf = PatternFourier.from_lattice(lattice, 6)
-        h = build_hamiltonian(bands_dp, pf, basis, (0.0, 0.0)).entries
+        h = _problem(bands_dp, pf, basis).hamiltonian(0.0, 0.0)
         off = h - np.diag(np.diag(h))
         assert np.all(off == 0.0)
         # the G = 0 diagonal entry at k = 0 is the carrier frequency
         i0 = [(rv.m, rv.n) for rv in basis].index((0, 0))
-        assert h[i0, i0] == bands_dp.omega0
+        assert bands_dp.omega0 + h[i0, i0] == bands_dp.omega0
 
     def test_potential_element_at_t(self, bands_lattice, bands_dp):
         basis = reciprocal_basis(7, bands_lattice.pitch)
         pf = PatternFourier.from_lattice(bands_lattice, 14)
         kt = named_kpoint("T", bands_lattice.pitch)
-        h = build_hamiltonian(bands_dp, pf, basis, kt).entries
+        h = _problem(bands_dp, pf, basis).hamiltonian(*kt)
         pairs = [(rv.m, rv.n) for rv in basis]
         i, j = pairs.index((0, 0)), pairs.index((1, 0))
         # frozen: -v_prefactor * phi_{1,0} from high-precision evaluation
@@ -102,22 +116,18 @@ class TestBuildHamiltonian:
         rng = np.random.default_rng(3)
         basis = reciprocal_basis(4, bands_lattice.pitch)
         pf = PatternFourier.from_lattice(bands_lattice, 8)
+        problem = _problem(bands_dp, pf, basis)
         for _ in range(3):
             k = rng.uniform(-1, 1, size=2) * math.pi / bands_lattice.pitch
-            h = build_hamiltonian(bands_dp, pf, basis, k).entries
+            h = problem.hamiltonian(*k)
             assert np.array_equal(h, h.T)
-
-    def test_empty_basis_rejected(self, bands_lattice, bands_dp):
-        pf = PatternFourier.from_lattice(bands_lattice, 2)
-        with pytest.raises(ValidationError, match="nonempty"):
-            build_hamiltonian(bands_dp, pf, [], (0.0, 0.0))
 
     def test_small_table_extended_on_demand(self, bands_lattice, bands_dp):
         basis = reciprocal_basis(3, bands_lattice.pitch)
         pf_small = PatternFourier.from_lattice(bands_lattice, 1)
         pf_full = PatternFourier.from_lattice(bands_lattice, 6)
-        a = build_hamiltonian(bands_dp, pf_small, basis, (0.0, 0.0)).entries
-        b = build_hamiltonian(bands_dp, pf_full, basis, (0.0, 0.0)).entries
+        a = _problem(bands_dp, pf_small, basis).hamiltonian(0.0, 0.0)
+        b = _problem(bands_dp, pf_full, basis).hamiltonian(0.0, 0.0)
         assert np.array_equal(a, b)
 
 
@@ -151,14 +161,18 @@ class TestSolveBands:
         groups = cluster_degenerate(w[:4])
         assert [len(g) for g in groups] == [1, 2, 1]
 
-    def test_t_labels_attached(self, bands_config):
-        cfg = replace(bands_config, kpath=("Z", "T"), samples_per_segment=4)
+    @pytest.mark.parametrize("halfwidth", [3, 7])
+    def test_t_labels_attached(self, bands_config, halfwidth):
+        cfg = replace(bands_config, kpath=("Z", "T"), samples_per_segment=4,
+                      basis_halfwidth=halfwidth)
         bs = solve_bands(cfg)
         t_row = bs.states[-1]
-        assert t_row[0].rep_label == LABEL_S
-        assert t_row[1].rep_label == LABEL_PAIR
-        assert t_row[2].rep_label == LABEL_PAIR
-        assert t_row[3].rep_label == LABEL_XY
+        assert [st.rep_label for st in t_row[:4]] == [LABEL_S, LABEL_PAIR,
+                                                      LABEL_PAIR, LABEL_XY]
+        if halfwidth == 3:
+            # the symmetric window splits the pair beyond the cluster
+            # tolerance, and the channel weights still label both members
+            assert t_row[2].omega - t_row[1].omega > 1.0
         # off the node no labels are assigned
         assert bs.states[0][0].rep_label is None
 
@@ -266,6 +280,98 @@ class TestEigenpairContract:
         assert np.all(np.diff(w) >= 0)
 
 
+class TestTPointSectors:
+    """t_point_analysis solves H at T in its exact C4v sectors."""
+
+    @staticmethod
+    def _hamiltonian(config, analysis):
+        dp = derive_params(config.lattice)
+        pf = PatternFourier.from_lattice(config.lattice, 16)
+        return _problem(dp, pf, analysis.basis).hamiltonian(
+            *named_kpoint("T", config.lattice.pitch))
+
+    @pytest.mark.parametrize("halfwidth", [3, 7, 14])
+    def test_eigh_only_on_sectors(self, bands_config, monkeypatch, halfwidth):
+        shapes = _record_shapes(monkeypatch, "eigh")
+        t_point_analysis(bands_config, halfwidth=halfwidth)
+        k = halfwidth + 1
+        sym, anti, pair = k * (k + 1) // 2, k * (k - 1) // 2, k * k
+        # S, its x <-> y-odd partner, XY, its partner, (x-odd, y-even)
+        assert [s[0] for s in shapes] == [sym, anti, sym, anti, pair]
+        assert all(s[0] == s[1] for s in shapes)
+        assert 2 * (sym + anti + pair) == (2 * halfwidth + 2) ** 2
+
+    @pytest.mark.parametrize("halfwidth", [3, 7])
+    def test_lifted_pairs_meet_contract(self, bands_config, halfwidth):
+        analysis = t_point_analysis(bands_config, halfwidth=halfwidth)
+        h = self._hamiltonian(bands_config, analysis)
+        w = analysis.omegas - derive_params(bands_config.lattice).omega0
+        v = analysis.vectors
+        residual = np.max(np.linalg.norm(h @ v - v * w, axis=0))
+        assert residual <= 1e-10 * np.linalg.norm(h)
+        assert np.max(np.abs(v.T @ v - np.eye(DEFAULT_N_BANDS))) <= 1e-10
+
+    @pytest.mark.parametrize("halfwidth", [3, 7])
+    def test_merged_omegas_match_dense(self, bands_config, halfwidth):
+        analysis = t_point_analysis(bands_config, halfwidth=halfwidth)
+        h = self._hamiltonian(bands_config, analysis)
+        dense = np.linalg.eigvalsh(h)[:DEFAULT_N_BANDS]
+        w = analysis.omegas - derive_params(bands_config.lattice).omega0
+        assert np.max(np.abs(w - dense)) <= 1e-12 * np.linalg.norm(h)
+
+    @pytest.mark.parametrize("halfwidth", [3, 7, 10])
+    def test_pair_exactly_degenerate(self, bands_config, halfwidth):
+        analysis = t_point_analysis(bands_config, halfwidth=halfwidth)
+        assert analysis.omegas[1] == analysis.omegas[2]
+        assert analysis.group_of(LABEL_PAIR) == (1, 2)
+        assert analysis.edges[1] == analysis.omegas[1]
+
+    @pytest.mark.parametrize("halfwidth", [3, 7])
+    def test_labels_and_signs_follow_parities(self, bands_config, halfwidth):
+        analysis = t_point_analysis(bands_config, halfwidth=halfwidth)
+        waves = [(rv.m, rv.n) for rv in analysis.basis]
+        pos = {wave: i for i, wave in enumerate(waves)}
+        mirrors = ([pos[-1 - m, n] for m, n in waves],
+                   [pos[m, -1 - n] for m, n in waves],
+                   [pos[n, m] for m, n in waves])
+
+        def parity(vec, perm):
+            for sign in (1, -1):
+                if np.allclose(vec[perm], sign * vec, rtol=0.0, atol=1e-12):
+                    return sign
+            return 0
+
+        sector_labels = {(1, 1, 1): LABEL_S, (-1, -1, 1): LABEL_XY,
+                         (-1, 1, 0): LABEL_PAIR, (1, -1, 0): LABEL_PAIR}
+        state_labels = []
+        for vec in analysis.vectors.T:
+            parities = tuple(parity(vec, perm) for perm in mirrors)
+            assert 0 not in parities[:2]  # every state has both axis parities
+            state_labels.append(sector_labels.get(parities, LABEL_NONE))
+        for grp, lab in zip(analysis.groups, analysis.labels):
+            found = {state_labels[i] for i in grp}
+            assert lab == (found.pop() if len(found) == 1 else LABEL_NONE)
+            assert type(lab) is str  # reaches report.json through repr
+        assert np.all(analysis.vectors[pos[0, 0]] >= 0.0)
+
+    def test_fold_lift_gives_eigenvectors(self, bands_lattice, bands_dp):
+        # the x <-> y fold of the symmetric window has fixed waves (m == n)
+        basis = tuple(reciprocal_basis(3, bands_lattice.pitch))
+        pf = PatternFourier.from_lattice(bands_lattice, 6)
+        problem = _problem(bands_dp, pf, basis)
+        kx = 0.3 * math.pi / bands_lattice.pitch
+        h = problem.hamiltonian(kx, kx)
+        fold = problem.diagonal
+        assert fold.n_fixed == 7
+        for odd, block in zip((False, True), fold.blocks(h)):
+            w, u = np.linalg.eigh(block)
+            v = fold.lift(u, odd)
+            assert v.shape == (len(basis), block.shape[0])
+            assert np.max(np.linalg.norm(h @ v - v * w, axis=0)) <= (
+                1e-10 * np.linalg.norm(h))
+            assert np.max(np.abs(v.T @ v - np.eye(w.size))) <= 1e-12
+
+
 class TestFrequencyOnlyInterior:
     """Interior path points carry omegas only; named nodes keep vectors."""
 
@@ -324,18 +430,6 @@ class TestMirrorBlockedSolve:
     """Eigenvalue-only points on G-Z (ky == 0) and T-G (kx == ky) are solved
     as the even and odd blocks of the mirror that fixes their line."""
 
-    @staticmethod
-    def _record_eigvalsh(monkeypatch):
-        shapes = []
-        original = np.linalg.eigvalsh
-
-        def recording(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-        return shapes
-
     @pytest.mark.parametrize("halfwidth", [2, 3, 7])
     def test_blocked_omegas_match_dense(self, bands_lattice, bands_dp,
                                         halfwidth):
@@ -371,7 +465,7 @@ class TestMirrorBlockedSolve:
         basis = tuple(reciprocal_basis(7, bands_lattice.pitch))
         pf = PatternFourier.from_lattice(bands_lattice, 14)
         problem = _problem(bands_dp, pf, basis)
-        shapes = self._record_eigvalsh(monkeypatch)
+        shapes = _record_shapes(monkeypatch, "eigvalsh")
         kx = 2 * math.pi * kx_frac / bands_lattice.pitch
         ky = 2 * math.pi * ky_frac / bands_lattice.pitch
         _solve_omegas(problem, kx, ky, 8)
@@ -400,7 +494,7 @@ class TestMirrorBlockedSolve:
         assert problem.along_x is None
         assert problem.diagonal is not None
         kx = 0.6 * math.pi / bands_lattice.pitch
-        shapes = self._record_eigvalsh(monkeypatch)
+        shapes = _record_shapes(monkeypatch, "eigvalsh")
         w = _solve_omegas(problem, kx, 0.0, 8)
         assert shapes == [(64, 64)]
         h = problem.hamiltonian(kx, 0.0)
@@ -471,34 +565,6 @@ class TestBandEdges:
     def test_patterned_edge_ordering(self, bands_t_analysis):
         e = bands_t_analysis.edges
         assert e[0] < e[1] < e[2]
-
-    def test_band_edges_from_bandstructure(self, bands_config, bands_t_analysis):
-        cfg = replace(bands_config, kpath=("Z", "T"), samples_per_segment=2)
-        bs = solve_bands(cfg)
-        edges = band_edges(bs)
-        # standard-window edges agree with the corner-window analysis
-        for a, b in zip(edges, bands_t_analysis.edges):
-            assert a == pytest.approx(b, rel=1e-7)
-
-    def test_band_edges_at_small_halfwidth(self, bands_config):
-        # the symmetric window splits the pair beyond the cluster tolerance
-        cfg = replace(bands_config, kpath=("T",), samples_per_segment=1,
-                      basis_halfwidth=3)
-        bs = solve_bands(cfg)
-        row = bs.states[0]
-        assert [st.rep_label for st in row[:4]] == [LABEL_S, LABEL_PAIR,
-                                                    LABEL_PAIR, LABEL_XY]
-        assert row[2].omega - row[1].omega > 1.0
-        edges = band_edges(bs)
-        assert edges == (row[0].omega, np.mean([row[1].omega, row[2].omega]),
-                         row[3].omega)
-
-    def test_band_edges_requires_t(self, bands_config):
-        cfg = replace(bands_config, kpath=("G", "Z"), samples_per_segment=2,
-                      basis_halfwidth=3)
-        bs = solve_bands(cfg)
-        with pytest.raises(ComputationError, match="no T-point"):
-            band_edges(bs)
 
     def test_edge_splittings_linear_in_dphi(self, bands_lattice):
         gaps = {}
