@@ -27,9 +27,9 @@ from .kp import (
     zeeman_splittings_at_T,
 )
 from .lattice import (
-    PatternFourier,
     ReciprocalVector,
     fourier_coefficient,
+    pattern_factors,
     phase_pattern,
     reciprocal_basis,
     sinc,
@@ -72,7 +72,7 @@ __all__ = [
     "ComputationError", "ConfigError", "ValidationError",
     "LatticeSpec", "DerivedParams", "RotationSpec", "HermitianMatrix",
     "ExperimentConfig", "load_config", "derive_params", "eigh",
-    "ReciprocalVector", "PatternFourier", "phase_pattern",
+    "ReciprocalVector", "phase_pattern", "pattern_factors",
     "fourier_coefficient", "reciprocal_basis", "t_centered_basis", "sinc",
     "BlochState", "BandStructure", "LongitudinalProfile", "FieldSample",
     "KPathPoint", "TPointAnalysis", "named_kpoint", "build_kpath",

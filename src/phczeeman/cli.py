@@ -32,7 +32,6 @@ from .core import (
     load_config,
 )
 from .lattice import (
-    PatternFourier,
     fourier_coefficient,
     phase_pattern,
     reciprocal_basis,
@@ -249,11 +248,6 @@ def cmd_split(args) -> int:
     analysis = pw.t_point_analysis(config)
     model = kpmod.kp_from_opw(analysis.edges, config.lattice,
                               source="closed_form")
-    if config.lattice.dphi < 0:
-        warnings.warn(
-            "dphi < 0 is outside the demonstrated parameter regime; "
-            "orbital parameters are negative", UserWarning,
-        )
 
     rows = []
     for rot in rotations:
@@ -356,26 +350,33 @@ def cmd_dump_fourier(args) -> int:
 # --------------------------------------------------------------------------
 # validate
 
-def _gl_quadrature_coefficient(lattice, m: int, n: int, order: int = 48) -> float:
-    """Pattern Fourier coefficient by Gauss-Legendre quadrature.
+def _fourier_vs_quadrature(lattice, order: int = 48) -> float:
+    """Largest |analytic - Gauss-Legendre quadrature| pattern Fourier
+    coefficient over |m|, |n| <= 5.
 
     The integrand is sampled from phase_pattern over the pixel support (the
     pattern vanishes outside), where it is smooth, so fixed-order GL is
-    accurate to round-off.
+    accurate to round-off. Nodes and pattern samples serve every (m, n).
     """
     half = 0.5 * lattice.pitch * math.sqrt(lattice.fill_factor)
     nodes, weights = np.polynomial.legendre.leggauss(order)
     x = half * nodes
     wx = half * weights
-    gx = 2.0 * math.pi * m / lattice.pitch
-    gy = 2.0 * math.pi * n / lattice.pitch
     xx, yy = np.meshgrid(x, x, indexing="ij")
-    vals = phase_pattern(lattice, xx, yy) * np.cos(gx * xx) * np.cos(gy * yy)
-    return float(wx @ vals @ wx) / lattice.pitch ** 2
+    pattern = phase_pattern(lattice, xx, yy)
+    worst = 0.0
+    for m in range(-5, 6):
+        for n in range(-5, 6):
+            gx = 2.0 * math.pi * m / lattice.pitch
+            gy = 2.0 * math.pi * n / lattice.pitch
+            vals = pattern * np.cos(gx * xx) * np.cos(gy * yy)
+            quad = float(wx @ vals @ wx) / lattice.pitch ** 2
+            worst = max(worst, abs(fourier_coefficient(lattice, m, n) - quad))
+    return worst
 
 
-def _kp_vs_opw_worst(config: ExperimentConfig, dp, pf: PatternFourier,
-                     model: kpmod.KpModel, span: float) -> float:
+def _kp_vs_opw_worst(config: ExperimentConfig, model: kpmod.KpModel,
+                     span: float) -> float:
     """Worst |omega_kp - omega_opw| / span within 0.25*pi/pitch of T.
 
     A function of its own so that the plane-wave problem is freed before
@@ -383,7 +384,7 @@ def _kp_vs_opw_worst(config: ExperimentConfig, dp, pf: PatternFourier,
     """
     lattice = config.lattice
     basis = tuple(reciprocal_basis(config.basis_halfwidth, lattice.pitch))
-    problem = pw._problem(dp, pf, basis)
+    problem = pw._problem(lattice, basis)
     t_pt = pw.named_kpoint("T", lattice.pitch)
     worst_rel = 0.0
     window = 0.25 * math.pi / lattice.pitch
@@ -411,12 +412,7 @@ def run_validation(config: ExperimentConfig) -> dict:
         checks.append({"name": name, "status": status, "detail": detail})
 
     # 1. analytic Fourier coefficients vs quadrature
-    worst = 0.0
-    for m in range(-5, 6):
-        for n in range(-5, 6):
-            ana = fourier_coefficient(lattice, m, n)
-            quad = _gl_quadrature_coefficient(lattice, m, n)
-            worst = max(worst, abs(ana - quad))
+    worst = _fourier_vs_quadrature(lattice)
     record("fourier_vs_quadrature",
            "pass" if worst <= 1e-10 else "fail",
            f"max |analytic - quadrature| = {worst:.3e} over |m|,|n| <= 5 "
@@ -464,8 +460,7 @@ def run_validation(config: ExperimentConfig) -> dict:
     # 4. k.p vs plane-wave band agreement near T
     model = kpmod.kp_from_opw(analysis.edges, lattice, source="closed_form")
     span = analysis.edges[2] - analysis.edges[0]
-    pf = PatternFourier.from_lattice(lattice, 2 * config.basis_halfwidth)
-    worst_rel = _kp_vs_opw_worst(config, dp, pf, model, span)
+    worst_rel = _kp_vs_opw_worst(config, model, span)
     record("kp_vs_opw", "pass" if worst_rel <= 0.05 else "fail",
            f"worst |omega_kp - omega_opw| / span = {worst_rel:.3e} "
            "(bound 0.05) within 0.25*pi/pitch of T")
@@ -496,7 +491,7 @@ def run_validation(config: ExperimentConfig) -> dict:
     gamma_cfg = replace(config, kpath=("G",), samples_per_segment=1)
     bs_gamma = pw.solve_bands(gamma_cfg)
     ground = bs_gamma.states[0][0]
-    profile = pw.longitudinal_profile(ground, pf)
+    profile = pw.longitudinal_profile(ground, lattice)
     dev_eta = float(np.max(np.abs(np.abs(1.0 + profile.eta_samples) - 1.0)))
     mean_floor = lattice.dphi * lattice.fill_factor
     alpha_ok = mean_floor < profile.alpha < lattice.dphi

@@ -209,10 +209,12 @@ def eigh(h) -> tuple[np.ndarray, np.ndarray]:
 
 DEFAULT_KPATH = ("G", "Z", "T", "G")
 DEFAULT_BASIS_HALFWIDTH = 7
-# Largest plane-wave cutoff: the dense Hamiltonian of (2h+1)^2 waves takes
-# (2h+1)^4 * 8 bytes, ~0.3 GB at h = 40.
+# Largest plane-wave cutoff. One dense H on the (2h+2)^2-wave corner window
+# takes (2h+2)^4 * 8 bytes, 362 MB at h = 40; a `split` at h = 40 holds the
+# potential, H and its mirror-fold blocks and peaks at 895 MB resident
+# (measured on Linux, numpy with OpenBLAS).
 MAX_BASIS_HALFWIDTH = 40
-# Largest pattern-table halfwidth: every index difference of a capped basis.
+# Largest dump-fourier halfwidth: every index difference of a capped basis.
 MAX_FOURIER_HALFWIDTH = 2 * MAX_BASIS_HALFWIDTH
 DEFAULT_SAMPLES_PER_SEGMENT = 40
 # Most samples per k-path segment: each sample is one dense eigensolve, so a
@@ -292,14 +294,21 @@ def load_config(text: str) -> ExperimentConfig:
                 "for a float"
             ) from None
 
-    lattice = LatticeSpec(
-        lambda_vac=_num("lambda_nm") * 1e-9,
-        n_refr=_num("n"),
-        pitch=_num("pitch_um") * 1e-6,
-        fill_factor=_num("ff"),
-        dphi=_num("dphi"),
-    )
-    rotation = RotationSpec(_num("omega_rad_s", 0.0))
+    # the specs' regime warnings are issued again from here, so that they
+    # point at the caller's line rather than at this function
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        lattice = LatticeSpec(
+            lambda_vac=_num("lambda_nm") * 1e-9,
+            n_refr=_num("n"),
+            pitch=_num("pitch_um") * 1e-6,
+            fill_factor=_num("ff"),
+            dphi=_num("dphi"),
+        )
+        rotation = RotationSpec(_num("omega_rad_s", 0.0))
+    for caught_warning in caught:
+        warnings.warn(caught_warning.message, caught_warning.category,
+                      stacklevel=2)
 
     halfwidth = doc.get("basis_halfwidth", DEFAULT_BASIS_HALFWIDTH)
     if not isinstance(halfwidth, int) or isinstance(halfwidth, bool):

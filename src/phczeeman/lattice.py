@@ -115,56 +115,11 @@ def fourier_coefficient(lattice: LatticeSpec, m: int, n: int) -> float:
     )
 
 
-@dataclass(frozen=True)
-class PatternFourier:
-    """Tabulated pattern Fourier coefficients for |m|, |n| <= halfwidth.
+def pattern_factors(lattice: LatticeSpec, halfwidth: int) -> np.ndarray:
+    """s_j = sinc(pi*j*sqrt(FF)) for j = -halfwidth..halfwidth (index j + halfwidth).
 
-    ``table[i, j]`` holds the coefficient at (i - halfwidth, j - halfwidth);
-    out-of-table indices are computed on demand (never an error). Immutable
-    and safe for concurrent use.
+    The pattern is rank one: its coefficient at (m, n) is
+    ((dphi*FF) * s_m) * s_n, the evaluation order of fourier_coefficient.
     """
-
-    dphi: float
-    fill_factor: float
-    halfwidth: int
-    table: np.ndarray
-
-    @classmethod
-    def from_values(cls, dphi: float, fill_factor: float,
-                    halfwidth: int) -> "PatternFourier":
-        idx = np.arange(-halfwidth, halfwidth + 1)
-        sv = sinc(np.pi * idx * math.sqrt(fill_factor))
-        # same evaluation order as fourier_coefficient: ((dphi*FF)*s_m)*s_n
-        table = ((dphi * fill_factor) * sv)[:, None] * sv[None, :]
-        table.setflags(write=False)
-        return cls(dphi=dphi, fill_factor=fill_factor, halfwidth=halfwidth,
-                   table=table)
-
-    @classmethod
-    def from_lattice(cls, lattice: LatticeSpec, halfwidth: int) -> "PatternFourier":
-        return cls.from_values(lattice.dphi, lattice.fill_factor, halfwidth)
-
-    def coefficient(self, m: int, n: int) -> float:
-        if abs(m) <= self.halfwidth and abs(n) <= self.halfwidth:
-            return float(self.table[m + self.halfwidth, n + self.halfwidth])
-        root_ff = math.sqrt(self.fill_factor)
-        return float(
-            (self.dphi * self.fill_factor)
-            * sinc(math.pi * m * root_ff) * sinc(math.pi * n * root_ff)
-        )
-
-    def ensure(self, halfwidth: int) -> "PatternFourier":
-        """Return a table covering at least ``halfwidth`` (self if it already does)."""
-        if halfwidth <= self.halfwidth:
-            return self
-        return PatternFourier.from_values(self.dphi, self.fill_factor, halfwidth)
-
-    @property
-    def coefficients(self) -> dict[tuple[int, int], float]:
-        """The tabulated coefficients as an (m, n) -> value map."""
-        h = self.halfwidth
-        return {
-            (i - h, j - h): float(self.table[i, j])
-            for i in range(2 * h + 1)
-            for j in range(2 * h + 1)
-        }
+    idx = np.arange(-halfwidth, halfwidth + 1)
+    return sinc(np.pi * idx * math.sqrt(lattice.fill_factor))

@@ -10,19 +10,22 @@ reconstruction.
 
 Numerical notes: the eigenproblem is assembled and solved in detuning units
 (carrier frequency subtracted from the diagonal). The pattern term
--v*phi[G'-G] does not depend on k and is built once per basis; each k-point
-adds only its kinetic diagonal. Along a k-path only the named nodes (G, Z, T)
-get eigenvectors; interior path points need only their frequencies and are
-solved eigenvalue-only. Those on a mirror line of the path are solved as two
-parity blocks: on G-Z (ky == 0) the mirror y -> -y maps wave (m, n) to
-(m, -n), on T-G (kx == ky) the mirror x <-> y maps it to (n, m). The
-symmetric window is closed under both, so H splits exactly into an even
-block of (h+1)(2h+1) and an odd block of h(2h+1) waves. Z-T points stay
-dense: their mirror maps m to -1-m, under which the symmetric window is not
-closed. The T point itself is analysed on the corner window, which is
-closed under the whole C4v little group of T: H is solved there in its exact
-parity sectors (see ``t_point_analysis``), so the degenerate pair comes out
-exactly degenerate and every state's label is the sector it was solved in.
+-v*phi[G'-G] does not depend on k and is built once per basis, as the
+Kronecker product -v*dphi*FF*(S ⊗ S) of the Toeplitz sinc factor over the
+window's axis (see ``_kernels``), which needs every basis to be an m-major
+square window. Each k-point adds only its kinetic diagonal. Along a k-path
+only the named nodes (G, Z, T) get eigenvectors; interior path points need
+only their frequencies and are solved eigenvalue-only. Those on a mirror line
+of the path are solved as two parity blocks: on G-Z (ky == 0) the mirror y ->
+-y maps wave (m, n) to (m, -n), on T-G (kx == ky) the mirror x <-> y maps it
+to (n, m). The symmetric window is closed under both, so H splits exactly
+into an even block of (h+1)(2h+1) and an odd block of h(2h+1) waves. Z-T
+points stay dense: their mirror maps m to -1-m, under which the symmetric
+window is not closed. The T point itself is analysed on the corner window,
+which is closed under the whole C4v little group of T: H is solved there in
+its exact parity sectors (see ``t_point_analysis``), so the degenerate pair
+comes out exactly degenerate and every state's label is the sector it was
+solved in.
 """
 from __future__ import annotations
 
@@ -44,8 +47,8 @@ from .core import (
     derive_params,
 )
 from .lattice import (
-    PatternFourier,
     ReciprocalVector,
+    pattern_factors,
     reciprocal_basis,
     sinc,
     t_centered_basis,
@@ -282,17 +285,21 @@ def _mirror_fold(waves, image) -> _MirrorFold | None:
 class _Problem:
     """The k-independent part of the detuned eigenproblem on one basis.
 
-    ``potential`` is -v_prefactor * phi[G' - G], gathered once (read-only);
-    only the kinetic diagonal depends on k. ``along_x`` is the fold under
-    n -> -n, the mirror y -> -y of every k with ky == 0; ``diagonal`` the
-    fold under (m, n) -> (n, m), the mirror x <-> y of every k with
-    kx == ky. Either is None when the window is not closed under it.
+    ``factor`` holds s_j = sinc(pi*j*sqrt(FF)) for |j| <= span, the span of
+    the window's axis; ``potential`` is -v_prefactor * phi[G' - G], built
+    once (read-only) as -v*dphi*FF*(S ⊗ S) from the Toeplitz factor
+    S[a, b] = factor[a - b + span]. Only the kinetic diagonal depends on k.
+    ``along_x`` is the fold under n -> -n, the mirror y -> -y of every k
+    with ky == 0; ``diagonal`` the fold under (m, n) -> (n, m), the mirror
+    x <-> y of every k with kx == ky. Either is None when the window is not
+    closed under it.
     """
 
     omega0: float
     m0: float
     gx: np.ndarray
     gy: np.ndarray
+    factor: np.ndarray
     potential: np.ndarray
     along_x: _MirrorFold | None
     diagonal: _MirrorFold | None
@@ -314,14 +321,14 @@ class _Problem:
         return None
 
 
-def _problem(dp: DerivedParams, pf: PatternFourier, basis) -> _Problem:
-    """Build the per-basis problem; ``pf`` is extended to the basis' span."""
+def _problem(lattice: LatticeSpec, basis) -> _Problem:
+    """Build the per-basis problem; ``basis`` must be an m-major square window."""
+    dp = derive_params(lattice)
     m_idx, n_idx = _basis_indices(basis)
-    span = int(max(np.max(m_idx) - np.min(m_idx), np.max(n_idx) - np.min(n_idx)))
-    pf = pf.ensure(span)
+    factor = pattern_factors(lattice, int(np.ptp(m_idx)))
     waves = list(zip(m_idx.tolist(), n_idx.tolist()))
     potential = _kernels.fill_hamiltonian(
-        m_idx, n_idx, np.zeros(m_idx.size), pf.table, pf.halfwidth,
+        m_idx, n_idx, factor, lattice.dphi * lattice.fill_factor,
         dp.v_prefactor,
     )
     potential.setflags(write=False)
@@ -329,6 +336,7 @@ def _problem(dp: DerivedParams, pf: PatternFourier, basis) -> _Problem:
         omega0=dp.omega0, m0=dp.m0,
         gx=np.array([rv.gx for rv in basis]),
         gy=np.array([rv.gy for rv in basis]),
+        factor=factor,
         potential=potential,
         along_x=_mirror_fold(waves, lambda m, n: (m, -n)),
         diagonal=_mirror_fold(waves, lambda m, n: (n, m)),
@@ -384,16 +392,14 @@ def solve_bands(config: ExperimentConfig,
     (kx == ky) are solved as the even and odd blocks of the mirror that fixes
     their line (see ``_solve_omegas``); Z-T points are solved dense.
     """
-    dp = derive_params(config.lattice)
     basis = tuple(reciprocal_basis(config.basis_halfwidth, config.lattice.pitch))
     if n_bands > len(basis):
         raise ValidationError(
             f"n_bands = {n_bands} exceeds basis size {len(basis)}"
         )
-    pf = PatternFourier.from_lattice(config.lattice, 2 * config.basis_halfwidth)
     kpts = build_kpath(config.kpath, config.lattice.pitch,
                        config.samples_per_segment)
-    problem = _problem(dp, pf, basis)
+    problem = _problem(config.lattice, basis)
 
     rows = []
     for kp in kpts:
@@ -553,12 +559,12 @@ def t_point_analysis(config: ExperimentConfig,
     degenerate and already in its parity members, x member first. Vectors
     take the sign that makes their (0, 0) coefficient non-negative.
     """
-    dp = derive_params(config.lattice)
     hw = halfwidth if halfwidth is not None else config.basis_halfwidth
     basis = tuple(t_centered_basis(hw, config.lattice.pitch))
-    pf = PatternFourier.from_lattice(config.lattice, 2 * hw + 2)
     kt = named_kpoint("T", config.lattice.pitch)
-    h = _problem(dp, pf, basis).hamiltonian(kt[0], kt[1])
+    problem = _problem(config.lattice, basis)
+    omega0, h = problem.omega0, problem.hamiltonian(kt[0], kt[1])
+    del problem  # frees the potential before the folds copy blocks of h
 
     waves = [(rv.m, rv.n) for rv in basis]
     fold_x = _mirror_fold(waves, lambda m, n: (-1 - m, n))
@@ -598,7 +604,7 @@ def t_point_analysis(config: ExperimentConfig,
     w = np.concatenate([sec[0] for sec, _ in sectors])
     sector_label = [lab for sec, lab in sectors for _ in sec[0]]
     order = np.argsort(w, kind="stable")[:n_bands]
-    omegas = dp.omega0 + w[order]
+    omegas = omega0 + w[order]
     v = np.hstack([sec[1] for sec, _ in sectors])[:, order]
     v *= np.where(v[pos[0, 0]] < 0.0, -1.0, 1.0)
     groups = cluster_degenerate(omegas)
@@ -606,7 +612,7 @@ def t_point_analysis(config: ExperimentConfig,
     for grp in groups:
         members = {sector_label[order[i]] for i in grp}
         labels.append(members.pop() if len(members) == 1 else LABEL_NONE)
-    edges = tuple(float(dp.omega0 + sec[0][0])
+    edges = tuple(float(omega0 + sec[0][0])
                   for sec in (s_states, x_states, xy_states))
     return TPointAnalysis(
         omegas=omegas, vectors=v, basis=basis,
@@ -701,8 +707,6 @@ def opw_mass_at_t(config: ExperimentConfig, edge_label: str,
             f"edge {edge_label} is degenerate; finite-difference mass needs "
             "a nondegenerate band"
         )
-    dp = derive_params(config.lattice)
-    pf = PatternFourier.from_lattice(config.lattice, 2 * config.basis_halfwidth + 2)
     kt = named_kpoint("T", config.lattice.pitch)
     idx = grp[0]
     reference = BlochState(
@@ -711,7 +715,7 @@ def opw_mass_at_t(config: ExperimentConfig, edge_label: str,
         basis=analysis.basis,
     )
     n_bands = analysis.omegas.size
-    problem = _problem(dp, pf, analysis.basis)
+    problem = _problem(config.lattice, analysis.basis)
 
     def solver(kx, ky):
         return _solve_refined(problem, kx, ky, n_bands)
@@ -725,20 +729,22 @@ def opw_mass_at_t(config: ExperimentConfig, edge_label: str,
 # --------------------------------------------------------------------------
 # longitudinal profile
 
-def longitudinal_profile(state: BlochState, pf: PatternFourier,
+def longitudinal_profile(state: BlochState, lattice: LatticeSpec,
                          samples: int = 256) -> LongitudinalProfile:
     """Per-reflection phase and fast longitudinal factor of a Bloch state.
 
     alpha is the pattern expectation value in the state; eta is sampled on a
     uniform grid over one longitudinal period z in [-l_z, l_z). The exponent
     is purely imaginary, so |1 + eta| = 1 identically and the wrapped sum of
-    eta increments over the period vanishes.
+    eta increments over the period vanishes. ValidationError unless the
+    state's basis is an m-major square window.
     """
     c = _state_vector(state)
     m_idx, n_idx = _basis_indices(state.basis)
-    span = int(max(np.max(m_idx) - np.min(m_idx), np.max(n_idx) - np.min(n_idx)))
-    pf = pf.ensure(span)
-    alpha = _kernels.pattern_overlap(c, m_idx, n_idx, pf.table, pf.halfwidth)
+    alpha = _kernels.pattern_overlap(
+        c, m_idx, n_idx, pattern_factors(lattice, int(np.ptp(m_idx))),
+        lattice.dphi * lattice.fill_factor,
+    )
     # z/(2 l_z) in [-1/2, 1/2); sawtooth theta(z) - 1/2 - z/(2 l_z)
     frac = -0.5 + np.arange(samples) / samples
     saw = np.where(frac >= 0.0, 0.5, -0.5) - frac

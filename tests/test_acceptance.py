@@ -11,7 +11,6 @@ import pytest
 
 from phczeeman import (
     ExperimentConfig,
-    PatternFourier,
     RotationSpec,
     derive_params,
     effective_index,
@@ -46,13 +45,11 @@ def test_criterion_01_kp_opw_agreement(bands_config, bands_t_analysis):
     """Eight-band k.p spectrum tracks the plane-wave bands near the corner."""
     start = time.perf_counter()
     lattice = bands_config.lattice
-    dp = derive_params(lattice)
     model = kp_from_opw(bands_t_analysis.edges, lattice, source="closed_form")
     span = bands_t_analysis.edges[2] - bands_t_analysis.edges[0]
     t_pt = named_kpoint("T", lattice.pitch)
     basis = reciprocal_basis(bands_config.basis_halfwidth, lattice.pitch)
-    pf = PatternFourier.from_lattice(lattice, 2 * bands_config.basis_halfwidth)
-    problem = _problem(dp, pf, basis)
+    problem = _problem(lattice, basis)
     window = 0.25 * math.pi / lattice.pitch
     worst = 0.0
     for frac in np.linspace(0.0, 1.0, 11):
@@ -173,8 +170,7 @@ def test_criterion_08_longitudinal_factor(bands_config):
     cfg = replace(bands_config, kpath=("G",), samples_per_segment=1)
     bs = solve_bands(cfg)
     ground = bs.states[0][0]
-    pf = PatternFourier.from_lattice(cfg.lattice, 14)
-    profile = longitudinal_profile(ground, pf, samples=1024)
+    profile = longitudinal_profile(ground, cfg.lattice, samples=1024)
     dev = float(np.max(np.abs(np.abs(1.0 + profile.eta_samples) - 1.0)))
     lo = cfg.lattice.dphi * cfg.lattice.fill_factor
     hi = cfg.lattice.dphi

@@ -203,6 +203,14 @@ class TestSplitCommand:
         assert "4 of 4 rotation rates" in str(regime[0].message)
         assert "omega_z = 4e+09" in str(regime[0].message)
 
+    def test_negative_contrast_fails_on_edge_order(self, tmp_path, capsys):
+        # dphi < 0 reverses the corner edges, which the k.p model rejects
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps({**BANDS_DOC, "dphi": -0.01}))
+        rc = main(["split", str(path), "-o", str(tmp_path / "s.csv")])
+        assert rc == 1
+        assert "band-edge ordering" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_dphi_log_sweep_slope(self, weak_cfg_file, tmp_path):

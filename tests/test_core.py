@@ -83,11 +83,22 @@ class TestLoadConfig:
             {"lambda_nm": 960, "n": 3.53, "pitch_um": 4, "ff": 0.65,
              "dphi": 0.05}
         )
-        with pytest.warns(UserWarning, match="weak-contrast"):
+        with pytest.warns(UserWarning, match="weak-contrast") as record:
             load_config(doc)
+        assert record[0].filename == __file__
         with pytest.warns(UserWarning, match="weak-contrast") as record:
             LatticeSpec(lambda_vac=960e-9, n_refr=3.53, pitch=4e-6,
                         fill_factor=0.65, dphi=0.05)
+        assert record[0].filename == __file__
+
+    def test_fast_rotation_warning_points_at_caller(self):
+        doc = json.dumps(
+            {"lambda_nm": 960, "n": 3.53, "pitch_um": 4, "ff": 0.65,
+             "dphi": 0.02, "omega_rad_s": 1e12}
+        )
+        with pytest.warns(UserWarning, match="slow-rotation") as record:
+            load_config(doc)
+        assert len(record) == 1
         assert record[0].filename == __file__
 
     def test_dphi_at_soft_limit_no_warning(self, recwarn):

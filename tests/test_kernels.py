@@ -1,46 +1,65 @@
 import numpy as np
 import pytest
 
-from phczeeman import PatternFourier, derive_params, fourier_coefficient, reciprocal_basis
+from phczeeman import (
+    ValidationError,
+    derive_params,
+    fourier_coefficient,
+    pattern_factors,
+    reciprocal_basis,
+    t_centered_basis,
+)
 from phczeeman import _kernels
-from phczeeman.constants import HBAR
+
+
+def _fill_args(lattice, basis):
+    dp = derive_params(lattice)
+    m_idx = np.array([rv.m for rv in basis], dtype=np.int64)
+    n_idx = np.array([rv.n for rv in basis], dtype=np.int64)
+    s = pattern_factors(lattice, int(np.ptp(m_idx)))
+    return m_idx, n_idx, s, lattice.dphi * lattice.fill_factor, dp.v_prefactor
 
 
 @pytest.fixture(scope="module")
 def fill_args(bands_lattice):
-    dp = derive_params(bands_lattice)
-    basis = reciprocal_basis(4, bands_lattice.pitch)
-    pf = PatternFourier.from_lattice(bands_lattice, 8)
-    m_idx = np.array([rv.m for rv in basis], dtype=np.int64)
-    n_idx = np.array([rv.n for rv in basis], dtype=np.int64)
-    gx = np.array([rv.gx for rv in basis])
-    gy = np.array([rv.gy for rv in basis])
-    kin = HBAR * (gx**2 + gy**2) / (2 * dp.m0)
-    return m_idx, n_idx, kin, pf.table, pf.halfwidth, dp.v_prefactor
+    return _fill_args(bands_lattice, reciprocal_basis(4, bands_lattice.pitch))
 
 
-def test_numpy_fill_matches_direct_formula(bands_lattice, fill_args):
-    m_idx, n_idx, kin, table, offset, v = fill_args
-    h = _kernels.fill_hamiltonian(*fill_args)
-    ns = m_idx.size
-    for i in range(0, ns, 17):
-        for j in range(0, ns, 13):
-            expected = -v * fourier_coefficient(
-                bands_lattice, int(m_idx[i] - m_idx[j]),
-                int(n_idx[i] - n_idx[j])
-            )
-            if i == j:
-                expected += kin[i]
-            assert h[i, j] == pytest.approx(expected, rel=1e-15, abs=1e-3)
+def test_numpy_fill_matches_direct_formula(bands_lattice):
+    for window in (reciprocal_basis, t_centered_basis):
+        args = _fill_args(bands_lattice, window(4, bands_lattice.pitch))
+        m_idx, n_idx, _, _, v = args
+        h = _kernels.fill_hamiltonian(*args)
+        expected = np.array([
+            [-v * fourier_coefficient(bands_lattice, int(mi - mj), int(ni - nj))
+             for mj, nj in zip(m_idx, n_idx)]
+            for mi, ni in zip(m_idx, n_idx)
+        ])
+        assert np.array_equal(h, expected), window.__name__
 
 
-def test_overlap_matches_quadratic_form(fill_args):
-    m_idx, n_idx, _, table, offset, _ = fill_args
+def test_overlap_matches_quadratic_form(bands_lattice, fill_args):
+    m_idx, n_idx, s, depth, _ = fill_args
     rng = np.random.default_rng(22)
     c = rng.normal(size=m_idx.size) + 1j * rng.normal(size=m_idx.size)
     c /= np.linalg.norm(c)
-    phi = table[m_idx[:, None] - m_idx[None, :] + offset,
-                n_idx[:, None] - n_idx[None, :] + offset]
+    phi = np.array([
+        [fourier_coefficient(bands_lattice, int(mi - mj), int(ni - nj))
+         for mj, nj in zip(m_idx, n_idx)]
+        for mi, ni in zip(m_idx, n_idx)
+    ])
     direct = float(np.real(c.conj() @ phi @ c))
-    got = _kernels.pattern_overlap(c, m_idx, n_idx, table, offset)
+    got = _kernels.pattern_overlap(c, m_idx, n_idx, s, depth)
     assert got == pytest.approx(direct, rel=1e-12)
+
+
+def test_non_window_rejected(fill_args):
+    m_idx, n_idx, s, depth, v = fill_args
+    order = np.random.default_rng(3).permutation(m_idx.size)
+    with pytest.raises(ValidationError, match="square window"):
+        _kernels.fill_hamiltonian(m_idx[order], n_idx[order], s, depth, v)
+    with pytest.raises(ValidationError, match="square window"):
+        _kernels.fill_hamiltonian(m_idx[:-1], n_idx[:-1], s, depth, v)
+    # factors that do not reach every axis difference
+    with pytest.raises(ValidationError, match="square window"):
+        _kernels.fill_hamiltonian(m_idx, n_idx, s[1:-1], depth, v)

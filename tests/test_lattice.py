@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phczeeman import (
-    PatternFourier,
     ValidationError,
     fourier_coefficient,
+    pattern_factors,
     phase_pattern,
     reciprocal_basis,
     sinc,
@@ -95,8 +95,9 @@ class TestFourierCoefficient:
         # sum over |m|,|n| <= 50 converges to the cell average of phi^2
         # within 1% (the tail decays only like 1/halfwidth: at halfwidth 20
         # the deviation is still 1.2%)
-        pf = PatternFourier.from_lattice(bands_lattice, 50)
-        total = float(np.sum(pf.table**2))
+        s = pattern_factors(bands_lattice, 50)
+        depth = bands_lattice.dphi * bands_lattice.fill_factor
+        total = float(np.sum(np.outer(depth * s, s)**2))
         target = bands_lattice.dphi**2 * bands_lattice.fill_factor
         assert abs(total - target) / target < 0.01
 
@@ -164,30 +165,11 @@ class TestReciprocalBasis:
 
 class TestPatternFourier:
     def test_table_matches_scalar(self, bands_lattice):
-        pf = PatternFourier.from_lattice(bands_lattice, 6)
+        s = pattern_factors(bands_lattice, 6)
+        depth = bands_lattice.dphi * bands_lattice.fill_factor
+        assert s.shape == (13,)
         for m in range(-6, 7):
             for n in range(-6, 7):
-                assert pf.coefficient(m, n) == fourier_coefficient(
+                assert (depth * s[m + 6]) * s[n + 6] == fourier_coefficient(
                     bands_lattice, m, n
                 )
-
-    def test_out_of_table_computed_on_demand(self, bands_lattice):
-        pf = PatternFourier.from_lattice(bands_lattice, 2)
-        assert pf.coefficient(5, 0) == fourier_coefficient(bands_lattice, 5, 0)
-
-    def test_ensure_extends(self, bands_lattice):
-        pf = PatternFourier.from_lattice(bands_lattice, 2)
-        bigger = pf.ensure(5)
-        assert bigger.halfwidth == 5
-        assert pf.ensure(2) is pf
-
-    def test_coefficients_map(self, bands_lattice):
-        pf = PatternFourier.from_lattice(bands_lattice, 1)
-        mapping = pf.coefficients
-        assert len(mapping) == 9
-        assert mapping[(0, 0)] == pytest.approx(0.013, rel=1e-14)
-
-    def test_table_readonly(self, bands_lattice):
-        pf = PatternFourier.from_lattice(bands_lattice, 1)
-        with pytest.raises(ValueError):
-            pf.table[0, 0] = 1.0

@@ -8,7 +8,6 @@ from phczeeman import (
     BlochState,
     ComputationError,
     ExperimentConfig,
-    PatternFourier,
     RotationSpec,
     ValidationError,
     build_kpath,
@@ -94,41 +93,30 @@ class TestBuildHamiltonian:
     def test_empty_lattice_diagonal(self, bands_lattice, bands_dp):
         lattice = replace(bands_lattice, dphi=0.0)
         basis = reciprocal_basis(3, lattice.pitch)
-        pf = PatternFourier.from_lattice(lattice, 6)
-        h = _problem(bands_dp, pf, basis).hamiltonian(0.0, 0.0)
+        h = _problem(lattice, basis).hamiltonian(0.0, 0.0)
         off = h - np.diag(np.diag(h))
         assert np.all(off == 0.0)
         # the G = 0 diagonal entry at k = 0 is the carrier frequency
         i0 = [(rv.m, rv.n) for rv in basis].index((0, 0))
         assert bands_dp.omega0 + h[i0, i0] == bands_dp.omega0
 
-    def test_potential_element_at_t(self, bands_lattice, bands_dp):
+    def test_potential_element_at_t(self, bands_lattice):
         basis = reciprocal_basis(7, bands_lattice.pitch)
-        pf = PatternFourier.from_lattice(bands_lattice, 14)
         kt = named_kpoint("T", bands_lattice.pitch)
-        h = _problem(bands_dp, pf, basis).hamiltonian(*kt)
+        h = _problem(bands_lattice, basis).hamiltonian(*kt)
         pairs = [(rv.m, rv.n) for rv in basis]
         i, j = pairs.index((0, 0)), pairs.index((1, 0))
         # frozen: -v_prefactor * phi_{1,0} from high-precision evaluation
         assert h[i, j] == pytest.approx(-458288227774.01698, rel=1e-12)
 
-    def test_symmetric_for_random_k(self, bands_lattice, bands_dp):
+    def test_symmetric_for_random_k(self, bands_lattice):
         rng = np.random.default_rng(3)
         basis = reciprocal_basis(4, bands_lattice.pitch)
-        pf = PatternFourier.from_lattice(bands_lattice, 8)
-        problem = _problem(bands_dp, pf, basis)
+        problem = _problem(bands_lattice, basis)
         for _ in range(3):
             k = rng.uniform(-1, 1, size=2) * math.pi / bands_lattice.pitch
             h = problem.hamiltonian(*k)
             assert np.array_equal(h, h.T)
-
-    def test_small_table_extended_on_demand(self, bands_lattice, bands_dp):
-        basis = reciprocal_basis(3, bands_lattice.pitch)
-        pf_small = PatternFourier.from_lattice(bands_lattice, 1)
-        pf_full = PatternFourier.from_lattice(bands_lattice, 6)
-        a = _problem(bands_dp, pf_small, basis).hamiltonian(0.0, 0.0)
-        b = _problem(bands_dp, pf_full, basis).hamiltonian(0.0, 0.0)
-        assert np.array_equal(a, b)
 
 
 class TestSolveBands:
@@ -146,11 +134,9 @@ class TestSolveBands:
                            rtol=1e-12)
 
     def test_empty_lattice_folding_oracle_generic_k(self, empty_config):
-        dp = derive_params(empty_config.lattice)
         basis = reciprocal_basis(7, empty_config.lattice.pitch)
-        pf = PatternFourier.from_lattice(empty_config.lattice, 14)
         kx, ky = 0.3 * math.pi / 4e-6, 0.15 * math.pi / 4e-6
-        w, _ = _solve_refined(_problem(dp, pf, basis), kx, ky, 8)
+        w, _ = _solve_refined(_problem(empty_config.lattice, basis), kx, ky, 8)
         oracle = folded_free_bands(empty_config.lattice, kx, ky, 7, 8)
         assert np.allclose(w, oracle, rtol=1e-12)
 
@@ -200,12 +186,10 @@ class TestSolveBands:
             assert w == sorted(w)
 
     def test_c4v_spectrum_invariance(self, bands_config):
-        dp = derive_params(bands_config.lattice)
         basis = reciprocal_basis(5, bands_config.lattice.pitch)
-        pf = PatternFourier.from_lattice(bands_config.lattice, 10)
         rng = np.random.default_rng(5)
         kx, ky = rng.uniform(0.05, 0.45, size=2) * math.pi / 4e-6
-        problem = _problem(dp, pf, basis)
+        problem = _problem(bands_config.lattice, basis)
         w0, _ = _solve_refined(problem, kx, ky, 6)
         for kim in ((ky, kx), (-kx, ky), (kx, -ky), (-ky, -kx)):
             wi, _ = _solve_refined(problem, kim[0], kim[1], 6)
@@ -246,10 +230,9 @@ class TestSolveBands:
 class TestProblem:
     """The per-basis problem: potential built once, H fresh at each k."""
 
-    def test_hamiltonian_is_fresh(self, bands_lattice, bands_dp):
+    def test_hamiltonian_is_fresh(self, bands_lattice):
         basis = tuple(reciprocal_basis(3, bands_lattice.pitch))
-        pf = PatternFourier.from_lattice(bands_lattice, 6)
-        problem = _problem(bands_dp, pf, basis)
+        problem = _problem(bands_lattice, basis)
         kx, ky = named_kpoint("T", bands_lattice.pitch)
         first = problem.hamiltonian(kx, ky)
         expected = first.copy()
@@ -268,9 +251,8 @@ class TestEigenpairContract:
     @pytest.mark.parametrize("node", ["G", "Z", "T"])
     def test_refined_pairs(self, bands_lattice, bands_dp, window, node):
         basis = tuple(window(7, bands_lattice.pitch))
-        pf = PatternFourier.from_lattice(bands_lattice, 16)
         kx, ky = named_kpoint(node, bands_lattice.pitch)
-        problem = _problem(bands_dp, pf, basis)
+        problem = _problem(bands_lattice, basis)
         w, v = _solve_refined(problem, kx, ky, 8)
         h = problem.hamiltonian(kx, ky)
         residual = np.max(np.linalg.norm(h @ v - v * (w - bands_dp.omega0),
@@ -285,9 +267,7 @@ class TestTPointSectors:
 
     @staticmethod
     def _hamiltonian(config, analysis):
-        dp = derive_params(config.lattice)
-        pf = PatternFourier.from_lattice(config.lattice, 16)
-        return _problem(dp, pf, analysis.basis).hamiltonian(
+        return _problem(config.lattice, analysis.basis).hamiltonian(
             *named_kpoint("T", config.lattice.pitch))
 
     @pytest.mark.parametrize("halfwidth", [3, 7, 14])
@@ -354,11 +334,10 @@ class TestTPointSectors:
             assert type(lab) is str  # reaches report.json through repr
         assert np.all(analysis.vectors[pos[0, 0]] >= 0.0)
 
-    def test_fold_lift_gives_eigenvectors(self, bands_lattice, bands_dp):
+    def test_fold_lift_gives_eigenvectors(self, bands_lattice):
         # the x <-> y fold of the symmetric window has fixed waves (m == n)
         basis = tuple(reciprocal_basis(3, bands_lattice.pitch))
-        pf = PatternFourier.from_lattice(bands_lattice, 6)
-        problem = _problem(bands_dp, pf, basis)
+        problem = _problem(bands_lattice, basis)
         kx = 0.3 * math.pi / bands_lattice.pitch
         h = problem.hamiltonian(kx, kx)
         fold = problem.diagonal
@@ -394,9 +373,7 @@ class TestFrequencyOnlyInterior:
 
     def test_interior_omegas_match_refined_solve(self, small_path):
         cfg = small_path.config
-        dp = derive_params(cfg.lattice)
-        pf = PatternFourier.from_lattice(cfg.lattice, 2 * cfg.basis_halfwidth)
-        problem = _problem(dp, pf, small_path.basis)
+        problem = _problem(cfg.lattice, small_path.basis)
         for kp_pt, row in zip(small_path.kpoints, small_path.states):
             if kp_pt.label:
                 continue
@@ -408,9 +385,8 @@ class TestFrequencyOnlyInterior:
     def test_profile_and_fields_reject_interior_state(self, small_path,
                                                       bands_dp):
         state = small_path.states[1][0]
-        pf = PatternFourier.from_lattice(small_path.config.lattice, 8)
         with pytest.raises(ValidationError, match="no coefficients"):
-            longitudinal_profile(state, pf)
+            longitudinal_profile(state, small_path.config.lattice)
         with pytest.raises(ValidationError, match="no coefficients"):
             reconstruct_fields(state, bands_dp, RotationSpec(0.0), (1.0, 0.0),
                                [[0.0, 0.0, 0.0]])
@@ -434,8 +410,7 @@ class TestMirrorBlockedSolve:
     def test_blocked_omegas_match_dense(self, bands_lattice, bands_dp,
                                         halfwidth):
         basis = tuple(reciprocal_basis(halfwidth, bands_lattice.pitch))
-        pf = PatternFourier.from_lattice(bands_lattice, 2 * halfwidth)
-        problem = _problem(bands_dp, pf, basis)
+        problem = _problem(bands_lattice, basis)
         kpts = [kp for kp in build_kpath(("G", "Z", "T", "G"),
                                          bands_lattice.pitch, 4)
                 if not kp.label and (kp.ky == 0.0 or kp.kx == kp.ky)]
@@ -449,10 +424,9 @@ class TestMirrorBlockedSolve:
                 1e-12 * np.linalg.norm(h))
 
     @pytest.mark.parametrize("halfwidth", [2, 3, 7])
-    def test_block_sizes(self, bands_lattice, bands_dp, halfwidth):
+    def test_block_sizes(self, bands_lattice, halfwidth):
         basis = reciprocal_basis(halfwidth, bands_lattice.pitch)
-        pf = PatternFourier.from_lattice(bands_lattice, 2 * halfwidth)
-        problem = _problem(bands_dp, pf, basis)
+        problem = _problem(bands_lattice, basis)
         for fold in (problem.along_x, problem.diagonal):
             even, odd = fold.even.size, fold.odd.size
             assert even == (halfwidth + 1) * (2 * halfwidth + 1)
@@ -460,11 +434,10 @@ class TestMirrorBlockedSolve:
             assert even + odd == (2 * halfwidth + 1) ** 2
 
     @pytest.mark.parametrize("kx_frac,ky_frac", [(0.3, 0.0), (0.3, 0.3)])
-    def test_block_solves_reach_eigvalsh(self, bands_lattice, bands_dp,
-                                         monkeypatch, kx_frac, ky_frac):
+    def test_block_solves_reach_eigvalsh(self, bands_lattice, monkeypatch,
+                                         kx_frac, ky_frac):
         basis = tuple(reciprocal_basis(7, bands_lattice.pitch))
-        pf = PatternFourier.from_lattice(bands_lattice, 14)
-        problem = _problem(bands_dp, pf, basis)
+        problem = _problem(bands_lattice, basis)
         shapes = _record_shapes(monkeypatch, "eigvalsh")
         kx = 2 * math.pi * kx_frac / bands_lattice.pitch
         ky = 2 * math.pi * ky_frac / bands_lattice.pitch
@@ -474,10 +447,9 @@ class TestMirrorBlockedSolve:
     @pytest.mark.parametrize("nodes,mirror", [
         (("Z", "G"), "along_x"), (("G", "T"), "diagonal"), (("T", "Z"), None),
     ])
-    def test_user_path_mirror(self, bands_lattice, bands_dp, nodes, mirror):
+    def test_user_path_mirror(self, bands_lattice, nodes, mirror):
         basis = reciprocal_basis(3, bands_lattice.pitch)
-        pf = PatternFourier.from_lattice(bands_lattice, 6)
-        problem = _problem(bands_dp, pf, basis)
+        problem = _problem(bands_lattice, basis)
         expected = None if mirror is None else getattr(problem, mirror)
         interior = [kp for kp in build_kpath(nodes, bands_lattice.pitch, 4)
                     if not kp.label]
@@ -489,8 +461,7 @@ class TestMirrorBlockedSolve:
                                                 bands_dp, monkeypatch):
         # n -> -n maps the window [-h-1, h] onto [-h, h+1]: not closed
         basis = tuple(t_centered_basis(3, bands_lattice.pitch))
-        pf = PatternFourier.from_lattice(bands_lattice, 8)
-        problem = _problem(bands_dp, pf, basis)
+        problem = _problem(bands_lattice, basis)
         assert problem.along_x is None
         assert problem.diagonal is not None
         kx = 0.6 * math.pi / bands_lattice.pitch
@@ -590,7 +561,6 @@ class TestEffectiveMass:
         dp = derive_params(empty_config.lattice)
         pitch = empty_config.lattice.pitch
         basis = reciprocal_basis(5, pitch)
-        pf = PatternFourier.from_lattice(empty_config.lattice, 10)
         kt = named_kpoint("T", pitch)
         pos = [(rv.m, rv.n) for rv in basis].index((0, 0))
         coeffs = np.zeros(len(basis), dtype=complex)
@@ -599,7 +569,7 @@ class TestEffectiveMass:
                          omega=dp.omega0 + 1.0, coefficients=coeffs,
                          basis=tuple(basis))
 
-        problem = _problem(dp, pf, basis)
+        problem = _problem(empty_config.lattice, basis)
 
         def solver(kx, ky):
             return _solve_refined(problem, kx, ky, 8)
@@ -632,22 +602,20 @@ class TestEffectiveMass:
 class TestLongitudinalProfile:
     def test_uniform_state_alpha_is_mean(self, bands_lattice, bands_dp):
         basis = tuple(reciprocal_basis(3, bands_lattice.pitch))
-        pf = PatternFourier.from_lattice(bands_lattice, 6)
         pos = [(rv.m, rv.n) for rv in basis].index((0, 0))
         coeffs = np.zeros(len(basis), dtype=complex)
         coeffs[pos] = 1.0
         state = BlochState(band_index=0, k_perp=(0.0, 0.0),
                            omega=bands_dp.omega0, coefficients=coeffs,
                            basis=basis)
-        profile = longitudinal_profile(state, pf)
+        profile = longitudinal_profile(state, bands_lattice)
         assert profile.alpha == pytest.approx(0.013, rel=1e-12)
 
     def test_ground_state_alpha_bounds(self, bands_config):
         cfg = replace(bands_config, kpath=("G",), samples_per_segment=1)
         bs = solve_bands(cfg)
         ground = bs.states[0][0]
-        pf = PatternFourier.from_lattice(cfg.lattice, 14)
-        profile = longitudinal_profile(ground, pf)
+        profile = longitudinal_profile(ground, cfg.lattice)
         mean = cfg.lattice.dphi * cfg.lattice.fill_factor
         assert mean < profile.alpha < cfg.lattice.dphi
 
@@ -655,35 +623,43 @@ class TestLongitudinalProfile:
         cfg = replace(bands_config, kpath=("G",), samples_per_segment=1,
                       basis_halfwidth=4)
         bs = solve_bands(cfg)
-        pf = PatternFourier.from_lattice(cfg.lattice, 8)
-        profile = longitudinal_profile(bs.states[0][0], pf, samples=512)
+        profile = longitudinal_profile(bs.states[0][0], cfg.lattice, samples=512)
         assert np.max(np.abs(np.abs(1 + profile.eta_samples) - 1)) <= 1e-12
 
     def test_gauge_invariance(self, bands_lattice, bands_dp):
         basis = tuple(reciprocal_basis(2, bands_lattice.pitch))
-        pf = PatternFourier.from_lattice(bands_lattice, 4)
         rng = np.random.default_rng(8)
         raw = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
         raw /= np.linalg.norm(raw)
         st1 = BlochState(0, (0.0, 0.0), bands_dp.omega0, raw, basis)
         st2 = BlochState(0, (0.0, 0.0), bands_dp.omega0,
                          raw * np.exp(1j * 0.7), basis)
-        a1 = longitudinal_profile(st1, pf).alpha
-        a2 = longitudinal_profile(st2, pf).alpha
+        a1 = longitudinal_profile(st1, bands_lattice).alpha
+        a2 = longitudinal_profile(st2, bands_lattice).alpha
         assert a1 == pytest.approx(a2, rel=1e-12)
         assert np.isreal(a1)
 
     def test_periodic_increments_cancel(self, bands_lattice, bands_dp):
         basis = tuple(reciprocal_basis(2, bands_lattice.pitch))
-        pf = PatternFourier.from_lattice(bands_lattice, 4)
         pos = [(rv.m, rv.n) for rv in basis].index((0, 0))
         coeffs = np.zeros(len(basis), dtype=complex)
         coeffs[pos] = 1.0
         state = BlochState(0, (0.0, 0.0), bands_dp.omega0, coeffs, basis)
-        profile = longitudinal_profile(state, pf, samples=256)
+        profile = longitudinal_profile(state, bands_lattice, samples=256)
         eta = profile.eta_samples
         wrapped = np.sum(np.diff(np.concatenate([eta, eta[:1]])))
         assert abs(wrapped) < 1e-14
+
+    def test_shuffled_basis_rejected(self, bands_lattice, bands_dp):
+        # the potential is built as S ⊗ S, which holds only on the m-major
+        # square window; a permuted basis must not be silently mis-assembled
+        basis = list(reciprocal_basis(2, bands_lattice.pitch))
+        np.random.default_rng(4).shuffle(basis)
+        coeffs = np.full(len(basis), 1.0 / math.sqrt(len(basis)), dtype=complex)
+        state = BlochState(0, (0.0, 0.0), bands_dp.omega0, coeffs,
+                           tuple(basis))
+        with pytest.raises(ValidationError, match="square window"):
+            longitudinal_profile(state, bands_lattice)
 
 
 class TestReconstructFields:
