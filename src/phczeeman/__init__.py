@@ -45,7 +45,6 @@ from .planewave import (
     build_kpath,
     classify_t_states,
     cluster_degenerate,
-    effective_mass_fd,
     longitudinal_profile,
     named_kpoint,
     opw_mass_at_t,
@@ -78,7 +77,7 @@ __all__ = [
     "KPathPoint", "TPointAnalysis", "named_kpoint", "build_kpath",
     "solve_bands", "cluster_degenerate", "classify_t_states",
     "t_point_analysis",
-    "perturbative_edges", "effective_mass_fd", "opw_mass_at_t",
+    "perturbative_edges", "opw_mass_at_t",
     "longitudinal_profile", "reconstruct_fields",
     "KpModel", "KpSpectrum", "kp_from_opw", "build_kp_hamiltonian",
     "kp_bands", "zeeman_splittings_at_T", "fsum_fd_masses",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import replace
@@ -22,6 +23,7 @@ from . import zeeman as zm
 from .core import (
     MAX_FOURIER_HALFWIDTH,
     MAX_SAMPLES_PER_SEGMENT,
+    MAX_SWEEP_POINTS,
     ComputationError,
     ConfigError,
     ExperimentConfig,
@@ -98,10 +100,8 @@ def _build_each(build, values, what: str) -> list:
 
 
 def _derived_paths(base: str, tags) -> dict[str, str]:
-    stem, dot, ext = base.rpartition(".")
-    if not dot:
-        stem, ext = base, "csv"
-    return {tag: f"{stem}_{tag}.{ext}" for tag in tags}
+    stem, ext = os.path.splitext(base)
+    return {tag: f"{stem}_{tag}{ext or '.csv'}" for tag in tags}
 
 
 # --------------------------------------------------------------------------
@@ -165,7 +165,7 @@ plot {plots}
 
 
 def _emit_plotscript(csv_path: str, kind: str) -> str:
-    gp_path = csv_path.rsplit(".", 1)[0] + ".gp"
+    gp_path = os.path.splitext(csv_path)[0] + ".gp"
     if kind == "bands":
         body = _PLOT_TEMPLATE.format(
             xlabel="path position (rad/m)", ylabel="detuning (GHz)",
@@ -284,8 +284,10 @@ def _sweep_lattice(base, param: str, value: float):
 
 def cmd_sweep(args) -> int:
     config = _read_config(args.config)
-    if args.points < 2:
-        raise ConfigError("--points must be >= 2")
+    if not 2 <= args.points <= MAX_SWEEP_POINTS:
+        raise ConfigError(
+            f"--points must be in [2, {MAX_SWEEP_POINTS}], got {args.points}"
+        )
     # validate both bounds before any computation; the sweep below warns
     # for them if they are out of regime
     with warnings.catch_warnings():
@@ -586,7 +588,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--from", dest="sweep_from", type=float, required=True,
                          help="start value (pitch in um)")
     p_sweep.add_argument("--to", dest="sweep_to", type=float, required=True)
-    p_sweep.add_argument("--points", type=int, default=25)
+    p_sweep.add_argument("--points", type=int, default=25,
+                         help=f"number of values (2 to {MAX_SWEEP_POINTS})")
     p_sweep.add_argument("--log", action="store_true",
                          help="logarithmic spacing")
     p_sweep.add_argument("--emit-plotscript", action="store_true")

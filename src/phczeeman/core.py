@@ -220,6 +220,9 @@ DEFAULT_SAMPLES_PER_SEGMENT = 40
 # Most samples per k-path segment: each sample is one dense eigensolve, so a
 # three-segment path at the cap is 30001 solves.
 MAX_SAMPLES_PER_SEGMENT = 10_000
+# Most values in one sweep: each is a row of closed forms, so the cap only
+# stops a typo from building a grid of that many specs.
+MAX_SWEEP_POINTS = 100_000
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from .core import (
     derive_params,
     eigh,
 )
-from .planewave import richardson_second_derivative
 from .zeeman import m_closed_form
 
 KP_VALIDITY_FRACTION = 0.5  # of pi/pitch; beyond is extrapolation
@@ -232,6 +231,18 @@ def fsum_target_masses(model: KpModel) -> tuple[float, float]:
         model.m0 / (1.0 - 2.0 * model.m_plus),
         model.m0 / (1.0 + 2.0 * model.m_minus),
     )
+
+
+def richardson_second_derivative(f, h: float, levels: int = 1) -> float:
+    """Central second difference at 0, Richardson-extrapolated ``levels`` times."""
+    f0 = f(0.0)
+    steps = [h / 2 ** j for j in range(levels + 1)]
+    ds = [(f(hh) - 2.0 * f0 + f(-hh)) / hh ** 2 for hh in steps]
+    for lev in range(1, levels + 1):
+        factor = 4.0 ** lev
+        ds = [(factor * ds[j + 1] - ds[j]) / (factor - 1.0)
+              for j in range(len(ds) - 1)]
+    return ds[0]
 
 
 def fsum_fd_masses(model: KpModel, step: float | None = None,

@@ -4,9 +4,9 @@ Solves the transverse eigenproblem (rotation off: the rotation term involves
 the position operator, which is unbounded on a periodic system, and is
 handled perturbatively by the k.p and zeeman modules instead). Produces band
 structures along named k-paths, classifies the Brillouin-zone-corner (T)
-states by their C4v representation, extracts band edges and effective
-masses, and evaluates the longitudinal Bloch factor and the paraxial field
-reconstruction.
+states by their C4v representation, extracts band edges and the curvature
+masses of the nondegenerate edges, and evaluates the longitudinal Bloch
+factor and the paraxial field reconstruction.
 
 Numerical notes: the eigenproblem is assembled and solved in detuning units
 (carrier frequency subtracted from the diagonal). The pattern term
@@ -25,7 +25,8 @@ window is not closed. The T point itself is analysed on the corner window,
 which is closed under the whole C4v little group of T: H is solved there in
 its exact parity sectors (see ``t_point_analysis``), so the degenerate pair
 comes out exactly degenerate and every state's label is the sector it was
-solved in.
+solved in. The S and XY edge masses are the exact second-order k.p sums over
+the (x-odd, y-even) sector, the only one kappa_x S and kappa_y XY reach.
 """
 from __future__ import annotations
 
@@ -259,6 +260,17 @@ class _MirrorFold:
         pair = math.sqrt(0.5) * u[n_fixed:]
         out[src[n_fixed:]] = pair
         out[image[n_fixed:]] = -pair if odd else pair
+        return out
+
+    def gather(self, f: np.ndarray, odd: bool = False) -> np.ndarray:
+        """The adjoint of ``lift``: ``f`` over the folded waves in even (or
+        odd) block coordinates, f[f] on a fixed wave and (f[p] +- f[R p]) /
+        sqrt(2) on a pair."""
+        src, image = (self.odd, self.odd_image) if odd else (self.even,
+                                                             self.even_image)
+        out = math.sqrt(0.5) * (f[src] - f[image] if odd else f[src] + f[image])
+        if not odd:
+            out[:self.n_fixed] *= math.sqrt(0.5)
         return out
 
 
@@ -526,6 +538,10 @@ class TPointAnalysis:
     ``labels`` each group's common sector (``unclassified`` when a group
     mixes sectors or lies in one of the two sectors without a corner
     channel). ``edges`` are the lowest S, (X, Y) and XY sector omegas.
+    ``masses`` maps LABEL_S and LABEL_XY to the curvature mass
+    hbar / (d^2 omega / dk^2) of that label's first group, for each label
+    whose first group is a single state; a nondegenerate state at T has an
+    isotropic mass.
     """
 
     omegas: np.ndarray
@@ -534,6 +550,7 @@ class TPointAnalysis:
     groups: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
     edges: tuple[float, float, float]  # (omega_T5, omega_T1, omega_T5p)
+    masses: dict[str, float]
 
     def group_of(self, label: str) -> tuple[int, ...]:
         for grp, lab in zip(self.groups, self.labels):
@@ -558,12 +575,21 @@ def t_point_analysis(config: ExperimentConfig,
     pair is an (x-odd, y-even) state and its x <-> y image, so it is exactly
     degenerate and already in its parity members, x member first. Vectors
     take the sign that makes their (0, 0) coefficient non-negative.
+
+    The S and XY edge masses come from the second-order k.p sum (Luttinger
+    and Kohn, Phys. Rev. 97, 869 (1955)); H(k) is quadratic in k, so for a
+    nondegenerate state n it is exact:
+    d^2 omega_n / dk^2 = hbar/m0 + 2 sum_m |<m|hbar kappa/m0|n>|^2 / (w_n - w_m),
+    with kappa = k + G along the step. kappa_x maps S, and kappa_y maps XY,
+    into the (x-odd, y-even) sector, so the sum runs over that sector's whole
+    spectrum, reached through the adjoint of its lift.
     """
     hw = halfwidth if halfwidth is not None else config.basis_halfwidth
     basis = tuple(t_centered_basis(hw, config.lattice.pitch))
     kt = named_kpoint("T", config.lattice.pitch)
     problem = _problem(config.lattice, basis)
-    omega0, h = problem.omega0, problem.hamiltonian(kt[0], kt[1])
+    omega0, m0, h = problem.omega0, problem.m0, problem.hamiltonian(kt[0], kt[1])
+    kappa = {LABEL_S: kt[0] + problem.gx, LABEL_XY: kt[1] + problem.gy}
     del problem  # frees the potential before the folds copy blocks of h
 
     waves = [(rv.m, rv.n) for rv in basis]
@@ -593,7 +619,8 @@ def t_point_analysis(config: ExperimentConfig,
     xy_states = solve(xy_block, lambda u: unfold_axes(fold_d.lift(u), True, True))
     xy_partner_states = solve(
         xy_partner, lambda u: unfold_axes(fold_d.lift(u, True), True, True))
-    x_states = solve(odd_even, lambda u: unfold_axes(u, True, False))
+    w_x, u_x = _lapack(np.linalg.eigh, odd_even)  # whole, for the masses
+    x_states = (w_x[:n_bands], unfold_axes(u_x[:, :n_bands], True, False))
     pos = {wave: i for i, wave in enumerate(waves)}
     swap = [pos[n, m] for m, n in waves]
     y_states = (x_states[0], x_states[1][swap])
@@ -614,11 +641,41 @@ def t_point_analysis(config: ExperimentConfig,
         labels.append(members.pop() if len(members) == 1 else LABEL_NONE)
     edges = tuple(float(omega0 + sec[0][0])
                   for sec in (s_states, x_states, xy_states))
+    masses = {}
+    for lab, kap in kappa.items():
+        grp = next((g for g, g_lab in zip(groups, labels) if g_lab == lab), ())
+        if len(grp) == 1:
+            i = grp[0]
+            coupling = u_x.T @ fold_y.gather(fold_x.gather(kap * v[:, i], True))
+            k2_sum = float(np.sum(coupling ** 2 / (w[order[i]] - w_x)))
+            masses[lab] = m0 / (1.0 + 2.0 * HBAR / m0 * k2_sum)
     return TPointAnalysis(
         omegas=omegas, vectors=v, basis=basis,
         groups=tuple(tuple(g) for g in groups), labels=tuple(labels),
-        edges=edges,
+        edges=edges, masses=masses,
     )
+
+
+def opw_mass_at_t(config: ExperimentConfig, edge_label: str,
+                  analysis: TPointAnalysis | None = None) -> float:
+    """Curvature mass of a nondegenerate T edge (S or XY), from
+    ``analysis.masses`` (see ``t_point_analysis``); ``analysis`` is computed
+    from ``config`` when None."""
+    if analysis is None:
+        analysis = t_point_analysis(config)
+    grp = analysis.group_of(edge_label)
+    if len(grp) != 1:
+        raise ComputationError(
+            f"edge {edge_label} is degenerate; the curvature mass needs a "
+            "nondegenerate band"
+        )
+    try:
+        return analysis.masses[edge_label]
+    except KeyError:
+        raise ComputationError(
+            f"no curvature mass for edge {edge_label}; only the S and XY "
+            "edges have one"
+        ) from None
 
 
 def perturbative_edges(lattice: LatticeSpec) -> tuple[float, float, float]:
@@ -639,91 +696,6 @@ def perturbative_edges(lattice: LatticeSpec) -> tuple[float, float, float]:
         free_t - depth * (1.0 - s * s),
         free_t - depth * (1.0 - s) ** 2,
     )
-
-
-# --------------------------------------------------------------------------
-# effective mass
-
-def richardson_second_derivative(f, h: float, levels: int = 1) -> float:
-    """Central second difference at 0, Richardson-extrapolated ``levels`` times."""
-    f0 = f(0.0)
-    steps = [h / 2 ** j for j in range(levels + 1)]
-    ds = [(f(hh) - 2.0 * f0 + f(-hh)) / hh ** 2 for hh in steps]
-    for lev in range(1, levels + 1):
-        factor = 4.0 ** lev
-        ds = [(factor * ds[j + 1] - ds[j]) / (factor - 1.0)
-              for j in range(len(ds) - 1)]
-    return ds[0]
-
-
-def effective_mass_fd(solver, reference: BlochState, direction,
-                      step: float, richardson_levels: int = 1) -> float:
-    """Effective mass of one band at the reference state's k-point.
-
-    ``solver(kx, ky) -> (omegas, vectors)`` with vectors in the reference
-    basis; the band is followed through the stencil by eigenvector overlap
-    with the reference state, so it survives reordering against other bands.
-    Mass is hbar / (d^2 omega / dk^2), central difference of step ``step``
-    with Richardson extrapolation over step halvings.
-    """
-    d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
-    k0 = np.asarray(reference.k_perp, dtype=float)
-    ref = _state_vector(reference)
-
-    def omega_at(t: float) -> float:
-        w, v = solver(k0[0] + t * d[0], k0[1] + t * d[1])
-        ov = np.abs(v.conj().T @ ref) ** 2
-        order = np.argsort(ov)
-        best = order[-1]
-        if ov[best] < 0.5:
-            raise ComputationError(
-                "band tracking lost the reference state (best overlap "
-                f"{ov[best]:.3f}); degenerate band crossing within the "
-                "stencil -- reduce the step or use the k.p route"
-            )
-        if ov.size > 1 and ov[best] - ov[order[-2]] < 0.1:
-            raise ComputationError(
-                "ambiguous band tracking inside the stencil (overlap tie); "
-                "degenerate band crossing -- reduce the step or use the k.p "
-                "route"
-            )
-        return float(w[best])
-
-    curvature = richardson_second_derivative(omega_at, step, richardson_levels)
-    return HBAR / curvature
-
-
-def opw_mass_at_t(config: ExperimentConfig, edge_label: str,
-                  direction=(1.0, 0.0), step: float | None = None,
-                  analysis: TPointAnalysis | None = None,
-                  richardson_levels: int = 1) -> float:
-    """Finite-difference mass of a classified nondegenerate T edge (S or XY)."""
-    if analysis is None:
-        analysis = t_point_analysis(config)
-    grp = analysis.group_of(edge_label)
-    if len(grp) != 1:
-        raise ComputationError(
-            f"edge {edge_label} is degenerate; finite-difference mass needs "
-            "a nondegenerate band"
-        )
-    kt = named_kpoint("T", config.lattice.pitch)
-    idx = grp[0]
-    reference = BlochState(
-        band_index=idx, k_perp=kt, omega=float(analysis.omegas[idx]),
-        coefficients=analysis.vectors[:, idx].astype(complex),
-        basis=analysis.basis,
-    )
-    n_bands = analysis.omegas.size
-    problem = _problem(config.lattice, analysis.basis)
-
-    def solver(kx, ky):
-        return _solve_refined(problem, kx, ky, n_bands)
-
-    if step is None:
-        step = 1e-3 * math.pi / config.lattice.pitch
-    return effective_mass_fd(solver, reference, direction, step,
-                             richardson_levels)
 
 
 # --------------------------------------------------------------------------

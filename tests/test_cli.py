@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from phczeeman.cli import main
-from phczeeman.core import MAX_FOURIER_HALFWIDTH, MAX_SAMPLES_PER_SEGMENT
+from phczeeman.core import (
+    MAX_FOURIER_HALFWIDTH, MAX_SAMPLES_PER_SEGMENT, MAX_SWEEP_POINTS,
+)
 from oracles import folded_free_bands
 from phczeeman import LatticeSpec
 
@@ -137,6 +139,36 @@ class TestBandsCommand:
                    "--samples", "2", "--emit-plotscript"])
         assert rc == 0
         assert (tmp_path / "bands.gp").exists()
+
+    @pytest.mark.parametrize("name, derived", [
+        ("bands.csv", "bands_{}.csv"), ("bands", "bands_{}.csv"),
+        ("a.b.csv", "a.b_{}.csv"), ("res.v2/bands", "res.v2/bands_{}.csv"),
+        ("res.v2/bands.txt", "res.v2/bands_{}.txt"),
+    ])
+    def test_model_both_paths(self, bands_cfg_file, tmp_path, capsys, name,
+                              derived):
+        (tmp_path / "res.v2").mkdir()
+        rc = main(["bands", bands_cfg_file, "-o", str(tmp_path / name),
+                   "--kpath", "Z:T", "--samples", "2", "--model", "both"])
+        assert rc == 0
+        expected = [str(tmp_path / derived.format(tag))
+                    for tag in ("opw", "kp", "diff")]
+        assert capsys.readouterr().out.split() == expected
+        assert all((tmp_path / derived.format(tag)).exists()
+                   for tag in ("opw", "kp", "diff"))
+
+    def test_plotscripts_in_dotted_directory(self, bands_cfg_file,
+                                             weak_cfg_file, tmp_path):
+        (tmp_path / "res.v2").mkdir()
+        assert main(["bands", bands_cfg_file, "-o",
+                     str(tmp_path / "res.v2" / "bands"), "--kpath", "Z:T",
+                     "--samples", "2", "--emit-plotscript"]) == 0
+        assert main(["split", weak_cfg_file, "-o",
+                     str(tmp_path / "res.v2" / "split"),
+                     "--emit-plotscript"]) == 0
+        assert sorted(p.name for p in (tmp_path / "res.v2").iterdir()) == [
+            "bands", "bands.gp", "split", "split.gp"]
+        assert not list(tmp_path.glob("*.gp"))
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_nonpositive_samples_rejected(self, bands_cfg_file, tmp_path,
@@ -414,6 +446,17 @@ class TestResourceAndWriteErrors:
                    f"--samples={MAX_SAMPLES_PER_SEGMENT + 1}"])
         assert rc == 2
         assert "samples_per_segment must be <=" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("points", [MAX_SWEEP_POINTS + 1, 10 ** 9])
+    def test_sweep_points_above_cap(self, weak_cfg_file, tmp_path, capsys,
+                                    points):
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", weak_cfg_file, "-o", str(out), "--param", "dphi",
+                   "--from", "1e-5", "--to", "1e-2", f"--points={points}"])
+        assert rc == 2
+        assert f"--points must be in [2, {MAX_SWEEP_POINTS}]" in (
+            capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("halfwidth", [0, -3, MAX_FOURIER_HALFWIDTH + 1])

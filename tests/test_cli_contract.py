@@ -5,8 +5,9 @@ For any JSON config and any flags argparse accepts, ``main`` returns 0
 an exception escape. Generated values include NaN, infinities, huge and
 negative numbers, wrong types, bad k-path tokens and bad rate lists. Costs
 stay small: valid basis halfwidths are at most 3, valid sample counts at most
-2 and valid dump-fourier halfwidths at most 4; the larger sizes generated are
-above their caps and rejected before any work.
+2, valid dump-fourier halfwidths at most 4 and valid sweep point counts at
+most 3; the larger sizes generated are above their caps and rejected before
+any work.
 """
 import json
 import math
@@ -19,7 +20,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from phczeeman.cli import main
-from phczeeman.core import MAX_FOURIER_HALFWIDTH, MAX_SAMPLES_PER_SEGMENT
+from phczeeman.core import (
+    MAX_FOURIER_HALFWIDTH, MAX_SAMPLES_PER_SEGMENT, MAX_SWEEP_POINTS,
+)
 
 REFERENCE = {"lambda_nm": 960, "n": 3.53, "pitch_um": 4, "ff": 0.65,
              "dphi": 0.02}
@@ -105,9 +108,11 @@ def flags(draw):
     elif sub == "split":
         argv += [f"--omega-list={draw(rate_text)}"]
     elif sub == "sweep":
+        points = draw(st.sampled_from(
+            [2, 3, 1, 0, -5, MAX_SWEEP_POINTS + 1, 10 ** 9]))
         argv += ["--param", draw(st.sampled_from(["dphi", "pitch", "ff"])),
                  f"--from={draw(bound_text)}", f"--to={draw(bound_text)}",
-                 f"--points={draw(st.sampled_from([2, 3, 1, 0, -5]))}"]
+                 f"--points={points}"]
         if draw(st.booleans()):
             argv.append("--log")
     elif sub == "dump-fourier":

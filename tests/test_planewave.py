@@ -14,7 +14,6 @@ from phczeeman import (
     classify_t_states,
     cluster_degenerate,
     derive_params,
-    effective_mass_fd,
     longitudinal_profile,
     named_kpoint,
     opw_mass_at_t,
@@ -24,6 +23,7 @@ from phczeeman import (
     solve_bands,
     t_point_analysis,
 )
+from phczeeman.constants import HBAR
 from phczeeman.lattice import t_centered_basis
 from phczeeman import _kernels
 from phczeeman.planewave import (
@@ -350,6 +350,16 @@ class TestTPointSectors:
                 1e-10 * np.linalg.norm(h))
             assert np.max(np.abs(v.T @ v - np.eye(w.size))) <= 1e-12
 
+    def test_fold_gather_is_adjoint_of_lift(self, bands_lattice):
+        fold = _problem(bands_lattice,
+                        tuple(reciprocal_basis(3, bands_lattice.pitch))).diagonal
+        rng = np.random.default_rng(7)
+        f = rng.normal(size=(fold.n_fixed + 2 * fold.odd.size, 3))
+        for odd, size in ((False, fold.even.size), (True, fold.odd.size)):
+            u = rng.normal(size=(size, 4))
+            assert np.allclose(fold.lift(u, odd).T @ f,
+                               u.T @ fold.gather(f, odd), rtol=0, atol=1e-13)
+
 
 class TestFrequencyOnlyInterior:
     """Interior path points carry omegas only; named nodes keep vectors."""
@@ -556,35 +566,61 @@ class TestBandEdges:
             assert a == pytest.approx(b, rel=1e-8)
 
 
+def _fd_curvature(f, step, levels):
+    """Central second difference of f at 0, Richardson-extrapolated."""
+    f0 = f(0.0)
+    hs = [step / 2 ** j for j in range(levels + 1)]
+    ds = [(f(hh) - 2.0 * f0 + f(-hh)) / hh ** 2 for hh in hs]
+    for lev in range(1, levels + 1):
+        ds = [(4.0 ** lev * ds[j + 1] - ds[j]) / (4.0 ** lev - 1.0)
+              for j in range(len(ds) - 1)]
+    return ds[0]
+
+
 class TestEffectiveMass:
-    def test_empty_lattice_mass_is_m0(self, empty_config):
-        dp = derive_params(empty_config.lattice)
-        pitch = empty_config.lattice.pitch
-        basis = reciprocal_basis(5, pitch)
+    # Bounds are about ten times the deviations measured at h = 7: 1.1e-7
+    # at dphi 0.02 and 4.2e-7 at dphi 1e-4. The oracle's eigenvalues come
+    # from eigh: eigvalsh's carry more round-off here, which alone moves
+    # the deviations to 3.7e-7 and 1.7e-6.
+    @pytest.mark.parametrize("dphi, step_fraction, levels, bound", [
+        (0.02, 1e-3, 1, 1e-6),
+        (1e-4, 1e-4, 2, 1e-5),
+    ])
+    def test_masses_match_finite_difference_oracle(
+            self, bands_lattice, dphi, step_fraction, levels, bound):
+        """The k.p sum against the curvature of the eigenvalue nearest the
+        edge of the full corner-window H(k), along x and along (1, 1)."""
+        cfg = ExperimentConfig(lattice=replace(bands_lattice, dphi=dphi))
+        analysis = t_point_analysis(cfg)
+        pitch = cfg.lattice.pitch
+        problem = _problem(cfg.lattice, analysis.basis)
         kt = named_kpoint("T", pitch)
-        pos = [(rv.m, rv.n) for rv in basis].index((0, 0))
-        coeffs = np.zeros(len(basis), dtype=complex)
-        coeffs[pos] = 1.0
-        ref = BlochState(band_index=0, k_perp=kt,
-                         omega=dp.omega0 + 1.0, coefficients=coeffs,
-                         basis=tuple(basis))
+        step = step_fraction * math.pi / pitch
+        for label, edge in ((LABEL_S, analysis.edges[0]),
+                            (LABEL_XY, analysis.edges[2])):
+            mass = opw_mass_at_t(cfg, label, analysis=analysis)
+            detuned_edge = edge - problem.omega0
+            for d in ((1.0, 0.0), (math.sqrt(0.5), math.sqrt(0.5))):
+                def omega(t):  # detuned, as the carrier would cost digits
+                    w = np.linalg.eigh(problem.hamiltonian(
+                        kt[0] + t * d[0], kt[1] + t * d[1]))[0]
+                    return w[np.argmin(np.abs(w - detuned_edge))]
 
-        problem = _problem(empty_config.lattice, basis)
+                oracle = HBAR / _fd_curvature(omega, step, levels)
+                assert abs(mass - oracle) / abs(oracle) <= bound, (label, d)
 
-        def solver(kx, ky):
-            return _solve_refined(problem, kx, ky, 8)
+    def test_unclassified_singleton_has_no_mass(self, bands_config,
+                                                bands_t_analysis):
+        assert len(bands_t_analysis.group_of(LABEL_NONE)) == 1
+        with pytest.raises(ComputationError, match="no curvature mass"):
+            opw_mass_at_t(bands_config, LABEL_NONE, analysis=bands_t_analysis)
 
-        for direction in ((1.0, 0.0), (1.0, 1.0)):
-            mass = effective_mass_fd(solver, ref, direction,
-                                     step=1e-3 * math.pi / pitch)
-            assert mass == pytest.approx(dp.m0, rel=1e-6)
-
-    def test_direction_independence(self, bands_config, bands_t_analysis):
-        mx = opw_mass_at_t(bands_config, LABEL_S, direction=(1.0, 0.0),
-                           analysis=bands_t_analysis)
-        md = opw_mass_at_t(bands_config, LABEL_S, direction=(1.0, 1.0),
-                           analysis=bands_t_analysis)
-        assert abs(mx - md) / abs(mx) < 1e-3
+    def test_empty_lattice_mass_raises(self, empty_config):
+        analysis = t_point_analysis(empty_config)
+        assert analysis.masses == {}
+        for label in (LABEL_S, LABEL_XY):
+            with pytest.raises(ComputationError):
+                opw_mass_at_t(empty_config, label, analysis=analysis)
 
     def test_weak_lattice_s_band_strongly_inverted(self, weak_config,
                                             weak_t_analysis, weak_lattice):
@@ -593,6 +629,16 @@ class TestEffectiveMass:
         mass = opw_mass_at_t(weak_config, LABEL_S, analysis=weak_t_analysis)
         assert dp.m0 / mass == pytest.approx(1 - 2 * m_plus, rel=0.25)
         assert mass < 0  # negative curvature at the zone corner
+
+    def test_weak_lattice_orbital_parameters_match_closed_form(
+            self, weak_config, weak_t_analysis, weak_lattice):
+        # measured at h = 7: 6.2e-4 (m_plus) and 1.2e-4 (m_minus)
+        dp = derive_params(weak_lattice)
+        m_plus, m_minus = m_closed_form(weak_lattice, dp)
+        m_s = opw_mass_at_t(weak_config, LABEL_S, analysis=weak_t_analysis)
+        m_xy = opw_mass_at_t(weak_config, LABEL_XY, analysis=weak_t_analysis)
+        assert -0.5 * (dp.m0 / m_s - 1.0) == pytest.approx(m_plus, rel=1e-3)
+        assert 0.5 * (dp.m0 / m_xy - 1.0) == pytest.approx(m_minus, rel=1e-3)
 
     def test_degenerate_tracking_raises(self, bands_config, bands_t_analysis):
         with pytest.raises(ComputationError, match="degenerate"):
