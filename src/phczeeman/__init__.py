@@ -19,7 +19,6 @@ from .core import (
 from .kp import (
     KpModel,
     KpSpectrum,
-    build_kp_hamiltonian,
     fsum_fd_masses,
     fsum_target_masses,
     kp_bands,
@@ -79,9 +78,8 @@ __all__ = [
     "t_point_analysis",
     "perturbative_edges", "opw_mass_at_t",
     "longitudinal_profile", "reconstruct_fields",
-    "KpModel", "KpSpectrum", "kp_from_opw", "build_kp_hamiltonian",
-    "kp_bands", "zeeman_splittings_at_T", "fsum_fd_masses",
-    "fsum_target_masses",
+    "KpModel", "KpSpectrum", "kp_from_opw", "kp_bands",
+    "zeeman_splittings_at_T", "fsum_fd_masses", "fsum_target_masses",
     "ZeemanResult", "m_closed_form", "splittings", "spread_rms",
     "consistency_ratio", "effective_index", "zeeman_result", "pattern_sinc",
 ]

@@ -121,8 +121,7 @@ def _band_rows(bs: pw.BandStructure):
 
 def _kp_spectrum_on_path(config: ExperimentConfig, kpts) -> kpmod.KpSpectrum:
     analysis = pw.t_point_analysis(config)
-    model = kpmod.kp_from_opw(analysis.edges, config.lattice,
-                              source="closed_form")
+    model = kpmod.kp_from_opw(analysis.edges, config.lattice)
     t_pt = pw.named_kpoint("T", config.lattice.pitch)
     k_rel = np.array([[p.kx - t_pt[0], p.ky - t_pt[1]] for p in kpts])
     return kpmod.kp_bands(model, k_rel, config.rotation)
@@ -166,22 +165,24 @@ plot {plots}
 
 def _emit_plotscript(csv_path: str, kind: str) -> str:
     gp_path = os.path.splitext(csv_path)[0] + ".gp"
+    # gnuplot escapes a quote inside a single-quoted string by doubling it
+    data = "'" + csv_path.replace("'", "''") + "'"
     if kind == "bands":
         body = _PLOT_TEMPLATE.format(
             xlabel="path position (rad/m)", ylabel="detuning (GHz)",
-            plots=f"'{csv_path}' every ::1 using 2:8 with points pt 7 ps 0.3",
+            plots=f"{data} every ::1 using 2:8 with points pt 7 ps 0.3",
         )
     elif kind == "split":
         body = _PLOT_TEMPLATE.format(
             xlabel="rotation rate (rad/s)", ylabel="splitting (rad/s)",
-            plots=(f"'{csv_path}' every ::1 using 1:2 with linespoints, "
-                   f"'{csv_path}' every ::1 using 1:3 with linespoints"),
+            plots=(f"{data} every ::1 using 1:2 with linespoints, "
+                   f"{data} every ::1 using 1:3 with linespoints"),
         )
     else:
         body = _PLOT_TEMPLATE.format(
             xlabel="swept parameter", ylabel="relative splitting",
-            plots=(f"'{csv_path}' every ::1 using 1:6 with linespoints, "
-                   f"'{csv_path}' every ::1 using 1:7 with linespoints"),
+            plots=(f"{data} every ::1 using 1:6 with linespoints, "
+                   f"{data} every ::1 using 1:7 with linespoints"),
         )
     try:
         with open(gp_path, "w", encoding="utf-8", newline="") as fh:
@@ -246,8 +247,7 @@ def cmd_split(args) -> int:
     rotations = _build_each(RotationSpec, omega_list, "rotation rates")
 
     analysis = pw.t_point_analysis(config)
-    model = kpmod.kp_from_opw(analysis.edges, config.lattice,
-                              source="closed_form")
+    model = kpmod.kp_from_opw(analysis.edges, config.lattice)
 
     rows = []
     for rot in rotations:
@@ -460,7 +460,7 @@ def run_validation(config: ExperimentConfig) -> dict:
            f"gaps >= 1e6 rad/s: {gaps_ok}")
 
     # 4. k.p vs plane-wave band agreement near T
-    model = kpmod.kp_from_opw(analysis.edges, lattice, source="closed_form")
+    model = kpmod.kp_from_opw(analysis.edges, lattice)
     span = analysis.edges[2] - analysis.edges[0]
     worst_rel = _kp_vs_opw_worst(config, model, span)
     record("kp_vs_opw", "pass" if worst_rel <= 0.05 else "fail",
@@ -469,7 +469,7 @@ def run_validation(config: ExperimentConfig) -> dict:
 
     # 5. f-sum round trip on a consistent model
     edges_pt = pw.perturbative_edges(lattice)
-    model_c = kpmod.kp_from_opw(edges_pt, lattice, source="closed_form")
+    model_c = kpmod.kp_from_opw(edges_pt, lattice)
     fd = kpmod.fsum_fd_masses(model_c)
     target = kpmod.fsum_target_masses(model_c)
     rel = max(abs(fd[0] - target[0]) / abs(target[0]),

@@ -4,7 +4,9 @@ The model lives on the eight spin-orbital products of the four corner-wave
 representations; it is block-diagonal in the circular-polarization basis, a
 4x4 block per handedness. Rotation about the cavity axis enters as an exact
 perturbation whose k = 0 part is diagonal, so spin and orbital splittings
-are linear in the rotation rate to machine precision.
+are linear in the rotation rate to machine precision. Each block is
+quadratic in k and diagonal at k = 0 with rotation off, so the edge masses
+follow exactly from the second-order k.p sum over its slots.
 
 All matrices are stored in angular-frequency units (entries divided by
 hbar), matching the plane-wave solver output.
@@ -12,7 +14,6 @@ hbar), matching the plane-wave solver output.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,8 +32,6 @@ from .zeeman import m_closed_form
 
 KP_VALIDITY_FRACTION = 0.5  # of pi/pitch; beyond is extrapolation
 
-FSUM_MASS_STEP_FRACTION = 1e-4  # of pi/pitch, for the f-sum round trip
-
 
 @dataclass(frozen=True)
 class KpModel:
@@ -40,7 +39,8 @@ class KpModel:
 
     ``m_plus``/``m_minus`` are the dimensionless orbital parameters tied to
     the edge masses by the f-sum rule: m0/m_T5 = 1 - 2*m_plus and
-    m0/m_T5p = 1 + 2*m_minus (exact when built from the ``masses`` source).
+    m0/m_T5p = 1 + 2*m_minus, which ``fsum_fd_masses`` checks on the
+    model's own matrices.
     ``m_total`` = m_plus + m_minus is positive for attractive (dphi > 0)
     lattices in the perturbative regime.
     """
@@ -64,25 +64,22 @@ class KpModel:
 class KpSpectrum:
     """Eigenvalues of both blocks along a k-path measured from T.
 
-    Per k-point the eight (omega, block, eigenvector) entries are sorted by
-    omega; ``blocks`` tags the originating block (+1 upper, -1 lower).
+    Per k-point the eight (omega, block) entries are sorted by omega;
+    ``blocks`` tags the originating block (+1 upper, -1 lower).
     ``within_window`` flags points inside the k.p validity window.
     """
 
     k_rel: np.ndarray
     omegas: np.ndarray
     blocks: np.ndarray
-    vectors: np.ndarray
     within_window: np.ndarray
 
 
-def kp_from_opw(edges, lattice: LatticeSpec, source: str = "closed_form",
-                masses=None) -> KpModel:
-    """Build a KpModel from band edges plus an orbital-parameter source.
+def kp_from_opw(edges, lattice: LatticeSpec) -> KpModel:
+    """Build a KpModel from band edges and the square-pixel closed form.
 
-    ``edges`` is the (omega_T5, omega_T1, omega_T5p) triple; ``source`` is
-    ``"closed_form"`` (square-pixel analytic m_plus/m_minus) or ``"masses"``
-    with ``masses=(m_T5, m_T5p)`` mapped through the f-sum rule.
+    ``edges`` is the (omega_T5, omega_T1, omega_T5p) triple; m_plus/m_minus
+    come from the analytic closed form for ``lattice``.
     """
     w_t5, w_t1, w_t5p = (float(e) for e in edges)
     if not (w_t5 < w_t1 < w_t5p):
@@ -92,18 +89,7 @@ def kp_from_opw(edges, lattice: LatticeSpec, source: str = "closed_form",
             "undefined"
         )
     dp = derive_params(lattice)
-    if source == "closed_form":
-        m_plus, m_minus = m_closed_form(lattice, dp)
-    elif source == "masses":
-        if masses is None:
-            raise ValidationError("source='masses' requires masses=(m_T5, m_T5p)")
-        m_t5, m_t5p = masses
-        m_plus = -0.5 * (dp.m0 / m_t5 - 1.0)
-        m_minus = 0.5 * (dp.m0 / m_t5p - 1.0)
-    else:
-        raise ValidationError(
-            f"unknown source {source!r}; use 'closed_form' or 'masses'"
-        )
+    m_plus, m_minus = m_closed_form(lattice, dp)
     return KpModel(
         omega_T5=w_t5, omega_T1=w_t1, omega_T5p=w_t5p,
         p_interband=dp.p_interband, m_plus=m_plus, m_minus=m_minus,
@@ -150,24 +136,6 @@ def _block_matrices(model: KpModel, kx: float, ky: float,
     return upper, lower
 
 
-def build_kp_hamiltonian(model: KpModel, k_perp,
-                         rot: RotationSpec) -> tuple[HermitianMatrix, HermitianMatrix]:
-    """The two 4x4 blocks at k_perp (measured from T) under rotation ``rot``.
-
-    Warns outside the validity window |k| <= 0.5*pi/pitch.
-    """
-    kx, ky = float(k_perp[0]), float(k_perp[1])
-    if math.hypot(kx, ky) > KP_VALIDITY_FRACTION * math.pi / model.pitch:
-        warnings.warn(
-            "k.p evaluated outside its validity window "
-            f"(|k| > {KP_VALIDITY_FRACTION} * pi/pitch); treat as extrapolation",
-            UserWarning,
-            stacklevel=2,
-        )
-    upper, lower = _block_matrices(model, kx, ky, rot.omega_z)
-    return HermitianMatrix(upper), HermitianMatrix(lower)
-
-
 def kp_bands(model: KpModel, kpath, rot: RotationSpec) -> KpSpectrum:
     """Eight-band spectrum along a path of k-points measured from T."""
     k_rel = np.atleast_2d(np.asarray(kpath, dtype=float))
@@ -176,23 +144,20 @@ def kp_bands(model: KpModel, kpath, rot: RotationSpec) -> KpSpectrum:
     nk = k_rel.shape[0]
     omegas = np.empty((nk, 8))
     blocks = np.empty((nk, 8), dtype=int)
-    vectors = np.empty((nk, 8, 4), dtype=complex)
+    b = np.array([1, 1, 1, 1, -1, -1, -1, -1])
     window = np.empty(nk, dtype=bool)
     kmax = KP_VALIDITY_FRACTION * math.pi / model.pitch
     for i, (kx, ky) in enumerate(k_rel):
         window[i] = math.hypot(kx, ky) <= kmax
         upper, lower = _block_matrices(model, kx, ky, rot.omega_z)
-        wu, vu = eigh(HermitianMatrix(upper))
-        wl, vl = eigh(HermitianMatrix(lower))
+        wu, _ = eigh(HermitianMatrix(upper))
+        wl, _ = eigh(HermitianMatrix(lower))
         w = np.concatenate([wu, wl])
-        b = np.array([1, 1, 1, 1, -1, -1, -1, -1])
-        v = np.concatenate([vu.T, vl.T], axis=0)
         order = np.argsort(w, kind="stable")
         omegas[i] = w[order]
         blocks[i] = b[order]
-        vectors[i] = v[order]
     return KpSpectrum(k_rel=k_rel, omegas=omegas, blocks=blocks,
-                      vectors=vectors, within_window=window)
+                      within_window=window)
 
 
 def zeeman_splittings_at_T(model: KpModel,
@@ -233,49 +198,26 @@ def fsum_target_masses(model: KpModel) -> tuple[float, float]:
     )
 
 
-def richardson_second_derivative(f, h: float, levels: int = 1) -> float:
-    """Central second difference at 0, Richardson-extrapolated ``levels`` times."""
-    f0 = f(0.0)
-    steps = [h / 2 ** j for j in range(levels + 1)]
-    ds = [(f(hh) - 2.0 * f0 + f(-hh)) / hh ** 2 for hh in steps]
-    for lev in range(1, levels + 1):
-        factor = 4.0 ** lev
-        ds = [(factor * ds[j + 1] - ds[j]) / (factor - 1.0)
-              for j in range(len(ds) - 1)]
-    return ds[0]
+def fsum_fd_masses(model: KpModel) -> tuple[float, float]:
+    """Masses of the T5 and T5' branches of the model, exact at k -> 0.
 
-
-def fsum_fd_masses(model: KpModel, step: float | None = None,
-                   richardson_levels: int = 2) -> tuple[float, float]:
-    """Finite-difference masses of the T5 and T5' branches of the model.
-
-    Curvatures are taken at k -> 0 with rotation off, on edge-shifted blocks
-    (the common offset would otherwise cost ~8 significant digits), with a
-    two-level Richardson extrapolation: a single level leaves the quartic
-    band-repulsion term visible above 1e-6 at the default step.
+    With rotation off the upper block is H(k) = H(0) + kx*V + kin(k) with
+    H(0) diagonal, so a nondegenerate slot n curves by exactly
+    hbar/m0 + 2 * sum_m |V_mn|^2 / (omega_n - omega_m) over the slots m of
+    other frequency. The couplings V (off-diagonal of H(1, 0) - H(0, 0)) and
+    the gaps are read from the model's own blocks. (The name predates the
+    exact sum; it is kept for callers that look it up by name.)
     """
-    if step is None:
-        step = FSUM_MASS_STEP_FRACTION * math.pi / model.pitch
-    shift = model.omega_T1
-    shifted = replace(
-        model,
-        omega_T5=model.omega_T5 - shift,
-        omega_T1=0.0,
-        omega_T5p=model.omega_T5p - shift,
-    )
-
-    def branch_omega(slot):
-        def f(k):
-            upper, _ = _block_matrices(shifted, k, 0.0, 0.0)
-            w, v = np.linalg.eigh(upper)
-            idx = int(np.argmax(np.abs(v[slot, :]) ** 2))
-            return float(w[idx])
-        return f
-
+    h0, _ = _block_matrices(model, 0.0, 0.0, 0.0)
+    h1, _ = _block_matrices(model, 1.0, 0.0, 0.0)
+    omega = h0.diagonal().real
+    coupling = np.abs(h1 - h0) ** 2
     masses = []
     for slot in (3, 0):  # basis slot 3 = T5 edge, slot 0 = T5' edge
-        curvature = richardson_second_derivative(
-            branch_omega(slot), step, richardson_levels
+        gaps = omega[slot] - omega
+        other = gaps != 0.0
+        curvature = HBAR / model.m0 + 2.0 * float(
+            np.sum(coupling[other, slot] / gaps[other])
         )
         masses.append(HBAR / curvature)
     return masses[0], masses[1]

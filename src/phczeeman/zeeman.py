@@ -141,11 +141,9 @@ def effective_index(n_refr: float, omega_rot, r, tau, omega0: float,
     return n_refr + sagnac + circular
 
 
-def zeeman_result(lattice: LatticeSpec,
-                  dp: DerivedParams | None = None) -> ZeemanResult:
+def zeeman_result(lattice: LatticeSpec) -> ZeemanResult:
     """Assemble the closed-form quantities for one lattice (sweep row)."""
-    if dp is None:
-        dp = derive_params(lattice)
+    dp = derive_params(lattice)
     m_plus, m_minus = m_closed_form(lattice, dp)
     dws, dwl = splittings(m_plus, m_minus, lattice.n_refr, 1.0)
     return ZeemanResult(

@@ -45,7 +45,7 @@ def test_criterion_01_kp_opw_agreement(bands_config, bands_t_analysis):
     """Eight-band k.p spectrum tracks the plane-wave bands near the corner."""
     start = time.perf_counter()
     lattice = bands_config.lattice
-    model = kp_from_opw(bands_t_analysis.edges, lattice, source="closed_form")
+    model = kp_from_opw(bands_t_analysis.edges, lattice)
     span = bands_t_analysis.edges[2] - bands_t_analysis.edges[0]
     t_pt = named_kpoint("T", lattice.pitch)
     basis = reciprocal_basis(bands_config.basis_halfwidth, lattice.pitch)
@@ -92,8 +92,7 @@ def test_criterion_02_t_degeneracy_structure(bands_lattice):
 
 def test_criterion_03_spin_splitting_exact(weak_lattice):
     """Spin splitting from diagonalization equals 2/n^2 to 1e-12 relative."""
-    model = kp_from_opw(perturbative_edges(weak_lattice), weak_lattice,
-                        source="closed_form")
+    model = kp_from_opw(perturbative_edges(weak_lattice), weak_lattice)
     expected = 2.0 / weak_lattice.n_refr ** 2
     worst = 0.0
     for omega_rot in (1.0, 1e3, 1e6):
@@ -123,16 +122,14 @@ def test_criterion_04_orbital_enhancement(weak_lattice):
 
 def test_criterion_05_fsum_round_trip(weak_lattice):
     """k.p branch masses reproduce the f-sum images of m_plus/m_minus."""
-    model = kp_from_opw(perturbative_edges(weak_lattice), weak_lattice,
-                        source="closed_form")
-    step = 1e-4 * math.pi / weak_lattice.pitch
-    fd = fsum_fd_masses(model, step=step)
+    model = kp_from_opw(perturbative_edges(weak_lattice), weak_lattice)
+    fd = fsum_fd_masses(model)
     target = fsum_target_masses(model)
     rel = max(abs(fd[0] - target[0]) / abs(target[0]),
               abs(fd[1] - target[1]) / abs(target[1]))
     _report(5, rel <= 1e-6,
-            f"finite-difference vs f-sum masses: worst relative deviation "
-            f"{rel:.3g} (bound 1e-6, step 1e-4*pi/pitch, Richardson)")
+            "k.p sum vs f-sum masses: worst relative deviation "
+            f"{rel:.3g} (bound 1e-6)")
 
 
 def test_criterion_06_closed_form_vs_opw_masses(weak_config,

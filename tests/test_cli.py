@@ -157,6 +157,16 @@ class TestBandsCommand:
         assert all((tmp_path / derived.format(tag)).exists()
                    for tag in ("opw", "kp", "diff"))
 
+    def test_plotscript_escapes_quote_in_path(self, weak_cfg_file, tmp_path):
+        out = tmp_path / "it's.csv"
+        assert main(["split", weak_cfg_file, "-o", str(out),
+                     "--emit-plotscript"]) == 0
+        script = (tmp_path / "it's.gp").read_text()
+        quoted = "'" + str(out).replace("'", "''") + "'"
+        assert script.count(quoted + " every ::1") == 2
+        plot_line = script.splitlines()[-1]
+        assert plot_line.replace("''", "").count("'") == 4
+
     def test_plotscripts_in_dotted_directory(self, bands_cfg_file,
                                              weak_cfg_file, tmp_path):
         (tmp_path / "res.v2").mkdir()
@@ -317,6 +327,15 @@ class TestValidateCommand:
             assert statuses[name] == "pass", name
         out = capsys.readouterr().out
         assert "[PASS]" in out
+
+    def test_very_weak_contrast_all_pass(self, tmp_path):
+        cfg = tmp_path / "very_weak.json"
+        cfg.write_text(json.dumps({**BANDS_DOC, "dphi": 1e-5}))
+        report_path = tmp_path / "report.json"
+        assert main(["validate", str(cfg), "-o", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        statuses = {c["name"]: c["status"] for c in report["checks"]}
+        assert statuses["fsum_roundtrip"] == "pass"
 
     def test_small_basis_flags_convergence_warning(self, tmp_path):
         cfg = tmp_path / "coarse.json"

@@ -119,8 +119,7 @@ class TestSplittings:
         assert b[1] == 2 * a[1]
 
     def test_matches_kp_diagonalization_slope(self, weak_lattice):
-        model = kp_from_opw(perturbative_edges(weak_lattice), weak_lattice,
-                            source="closed_form")
+        model = kp_from_opw(perturbative_edges(weak_lattice), weak_lattice)
         omega_rot = 321.0
         kp_s, kp_l = zeeman_splittings_at_T(model, RotationSpec(omega_rot))
         f_s, f_l = splittings(model.m_plus, model.m_minus,
