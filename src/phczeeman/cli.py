@@ -14,6 +14,7 @@ import os
 import sys
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -54,6 +55,20 @@ def _fmt(x) -> str:
     if not math.isfinite(x):
         raise ComputationError(f"non-finite value {x} in the output")
     return repr(x)
+
+
+def _float_rows(*columns):
+    """Rows of shortest-round-trip strings from float columns, scalars
+    broadcast; each column is checked for NaN and inf once."""
+    columns = np.broadcast_arrays(*(np.asarray(c, dtype=float)
+                                    for c in columns))
+    for column in columns:
+        finite = np.isfinite(column)
+        if not finite.all():
+            raise ComputationError(
+                f"non-finite value {column[~finite][0]} in the output"
+            )
+    return zip(*(map(repr, column.tolist()) for column in columns))
 
 
 def _write_csv(path: str, header: str, rows) -> None:
@@ -165,8 +180,9 @@ plot {plots}
 
 def _emit_plotscript(csv_path: str, kind: str) -> str:
     gp_path = os.path.splitext(csv_path)[0] + ".gp"
-    # gnuplot escapes a quote inside a single-quoted string by doubling it
-    data = "'" + csv_path.replace("'", "''") + "'"
+    # absolute, so the script plots from any directory; gnuplot escapes a
+    # quote inside a single-quoted string by doubling it
+    data = "'" + os.path.abspath(csv_path).replace("'", "''") + "'"
     if kind == "bands":
         body = _PLOT_TEMPLATE.format(
             xlabel="path position (rad/m)", ylabel="detuning (GHz)",
@@ -244,25 +260,22 @@ def cmd_split(args) -> int:
     if not omega_list:
         raise ConfigError("--omega-list must contain at least one value")
     # rejects NaN/inf up front
-    rotations = _build_each(RotationSpec, omega_list, "rotation rates")
+    _build_each(RotationSpec, omega_list, "rotation rates")
+    rates = np.array(omega_list)
 
     analysis = pw.t_point_analysis(config)
     model = kpmod.kp_from_opw(analysis.edges, config.lattice)
-
-    rows = []
-    for rot in rotations:
-        omega_rot = rot.omega_z
-        dws_kp, dwl_kp = kpmod.zeeman_splittings_at_T(model, rot)
-        dws_f, dwl_f = zm.splittings(model.m_plus, model.m_minus,
-                                     config.lattice.n_refr, omega_rot)
-        def _rel(a, b):
-            scale = max(abs(a), abs(b))
-            return abs(a - b) / scale if scale else 0.0
-        rows.append((
-            _fmt(omega_rot), _fmt(dws_kp), _fmt(dwl_kp), _fmt(dws_f),
-            _fmt(dwl_f), _fmt(_rel(dws_kp, dws_f)), _fmt(_rel(dwl_kp, dwl_f)),
-        ))
-    _write_csv(args.output, SPLIT_HEADER, rows)
+    dws_kp, dwl_kp = kpmod.zeeman_splittings_at_T(model, rates)
+    dws_f, dwl_f = zm.splittings(model.m_plus, model.m_minus,
+                                 config.lattice.n_refr, rates)
+    rel_diffs = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in ((dws_kp, dws_f), (dwl_kp, dwl_f)):
+            diff, scale = np.abs(a - b), np.maximum(np.abs(a), np.abs(b))
+            rel_diffs.append(np.divide(diff, scale, out=np.zeros_like(diff),
+                                       where=scale != 0))
+    _write_csv(args.output, SPLIT_HEADER,
+               _float_rows(rates, dws_kp, dwl_kp, dws_f, dwl_f, *rel_diffs))
     print(args.output)
     if args.emit_plotscript:
         print(_emit_plotscript(args.output, "split"))
@@ -272,14 +285,22 @@ def cmd_split(args) -> int:
 # --------------------------------------------------------------------------
 # sweep
 
-def _sweep_lattice(base, param: str, value: float):
-    if param == "dphi":
-        return replace(base, dphi=value)
-    if param == "pitch":
-        return replace(base, pitch=value * 1e-6)
-    if param == "ff":
-        return replace(base, fill_factor=value)
-    raise ConfigError(f"unknown sweep parameter {param!r}")
+# swept parameter -> (LatticeSpec field, factor from the command-line unit)
+_SWEEP_FIELDS = {"dphi": ("dphi", 1.0), "pitch": ("pitch", 1e-6),
+                 "ff": ("fill_factor", 1.0)}
+
+
+def _sweep_lattice(base, param: str, value):
+    """``base`` with the swept field set to ``value``, a float or an array.
+
+    A float gives a validated LatticeSpec. An array gives the sweep's
+    lattices as one lattice of columns, for the elementwise closed forms;
+    its values must each have been validated as a float first.
+    """
+    field, factor = _SWEEP_FIELDS[param]
+    if isinstance(value, np.ndarray):
+        return SimpleNamespace(**{**vars(base), field: value * factor})
+    return replace(base, **{field: value * factor})
 
 
 def cmd_sweep(args) -> int:
@@ -307,22 +328,16 @@ def cmd_sweep(args) -> int:
             "orbital parameters are negative", UserWarning,
         )
 
-    lattices = _build_each(
-        lambda value: _sweep_lattice(config.lattice, args.param, float(value)),
-        values, f"swept {args.param} values")
-    rows = []
-    for lattice in lattices:
-        res = zm.zeeman_result(lattice)
-        ratio = zm.consistency_ratio(lattice, res.m_plus, res.m_minus,
-                                     lattice.n_refr)
-        rows.append((
-            _fmt(lattice.dphi), _fmt(lattice.pitch * 1e6), _fmt(res.m_plus),
-            _fmt(res.m_minus), _fmt(res.m_total),
-            _fmt(res.delta_omega_L_per_Omega),
-            _fmt(res.delta_omega_S_per_Omega),
-            _fmt(res.spread_rms * 1e3), _fmt(ratio),
-        ))
-    _write_csv(args.output, SWEEP_HEADER, rows)
+    _build_each(
+        lambda value: _sweep_lattice(config.lattice, args.param, value),
+        values.tolist(), f"swept {args.param} values")
+    lattice = _sweep_lattice(config.lattice, args.param, values)
+    res = zm.zeeman_result(lattice)
+    _write_csv(args.output, SWEEP_HEADER, _float_rows(
+        lattice.dphi, lattice.pitch * 1e6, res.m_plus, res.m_minus,
+        res.m_total, res.delta_omega_L_per_Omega, res.delta_omega_S_per_Omega,
+        res.spread_rms * 1e3, res.consistency_ratio,
+    ))
     print(args.output)
     if args.emit_plotscript:
         print(_emit_plotscript(args.output, "sweep"))
@@ -506,7 +521,7 @@ def run_validation(config: ExperimentConfig) -> dict:
     # 8. consistency ratio of the two orbital-splitting forms
     s = zm.pattern_sinc(lattice.fill_factor)
     ratio = zm.consistency_ratio(lattice, model.m_plus, model.m_minus,
-                                 lattice.n_refr)
+                                 lattice.n_refr, dp)
     expected = 1.0 / math.sqrt(1.0 + s * s)
     ratio_ok = abs(ratio - expected) <= 1e-10
     record("consistency_ratio", "pass" if ratio_ok else "fail",

@@ -106,7 +106,8 @@ class RotationSpec:
 
 @dataclass(frozen=True)
 class DerivedParams:
-    """Constants derived from a LatticeSpec (all SI).
+    """Constants derived from a LatticeSpec (all SI); a field is an array
+    where the lattice it is derived from holds one (a sweep column).
 
     k_z: longitudinal wavenumber 2*pi*n/lambda; l_z: cavity length lambda/n;
     m0: photon effective mass n*hbar*k_z/c; p_interband: momentum matrix
@@ -127,20 +128,27 @@ class DerivedParams:
     def __post_init__(self):
         for name in ("k_z", "l_z", "m0", "p_interband", "omega0",
                      "v_prefactor", "z_impedance", "eps", "mu"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
+            value = np.asarray(getattr(self, name))
+            bad = ~((value > 0) & np.isfinite(value))
+            if bad.any():
                 raise ValidationError(
-                    f"derived parameter {name} must be positive and finite, got {value}"
+                    f"derived parameter {name} must be positive and finite, "
+                    f"got {value[bad][0]}"
                 )
         ident = self.m0 * C**2 / (self.eps * HBAR)
-        if abs(ident - self.omega0) > 1e-12 * self.omega0:
+        if np.any(abs(ident - self.omega0) > 1e-12 * self.omega0):
             raise ValidationError(
                 "derived parameters inconsistent: m0*c^2/(n^2*hbar) != omega0"
             )
 
 
 def derive_params(lattice: LatticeSpec) -> DerivedParams:
-    """Compute the derived constants for a lattice (deterministic, SI)."""
+    """Compute the derived constants for a lattice (deterministic, SI).
+
+    ``lattice`` may carry arrays in place of floats (the columns of a
+    sweep); the constants are then arrays, elementwise equal to those of
+    each lattice.
+    """
     n = lattice.n_refr
     k_z = 2.0 * math.pi * n / lattice.lambda_vac
     l_z = lattice.lambda_vac / n
@@ -157,7 +165,8 @@ def derive_params(lattice: LatticeSpec) -> DerivedParams:
 
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """Dense Hermitian matrix; hermiticity is validated at construction.
+    """Dense Hermitian matrix, or a stack (..., n, n) of them; hermiticity is
+    validated at construction, each matrix against its own scale.
 
     ``entries`` is row-major (ndarray); real symmetric input is kept real.
     A non-finite entry (an overflow upstream) raises ComputationError.
@@ -170,27 +179,36 @@ class HermitianMatrix:
 
     def __post_init__(self):
         a = np.asarray(self.entries)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
             raise ValidationError(f"matrix must be square, got shape {a.shape}")
+        n = a.shape[-1]
         if not np.all(np.isfinite(a)):
             raise ComputationError(
-                f"matrix holds a non-finite value ({a.shape[0]}x{a.shape[0]})"
+                f"matrix holds a non-finite value ({n}x{n})"
             )
-        scale = np.max(np.abs(a)) or 1.0
-        defect = np.max(np.abs(a - a.conj().T))
-        if defect > self.HERMITICITY_RTOL * scale:
+        scale = np.max(np.abs(a), axis=(-2, -1))
+        scale = np.where(scale == 0.0, 1.0, scale)
+        adjoint = np.swapaxes(a, -2, -1).conj()
+        defect = np.max(np.abs(a - adjoint), axis=(-2, -1))
+        bad = defect > self.HERMITICITY_RTOL * scale
+        if bad.any():
+            first = np.argmax(bad)  # of the non-Hermitian matrices of a stack
             raise ValidationError(
-                f"matrix is not Hermitian: defect {defect:.3e} exceeds "
-                f"{self.HERMITICITY_RTOL:.0e} relative to scale {scale:.3e}"
+                f"matrix is not Hermitian: defect {defect.flat[first]:.3e} "
+                f"exceeds {self.HERMITICITY_RTOL:.0e} relative to scale "
+                f"{scale.flat[first]:.3e}"
             )
         object.__setattr__(self, "entries", a)
-        object.__setattr__(self, "dim", a.shape[0])
+        object.__setattr__(self, "dim", n)
 
 
 def eigh(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
+    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian
+    matrix, or of each matrix of a stack (..., n, n).
 
-    Accepts a HermitianMatrix or a raw array (validated on the way in).
+    Accepts a HermitianMatrix or a raw array (validated on the way in). A
+    stack is one ``np.linalg.eigh`` call, which runs LAPACK matrix by
+    matrix, so its results are bit-identical to one call per matrix.
     Contract: per-pair residual ||H v - w v||_2 <= 1e-10 ||H||_F and the
     eigenvector set is orthonormal to 1e-10. Degenerate eigenvalues may come
     with an arbitrary orthonormal basis of the degenerate subspace; downstream

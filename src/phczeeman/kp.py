@@ -98,12 +98,13 @@ def kp_from_opw(edges, lattice: LatticeSpec) -> KpModel:
 
 
 def _block_matrices(model: KpModel, kx: float, ky: float,
-                    omega_rot: float) -> tuple[np.ndarray, np.ndarray]:
+                    omega_rot) -> tuple[np.ndarray, np.ndarray]:
     """(upper, lower) 4x4 blocks in omega units at k measured from T.
 
     Basis order: (T5'+-, T1 -+ iT2, T3 +- iT4, T5+-); upper sign = upper
     block (left-handed). The lower block carries the elementwise conjugate
-    of the k.p coupling and the negated rotation part.
+    of the k.p coupling and the negated rotation part. An array of rotation
+    rates gives stacks of blocks, shape omega_rot.shape + (4, 4).
     """
     kp = kx + 1j * ky
     km = kx - 1j * ky
@@ -116,7 +117,7 @@ def _block_matrices(model: KpModel, kx: float, ky: float,
         [km, 0.0, 0.0, -kp],
         [0.0, kp, -km, 0.0],
     ])
-    x = omega_rot / model.n_refr ** 2
+    x = np.asarray(omega_rot, dtype=float)[..., None, None] / model.n_refr ** 2
     a = HBAR / (2.0 * model.p_interband)
     mp_ = model.m_plus
     mm_ = model.m_minus
@@ -160,9 +161,12 @@ def kp_bands(model: KpModel, kpath, rot: RotationSpec) -> KpSpectrum:
                       within_window=window)
 
 
-def zeeman_splittings_at_T(model: KpModel,
-                           rot: RotationSpec) -> tuple[float, float]:
+def zeeman_splittings_at_T(model: KpModel, omega_rot):
     """Spin and orbital rotation splittings from the k = 0 block eigenvalues.
+
+    ``omega_rot`` is a rotation rate or an array of them; the splittings
+    come back as arrays of its shape. All k = 0 blocks are built as one
+    stack and diagonalized in one ``eigh`` call per handedness.
 
     At k = 0 the rotation part of both blocks is diagonal, so every
     eigenvalue is exactly linear in the rotation rate and the common
@@ -173,20 +177,30 @@ def zeeman_splittings_at_T(model: KpModel,
     diagonalization at frequency-scale precision is asserted in the tests.
     """
     model0 = replace(model, omega_T5=0.0, omega_T1=0.0, omega_T5p=0.0)
-    upper, lower = _block_matrices(model0, 0.0, 0.0, rot.omega_z)
+    upper, lower = _block_matrices(model0, 0.0, 0.0, omega_rot)
     wu, vu = eigh(HermitianMatrix(upper))
     wl, vl = eigh(HermitianMatrix(lower))
 
     def spin_value(w, v):
-        # weight on the T5'/T5 slots (0 and 3); both carry the same shift
-        proj = np.abs(v[0, :]) ** 2 + np.abs(v[3, :]) ** 2
-        return float(np.mean(w[proj > 0.5]))
+        # weight on the T5'/T5 slots (0 and 3); both carry the same shift.
+        # The blocks are diagonal, so every eigenvector is a basis vector
+        # and exactly two of each block lie on these slots.
+        spin = np.abs(v[..., 0, :]) ** 2 + np.abs(v[..., 3, :]) ** 2 > 0.5
+        if not np.all(np.count_nonzero(spin, axis=-1) == 2):
+            raise ComputationError(
+                "k = 0 block eigenvectors do not separate the spin slots"
+            )
+        return w[spin].reshape(w.shape[:-1] + (2,)).mean(axis=-1)
 
     def orbital_value(w, v, slot):
-        return float(w[int(np.argmax(np.abs(v[slot, :]) ** 2))])
+        nearest = np.argmax(np.abs(v[..., slot, :]) ** 2, axis=-1)
+        return np.take_along_axis(w, nearest[..., None], axis=-1)[..., 0]
 
-    delta_s = spin_value(wl, vl) - spin_value(wu, vu)
-    delta_l = orbital_value(wu, vu, 1) - orbital_value(wu, vu, 2)
+    # a difference of two finite eigenvalues may overflow; the caller's
+    # finiteness check reports it
+    with np.errstate(over="ignore"):
+        delta_s = spin_value(wl, vl) - spin_value(wu, vu)
+        delta_l = orbital_value(wu, vu, 1) - orbital_value(wu, vu, 2)
     return delta_s, delta_l
 
 

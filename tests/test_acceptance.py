@@ -96,7 +96,7 @@ def test_criterion_03_spin_splitting_exact(weak_lattice):
     expected = 2.0 / weak_lattice.n_refr ** 2
     worst = 0.0
     for omega_rot in (1.0, 1e3, 1e6):
-        dws, _ = zeeman_splittings_at_T(model, RotationSpec(omega_rot))
+        dws, _ = zeeman_splittings_at_T(model, omega_rot)
         worst = max(worst, abs(dws / omega_rot - expected) / expected)
     printed_value_ok = abs(expected - 0.160503) < 2e-6
     _report(3, worst <= 1e-12 and printed_value_ok,

@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -167,6 +169,17 @@ class TestBandsCommand:
         plot_line = script.splitlines()[-1]
         assert plot_line.replace("''", "").count("'") == 4
 
+    def test_plotscript_names_absolute_csv_path(self, weak_cfg_file,
+                                                tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out").mkdir()
+        assert main(["split", weak_cfg_file, "-o", "out/split.csv",
+                     "--emit-plotscript"]) == 0
+        script = (tmp_path / "out" / "split.gp").read_text()
+        absolute = os.path.join(os.getcwd(), "out", "split.csv")
+        assert script.count("'" + absolute + "' every ::1") == 2
+        assert "'out/split.csv'" not in script
+
     def test_plotscripts_in_dotted_directory(self, bands_cfg_file,
                                              weak_cfg_file, tmp_path):
         (tmp_path / "res.v2").mkdir()
@@ -305,6 +318,39 @@ class TestSweepCommand:
         assert "17 of 50 swept dphi values" in str(regime[0].message)
         assert "|dphi| = 0.03 " in str(regime[0].message)
 
+    @pytest.mark.filterwarnings("ignore:dphi < 0")
+    def test_linear_sweep_through_zero_contrast(self, weak_cfg_file,
+                                                tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", weak_cfg_file, "-o", str(out), "--param", "dphi",
+                   "--from=-0.01", "--to", "0.01", "--points", "3"])
+        assert rc == 2
+        assert "singular at dphi = 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("param, lo, hi", [
+        ("dphi", "1e-5", "1e-2"), ("ff", "0.05", "0.95"), ("pitch", "2", "30"),
+    ])
+    def test_rows_match_single_lattice_results(self, weak_cfg_file, tmp_path,
+                                               param, lo, hi):
+        from phczeeman import zeeman_result
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", weak_cfg_file, "-o", str(out), "--param",
+                     param, "--from", lo, "--to", hi, "--points", "9"]) == 0
+        _, rows = _read_rows(out)
+        field, factor = {"dphi": ("dphi", 1.0), "ff": ("fill_factor", 1.0),
+                         "pitch": ("pitch", 1e-6)}[param]
+        base = LatticeSpec(960e-9, 3.53, 4e-6, 0.65, 1e-4)
+        for value, row in zip(np.linspace(float(lo), float(hi), 9), rows):
+            lattice = replace(base, **{field: float(value) * factor})
+            res = zeeman_result(lattice)
+            want = [lattice.dphi, lattice.pitch * 1e6, res.m_plus,
+                    res.m_minus, res.m_total, res.delta_omega_L_per_Omega,
+                    res.delta_omega_S_per_Omega, res.spread_rms * 1e3,
+                    res.consistency_ratio]
+            np.testing.assert_allclose([float(x) for x in row], want,
+                                       rtol=8 * np.finfo(float).eps, atol=0)
+
     def test_bounds_validated_before_run(self, weak_cfg_file, tmp_path):
         out = tmp_path / "sweep.csv"
         rc = main(["sweep", weak_cfg_file, "-o", str(out), "--param", "ff",
@@ -378,7 +424,7 @@ class TestDumpFourier:
                               fill_factor=0.65, dphi=0.02)
         for m, n, value in rows:
             assert float(value) == pytest.approx(
-                fourier_coefficient(lattice, int(m), int(n)), rel=1e-12
+                fourier_coefficient(lattice, int(m), int(n)), rel=1e-12, abs=0
             )
 
 

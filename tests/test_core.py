@@ -30,9 +30,10 @@ BANDS_JSON = json.dumps(
 class TestLoadConfig:
     def test_reference_parameters(self):
         cfg = load_config(BANDS_JSON)
-        assert cfg.lattice.lambda_vac == pytest.approx(960e-9, rel=1e-15)
+        assert cfg.lattice.lambda_vac == pytest.approx(960e-9, rel=1e-15,
+                                                       abs=0)
         assert cfg.lattice.n_refr == 3.53
-        assert cfg.lattice.pitch == pytest.approx(4e-6, rel=1e-15)
+        assert cfg.lattice.pitch == pytest.approx(4e-6, rel=1e-15, abs=0)
         assert cfg.lattice.fill_factor == 0.65
         assert cfg.lattice.dphi == 0.02
 
@@ -177,7 +178,8 @@ class TestDeriveParams:
     def test_reference_values(self, bands_lattice):
         dp = derive_params(bands_lattice)
         for name, expected in self.FROZEN.items():
-            assert getattr(dp, name) == pytest.approx(expected, rel=1e-13), name
+            assert getattr(dp, name) == pytest.approx(expected, rel=1e-13,
+                                                      abs=0), name
 
     def test_well_depth(self, bands_lattice):
         dp = derive_params(bands_lattice)
@@ -188,7 +190,7 @@ class TestDeriveParams:
         lattice = LatticeSpec(lambda_vac=1.0, n_refr=1.0, pitch=5.0,
                               fill_factor=0.5, dphi=0.01)
         dp = derive_params(lattice)
-        assert dp.l_z == pytest.approx(1.0, rel=1e-15)
+        assert dp.l_z == pytest.approx(1.0, rel=1e-15, abs=0)
         assert dp.omega0 == pytest.approx(2.0 * math.pi * C, rel=1e-15)
 
     def test_carrier_identity(self, bands_lattice):
@@ -207,8 +209,8 @@ class TestDeriveParams:
     def test_impedance_convention(self, bands_lattice):
         dp = derive_params(bands_lattice)
         assert dp.mu == 1.0
-        assert dp.eps == pytest.approx(3.53**2, rel=1e-15)
-        assert dp.z_impedance == pytest.approx(1.0 / 3.53, rel=1e-15)
+        assert dp.eps == pytest.approx(3.53**2, rel=1e-15, abs=0)
+        assert dp.z_impedance == pytest.approx(1.0 / 3.53, rel=1e-15, abs=0)
 
     def test_scale_covariance(self, bands_lattice):
         from dataclasses import replace
@@ -217,10 +219,12 @@ class TestDeriveParams:
                                     lambda_vac=2 * bands_lattice.lambda_vac,
                                     pitch=2 * bands_lattice.pitch))
         assert dp2.k_z == pytest.approx(dp1.k_z / 2, rel=1e-15)
-        assert dp2.p_interband == pytest.approx(dp1.p_interband / 2, rel=1e-15)
+        assert dp2.p_interband == pytest.approx(dp1.p_interband / 2,
+                                                rel=1e-15, abs=0)
         # dimensionless combinations are invariant
         assert dp2.z_impedance == dp1.z_impedance
-        assert dp2.k_z * dp2.l_z == pytest.approx(dp1.k_z * dp1.l_z, rel=1e-15)
+        assert dp2.k_z * dp2.l_z == pytest.approx(dp1.k_z * dp1.l_z,
+                                                  rel=1e-15, abs=0)
 
     def test_deterministic(self, bands_lattice):
         a, b = derive_params(bands_lattice), derive_params(bands_lattice)
@@ -314,6 +318,37 @@ class TestEigh:
         h = HermitianMatrix(np.diag([2.0, 1.0]))
         w, _ = eigh(h)
         assert w == pytest.approx([1.0, 2.0])
+
+    def test_stack_bit_identical_to_per_matrix_calls(self):
+        rng = np.random.default_rng(14)
+        a = rng.normal(size=(6, 5, 5)) + 1j * rng.normal(size=(6, 5, 5))
+        stack = 0.5 * (a + np.swapaxes(a, -2, -1).conj())
+        w, v = eigh(HermitianMatrix(stack))
+        assert w.shape == (6, 5) and v.shape == (6, 5, 5)
+        for i, h in enumerate(stack):
+            wi, vi = eigh(h)
+            assert np.array_equal(w[i], wi)
+            assert np.array_equal(v[i], vi)
+
+    def test_stack_non_finite_member_rejected(self):
+        stack = np.stack([np.eye(3)] * 4)
+        stack[2, 0, 1] = stack[2, 1, 0] = math.inf
+        with pytest.raises(ComputationError,
+                           match=r"non-finite value \(3x3\)"):
+            HermitianMatrix(stack)
+
+    def test_stack_non_hermitian_member_rejected(self):
+        # the defect of the second matrix is 1e-16 of the first one's scale
+        # but 1e-6 of its own, so only a per-matrix scale rejects it
+        stack = np.stack([1e10 * np.eye(2), np.eye(2)])
+        stack[1, 0, 1] = 1e-6
+        with pytest.raises(ValidationError,
+                           match="defect 1.000e-06 .* scale 1.000e\\+00"):
+            HermitianMatrix(stack)
+
+    def test_stack_of_hermitian_matrices_accepted(self):
+        h = HermitianMatrix(np.stack([np.eye(3), 2.0 * np.eye(3)]))
+        assert h.dim == 3 and h.entries.shape == (2, 3, 3)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=2, max_value=8), st.integers(0, 2**31 - 1))

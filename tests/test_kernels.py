@@ -50,7 +50,7 @@ def test_overlap_matches_quadratic_form(bands_lattice, fill_args):
     ])
     direct = float(np.real(c.conj() @ phi @ c))
     got = _kernels.pattern_overlap(c, m_idx, n_idx, s, depth)
-    assert got == pytest.approx(direct, rel=1e-12)
+    assert got == pytest.approx(direct, rel=1e-12, abs=0)
 
 
 def test_non_window_rejected(fill_args):

@@ -186,32 +186,58 @@ class TestZeemanSplittings:
     def test_spin_splitting_exact(self, weak_model):
         for omega_rot in (1.0, 1e3, 1e6):
             dws, _ = zeeman_splittings_at_T(weak_model,
-                                            RotationSpec(omega_rot))
+                                            omega_rot)
             expected = 2.0 / weak_model.n_refr**2
             assert abs(dws / omega_rot - expected) <= 1e-12 * expected
 
     def test_orbital_splitting_exact(self, weak_model):
         for omega_rot in (1.0, 1e3):
             _, dwl = zeeman_splittings_at_T(weak_model,
-                                            RotationSpec(omega_rot))
+                                            omega_rot)
             expected = 2.0 * weak_model.m_total / weak_model.n_refr**2
             assert dwl / omega_rot == pytest.approx(expected, rel=1e-14)
 
     def test_weak_lattice_orbital_value(self, weak_model):
-        _, dwl = zeeman_splittings_at_T(weak_model, RotationSpec(1.0))
+        _, dwl = zeeman_splittings_at_T(weak_model, 1.0)
         # frozen: 2*M/n^2 for the closed-form M at dphi = 1e-4
         assert dwl == pytest.approx(167.35409781370467, rel=1e-12)
 
     def test_zero_rotation_exact_zeros(self, weak_model):
-        dws, dwl = zeeman_splittings_at_T(weak_model, ROT0)
+        dws, dwl = zeeman_splittings_at_T(weak_model, 0.0)
         assert dws == 0.0
         assert dwl == 0.0
 
     def test_sign_flip(self, weak_model):
-        plus = zeeman_splittings_at_T(weak_model, RotationSpec(100.0))
-        minus = zeeman_splittings_at_T(weak_model, RotationSpec(-100.0))
-        assert minus[0] == pytest.approx(-plus[0], rel=1e-14)
+        plus = zeeman_splittings_at_T(weak_model, 100.0)
+        minus = zeeman_splittings_at_T(weak_model, -100.0)
+        assert minus[0] == pytest.approx(-plus[0], rel=1e-14, abs=0)
         assert minus[1] == pytest.approx(-plus[1], rel=1e-14)
+
+    def test_stack_bit_equal_to_one_rate_calls(self, weak_model):
+        rates = np.array([0.0, -0.0, 1e-300, 1.0, -1.0, 321.0, -1e3, 1e6,
+                          -2.5e-3, 0.0])
+        dws, dwl = zeeman_splittings_at_T(weak_model, rates)
+        assert dws.shape == dwl.shape == rates.shape
+        one = np.array([zeeman_splittings_at_T(weak_model, rate)
+                        for rate in rates.tolist()])
+        # bit patterns, so that the sign of a zero counts too
+        assert np.array_equal(dws.view(np.uint64), one[:, 0].view(np.uint64))
+        assert np.array_equal(dwl.view(np.uint64), one[:, 1].view(np.uint64))
+
+    def test_stack_keeps_its_shape(self, weak_model):
+        rates = np.arange(6.0).reshape(2, 3)
+        dws, dwl = zeeman_splittings_at_T(weak_model, rates)
+        assert dws.shape == dwl.shape == (2, 3)
+        assert dwl[1, 2] == zeeman_splittings_at_T(weak_model, 5.0)[1]
+
+    def test_block_stack_matches_single_blocks(self, weak_model):
+        rates = np.array([0.0, 7.0, -3e4])
+        upper, lower = _block_matrices(weak_model, 2e3, -1e3, rates)
+        assert upper.shape == lower.shape == (3, 4, 4)
+        for i, rate in enumerate(rates):
+            u, lo = _block_matrices(weak_model, 2e3, -1e3, rate)
+            assert np.array_equal(upper[i], u)
+            assert np.array_equal(lower[i], lo)
 
     def test_matches_full_block_diagonalization(self, weak_model):
         omega_rot = 1e3
@@ -229,7 +255,7 @@ class TestZeemanSplittings:
         # full-scale eigenvalues agree with edge + shift at round-off level
         assert np.max(np.abs(wu - expected_u)) <= 4 * np.spacing(scale)
         dws, dwl = zeeman_splittings_at_T(weak_model,
-                                          RotationSpec(omega_rot))
+                                          omega_rot)
         assert dws == pytest.approx(2 * x, rel=1e-14)
         assert dwl == pytest.approx(2 * mt * x, rel=1e-14)
 

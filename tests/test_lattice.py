@@ -50,13 +50,13 @@ class TestPhasePattern:
 class TestFourierCoefficient:
     def test_mean_value(self, bands_lattice):
         assert fourier_coefficient(bands_lattice, 0, 0) == pytest.approx(
-            0.013, rel=1e-14
+            0.013, rel=1e-14, abs=0
         )
 
     def test_first_coefficient_frozen(self, bands_lattice):
         # frozen from 40-digit evaluation of dphi*FF*sinc(pi*sqrt(FF))
         assert fourier_coefficient(bands_lattice, 1, 0) == pytest.approx(
-            0.0029350751623181681, rel=1e-13
+            0.0029350751623181681, rel=1e-13, abs=0
         )
 
     def test_first_coefficient_vs_quadrature(self, bands_lattice):
@@ -82,7 +82,7 @@ class TestFourierCoefficient:
         # centered square pixel: phi_{m,n} = phi_{n,m} up to rounding
         for m, n in [(1, 2), (3, 5), (0, 4)]:
             assert fourier_coefficient(bands_lattice, m, n) == pytest.approx(
-                fourier_coefficient(bands_lattice, n, m), rel=1e-15
+                fourier_coefficient(bands_lattice, n, m), rel=1e-15, abs=0
             )
 
     @settings(max_examples=50, deadline=None)
@@ -108,7 +108,8 @@ class TestSinc:
 
     def test_series_branch_frozen(self):
         # frozen from 25-digit evaluation of sin(1e-5)/1e-5
-        assert sinc(1e-5) == pytest.approx(0.9999999999833333333, rel=1e-15)
+        assert sinc(1e-5) == pytest.approx(0.9999999999833333333, rel=1e-15,
+                                           abs=0)
 
     def test_branch_continuity(self):
         below = sinc(0.99999e-4)
@@ -118,7 +119,7 @@ class TestSinc:
     def test_array_input(self):
         vals = sinc(np.array([0.0, math.pi / 2, math.pi]))
         assert vals[0] == 1.0
-        assert vals[1] == pytest.approx(2 / math.pi, rel=1e-14)
+        assert vals[1] == pytest.approx(2 / math.pi, rel=1e-14, abs=0)
         assert abs(vals[2]) < 1e-15
 
     def test_odd_symmetry(self):

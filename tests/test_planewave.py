@@ -655,7 +655,7 @@ class TestLongitudinalProfile:
                            omega=bands_dp.omega0, coefficients=coeffs,
                            basis=basis)
         profile = longitudinal_profile(state, bands_lattice)
-        assert profile.alpha == pytest.approx(0.013, rel=1e-12)
+        assert profile.alpha == pytest.approx(0.013, rel=1e-12, abs=0)
 
     def test_ground_state_alpha_bounds(self, bands_config):
         cfg = replace(bands_config, kpath=("G",), samples_per_segment=1)
@@ -682,7 +682,7 @@ class TestLongitudinalProfile:
                          raw * np.exp(1j * 0.7), basis)
         a1 = longitudinal_profile(st1, bands_lattice).alpha
         a2 = longitudinal_profile(st2, bands_lattice).alpha
-        assert a1 == pytest.approx(a2, rel=1e-12)
+        assert a1 == pytest.approx(a2, rel=1e-12, abs=0)
         assert np.isreal(a1)
 
     def test_periodic_increments_cancel(self, bands_lattice, bands_dp):
