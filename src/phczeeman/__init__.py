@@ -37,7 +37,6 @@ from .lattice import (
 from .planewave import (
     BandStructure,
     BlochState,
-    FieldSample,
     KPathPoint,
     LongitudinalProfile,
     TPointAnalysis,
@@ -48,7 +47,6 @@ from .planewave import (
     named_kpoint,
     opw_mass_at_t,
     perturbative_edges,
-    reconstruct_fields,
     solve_bands,
     t_point_analysis,
 )
@@ -72,12 +70,11 @@ __all__ = [
     "ExperimentConfig", "load_config", "derive_params", "eigh",
     "ReciprocalVector", "phase_pattern", "pattern_factors",
     "fourier_coefficient", "reciprocal_basis", "t_centered_basis", "sinc",
-    "BlochState", "BandStructure", "LongitudinalProfile", "FieldSample",
+    "BlochState", "BandStructure", "LongitudinalProfile",
     "KPathPoint", "TPointAnalysis", "named_kpoint", "build_kpath",
     "solve_bands", "cluster_degenerate", "classify_t_states",
     "t_point_analysis",
-    "perturbative_edges", "opw_mass_at_t",
-    "longitudinal_profile", "reconstruct_fields",
+    "perturbative_edges", "opw_mass_at_t", "longitudinal_profile",
     "KpModel", "KpSpectrum", "kp_from_opw", "kp_bands",
     "zeeman_splittings_at_T", "fsum_fd_masses", "fsum_target_masses",
     "ZeemanResult", "m_closed_form", "splittings", "spread_rms",

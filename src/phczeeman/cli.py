@@ -401,21 +401,23 @@ def _kp_vs_opw_worst(config: ExperimentConfig, model: kpmod.KpModel,
     """
     lattice = config.lattice
     basis = tuple(reciprocal_basis(config.basis_halfwidth, lattice.pitch))
-    problem = pw._problem(lattice, basis)
+    problem = pw._problem(lattice, basis, mirrors=True)
     t_pt = pw.named_kpoint("T", lattice.pitch)
-    worst_rel = 0.0
     window = 0.25 * math.pi / lattice.pitch
-    for frac in np.linspace(0.0, 1.0, 9):
-        for direction in ((-1.0, 0.0), (-1.0 / math.sqrt(2), -1.0 / math.sqrt(2))):
-            kx = t_pt[0] + frac * window * direction[0]
-            ky = t_pt[1] + frac * window * direction[1]
-            w_opw = pw._solve_omegas(problem, kx, ky, 8)
-            k_rel = np.array([[kx - t_pt[0], ky - t_pt[1]]])
-            spec8 = kpmod.kp_bands(model, k_rel, RotationSpec(0.0)).omegas[0]
-            for w_kp in spec8:
-                worst_rel = max(
-                    worst_rel, float(np.min(np.abs(w_opw - w_kp))) / span
-                )
+    k = np.array([
+        (t_pt[0] + frac * window * direction[0],
+         t_pt[1] + frac * window * direction[1])
+        for frac in np.linspace(0.0, 1.0, 9)
+        for direction in ((-1.0, 0.0), (-1.0 / math.sqrt(2), -1.0 / math.sqrt(2)))
+    ])
+    spectra = kpmod.kp_bands(model, k - t_pt, RotationSpec(0.0)).omegas
+    worst_rel = 0.0
+    for (kx, ky), spec8 in zip(k, spectra):
+        w_opw = pw._solve(problem, kx, ky, 8)[0]
+        for w_kp in spec8:
+            worst_rel = max(
+                worst_rel, float(np.min(np.abs(w_opw - w_kp))) / span
+            )
     return worst_rel
 
 

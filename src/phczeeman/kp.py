@@ -43,6 +43,17 @@ class KpModel:
     model's own matrices.
     ``m_total`` = m_plus + m_minus is positive for attractive (dphi > 0)
     lattices in the perturbative regime.
+
+    Edge names: the model names its three edges by the spin-orbital
+    products it is built on, while ``planewave`` labels the same scalar
+    corner states by their C4v sector. ``TPointAnalysis.edges`` holds them
+    in the order ``kp_from_opw`` takes, so this is the one map between the
+    two conventions (the CSV ``rep_label`` values are the planewave labels):
+
+        KpModel field   planewave label   TPointAnalysis.edges
+        omega_T5        T1(S)             edges[0]
+        omega_T1        T5(X,Y)           edges[1]
+        omega_T5p       T4(XY)            edges[2]
     """
 
     omega_T5: float
@@ -78,8 +89,9 @@ class KpSpectrum:
 def kp_from_opw(edges, lattice: LatticeSpec) -> KpModel:
     """Build a KpModel from band edges and the square-pixel closed form.
 
-    ``edges`` is the (omega_T5, omega_T1, omega_T5p) triple; m_plus/m_minus
-    come from the analytic closed form for ``lattice``.
+    ``edges`` is the (omega_T5, omega_T1, omega_T5p) triple, as
+    ``TPointAnalysis.edges`` holds it (see ``KpModel`` for the names);
+    m_plus/m_minus come from the analytic closed form for ``lattice``.
     """
     w_t5, w_t1, w_t5p = (float(e) for e in edges)
     if not (w_t5 < w_t1 < w_t5p):
@@ -97,26 +109,41 @@ def kp_from_opw(edges, lattice: LatticeSpec) -> KpModel:
     )
 
 
-def _block_matrices(model: KpModel, kx: float, ky: float,
+def _matrix(entries, shape) -> np.ndarray:
+    """A stack of shape ``shape + (4, 4)`` from a 4x4 nested list of scalars
+    or arrays broadcastable to ``shape``."""
+    out = np.empty(shape + (4, 4), dtype=complex)
+    for i, row in enumerate(entries):
+        for j, value in enumerate(row):
+            out[..., i, j] = value
+    return out
+
+
+def _block_matrices(model: KpModel, kx, ky,
                     omega_rot) -> tuple[np.ndarray, np.ndarray]:
     """(upper, lower) 4x4 blocks in omega units at k measured from T.
 
     Basis order: (T5'+-, T1 -+ iT2, T3 +- iT4, T5+-); upper sign = upper
     block (left-handed). The lower block carries the elementwise conjugate
-    of the k.p coupling and the negated rotation part. An array of rotation
-    rates gives stacks of blocks, shape omega_rot.shape + (4, 4).
+    of the k.p coupling and the negated rotation part. Arrays of k
+    components and of rotation rates broadcast together and give stacks of
+    blocks, shape np.broadcast_shapes(kx.shape, ky.shape, omega_rot.shape)
+    + (4, 4).
     """
+    kx = np.asarray(kx, dtype=float)
+    ky = np.asarray(ky, dtype=float)
+    shape = np.broadcast_shapes(kx.shape, ky.shape)
     kp = kx + 1j * ky
     km = kx - 1j * ky
     p_over_m = model.p_interband / model.m0
     h0 = np.diag([model.omega_T5p, model.omega_T1, model.omega_T1,
                   model.omega_T5]).astype(complex)
-    hkp = p_over_m * np.array([
+    hkp = p_over_m * _matrix([
         [0.0, km, kp, 0.0],
         [kp, 0.0, 0.0, km],
         [km, 0.0, 0.0, -kp],
         [0.0, kp, -km, 0.0],
-    ])
+    ], shape)
     x = np.asarray(omega_rot, dtype=float)[..., None, None] / model.n_refr ** 2
     a = HBAR / (2.0 * model.p_interband)
     mp_ = model.m_plus
@@ -124,40 +151,40 @@ def _block_matrices(model: KpModel, kx: float, ky: float,
     mt = model.m_total
     # an out-of-range rate overflows here; HermitianMatrix rejects the block
     with np.errstate(over="ignore", invalid="ignore"):
-        h_rot = -x * np.array([
+        h_rot = -x * _matrix([
             [1.0, -mm_ * a * km, mm_ * a * kp, 0.0],
             [-mm_ * a * kp, -mt + 1.0, 0.0, -mp_ * a * km],
             [mm_ * a * km, 0.0, mt + 1.0, -mp_ * a * kp],
             [0.0, -mp_ * a * kp, -mp_ * a * km, 1.0],
-        ])
+        ], shape)
     kin = HBAR * (kx * kx + ky * ky) / (2.0 * model.m0)
-    free = kin * np.eye(4)
+    free = kin[..., None, None] * np.eye(4)
     upper = h0 + hkp + h_rot + free
     lower = h0 + np.conj(hkp) - h_rot + free
     return upper, lower
 
 
 def kp_bands(model: KpModel, kpath, rot: RotationSpec) -> KpSpectrum:
-    """Eight-band spectrum along a path of k-points measured from T."""
+    """Eight-band spectrum along a path of k-points measured from T.
+
+    The blocks of all k-points are built as one stack and diagonalized in
+    one ``eigh`` call per handedness.
+    """
     k_rel = np.atleast_2d(np.asarray(kpath, dtype=float))
     if k_rel.shape[1] != 2:
         raise ValidationError("kpath must be an (n, 2) array of k relative to T")
-    nk = k_rel.shape[0]
-    omegas = np.empty((nk, 8))
-    blocks = np.empty((nk, 8), dtype=int)
-    b = np.array([1, 1, 1, 1, -1, -1, -1, -1])
-    window = np.empty(nk, dtype=bool)
     kmax = KP_VALIDITY_FRACTION * math.pi / model.pitch
-    for i, (kx, ky) in enumerate(k_rel):
-        window[i] = math.hypot(kx, ky) <= kmax
-        upper, lower = _block_matrices(model, kx, ky, rot.omega_z)
-        wu, _ = eigh(HermitianMatrix(upper))
-        wl, _ = eigh(HermitianMatrix(lower))
-        w = np.concatenate([wu, wl])
-        order = np.argsort(w, kind="stable")
-        omegas[i] = w[order]
-        blocks[i] = b[order]
-    return KpSpectrum(k_rel=k_rel, omegas=omegas, blocks=blocks,
+    # math.hypot per point: np.hypot may round differently in the last
+    # place and move a point on the window's edge
+    window = np.array([math.hypot(kx, ky) <= kmax for kx, ky in k_rel],
+                      dtype=bool)
+    upper, lower = _block_matrices(model, k_rel[:, 0], k_rel[:, 1], rot.omega_z)
+    wu, _ = eigh(HermitianMatrix(upper))
+    wl, _ = eigh(HermitianMatrix(lower))
+    w = np.concatenate([wu, wl], axis=-1)
+    order = np.argsort(w, axis=-1, kind="stable")
+    return KpSpectrum(k_rel=k_rel, omegas=np.take_along_axis(w, order, axis=-1),
+                      blocks=np.repeat([1, -1], 4)[order],
                       within_window=window)
 
 

@@ -6,7 +6,7 @@ handled perturbatively by the k.p and zeeman modules instead). Produces band
 structures along named k-paths, classifies the Brillouin-zone-corner (T)
 states by their C4v representation, extracts band edges and the curvature
 masses of the nondegenerate edges, and evaluates the longitudinal Bloch
-factor and the paraxial field reconstruction.
+factor.
 
 Numerical notes: the eigenproblem is assembled and solved in detuning units
 (carrier frequency subtracted from the diagonal). The pattern term
@@ -15,35 +15,35 @@ Kronecker product -v*dphi*FF*(S ⊗ S) of the Toeplitz sinc factor over the
 window's axis (see ``_kernels``), which needs every basis to be an m-major
 square window. Each k-point adds only its kinetic diagonal. Along a k-path
 only the named nodes (G, Z, T) get eigenvectors; interior path points need
-only their frequencies and are solved eigenvalue-only. Those on a mirror line
-of the path are solved as two parity blocks: on G-Z (ky == 0) the mirror y ->
--y maps wave (m, n) to (m, -n), on T-G (kx == ky) the mirror x <-> y maps it
-to (n, m). The symmetric window is closed under both, so H splits exactly
-into an even block of (h+1)(2h+1) and an odd block of h(2h+1) waves. Z-T
-points stay dense: their mirror maps m to -1-m, under which the symmetric
-window is not closed. The T point itself is analysed on the corner window,
-which is closed under the whole C4v little group of T: H is solved there in
-its exact parity sectors (see ``t_point_analysis``), so the degenerate pair
-comes out exactly degenerate and every state's label is the sector it was
-solved in. The S and XY edge masses are the exact second-order k.p sums over
-the (x-odd, y-even) sector, the only one kappa_x S and kappa_y XY reach.
+only their frequencies and are solved eigenvalue-only. Every point on a
+mirror line of the path, named nodes included, is solved as two parity
+blocks: on G-Z (ky == 0) the mirror y -> -y maps wave (m, n) to (m, -n), on
+T-G (kx == ky) the mirror x <-> y maps it to (n, m). The symmetric window is
+closed under both, so H splits exactly into an even block of (h+1)(2h+1)
+and an odd block of h(2h+1) waves. The potential's blocks are gathered once
+per basis and each point adds its folded kinetic diagonal; block vectors are
+lifted back onto the basis. Z-T points stay dense: their mirror maps m to
+-1-m, under which the symmetric window is not closed. The T point itself
+is analysed on the corner window, which is closed under the whole C4v little
+group of T: H is solved there in its exact parity sectors (see
+``t_point_analysis``), so the degenerate pair comes out exactly degenerate
+and every state's label is the sector it was solved in. The S and XY edge
+masses are the exact second-order k.p sums over the (x-odd, y-even) sector,
+the only one kappa_x S and kappa_y XY reach.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .constants import C, HBAR
+from .constants import HBAR
 from .core import (
     ComputationError,
-    DerivedParams,
     ExperimentConfig,
     LatticeSpec,
-    RotationSpec,
     ValidationError,
     derive_params,
 )
@@ -56,9 +56,6 @@ from .lattice import (
 )
 
 DEFAULT_N_BANDS = 8  # covers the corner manifold plus guard bands
-
-# Fraction of the paraxial budget above which reconstruct_fields warns.
-PARAXIAL_LIMIT = 0.2
 
 # Representation labels at the T point (C4v little group).
 LABEL_S = "T1(S)"
@@ -196,13 +193,6 @@ class LongitudinalProfile:
             raise ValidationError(f"|1+eta| deviates from 1 by {dev:.3e}")
 
 
-@dataclass(frozen=True, eq=False)
-class FieldSample:
-    position: np.ndarray
-    E: np.ndarray
-    H: np.ndarray
-
-
 def _state_vector(state: BlochState) -> np.ndarray:
     """The state's coefficients; ValidationError for a frequency-only state."""
     if state.coefficients is None:
@@ -294,6 +284,41 @@ def _mirror_fold(waves, image) -> _MirrorFold | None:
 
 
 @dataclass(frozen=True, eq=False)
+class _MirrorBlocks:
+    """A mirror fold of the basis with the potential's blocks gathered once.
+
+    ``potential`` is ``fold.blocks`` of the k-independent potential. The
+    kinetic diagonal K stays diagonal under the fold: K[p, R p] = 0 for a
+    pair wave p, and the two 1/sqrt(2) scalings of a fixed wave undo its
+    doubled entry. So at every k the mirror fixes, the blocks of H are the
+    cached ones with K[even] and K[odd] added to their diagonals.
+    """
+
+    fold: _MirrorFold
+    potential: tuple[np.ndarray, np.ndarray]
+
+    def blocks(self, kinetic: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Fresh even and odd blocks of H for the kinetic diagonal ``kinetic``."""
+        even, odd = (block.copy() for block in self.potential)
+        even[np.diag_indices_from(even)] += kinetic[self.fold.even]
+        odd[np.diag_indices_from(odd)] += kinetic[self.fold.odd]
+        return even, odd
+
+
+def _mirror_blocks(potential, waves, image) -> _MirrorBlocks | None:
+    """The fold of ``waves`` under ``image`` (see ``_mirror_fold``) with the
+    read-only blocks of ``potential``; None when the waves are not closed
+    under the map."""
+    fold = _mirror_fold(waves, image)
+    if fold is None:
+        return None
+    blocks = fold.blocks(potential)
+    for block in blocks:
+        block.setflags(write=False)
+    return _MirrorBlocks(fold=fold, potential=blocks)
+
+
+@dataclass(frozen=True, eq=False)
 class _Problem:
     """The k-independent part of the detuned eigenproblem on one basis.
 
@@ -302,9 +327,10 @@ class _Problem:
     once (read-only) as -v*dphi*FF*(S ⊗ S) from the Toeplitz factor
     S[a, b] = factor[a - b + span]. Only the kinetic diagonal depends on k.
     ``along_x`` is the fold under n -> -n, the mirror y -> -y of every k
-    with ky == 0; ``diagonal`` the fold under (m, n) -> (n, m), the mirror
-    x <-> y of every k with kx == ky. Either is None when the window is not
-    closed under it.
+    with ky == 0, with the potential's blocks; ``diagonal`` the same for the
+    fold under (m, n) -> (n, m), the mirror x <-> y of every k with
+    kx == ky. Either is None when the window is not closed under it, and
+    both when the problem was built without mirrors.
     """
 
     omega0: float
@@ -313,19 +339,22 @@ class _Problem:
     gy: np.ndarray
     factor: np.ndarray
     potential: np.ndarray
-    along_x: _MirrorFold | None
-    diagonal: _MirrorFold | None
+    along_x: _MirrorBlocks | None
+    diagonal: _MirrorBlocks | None
+
+    def kinetic(self, kx: float, ky: float) -> np.ndarray:
+        """The kinetic diagonal hbar|k+G|^2/(2 m0) at (kx, ky)."""
+        return HBAR * ((kx + self.gx) ** 2 + (ky + self.gy) ** 2) / (2.0 * self.m0)
 
     def hamiltonian(self, kx: float, ky: float) -> np.ndarray:
         """Detuned H at (kx, ky): a fresh copy of the potential plus the
-        kinetic diagonal hbar|k+G|^2/(2 m0)."""
+        kinetic diagonal."""
         h = self.potential.copy()
-        h[np.diag_indices_from(h)] += HBAR * (
-            (kx + self.gx) ** 2 + (ky + self.gy) ** 2) / (2.0 * self.m0)
+        h[np.diag_indices_from(h)] += self.kinetic(kx, ky)
         return h
 
-    def fold_at(self, kx: float, ky: float) -> _MirrorFold | None:
-        """The fold H commutes with at (kx, ky), or None (solve dense)."""
+    def fold_at(self, kx: float, ky: float) -> _MirrorBlocks | None:
+        """The mirror blocks H splits into at (kx, ky), or None (solve dense)."""
         if ky == 0.0:
             return self.along_x
         if kx == ky:
@@ -333,25 +362,33 @@ class _Problem:
         return None
 
 
-def _problem(lattice: LatticeSpec, basis) -> _Problem:
-    """Build the per-basis problem; ``basis`` must be an m-major square window."""
+def _problem(lattice: LatticeSpec, basis, mirrors: bool = False) -> _Problem:
+    """Build the per-basis problem; ``basis`` must be an m-major square window.
+
+    With ``mirrors`` the potential's blocks under both path mirrors are
+    gathered too, for ``_solve`` on the G-Z and T-G lines.
+    """
     dp = derive_params(lattice)
     m_idx, n_idx = _basis_indices(basis)
     factor = pattern_factors(lattice, int(np.ptp(m_idx)))
-    waves = list(zip(m_idx.tolist(), n_idx.tolist()))
     potential = _kernels.fill_hamiltonian(
         m_idx, n_idx, factor, lattice.dphi * lattice.fill_factor,
         dp.v_prefactor,
     )
     potential.setflags(write=False)
+    along_x = diagonal = None
+    if mirrors:
+        waves = list(zip(m_idx.tolist(), n_idx.tolist()))
+        along_x = _mirror_blocks(potential, waves, lambda m, n: (m, -n))
+        diagonal = _mirror_blocks(potential, waves, lambda m, n: (n, m))
     return _Problem(
         omega0=dp.omega0, m0=dp.m0,
         gx=np.array([rv.gx for rv in basis]),
         gy=np.array([rv.gy for rv in basis]),
         factor=factor,
         potential=potential,
-        along_x=_mirror_fold(waves, lambda m, n: (m, -n)),
-        diagonal=_mirror_fold(waves, lambda m, n: (n, m)),
+        along_x=along_x,
+        diagonal=diagonal,
     )
 
 
@@ -365,44 +402,49 @@ def _lapack(solver, h):
         ) from exc
 
 
-def _solve_refined(problem: _Problem, kx, ky, n_bands):
-    """Lowest ``n_bands`` omegas and unit eigenvectors at (kx, ky)."""
-    w, v = _lapack(np.linalg.eigh, problem.hamiltonian(kx, ky))
-    return problem.omega0 + w[:n_bands], v[:, :n_bands]
+def _solve(problem: _Problem, kx, ky, n_bands, vectors: bool = False):
+    """Lowest ``n_bands`` omegas at (kx, ky), and their unit eigenvectors
+    over the basis when ``vectors`` (else None).
 
-
-def _solve_omegas(problem: _Problem, kx, ky, n_bands):
-    """Lowest ``n_bands`` omegas of the detuned problem, without vectors.
-
-    On a mirror line of the path (ky == 0, or kx == ky) H splits exactly into
-    the mirror's even and odd blocks; each is solved on its own and the
-    lowest ``n_bands`` of their merged eigenvalues returned. Elsewhere, and
-    where the window is not closed under the mirror, H is solved dense.
+    On a mirror line of the path (ky == 0, or kx == ky) whose blocks the
+    problem holds, H splits exactly into the mirror's even and odd blocks.
+    Each is solved on its own (``eigh`` for vectors, else ``eigvalsh``), the
+    lowest ``n_bands`` of their merged eigenvalues are kept, and their block
+    vectors are lifted onto the basis. Elsewhere H is solved dense.
     """
-    h = problem.hamiltonian(kx, ky)
-    fold = problem.fold_at(kx, ky)
-    if fold is None:
-        w = _lapack(np.linalg.eigvalsh, h)
-    else:
-        even, odd = fold.blocks(h)
-        w = np.sort(np.concatenate([
-            _lapack(np.linalg.eigvalsh, even)[:n_bands],
-            _lapack(np.linalg.eigvalsh, odd)[:n_bands],
-        ]))
-    return problem.omega0 + w[:n_bands]
+    def solve(h):
+        if vectors:
+            w, u = _lapack(np.linalg.eigh, h)
+            return w[:n_bands], u[:, :n_bands]
+        return _lapack(np.linalg.eigvalsh, h)[:n_bands], None
+
+    mirror = problem.fold_at(kx, ky)
+    if mirror is None:
+        w, v = solve(problem.hamiltonian(kx, ky))
+        return problem.omega0 + w, v
+    (w_even, u_even), (w_odd, u_odd) = (
+        solve(h) for h in mirror.blocks(problem.kinetic(kx, ky)))
+    w = np.concatenate([w_even, w_odd])
+    order = np.argsort(w, kind="stable")[:n_bands]
+    v = None
+    if vectors:
+        v = np.hstack([mirror.fold.lift(u_even),
+                       mirror.fold.lift(u_odd, True)])[:, order]
+    return problem.omega0 + w[order], v
 
 
 def solve_bands(config: ExperimentConfig,
                 n_bands: int = DEFAULT_N_BANDS) -> BandStructure:
     """Lowest scalar bands along the configured k-path (deterministic).
 
-    The k-independent potential is built once; each k-point adds its kinetic
-    diagonal and is solved on its own, in path order. Named nodes (G, Z, T)
-    get unit-norm eigenvectors, and T states their representation labels;
-    interior points are solved eigenvalue-only and their states carry
-    ``coefficients=None``. Interior points on G-Z (ky == 0) and T-G
-    (kx == ky) are solved as the even and odd blocks of the mirror that fixes
-    their line (see ``_solve_omegas``); Z-T points are solved dense.
+    The k-independent potential, and its blocks under the two path mirrors,
+    are built once; each k-point adds its kinetic diagonal and is solved on
+    its own, in path order. Points on G-Z (ky == 0) and T-G (kx == ky),
+    the named nodes G, Z and T among them, are solved as the even and odd
+    blocks of the mirror that fixes their line; Z-T points are solved dense
+    (see ``_solve``). Named nodes get unit-norm eigenvectors, and T states
+    their representation labels; interior points are solved eigenvalue-only
+    and their states carry ``coefficients=None``.
     """
     basis = tuple(reciprocal_basis(config.basis_halfwidth, config.lattice.pitch))
     if n_bands > len(basis):
@@ -411,15 +453,12 @@ def solve_bands(config: ExperimentConfig,
         )
     kpts = build_kpath(config.kpath, config.lattice.pitch,
                        config.samples_per_segment)
-    problem = _problem(config.lattice, basis)
+    problem = _problem(config.lattice, basis, mirrors=True)
 
     rows = []
     for kp in kpts:
         try:
-            if kp.label:
-                w, v = _solve_refined(problem, kp.kx, kp.ky, n_bands)
-            else:
-                w, v = _solve_omegas(problem, kp.kx, kp.ky, n_bands), None
+            w, v = _solve(problem, kp.kx, kp.ky, n_bands, vectors=bool(kp.label))
         except ComputationError as exc:
             raise ComputationError(
                 f"{exc} at k-point {kp.index} (kx={kp.kx:.6g}, ky={kp.ky:.6g})"
@@ -537,7 +576,9 @@ class TPointAnalysis:
     ``DEFAULT_N_BANDS`` states; ``groups`` are their degenerate clusters and
     ``labels`` each group's common sector (``unclassified`` when a group
     mixes sectors or lies in one of the two sectors without a corner
-    channel). ``edges`` are the lowest S, (X, Y) and XY sector omegas.
+    channel). ``edges`` are the lowest T1(S), T5(X,Y) and T4(XY) sector
+    omegas, which ``KpModel`` calls omega_T5, omega_T1 and omega_T5p (its
+    docstring holds the map).
     ``masses`` maps LABEL_S and LABEL_XY to the curvature mass
     hbar / (d^2 omega / dk^2) of that label's first group, for each label
     whose first group is a single state; a nondegenerate state at T has an
@@ -549,7 +590,7 @@ class TPointAnalysis:
     basis: tuple[ReciprocalVector, ...]
     groups: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
-    edges: tuple[float, float, float]  # (omega_T5, omega_T1, omega_T5p)
+    edges: tuple[float, float, float]  # T1(S), T5(X,Y), T4(XY) sector edges
     masses: dict[str, float]
 
     def group_of(self, label: str) -> tuple[int, ...]:
@@ -724,94 +765,3 @@ def longitudinal_profile(state: BlochState, lattice: LatticeSpec,
     return LongitudinalProfile(
         alpha=float(alpha), eta_samples=eta, z_over_lz=2.0 * frac,
     )
-
-
-# --------------------------------------------------------------------------
-# paraxial field reconstruction
-
-def reconstruct_fields(state: BlochState, dp: DerivedParams,
-                       rot: RotationSpec, polarization,
-                       positions) -> list[FieldSample]:
-    """Reconstruct E and H at the given positions from a Bloch state.
-
-    The paraxial gauge operator acts spectrally on each plane-wave component
-    (d/dx -> i*kappa) plus rotation terms linear in the evaluation
-    coordinates; the fast carrier exp(i k_z z) is included, the order-dphi
-    longitudinal factor (1 + eta) is not (see longitudinal_profile). Output
-    units follow the unit-norm coefficient convention with the 1/sqrt(2 pi)
-    and sqrt(Z) prefactors of the field ansatz.
-    """
-    c = _state_vector(state)
-    pol = np.asarray(polarization, dtype=float)
-    if pol.shape != (2,) or abs(np.linalg.norm(pol) - 1.0) > 1e-9:
-        raise ValidationError("polarization must be a unit 2-vector")
-    pos = np.atleast_2d(np.asarray(positions, dtype=float))
-    if pos.shape[1] != 3:
-        raise ValidationError("positions must be (n, 3)")
-
-    kx, ky = state.k_perp
-    gx = np.array([rv.gx for rv in state.basis])
-    gy = np.array([rv.gy for rv in state.basis])
-    kapx = kx + gx
-    kapy = ky + gy
-    kmax = float(np.max(np.hypot(kapx, kapy)))
-    if kmax > PARAXIAL_LIMIT * dp.k_z:
-        warnings.warn(
-            f"paraxial validity strained: max|k_perp + G| = {kmax:.3g} "
-            f"exceeds {PARAXIAL_LIMIT} * k_z = {PARAXIAL_LIMIT * dp.k_z:.3g}",
-            UserWarning,
-            stacklevel=2,
-        )
-
-    kz = dp.k_z
-    n_refr = math.sqrt(dp.eps)
-    ksq = kapx ** 2 + kapy ** 2
-
-    def operator_columns(psi):
-        """Per-wave E-pattern (3, nw) for constant transverse polarization psi."""
-        kdotpsi = kapx * psi[0] + kapy * psi[1]
-        diag = 1.0 + ksq / (4.0 * kz * kz)
-        ex = diag * psi[0] - kapx * kdotpsi / (2.0 * kz * kz)
-        ey = diag * psi[1] - kapy * kdotpsi / (2.0 * kz * kz)
-        ez = -kdotpsi / kz
-        return ex, ey, ez
-
-    phase = np.exp(
-        1j * (pos[:, 0:1] * kapx[None, :] + pos[:, 1:2] * kapy[None, :]
-              + kz * pos[:, 2:3])
-    )
-    amp = c[None, :] * phase / math.sqrt(2.0 * math.pi)
-
-    omega_rot = rot.omega_z
-    rot_scale = omega_rot / (n_refr * C)
-
-    samples = []
-    for psi, pref, which in ((pol, math.sqrt(dp.z_impedance), "E"),
-                             (np.array([-pol[1], pol[0]]),
-                              1.0 / math.sqrt(dp.z_impedance), "H")):
-        ex, ey, ez = operator_columns(psi)
-        # rotation terms: (Omega/(n c)) [delta_a3 (x w_y - y w_x)
-        #                                 + (r_a / k_z)(kappa_x w_y - kappa_y w_x)]
-        # with w = (psi_y, -psi_x)
-        kdotw = kapx * psi[1] - kapy * psi[0]
-        rdotw = pos[:, 0] * psi[1] - pos[:, 1] * psi[0]
-        fx = amp * ex[None, :]
-        fy = amp * ey[None, :]
-        fz = amp * ez[None, :]
-        if omega_rot != 0.0:
-            fx = fx + amp * (rot_scale * pos[:, 0:1] / kz) * kdotw[None, :]
-            fy = fy + amp * (rot_scale * pos[:, 1:2] / kz) * kdotw[None, :]
-            fz = fz + amp * (
-                rot_scale * rdotw[:, None]
-                + (rot_scale * pos[:, 2:3] / kz) * kdotw[None, :]
-            )
-        field = pref * np.stack([fx.sum(axis=1), fy.sum(axis=1),
-                                 fz.sum(axis=1)], axis=1)
-        if which == "E":
-            e_field = field
-        else:
-            h_field = field
-    for i in range(pos.shape[0]):
-        samples.append(FieldSample(position=pos[i].copy(),
-                                   E=e_field[i], H=h_field[i]))
-    return samples

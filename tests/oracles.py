@@ -3,8 +3,10 @@
 These deliberately avoid the code paths they check: the quadrature oracle
 integrates pointwise samples of the real-space pattern over the smooth
 pieces of the cell (it never touches the analytic Fourier series), the
-folding oracle enumerates free-space parabolas, and the high-precision
-oracle re-derives the closed-form orbital parameters with mpmath.
+folding oracle enumerates free-space parabolas, the dense oracle solves the
+whole Hamiltonian in one eigensolve (never its mirror blocks), and the
+high-precision oracle re-derives the closed-form orbital parameters with
+mpmath.
 """
 import math
 
@@ -57,6 +59,13 @@ def folded_free_bands(lattice, kx, ky, halfwidth, n_bands):
                 + HBAR * ((kx + gx) ** 2 + (ky + gy) ** 2) / (2.0 * dp.m0)
             )
     return np.sort(np.array(vals))[:n_bands]
+
+
+def dense_eigh(problem, kx, ky, n_bands):
+    """Lowest ``n_bands`` omegas and unit eigenvectors of one dense ``eigh``
+    of the detuned H of a ``planewave._Problem`` at (kx, ky)."""
+    w, v = np.linalg.eigh(problem.hamiltonian(kx, ky))
+    return problem.omega0 + w[:n_bands], v[:, :n_bands]
 
 
 def mp_closed_form_total(lattice, dps=40):

@@ -31,8 +31,12 @@ from phczeeman import (
     zeeman_splittings_at_T,
 )
 from phczeeman.cli import main
-from phczeeman.planewave import LABEL_S, LABEL_XY, _problem, _solve_refined
-from oracles import mp_closed_form_total, quadrature_fourier_coefficient
+from phczeeman.planewave import LABEL_S, LABEL_XY, _problem
+from oracles import (
+    dense_eigh,
+    mp_closed_form_total,
+    quadrature_fourier_coefficient,
+)
 
 
 def _report(num, passed, detail):
@@ -57,7 +61,7 @@ def test_criterion_01_kp_opw_agreement(bands_config, bands_t_analysis):
                           (-1.0 / math.sqrt(2), -1.0 / math.sqrt(2))):
             kx = t_pt[0] + frac * window * direction[0]
             ky = t_pt[1] + frac * window * direction[1]
-            w_opw, _ = _solve_refined(problem, kx, ky, 8)
+            w_opw, _ = dense_eigh(problem, kx, ky, 8)
             k_rel = np.array([[kx - t_pt[0], ky - t_pt[1]]])
             kp8 = kp_bands(model, k_rel, RotationSpec(0.0)).omegas[0]
             for w in kp8:

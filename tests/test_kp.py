@@ -150,6 +150,37 @@ class TestKpBands:
         spec = kp_bands(weak_model, [[k, 0.4 * k], [-k, -0.4 * k]], ROT0)
         assert np.allclose(spec.omegas[0], spec.omegas[1], rtol=1e-12)
 
+    def test_path_stack_bit_equal_to_one_point_calls(self, weak_model,
+                                                     monkeypatch):
+        from phczeeman import kp
+
+        calls = []
+        original = kp.eigh
+
+        def counting(h):
+            calls.append(np.shape(h.entries))
+            return original(h)
+
+        monkeypatch.setattr(kp, "eigh", counting)
+        rng = np.random.default_rng(11)
+        path = np.concatenate([rng.normal(size=(9, 2)) * 0.3 * math.pi
+                               / weak_model.pitch, [[0.0, 0.0], [-0.0, 1e3]]])
+        rot = RotationSpec(321.0)
+        spec = kp_bands(weak_model, path, rot)
+        assert calls == [(11, 4, 4), (11, 4, 4)]
+        stacked = _block_matrices(weak_model, path[:, 0], path[:, 1], 321.0)
+        for i, k in enumerate(path):
+            one = kp_bands(weak_model, k[None, :], rot)
+            # bit patterns, so that the sign of a zero counts too
+            assert np.array_equal(spec.omegas[i].view(np.uint64),
+                                  one.omegas[0].view(np.uint64))
+            assert np.array_equal(spec.blocks[i], one.blocks[0])
+            upper, lower = _block_matrices(weak_model, k[0], k[1], 321.0)
+            assert np.array_equal(stacked[0][i].view(np.uint64),
+                                  upper.view(np.uint64))
+            assert np.array_equal(stacked[1][i].view(np.uint64),
+                                  lower.view(np.uint64))
+
     def test_equal_edge_dispersion_exact(self, equal_edge_model):
         # degenerate-edge coupling block squares to 2*(p*k)^2 along the axis:
         # branches at kin +- sqrt(2)*(P/m0)*k, each twice

@@ -8,7 +8,6 @@ from phczeeman import (
     BlochState,
     ComputationError,
     ExperimentConfig,
-    RotationSpec,
     ValidationError,
     build_kpath,
     classify_t_states,
@@ -18,7 +17,6 @@ from phczeeman import (
     named_kpoint,
     opw_mass_at_t,
     perturbative_edges,
-    reconstruct_fields,
     reciprocal_basis,
     solve_bands,
     t_point_analysis,
@@ -28,10 +26,10 @@ from phczeeman.lattice import t_centered_basis
 from phczeeman import _kernels
 from phczeeman.planewave import (
     DEFAULT_N_BANDS, LABEL_NONE, LABEL_PAIR, LABEL_S, LABEL_XY, _problem,
-    _solve_omegas, _solve_refined,
+    _solve,
 )
 from phczeeman.zeeman import m_closed_form
-from oracles import folded_free_bands
+from oracles import dense_eigh, folded_free_bands
 
 
 def _corner_state(basis, pattern):
@@ -136,7 +134,7 @@ class TestSolveBands:
     def test_empty_lattice_folding_oracle_generic_k(self, empty_config):
         basis = reciprocal_basis(7, empty_config.lattice.pitch)
         kx, ky = 0.3 * math.pi / 4e-6, 0.15 * math.pi / 4e-6
-        w, _ = _solve_refined(_problem(empty_config.lattice, basis), kx, ky, 8)
+        w, _ = _solve(_problem(empty_config.lattice, basis), kx, ky, 8)
         oracle = folded_free_bands(empty_config.lattice, kx, ky, 7, 8)
         assert np.allclose(w, oracle, rtol=1e-12)
 
@@ -190,9 +188,9 @@ class TestSolveBands:
         rng = np.random.default_rng(5)
         kx, ky = rng.uniform(0.05, 0.45, size=2) * math.pi / 4e-6
         problem = _problem(bands_config.lattice, basis)
-        w0, _ = _solve_refined(problem, kx, ky, 6)
+        w0, _ = _solve(problem, kx, ky, 6)
         for kim in ((ky, kx), (-kx, ky), (kx, -ky), (-ky, -kx)):
-            wi, _ = _solve_refined(problem, kim[0], kim[1], 6)
+            wi, _ = _solve(problem, kim[0], kim[1], 6)
             assert np.allclose(wi, w0, rtol=1e-10)
 
     def test_variational_bounds(self, bands_config):
@@ -243,8 +241,9 @@ class TestProblem:
 class TestEigenpairContract:
     """The eigh contract (residual and orthonormality) on production solves.
 
-    The matrix checked is the detuned Hamiltonian that _solve_refined
-    diagonalizes, with the eigenpairs of its one dense eigensolve.
+    The pairs checked are those ``_solve`` returns at a named node, lifted
+    from the mirror blocks where the window is closed under the node's
+    mirror; the matrix is the whole detuned Hamiltonian at that node.
     """
 
     @pytest.mark.parametrize("window", [reciprocal_basis, t_centered_basis])
@@ -252,8 +251,8 @@ class TestEigenpairContract:
     def test_refined_pairs(self, bands_lattice, bands_dp, window, node):
         basis = tuple(window(7, bands_lattice.pitch))
         kx, ky = named_kpoint(node, bands_lattice.pitch)
-        problem = _problem(bands_lattice, basis)
-        w, v = _solve_refined(problem, kx, ky, 8)
+        problem = _problem(bands_lattice, basis, mirrors=True)
+        w, v = _solve(problem, kx, ky, 8, vectors=True)
         h = problem.hamiltonian(kx, ky)
         residual = np.max(np.linalg.norm(h @ v - v * (w - bands_dp.omega0),
                                          axis=0))
@@ -337,10 +336,10 @@ class TestTPointSectors:
     def test_fold_lift_gives_eigenvectors(self, bands_lattice):
         # the x <-> y fold of the symmetric window has fixed waves (m == n)
         basis = tuple(reciprocal_basis(3, bands_lattice.pitch))
-        problem = _problem(bands_lattice, basis)
+        problem = _problem(bands_lattice, basis, mirrors=True)
         kx = 0.3 * math.pi / bands_lattice.pitch
         h = problem.hamiltonian(kx, kx)
-        fold = problem.diagonal
+        fold = problem.diagonal.fold
         assert fold.n_fixed == 7
         for odd, block in zip((False, True), fold.blocks(h)):
             w, u = np.linalg.eigh(block)
@@ -352,7 +351,8 @@ class TestTPointSectors:
 
     def test_fold_gather_is_adjoint_of_lift(self, bands_lattice):
         fold = _problem(bands_lattice,
-                        tuple(reciprocal_basis(3, bands_lattice.pitch))).diagonal
+                        tuple(reciprocal_basis(3, bands_lattice.pitch)),
+                        mirrors=True).diagonal.fold
         rng = np.random.default_rng(7)
         f = rng.normal(size=(fold.n_fixed + 2 * fold.odd.size, 3))
         for odd, size in ((False, fold.even.size), (True, fold.odd.size)):
@@ -387,19 +387,15 @@ class TestFrequencyOnlyInterior:
         for kp_pt, row in zip(small_path.kpoints, small_path.states):
             if kp_pt.label:
                 continue
-            w_ref, _ = _solve_refined(problem, kp_pt.kx, kp_pt.ky,
-                                      small_path.n_bands)
+            w_ref, _ = dense_eigh(problem, kp_pt.kx, kp_pt.ky,
+                                  small_path.n_bands)
             w = np.array([st.omega for st in row])
             assert np.max(np.abs(w - w_ref)) <= 16.0
 
-    def test_profile_and_fields_reject_interior_state(self, small_path,
-                                                      bands_dp):
+    def test_profile_and_fields_reject_interior_state(self, small_path):
         state = small_path.states[1][0]
         with pytest.raises(ValidationError, match="no coefficients"):
             longitudinal_profile(state, small_path.config.lattice)
-        with pytest.raises(ValidationError, match="no coefficients"):
-            reconstruct_fields(state, bands_dp, RotationSpec(0.0), (1.0, 0.0),
-                               [[0.0, 0.0, 0.0]])
 
     def test_eigenvalue_failure_names_kpoint(self, bands_config, monkeypatch):
         def fail(_h):
@@ -413,14 +409,14 @@ class TestFrequencyOnlyInterior:
 
 
 class TestMirrorBlockedSolve:
-    """Eigenvalue-only points on G-Z (ky == 0) and T-G (kx == ky) are solved
-    as the even and odd blocks of the mirror that fixes their line."""
+    """Points on G-Z (ky == 0) and T-G (kx == ky) are solved as the even
+    and odd blocks of the mirror that fixes their line."""
 
     @pytest.mark.parametrize("halfwidth", [2, 3, 7])
     def test_blocked_omegas_match_dense(self, bands_lattice, bands_dp,
                                         halfwidth):
         basis = tuple(reciprocal_basis(halfwidth, bands_lattice.pitch))
-        problem = _problem(bands_lattice, basis)
+        problem = _problem(bands_lattice, basis, mirrors=True)
         kpts = [kp for kp in build_kpath(("G", "Z", "T", "G"),
                                          bands_lattice.pitch, 4)
                 if not kp.label and (kp.ky == 0.0 or kp.kx == kp.ky)]
@@ -429,16 +425,16 @@ class TestMirrorBlockedSolve:
             assert problem.fold_at(kp.kx, kp.ky) is not None
             h = problem.hamiltonian(kp.kx, kp.ky)
             dense = np.linalg.eigvalsh(h)[:8]
-            w = _solve_omegas(problem, kp.kx, kp.ky, 8)
+            w, _ = _solve(problem, kp.kx, kp.ky, 8)
             assert np.max(np.abs((w - bands_dp.omega0) - dense)) <= (
                 1e-12 * np.linalg.norm(h))
 
     @pytest.mark.parametrize("halfwidth", [2, 3, 7])
     def test_block_sizes(self, bands_lattice, halfwidth):
         basis = reciprocal_basis(halfwidth, bands_lattice.pitch)
-        problem = _problem(bands_lattice, basis)
-        for fold in (problem.along_x, problem.diagonal):
-            even, odd = fold.even.size, fold.odd.size
+        problem = _problem(bands_lattice, basis, mirrors=True)
+        for mirror in (problem.along_x, problem.diagonal):
+            even, odd = mirror.fold.even.size, mirror.fold.odd.size
             assert even == (halfwidth + 1) * (2 * halfwidth + 1)
             assert odd == halfwidth * (2 * halfwidth + 1)
             assert even + odd == (2 * halfwidth + 1) ** 2
@@ -447,11 +443,11 @@ class TestMirrorBlockedSolve:
     def test_block_solves_reach_eigvalsh(self, bands_lattice, monkeypatch,
                                          kx_frac, ky_frac):
         basis = tuple(reciprocal_basis(7, bands_lattice.pitch))
-        problem = _problem(bands_lattice, basis)
+        problem = _problem(bands_lattice, basis, mirrors=True)
         shapes = _record_shapes(monkeypatch, "eigvalsh")
         kx = 2 * math.pi * kx_frac / bands_lattice.pitch
         ky = 2 * math.pi * ky_frac / bands_lattice.pitch
-        _solve_omegas(problem, kx, ky, 8)
+        _solve(problem, kx, ky, 8)
         assert shapes == [(120, 120), (105, 105)]
 
     @pytest.mark.parametrize("nodes,mirror", [
@@ -459,7 +455,7 @@ class TestMirrorBlockedSolve:
     ])
     def test_user_path_mirror(self, bands_lattice, nodes, mirror):
         basis = reciprocal_basis(3, bands_lattice.pitch)
-        problem = _problem(bands_lattice, basis)
+        problem = _problem(bands_lattice, basis, mirrors=True)
         expected = None if mirror is None else getattr(problem, mirror)
         interior = [kp for kp in build_kpath(nodes, bands_lattice.pitch, 4)
                     if not kp.label]
@@ -471,15 +467,80 @@ class TestMirrorBlockedSolve:
                                                 bands_dp, monkeypatch):
         # n -> -n maps the window [-h-1, h] onto [-h, h+1]: not closed
         basis = tuple(t_centered_basis(3, bands_lattice.pitch))
-        problem = _problem(bands_lattice, basis)
+        problem = _problem(bands_lattice, basis, mirrors=True)
         assert problem.along_x is None
         assert problem.diagonal is not None
         kx = 0.6 * math.pi / bands_lattice.pitch
         shapes = _record_shapes(monkeypatch, "eigvalsh")
-        w = _solve_omegas(problem, kx, 0.0, 8)
+        w, _ = _solve(problem, kx, 0.0, 8)
         assert shapes == [(64, 64)]
         h = problem.hamiltonian(kx, 0.0)
         assert np.array_equal(w, bands_dp.omega0 + np.linalg.eigvalsh(h)[:8])
+
+
+class TestFoldedNamedNodes:
+    """The named nodes are solved in the mirror blocks too, from potential
+    blocks gathered once per basis, and checked against one dense eigh."""
+
+    @pytest.mark.parametrize("kx_frac,ky_frac", [(0.3, 0.0), (0.3, 0.3)])
+    def test_cached_blocks_match_fold_of_dense(self, bands_lattice, kx_frac,
+                                               ky_frac):
+        basis = tuple(reciprocal_basis(7, bands_lattice.pitch))
+        problem = _problem(bands_lattice, basis, mirrors=True)
+        kx = 2 * math.pi * kx_frac / bands_lattice.pitch
+        ky = 2 * math.pi * ky_frac / bands_lattice.pitch
+        mirror = problem.fold_at(kx, ky)
+        h = problem.hamiltonian(kx, ky)
+        cached = mirror.blocks(problem.kinetic(kx, ky))
+        for block, folded in zip(cached, mirror.fold.blocks(h)):
+            assert np.max(np.abs(block - folded)) <= 1e-15 * np.linalg.norm(h)
+        assert not any(b.flags.writeable for b in mirror.potential)
+
+    def test_problem_without_mirrors_holds_no_blocks(self, bands_lattice):
+        # t_point_analysis builds its problem so and gathers no path blocks
+        problem = _problem(bands_lattice, reciprocal_basis(3, bands_lattice.pitch))
+        assert problem.along_x is None and problem.diagonal is None
+
+    @pytest.mark.parametrize("halfwidth", [3, 7, 14])
+    def test_node_pairs_match_dense_oracle(self, bands_lattice, halfwidth):
+        basis = tuple(reciprocal_basis(halfwidth, bands_lattice.pitch))
+        problem = _problem(bands_lattice, basis, mirrors=True)
+        for node in ("G", "Z", "T"):
+            kx, ky = named_kpoint(node, bands_lattice.pitch)
+            assert problem.fold_at(kx, ky) is not None
+            h = problem.hamiltonian(kx, ky)
+            scale = np.linalg.norm(h)
+            w, v = _solve(problem, kx, ky, DEFAULT_N_BANDS, vectors=True)
+            w_dense, _ = dense_eigh(problem, kx, ky, DEFAULT_N_BANDS)
+            assert np.max(np.abs(w - w_dense)) <= 1e-14 * scale, node
+            detuned = w - problem.omega0
+            residual = np.max(np.linalg.norm(h @ v - v * detuned, axis=0))
+            assert residual <= 1e-10 * scale, node
+            assert np.max(np.abs(v.T @ v - np.eye(DEFAULT_N_BANDS))) <= 1e-12
+
+    def test_path_nodes_solved_in_blocks(self, bands_config, monkeypatch):
+        shapes = _record_shapes(monkeypatch, "eigh")
+        cfg = replace(bands_config, samples_per_segment=2, basis_halfwidth=3)
+        solve_bands(cfg)
+        # G and Z under y -> -y, T and G under x <-> y: 28 + 21 waves each
+        assert shapes == [(28, 28), (21, 21)] * 4
+
+    @pytest.mark.parametrize("halfwidth", [3, 7, 14])
+    def test_t_labels_match_dense_oracle(self, bands_config, halfwidth):
+        cfg = replace(bands_config, kpath=("T",), samples_per_segment=1,
+                      basis_halfwidth=halfwidth)
+        bs = solve_bands(cfg)
+        problem = _problem(cfg.lattice, bs.basis)
+        w, v = dense_eigh(problem, *named_kpoint("T", cfg.lattice.pitch),
+                          DEFAULT_N_BANDS)
+        groups = cluster_degenerate(w)
+        expected = [None] * DEFAULT_N_BANDS
+        for grp, lab in zip(groups, classify_t_states(
+                [v[:, g] for g in groups], bs.basis)):
+            for i in grp:
+                expected[i] = lab
+        assert [st.rep_label for st in bs.states[0]] == expected
+        assert expected[:4] == [LABEL_S, LABEL_PAIR, LABEL_PAIR, LABEL_XY]
 
 
 class TestClassification:
@@ -706,82 +767,6 @@ class TestLongitudinalProfile:
                            tuple(basis))
         with pytest.raises(ValidationError, match="square window"):
             longitudinal_profile(state, bands_lattice)
-
-
-class TestReconstructFields:
-    def _uniform_state(self, lattice, dp, halfwidth=2):
-        basis = tuple(reciprocal_basis(halfwidth, lattice.pitch))
-        pos = [(rv.m, rv.n) for rv in basis].index((0, 0))
-        coeffs = np.zeros(len(basis), dtype=complex)
-        coeffs[pos] = 1.0
-        return BlochState(0, (0.0, 0.0), dp.omega0, coeffs, basis)
-
-    def test_uniform_wave_is_transverse(self, bands_lattice, bands_dp):
-        state = self._uniform_state(bands_lattice, bands_dp)
-        samples = reconstruct_fields(
-            state, bands_dp, RotationSpec(0.0), (1.0, 0.0),
-            [[0.0, 0.0, 0.0], [1e-7, 2e-7, 1e-7]],
-        )
-        for smp in samples:
-            assert smp.E[2] == 0.0
-            assert smp.H[2] == 0.0
-            assert smp.E[1] == 0.0  # x-polarized
-            assert smp.H[0] == 0.0  # H along y
-        # plane-wave z phase
-        phase = samples[1].E[0] / samples[0].E[0]
-        assert phase == pytest.approx(np.exp(1j * bands_dp.k_z * 1e-7), rel=1e-12)
-        # impedance weighting: H = E / Z in these units
-        ratio = samples[0].H[1] / samples[0].E[0]
-        assert ratio == pytest.approx(1 / bands_dp.z_impedance, rel=1e-12)
-
-    def test_tilted_wave_longitudinal_field(self, bands_lattice, bands_dp):
-        basis = tuple(reciprocal_basis(2, bands_lattice.pitch))
-        pos = [(rv.m, rv.n) for rv in basis].index((0, 0))
-        coeffs = np.zeros(len(basis), dtype=complex)
-        coeffs[pos] = 1.0
-        kx = 0.01 * bands_dp.k_z
-        state = BlochState(0, (kx, 0.0), bands_dp.omega0, coeffs, basis)
-        smp = reconstruct_fields(state, bands_dp, RotationSpec(0.0),
-                                 (1.0, 0.0), [[0.0, 0.0, 0.0]])[0]
-        assert smp.E[2] / smp.E[0] == pytest.approx(-kx / bands_dp.k_z,
-                                                    rel=1e-3)
-
-    def test_linearity(self, bands_lattice, bands_dp):
-        basis = tuple(reciprocal_basis(2, bands_lattice.pitch))
-        ns = len(basis)
-        rng = np.random.default_rng(9)
-        q, _ = np.linalg.qr(rng.normal(size=(ns, 2))
-                            + 1j * rng.normal(size=(ns, 2)))
-        c1, c2 = q[:, 0], q[:, 1]
-        a, b = 0.6, 0.8
-        mix = a * c1 + b * c2
-        positions = [[1e-7, -2e-7, 3e-7]]
-        args = (bands_dp, RotationSpec(123.0), (0.0, 1.0), positions)
-        out1 = reconstruct_fields(
-            BlochState(0, (0.0, 0.0), bands_dp.omega0, c1, basis), *args)[0]
-        out2 = reconstruct_fields(
-            BlochState(0, (0.0, 0.0), bands_dp.omega0, c2, basis), *args)[0]
-        mixed = reconstruct_fields(
-            BlochState(0, (0.0, 0.0), bands_dp.omega0, mix, basis), *args)[0]
-        assert np.allclose(mixed.E, a * out1.E + b * out2.E, atol=1e-12)
-        assert np.allclose(mixed.H, a * out1.H + b * out2.H, atol=1e-12)
-
-    def test_paraxial_warning(self, bands_lattice, bands_dp):
-        basis = tuple(reciprocal_basis(2, bands_lattice.pitch))
-        pos = [(rv.m, rv.n) for rv in basis].index((2, 2))
-        coeffs = np.zeros(len(basis), dtype=complex)
-        coeffs[pos] = 1.0
-        state = BlochState(0, (0.3 * bands_dp.k_z, 0.0), bands_dp.omega0,
-                           coeffs, basis)
-        with pytest.warns(UserWarning, match="paraxial"):
-            reconstruct_fields(state, bands_dp, RotationSpec(0.0), (1.0, 0.0),
-                               [[0.0, 0.0, 0.0]])
-
-    def test_bad_polarization(self, bands_lattice, bands_dp):
-        state = self._uniform_state(bands_lattice, bands_dp)
-        with pytest.raises(ValidationError, match="polarization"):
-            reconstruct_fields(state, bands_dp, RotationSpec(0.0), (1.0, 1.0),
-                               [[0.0, 0.0, 0.0]])
 
 
 class TestBlochStateValidation:
