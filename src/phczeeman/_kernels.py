@@ -6,8 +6,10 @@ is depth * s_m * s_n, with depth = dphi*FF and s_j = sinc(pi*j*sqrt(FF)).
 On the m-major square window that ``reciprocal_basis`` and
 ``t_centered_basis`` produce, the matrix phi[(mi - mj, ni - nj)] is therefore
 the Kronecker product (depth*S) ⊗ S of the Toeplitz factor S[a, b] = s[a - b]
-over the window's axis; both kernels build it so. ``BACKEND`` names the
-implementation for run reports.
+over the window's axis. ``fill_hamiltonian`` writes that product out, and
+``pattern_overlap`` applies S along both axes of the coefficients reshaped
+onto the window instead. ``BACKEND`` names the implementation for run
+reports.
 """
 from __future__ import annotations
 
@@ -20,8 +22,8 @@ from .core import ValidationError
 BACKEND = "numpy"
 
 
-def _pattern_matrix(m_idx, n_idx, s, depth) -> np.ndarray:
-    """phi[(mi-mj, ni-nj)] = ((depth*s[mi-mj])*s[ni-nj]) for every pair of waves.
+def _axis_factor(m_idx, n_idx, s) -> np.ndarray:
+    """The Toeplitz factor S[a, b] = s[a - b] over the axis of the window.
 
     ``s`` holds s_j at index j + s.size // 2. The waves must run over
     axis x axis with n fastest, and ``s`` must cover every difference of the
@@ -36,25 +38,25 @@ def _pattern_matrix(m_idx, n_idx, s, depth) -> np.ndarray:
             "the basis waves do not form an m-major square window covered by "
             "the pattern factors"
         )
-    factor = s[axis[:, None] - axis[None, :] + s.size // 2]
-    # np.kron(depth * factor, factor), written into one array without the
-    # temporaries np.kron makes
-    phi = np.empty((m_idx.size, m_idx.size))
-    np.multiply((depth * factor)[:, None, :, None], factor[None, :, None, :],
-                out=phi.reshape(width, width, width, width))
-    return phi
+    return s[axis[:, None] - axis[None, :] + s.size // 2]
 
 
 def fill_hamiltonian(m_idx, n_idx, s, depth, v_prefactor):
-    """Assemble the pattern term H[i,j] = -v*phi[(mi-mj, ni-nj)]."""
-    h = _pattern_matrix(m_idx, n_idx, s, depth)
+    """Assemble the pattern term H[i,j] = -v*phi[(mi-mj, ni-nj)], with
+    phi = ((depth*s[mi-mj])*s[ni-nj]) for every pair of waves."""
+    factor = _axis_factor(m_idx, n_idx, s)
+    # np.kron(depth * factor, factor), written into one array without the
+    # temporaries np.kron makes
+    h = np.empty((m_idx.size, m_idx.size))
+    np.multiply((depth * factor)[:, None, :, None], factor[None, :, None, :],
+                out=h.reshape(factor.shape * 2))
     h *= -v_prefactor
     return h
 
 
 def pattern_overlap(coeffs, m_idx, n_idx, s, depth) -> float:
-    """Real part of sum_ij conj(c_i) c_j phi[(mi-mj, ni-nj)]."""
-    phi = _pattern_matrix(m_idx, n_idx, s, depth)
-    re = np.ascontiguousarray(coeffs.real)
-    im = np.ascontiguousarray(coeffs.imag)
-    return float(re @ phi @ re + im @ phi @ im)
+    """Real part of sum_ij conj(c_i) c_j phi[(mi-mj, ni-nj)], computed as
+    depth * Re<C, S C S^T> on the coefficients C reshaped onto the window."""
+    factor = _axis_factor(m_idx, n_idx, s)
+    c = np.asarray(coeffs).reshape(factor.shape)
+    return depth * float(np.vdot(c, factor @ c @ factor.T).real)

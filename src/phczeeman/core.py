@@ -227,10 +227,10 @@ def eigh(h) -> tuple[np.ndarray, np.ndarray]:
 
 DEFAULT_KPATH = ("G", "Z", "T", "G")
 DEFAULT_BASIS_HALFWIDTH = 7
-# Largest plane-wave cutoff. One dense H on the (2h+2)^2-wave corner window
-# takes (2h+2)^4 * 8 bytes, 362 MB at h = 40; a `split` at h = 40 holds the
-# potential, H and its mirror-fold blocks and peaks at 895 MB resident
-# (measured on Linux, numpy with OpenBLAS).
+# Largest plane-wave cutoff. At h = 40 `bands` peaks highest (`validate`
+# builds the same problem): the 6561-wave potential (344 MB), its mirror
+# blocks and one dense Z-T solve reach 1360 MB resident. `split` solves only
+# the T sectors and peaks at 190 MB (measured on Linux, numpy with OpenBLAS).
 MAX_BASIS_HALFWIDTH = 40
 # Largest dump-fourier halfwidth: every index difference of a capped basis.
 MAX_FOURIER_HALFWIDTH = 2 * MAX_BASIS_HALFWIDTH

@@ -25,11 +25,12 @@ per basis and each point adds its folded kinetic diagonal; block vectors are
 lifted back onto the basis. Z-T points stay dense: their mirror maps m to
 -1-m, under which the symmetric window is not closed. The T point itself
 is analysed on the corner window, which is closed under the whole C4v little
-group of T: H is solved there in its exact parity sectors (see
-``t_point_analysis``), so the degenerate pair comes out exactly degenerate
-and every state's label is the sector it was solved in. The S and XY edge
-masses are the exact second-order k.p sums over the (x-odd, y-even) sector,
-the only one kappa_x S and kappa_y XY reach.
+group of T: its exact parity sectors are assembled from the mirror-folded
+1D pattern factors without forming H (see ``_t_sectors``), so the
+degenerate pair comes out exactly degenerate and every state's label is the
+sector it was solved in. The S and XY edge masses are the exact
+second-order k.p sums over the (x-odd, y-even) sector, the only one
+kappa_x S and kappa_y XY reach.
 """
 from __future__ import annotations
 
@@ -252,17 +253,6 @@ class _MirrorFold:
         out[image[n_fixed:]] = -pair if odd else pair
         return out
 
-    def gather(self, f: np.ndarray, odd: bool = False) -> np.ndarray:
-        """The adjoint of ``lift``: ``f`` over the folded waves in even (or
-        odd) block coordinates, f[f] on a fixed wave and (f[p] +- f[R p]) /
-        sqrt(2) on a pair."""
-        src, image = (self.odd, self.odd_image) if odd else (self.even,
-                                                             self.even_image)
-        out = math.sqrt(0.5) * (f[src] - f[image] if odd else f[src] + f[image])
-        if not odd:
-            out[:self.n_fixed] *= math.sqrt(0.5)
-        return out
-
 
 def _mirror_fold(waves, image) -> _MirrorFold | None:
     """The fold of the waves ``(m, n)`` under the map ``image(m, n) -> (m', n')``.
@@ -322,22 +312,19 @@ def _mirror_blocks(potential, waves, image) -> _MirrorBlocks | None:
 class _Problem:
     """The k-independent part of the detuned eigenproblem on one basis.
 
-    ``factor`` holds s_j = sinc(pi*j*sqrt(FF)) for |j| <= span, the span of
-    the window's axis; ``potential`` is -v_prefactor * phi[G' - G], built
-    once (read-only) as -v*dphi*FF*(S ⊗ S) from the Toeplitz factor
-    S[a, b] = factor[a - b + span]. Only the kinetic diagonal depends on k.
+    ``potential`` is -v_prefactor * phi[G' - G], built once (read-only) as
+    -v*dphi*FF*(S ⊗ S) from the Toeplitz factor S[a, b] = s[a - b] of the
+    window's axis. Only the kinetic diagonal depends on k.
     ``along_x`` is the fold under n -> -n, the mirror y -> -y of every k
     with ky == 0, with the potential's blocks; ``diagonal`` the same for the
     fold under (m, n) -> (n, m), the mirror x <-> y of every k with
-    kx == ky. Either is None when the window is not closed under it, and
-    both when the problem was built without mirrors.
+    kx == ky. Either is None when the window is not closed under it.
     """
 
     omega0: float
     m0: float
     gx: np.ndarray
     gy: np.ndarray
-    factor: np.ndarray
     potential: np.ndarray
     along_x: _MirrorBlocks | None
     diagonal: _MirrorBlocks | None
@@ -362,33 +349,24 @@ class _Problem:
         return None
 
 
-def _problem(lattice: LatticeSpec, basis, mirrors: bool = False) -> _Problem:
-    """Build the per-basis problem; ``basis`` must be an m-major square window.
-
-    With ``mirrors`` the potential's blocks under both path mirrors are
-    gathered too, for ``_solve`` on the G-Z and T-G lines.
-    """
+def _problem(lattice: LatticeSpec, basis) -> _Problem:
+    """Build the per-basis problem, with the potential's blocks under both
+    path mirrors; ``basis`` must be an m-major square window."""
     dp = derive_params(lattice)
     m_idx, n_idx = _basis_indices(basis)
-    factor = pattern_factors(lattice, int(np.ptp(m_idx)))
     potential = _kernels.fill_hamiltonian(
-        m_idx, n_idx, factor, lattice.dphi * lattice.fill_factor,
-        dp.v_prefactor,
+        m_idx, n_idx, pattern_factors(lattice, int(np.ptp(m_idx))),
+        lattice.dphi * lattice.fill_factor, dp.v_prefactor,
     )
     potential.setflags(write=False)
-    along_x = diagonal = None
-    if mirrors:
-        waves = list(zip(m_idx.tolist(), n_idx.tolist()))
-        along_x = _mirror_blocks(potential, waves, lambda m, n: (m, -n))
-        diagonal = _mirror_blocks(potential, waves, lambda m, n: (n, m))
+    waves = list(zip(m_idx.tolist(), n_idx.tolist()))
     return _Problem(
         omega0=dp.omega0, m0=dp.m0,
         gx=np.array([rv.gx for rv in basis]),
         gy=np.array([rv.gy for rv in basis]),
-        factor=factor,
         potential=potential,
-        along_x=along_x,
-        diagonal=diagonal,
+        along_x=_mirror_blocks(potential, waves, lambda m, n: (m, -n)),
+        diagonal=_mirror_blocks(potential, waves, lambda m, n: (n, m)),
     )
 
 
@@ -453,7 +431,7 @@ def solve_bands(config: ExperimentConfig,
         )
     kpts = build_kpath(config.kpath, config.lattice.pitch,
                        config.samples_per_segment)
-    problem = _problem(config.lattice, basis, mirrors=True)
+    problem = _problem(config.lattice, basis)
 
     rows = []
     for kp in kpts:
@@ -602,20 +580,58 @@ class TPointAnalysis:
         )
 
 
+def _t_sectors(lattice: LatticeSpec, halfwidth: int):
+    """The five C4v sector blocks of the detuned H at T on the corner window.
+
+    With k = halfwidth + 1, the mirror m -> -1-m folds the window's axis
+    [-k, k-1] onto its half m = -k..-1, and the Toeplitz factor into
+    S+-[a, b] = s[a-b] +- s[a+b+1] over the distances a = -1-m from the
+    mirror; the kinetic term, with kappa = (pi/pitch)(2m+1), stays diagonal.
+    So each axis-parity sector is -c*(S_p ⊗ S_q), c = v*dphi*FF, plus the
+    kinetic diagonal on the m-major k x k grid of the half axes, and the
+    x <-> y fold of that grid splits the (even, even) and (odd, odd) sectors.
+    Returns the blocks (S, its x <-> y-odd partner, XY, its partner,
+    (x-odd, y-even)), that fold, kappa on the half axis and the derived
+    parameters.
+    """
+    k = halfwidth + 1
+    dp = derive_params(lattice)
+    m = np.arange(-k, 0)
+    kappa = named_kpoint("T", lattice.pitch)[0] + 2.0 * math.pi * m / lattice.pitch
+    kinetic = HBAR * (kappa[:, None] ** 2 + kappa[None, :] ** 2) / (2.0 * dp.m0)
+    s = pattern_factors(lattice, 2 * k - 1)[2 * k - 1:]  # s_j for j = 0..2k-1
+    a = -1 - m
+    toeplitz, hankel = s[np.abs(a[:, None] - a)], s[a[:, None] + a + 1]
+    even, odd = toeplitz + hankel, toeplitz - hankel
+    c = dp.v_prefactor * lattice.dphi * lattice.fill_factor
+
+    def sector(s_x, s_y):
+        h = np.kron(s_x, s_y)
+        h *= -c
+        h[np.diag_indices_from(h)] += kinetic.ravel()
+        return h
+
+    fold = _mirror_fold([(i, j) for i in range(k) for j in range(k)],
+                        lambda i, j: (j, i))
+    blocks = (*fold.blocks(sector(even, even)), *fold.blocks(sector(odd, odd)),
+              sector(odd, even))
+    return blocks, fold, kappa, dp
+
+
 def t_point_analysis(config: ExperimentConfig,
                      halfwidth: int | None = None) -> TPointAnalysis:
     """Solve the T point on the corner window in its exact C4v sectors.
 
     The window m, n in [-h-1, h] is closed under x -> -x (m -> -1-m),
-    y -> -y (n -> -1-n) and x <-> y, so H at T folds exactly: first by the
-    two axis mirrors, then the (even, even) and (odd, odd) blocks by x <-> y.
-    With k = h + 1 that leaves the sectors T1(S) of k(k+1)/2 waves, its
-    x <-> y-odd partner of k(k-1)/2, T4(XY) of k(k+1)/2 and its partner of
-    k(k-1)/2, and the (x-odd, y-even) sector of k^2 waves, whose x <-> y
-    image is the (x-even, y-odd) sector; each is solved by one eigh. A T5
-    pair is an (x-odd, y-even) state and its x <-> y image, so it is exactly
-    degenerate and already in its parity members, x member first. Vectors
-    take the sign that makes their (0, 0) coefficient non-negative.
+    y -> -y (n -> -1-n) and x <-> y, so H at T splits exactly into the
+    sectors that ``_t_sectors`` builds from the 1D pattern factors, without
+    forming H. With k = h + 1 they are T1(S) of k(k+1)/2 waves, its
+    x <-> y-odd partner of k(k-1)/2, T4(XY) and its partner of the same
+    sizes, and the (x-odd, y-even) sector of k^2 waves, whose transposed
+    grid is the (x-even, y-odd) sector; each is solved by one eigh. A T5
+    pair is an (x-odd, y-even) state and its transpose, so it is exactly
+    degenerate, x member first. The kept states are unfolded onto the
+    window with the sign that makes their (0, 0) coefficient non-negative.
 
     The S and XY edge masses come from the second-order k.p sum (Luttinger
     and Kohn, Phys. Rev. 97, 869 (1955)); H(k) is quadratic in k, so for a
@@ -623,73 +639,53 @@ def t_point_analysis(config: ExperimentConfig,
     d^2 omega_n / dk^2 = hbar/m0 + 2 sum_m |<m|hbar kappa/m0|n>|^2 / (w_n - w_m),
     with kappa = k + G along the step. kappa_x maps S, and kappa_y maps XY,
     into the (x-odd, y-even) sector, so the sum runs over that sector's whole
-    spectrum, reached through the adjoint of its lift.
+    spectrum; kappa is odd under its axis mirror, a diagonal on the grid.
     """
     hw = halfwidth if halfwidth is not None else config.basis_halfwidth
     basis = tuple(t_centered_basis(hw, config.lattice.pitch))
-    kt = named_kpoint("T", config.lattice.pitch)
-    problem = _problem(config.lattice, basis)
-    omega0, m0, h = problem.omega0, problem.m0, problem.hamiltonian(kt[0], kt[1])
-    kappa = {LABEL_S: kt[0] + problem.gx, LABEL_XY: kt[1] + problem.gy}
-    del problem  # frees the potential before the folds copy blocks of h
+    (s_block, s_partner, xy_block, xy_partner, pair), fold, kappa, dp = (
+        _t_sectors(config.lattice, hw))
+    k, n_bands = hw + 1, DEFAULT_N_BANDS
 
-    waves = [(rv.m, rv.n) for rv in basis]
-    fold_x = _mirror_fold(waves, lambda m, n: (-1 - m, n))
-    half = [waves[i] for i in fold_x.odd]
-    fold_y = _mirror_fold(half, lambda m, n: (m, -1 - n))
-    quarter = [half[i] for i in fold_y.odd]
-    fold_d = _mirror_fold(quarter, lambda m, n: (n, m))
-    x_even, x_odd = fold_x.blocks(h)
-    even_even = fold_y.blocks(x_even)[0]
-    odd_even, odd_odd = fold_y.blocks(x_odd)
-    s_block, s_partner = fold_d.blocks(even_even)
-    xy_block, xy_partner = fold_d.blocks(odd_odd)
-
-    n_bands = DEFAULT_N_BANDS
-
-    def solve(block, lift):
+    def solve(block, odd):  # lowest omegas and their k x k grids
         w, u = _lapack(np.linalg.eigh, block)
-        return w[:n_bands], lift(u[:, :n_bands])
+        return w[:n_bands], fold.lift(u[:, :n_bands], odd).T.reshape(-1, k, k)
 
-    def unfold_axes(u, x_odd, y_odd):
-        return fold_x.lift(fold_y.lift(u, y_odd), x_odd)
+    # per sector: lowest omegas, their grids, axis parities (x, y), label
+    sectors = [(*solve(s_block, False), (1, 1), LABEL_S),
+               (*solve(s_partner, True), (1, 1), LABEL_NONE),
+               (*solve(xy_block, False), (-1, -1), LABEL_XY),
+               (*solve(xy_partner, True), (-1, -1), LABEL_NONE)]
+    w_x, u_x = _lapack(np.linalg.eigh, pair)  # whole, for the masses
+    x_grids = u_x[:, :n_bands].T.reshape(-1, k, k)
+    sectors += [(w_x[:n_bands], x_grids, (-1, 1), LABEL_PAIR),
+                (w_x[:n_bands], x_grids.transpose(0, 2, 1), (1, -1), LABEL_PAIR)]
 
-    s_states = solve(s_block, lambda u: unfold_axes(fold_d.lift(u), False, False))
-    s_partner_states = solve(
-        s_partner, lambda u: unfold_axes(fold_d.lift(u, True), False, False))
-    xy_states = solve(xy_block, lambda u: unfold_axes(fold_d.lift(u), True, True))
-    xy_partner_states = solve(
-        xy_partner, lambda u: unfold_axes(fold_d.lift(u, True), True, True))
-    w_x, u_x = _lapack(np.linalg.eigh, odd_even)  # whole, for the masses
-    x_states = (w_x[:n_bands], unfold_axes(u_x[:, :n_bands], True, False))
-    pos = {wave: i for i, wave in enumerate(waves)}
-    swap = [pos[n, m] for m, n in waves]
-    y_states = (x_states[0], x_states[1][swap])
-
-    sectors = ((s_states, LABEL_S), (s_partner_states, LABEL_NONE),
-               (xy_states, LABEL_XY), (xy_partner_states, LABEL_NONE),
-               (x_states, LABEL_PAIR), (y_states, LABEL_PAIR))
-    w = np.concatenate([sec[0] for sec, _ in sectors])
-    sector_label = [lab for sec, lab in sectors for _ in sec[0]]
+    w = np.concatenate([sec[0] for sec in sectors])
     order = np.argsort(w, kind="stable")[:n_bands]
-    omegas = omega0 + w[order]
-    v = np.hstack([sec[1] for sec, _ in sectors])[:, order]
-    v *= np.where(v[pos[0, 0]] < 0.0, -1.0, 1.0)
+    omegas = dp.omega0 + w[order]
+    kept = np.concatenate([sec[1] for sec in sectors])[order]
+    state = [sec[2:] for sec in sectors for _ in sec[0]]  # (parities, label)
+    # unfold onto the window: grid[m, n] / 2 on (m, n) and its mirror images
+    x_par, y_par = np.array([state[i][0] for i in order]).T[:, :, None, None]
+    v = np.concatenate([kept, x_par * kept[:, ::-1]], axis=1)
+    v = 0.5 * np.concatenate([v, y_par * v[:, :, ::-1]], axis=2)
+    v = v.reshape(n_bands, -1).T
+    v *= np.where(v[k * (2 * k + 1)] < 0.0, -1.0, 1.0)  # the wave (0, 0)
     groups = cluster_degenerate(omegas)
     labels = []
     for grp in groups:
-        members = {sector_label[order[i]] for i in grp}
+        members = {state[order[i]][1] for i in grp}
         labels.append(members.pop() if len(members) == 1 else LABEL_NONE)
-    edges = tuple(float(omega0 + sec[0][0])
-                  for sec in (s_states, x_states, xy_states))
+    edges = tuple(float(dp.omega0 + sectors[i][0][0]) for i in (0, 4, 2))
     masses = {}
-    for lab, kap in kappa.items():
+    for lab, kap in ((LABEL_S, kappa[:, None]), (LABEL_XY, kappa[None, :])):
         grp = next((g for g, g_lab in zip(groups, labels) if g_lab == lab), ())
         if len(grp) == 1:
             i = grp[0]
-            coupling = u_x.T @ fold_y.gather(fold_x.gather(kap * v[:, i], True))
+            coupling = u_x.T @ (kap * kept[i]).ravel()
             k2_sum = float(np.sum(coupling ** 2 / (w[order[i]] - w_x)))
-            masses[lab] = m0 / (1.0 + 2.0 * HBAR / m0 * k2_sum)
+            masses[lab] = dp.m0 / (1.0 + 2.0 * HBAR / dp.m0 * k2_sum)
     return TPointAnalysis(
         omegas=omegas, vectors=v, basis=basis,
         groups=tuple(tuple(g) for g in groups), labels=tuple(labels),

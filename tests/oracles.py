@@ -4,16 +4,19 @@ These deliberately avoid the code paths they check: the quadrature oracle
 integrates pointwise samples of the real-space pattern over the smooth
 pieces of the cell (it never touches the analytic Fourier series), the
 folding oracle enumerates free-space parabolas, the dense oracle solves the
-whole Hamiltonian in one eigensolve (never its mirror blocks), and the
-high-precision oracle re-derives the closed-form orbital parameters with
+whole Hamiltonian in one eigensolve (never its mirror blocks), the sector
+oracle folds the dense corner-window Hamiltonian index by index (never its
+1D factors), and the high-precision oracle re-derives the closed-form orbital parameters with
 mpmath.
 """
 import math
 
 import numpy as np
 
-from phczeeman import derive_params, phase_pattern
+from phczeeman import derive_params, named_kpoint, phase_pattern
 from phczeeman.constants import C, HBAR
+from phczeeman.lattice import t_centered_basis
+from phczeeman.planewave import _mirror_fold, _problem
 
 
 def quadrature_fourier_coefficient(lattice, m, n, order=40):
@@ -66,6 +69,28 @@ def dense_eigh(problem, kx, ky, n_bands):
     of the detuned H of a ``planewave._Problem`` at (kx, ky)."""
     w, v = np.linalg.eigh(problem.hamiltonian(kx, ky))
     return problem.omega0 + w[:n_bands], v[:, :n_bands]
+
+
+def dense_t_sectors(lattice, halfwidth):
+    """The five C4v sector blocks of the dense detuned H at T on the corner
+    window (S, its x <-> y-odd partner, XY, its partner, (x-odd, y-even)),
+    and that H.
+
+    H is folded by x -> -x (m -> -1-m), then each block by y -> -y
+    (n -> -1-n), then the (even, even) and (odd, odd) blocks by x <-> y.
+    """
+    basis = t_centered_basis(halfwidth, lattice.pitch)
+    h = _problem(lattice, basis).hamiltonian(*named_kpoint("T", lattice.pitch))
+    waves = [(rv.m, rv.n) for rv in basis]
+    fold_x = _mirror_fold(waves, lambda m, n: (-1 - m, n))
+    half = [waves[i] for i in fold_x.odd]
+    fold_y = _mirror_fold(half, lambda m, n: (m, -1 - n))
+    quarter = [half[i] for i in fold_y.odd]
+    fold_d = _mirror_fold(quarter, lambda m, n: (n, m))
+    x_even, x_odd = fold_x.blocks(h)
+    odd_even, odd_odd = fold_y.blocks(x_odd)
+    return (*fold_d.blocks(fold_y.blocks(x_even)[0]), *fold_d.blocks(odd_odd),
+            odd_even), h
 
 
 def mp_closed_form_total(lattice, dps=40):

@@ -63,3 +63,6 @@ def test_non_window_rejected(fill_args):
     # factors that do not reach every axis difference
     with pytest.raises(ValidationError, match="square window"):
         _kernels.fill_hamiltonian(m_idx, n_idx, s[1:-1], depth, v)
+    c = np.ones(m_idx.size)
+    with pytest.raises(ValidationError, match="square window"):
+        _kernels.pattern_overlap(c[order], m_idx[order], n_idx[order], s, depth)

@@ -26,10 +26,10 @@ from phczeeman.lattice import t_centered_basis
 from phczeeman import _kernels
 from phczeeman.planewave import (
     DEFAULT_N_BANDS, LABEL_NONE, LABEL_PAIR, LABEL_S, LABEL_XY, _problem,
-    _solve,
+    _solve, _t_sectors,
 )
 from phczeeman.zeeman import m_closed_form
-from oracles import dense_eigh, folded_free_bands
+from oracles import dense_eigh, dense_t_sectors, folded_free_bands
 
 
 def _corner_state(basis, pattern):
@@ -251,7 +251,7 @@ class TestEigenpairContract:
     def test_refined_pairs(self, bands_lattice, bands_dp, window, node):
         basis = tuple(window(7, bands_lattice.pitch))
         kx, ky = named_kpoint(node, bands_lattice.pitch)
-        problem = _problem(bands_lattice, basis, mirrors=True)
+        problem = _problem(bands_lattice, basis)
         w, v = _solve(problem, kx, ky, 8, vectors=True)
         h = problem.hamiltonian(kx, ky)
         residual = np.max(np.linalg.norm(h @ v - v * (w - bands_dp.omega0),
@@ -270,9 +270,22 @@ class TestTPointSectors:
             *named_kpoint("T", config.lattice.pitch))
 
     @pytest.mark.parametrize("halfwidth", [3, 7, 14])
+    def test_sectors_match_fold_of_dense(self, bands_lattice, halfwidth):
+        blocks = _t_sectors(bands_lattice, halfwidth)[0]
+        expected, h = dense_t_sectors(bands_lattice, halfwidth)
+        assert len(blocks) == len(expected) == 5
+        for block, folded in zip(blocks, expected):
+            assert block.shape == folded.shape
+            assert np.max(np.abs(block - folded)) <= 1e-15 * np.linalg.norm(h)
+
+    @pytest.mark.parametrize("halfwidth", [3, 7, 14])
     def test_eigh_only_on_sectors(self, bands_config, monkeypatch, halfwidth):
         shapes = _record_shapes(monkeypatch, "eigh")
+        fills = []
+        monkeypatch.setattr(_kernels, "fill_hamiltonian",
+                            lambda *args: fills.append(args))
         t_point_analysis(bands_config, halfwidth=halfwidth)
+        assert fills == []  # the corner H is never formed
         k = halfwidth + 1
         sym, anti, pair = k * (k + 1) // 2, k * (k - 1) // 2, k * k
         # S, its x <-> y-odd partner, XY, its partner, (x-odd, y-even)
@@ -336,7 +349,7 @@ class TestTPointSectors:
     def test_fold_lift_gives_eigenvectors(self, bands_lattice):
         # the x <-> y fold of the symmetric window has fixed waves (m == n)
         basis = tuple(reciprocal_basis(3, bands_lattice.pitch))
-        problem = _problem(bands_lattice, basis, mirrors=True)
+        problem = _problem(bands_lattice, basis)
         kx = 0.3 * math.pi / bands_lattice.pitch
         h = problem.hamiltonian(kx, kx)
         fold = problem.diagonal.fold
@@ -348,17 +361,6 @@ class TestTPointSectors:
             assert np.max(np.linalg.norm(h @ v - v * w, axis=0)) <= (
                 1e-10 * np.linalg.norm(h))
             assert np.max(np.abs(v.T @ v - np.eye(w.size))) <= 1e-12
-
-    def test_fold_gather_is_adjoint_of_lift(self, bands_lattice):
-        fold = _problem(bands_lattice,
-                        tuple(reciprocal_basis(3, bands_lattice.pitch)),
-                        mirrors=True).diagonal.fold
-        rng = np.random.default_rng(7)
-        f = rng.normal(size=(fold.n_fixed + 2 * fold.odd.size, 3))
-        for odd, size in ((False, fold.even.size), (True, fold.odd.size)):
-            u = rng.normal(size=(size, 4))
-            assert np.allclose(fold.lift(u, odd).T @ f,
-                               u.T @ fold.gather(f, odd), rtol=0, atol=1e-13)
 
 
 class TestFrequencyOnlyInterior:
@@ -416,7 +418,7 @@ class TestMirrorBlockedSolve:
     def test_blocked_omegas_match_dense(self, bands_lattice, bands_dp,
                                         halfwidth):
         basis = tuple(reciprocal_basis(halfwidth, bands_lattice.pitch))
-        problem = _problem(bands_lattice, basis, mirrors=True)
+        problem = _problem(bands_lattice, basis)
         kpts = [kp for kp in build_kpath(("G", "Z", "T", "G"),
                                          bands_lattice.pitch, 4)
                 if not kp.label and (kp.ky == 0.0 or kp.kx == kp.ky)]
@@ -432,7 +434,7 @@ class TestMirrorBlockedSolve:
     @pytest.mark.parametrize("halfwidth", [2, 3, 7])
     def test_block_sizes(self, bands_lattice, halfwidth):
         basis = reciprocal_basis(halfwidth, bands_lattice.pitch)
-        problem = _problem(bands_lattice, basis, mirrors=True)
+        problem = _problem(bands_lattice, basis)
         for mirror in (problem.along_x, problem.diagonal):
             even, odd = mirror.fold.even.size, mirror.fold.odd.size
             assert even == (halfwidth + 1) * (2 * halfwidth + 1)
@@ -443,7 +445,7 @@ class TestMirrorBlockedSolve:
     def test_block_solves_reach_eigvalsh(self, bands_lattice, monkeypatch,
                                          kx_frac, ky_frac):
         basis = tuple(reciprocal_basis(7, bands_lattice.pitch))
-        problem = _problem(bands_lattice, basis, mirrors=True)
+        problem = _problem(bands_lattice, basis)
         shapes = _record_shapes(monkeypatch, "eigvalsh")
         kx = 2 * math.pi * kx_frac / bands_lattice.pitch
         ky = 2 * math.pi * ky_frac / bands_lattice.pitch
@@ -455,7 +457,7 @@ class TestMirrorBlockedSolve:
     ])
     def test_user_path_mirror(self, bands_lattice, nodes, mirror):
         basis = reciprocal_basis(3, bands_lattice.pitch)
-        problem = _problem(bands_lattice, basis, mirrors=True)
+        problem = _problem(bands_lattice, basis)
         expected = None if mirror is None else getattr(problem, mirror)
         interior = [kp for kp in build_kpath(nodes, bands_lattice.pitch, 4)
                     if not kp.label]
@@ -467,7 +469,7 @@ class TestMirrorBlockedSolve:
                                                 bands_dp, monkeypatch):
         # n -> -n maps the window [-h-1, h] onto [-h, h+1]: not closed
         basis = tuple(t_centered_basis(3, bands_lattice.pitch))
-        problem = _problem(bands_lattice, basis, mirrors=True)
+        problem = _problem(bands_lattice, basis)
         assert problem.along_x is None
         assert problem.diagonal is not None
         kx = 0.6 * math.pi / bands_lattice.pitch
@@ -486,7 +488,7 @@ class TestFoldedNamedNodes:
     def test_cached_blocks_match_fold_of_dense(self, bands_lattice, kx_frac,
                                                ky_frac):
         basis = tuple(reciprocal_basis(7, bands_lattice.pitch))
-        problem = _problem(bands_lattice, basis, mirrors=True)
+        problem = _problem(bands_lattice, basis)
         kx = 2 * math.pi * kx_frac / bands_lattice.pitch
         ky = 2 * math.pi * ky_frac / bands_lattice.pitch
         mirror = problem.fold_at(kx, ky)
@@ -496,15 +498,10 @@ class TestFoldedNamedNodes:
             assert np.max(np.abs(block - folded)) <= 1e-15 * np.linalg.norm(h)
         assert not any(b.flags.writeable for b in mirror.potential)
 
-    def test_problem_without_mirrors_holds_no_blocks(self, bands_lattice):
-        # t_point_analysis builds its problem so and gathers no path blocks
-        problem = _problem(bands_lattice, reciprocal_basis(3, bands_lattice.pitch))
-        assert problem.along_x is None and problem.diagonal is None
-
     @pytest.mark.parametrize("halfwidth", [3, 7, 14])
     def test_node_pairs_match_dense_oracle(self, bands_lattice, halfwidth):
         basis = tuple(reciprocal_basis(halfwidth, bands_lattice.pitch))
-        problem = _problem(bands_lattice, basis, mirrors=True)
+        problem = _problem(bands_lattice, basis)
         for node in ("G", "Z", "T"):
             kx, ky = named_kpoint(node, bands_lattice.pitch)
             assert problem.fold_at(kx, ky) is not None
