@@ -22,7 +22,7 @@ from .core import ValidationError
 BACKEND = "numpy"
 
 
-def _axis_factor(m_idx, n_idx, s) -> np.ndarray:
+def axis_factor(m_idx, n_idx, s) -> np.ndarray:
     """The Toeplitz factor S[a, b] = s[a - b] over the axis of the window.
 
     ``s`` holds s_j at index j + s.size // 2. The waves must run over
@@ -44,7 +44,7 @@ def _axis_factor(m_idx, n_idx, s) -> np.ndarray:
 def fill_hamiltonian(m_idx, n_idx, s, depth, v_prefactor):
     """Assemble the pattern term H[i,j] = -v*phi[(mi-mj, ni-nj)], with
     phi = ((depth*s[mi-mj])*s[ni-nj]) for every pair of waves."""
-    factor = _axis_factor(m_idx, n_idx, s)
+    factor = axis_factor(m_idx, n_idx, s)
     # np.kron(depth * factor, factor), written into one array without the
     # temporaries np.kron makes
     h = np.empty((m_idx.size, m_idx.size))
@@ -57,6 +57,6 @@ def fill_hamiltonian(m_idx, n_idx, s, depth, v_prefactor):
 def pattern_overlap(coeffs, m_idx, n_idx, s, depth) -> float:
     """Real part of sum_ij conj(c_i) c_j phi[(mi-mj, ni-nj)], computed as
     depth * Re<C, S C S^T> on the coefficients C reshaped onto the window."""
-    factor = _axis_factor(m_idx, n_idx, s)
+    factor = axis_factor(m_idx, n_idx, s)
     c = np.asarray(coeffs).reshape(factor.shape)
     return depth * float(np.vdot(c, factor @ c @ factor.T).real)

@@ -396,8 +396,10 @@ def _kp_vs_opw_worst(config: ExperimentConfig, model: kpmod.KpModel,
                      span: float) -> float:
     """Worst |omega_kp - omega_opw| / span within 0.25*pi/pitch of T.
 
-    A function of its own so that the plane-wave problem is freed before
-    the later checks run.
+    The points along x from T are solved dense, each writing its own H; the
+    diagonal ones in the x <-> y blocks, whose pattern term the plane-wave
+    problem caches (about N^2 / 2 entries). A function of its own so that
+    this cache is freed before the later checks run.
     """
     lattice = config.lattice
     basis = tuple(reciprocal_basis(config.basis_halfwidth, lattice.pitch))

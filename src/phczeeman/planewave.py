@@ -9,32 +9,35 @@ masses of the nondegenerate edges, and evaluates the longitudinal Bloch
 factor.
 
 Numerical notes: the eigenproblem is assembled and solved in detuning units
-(carrier frequency subtracted from the diagonal). The pattern term
--v*phi[G'-G] does not depend on k and is built once per basis, as the
-Kronecker product -v*dphi*FF*(S ⊗ S) of the Toeplitz sinc factor over the
-window's axis (see ``_kernels``), which needs every basis to be an m-major
-square window. Each k-point adds only its kinetic diagonal. Along a k-path
-only the named nodes (G, Z, T) get eigenvectors; interior path points need
-only their frequencies and are solved eigenvalue-only. Every point on a
-mirror line of the path, named nodes included, is solved as two parity
-blocks: on G-Z (ky == 0) the mirror y -> -y maps wave (m, n) to (m, -n), on
-T-G (kx == ky) the mirror x <-> y maps it to (n, m). The symmetric window is
-closed under both, so H splits exactly into an even block of (h+1)(2h+1)
-and an odd block of h(2h+1) waves. The potential's blocks are gathered once
-per basis and each point adds its folded kinetic diagonal; block vectors are
-lifted back onto the basis. Z-T points stay dense: their mirror maps m to
--1-m, under which the symmetric window is not closed. The T point itself
-is analysed on the corner window, which is closed under the whole C4v little
-group of T: its exact parity sectors are assembled from the mirror-folded
-1D pattern factors without forming H (see ``_t_sectors``), so the
-degenerate pair comes out exactly degenerate and every state's label is the
-sector it was solved in. The S and XY edge masses are the exact
-second-order k.p sums over the (x-odd, y-even) sector, the only one
-kappa_x S and kappa_y XY reach.
+(carrier frequency subtracted from the diagonal). On the m-major square
+window every basis must be, H is exactly Kx ⊗ I + I ⊗ Ky - c*(S ⊗ S), with
+c = v*dphi*FF and S the Toeplitz sinc factor over the window's axis (see
+``_kernels``). Only these 1D pieces are kept per basis; no N x N array lives
+across k-points. Along a k-path only the named nodes (G, Z, T) get
+eigenvectors; interior path points need only their frequencies and are
+solved eigenvalue-only. Every point on a mirror line of the path, named
+nodes included, is solved as two parity blocks: on G-Z (ky == 0) the mirror
+y -> -y maps wave (m, n) to (m, -n), on T-G (kx == ky) the mirror x <-> y
+maps it to (n, m). The symmetric window is closed under both, so H splits
+exactly into an even block of (h+1)(2h+1) and an odd block of h(2h+1)
+waves. A G-Z block is the Kronecker product -c*(S+- ⊗ S) of the n -> -n
+fold of the factor, written afresh at each point; the T-G blocks' pattern
+term is gathered once per basis, pair by pair from S. Each point adds its
+folded kinetic diagonal, and block vectors are lifted back onto the basis.
+Z-T points are solved dense, the pattern term written afresh at each
+point: their mirror maps m to -1-m, under which the symmetric window is not
+closed. The T point itself is analysed on the corner window, which is
+closed under the whole C4v little group of T: its exact parity sectors are
+assembled from the mirror-folded 1D pattern factors without forming H (see
+``_t_sectors``), so the degenerate pair comes out exactly degenerate and
+every state's label is the sector it was solved in. The S and XY edge
+masses are the exact second-order k.p sums over the (x-odd, y-even) sector,
+the only one kappa_x S and kappa_y XY reach.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +56,6 @@ from .lattice import (
     pattern_factors,
     reciprocal_basis,
     sinc,
-    t_centered_basis,
 )
 
 DEFAULT_N_BANDS = 8  # covers the corner manifold plus guard bands
@@ -275,68 +277,115 @@ def _mirror_fold(waves, image) -> _MirrorFold | None:
 
 @dataclass(frozen=True, eq=False)
 class _MirrorBlocks:
-    """A mirror fold of the basis with the potential's blocks gathered once.
+    """A mirror fold of the basis and the pattern term's blocks under it.
 
-    ``potential`` is ``fold.blocks`` of the k-independent potential. The
-    kinetic diagonal K stays diagonal under the fold: K[p, R p] = 0 for a
-    pair wave p, and the two 1/sqrt(2) scalings of a fixed wave undo its
-    doubled entry. So at every k the mirror fixes, the blocks of H are the
-    cached ones with K[even] and K[odd] added to their diagonals.
+    ``potential()`` returns fresh even and odd blocks of the pattern term.
+    The kinetic diagonal K stays diagonal under the fold: K[p, R p] = 0 for
+    a pair wave p, and the two 1/sqrt(2) scalings of a fixed wave undo its
+    doubled entry. So at every k the mirror fixes, the blocks of H are those
+    with K[even] and K[odd] added to their diagonals.
     """
 
     fold: _MirrorFold
-    potential: tuple[np.ndarray, np.ndarray]
+    potential: Callable[[], tuple[np.ndarray, np.ndarray]]
 
     def blocks(self, kinetic: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Fresh even and odd blocks of H for the kinetic diagonal ``kinetic``."""
-        even, odd = (block.copy() for block in self.potential)
+        even, odd = self.potential()
         even[np.diag_indices_from(even)] += kinetic[self.fold.even]
         odd[np.diag_indices_from(odd)] += kinetic[self.fold.odd]
         return even, odd
 
 
-def _mirror_blocks(potential, waves, image) -> _MirrorBlocks | None:
-    """The fold of ``waves`` under ``image`` (see ``_mirror_fold``) with the
-    read-only blocks of ``potential``; None when the waves are not closed
-    under the map."""
-    fold = _mirror_fold(waves, image)
-    if fold is None:
-        return None
-    blocks = fold.blocks(potential)
-    for block in blocks:
-        block.setflags(write=False)
-    return _MirrorBlocks(fold=fold, potential=blocks)
+def _axis_blocks(factor: np.ndarray, c: float) -> _MirrorBlocks:
+    """The fold of the symmetric window with axis factor S = ``factor``
+    under n -> -n, with the blocks of -c*(S ⊗ S) written at each call.
+
+    The fold lists its waves by n and then m: the fixed waves (m, 0), then
+    (m, n) for n = 1..h, each over m in axis order; their images are
+    (m, -n). On that grid -c*(S ⊗ S) folds to -c*(S+- ⊗ S), where
+    S+-[a, b] = s[a - b] +- s[a + b] over the distances a, b from the mirror
+    (0..h for the even block, with the a = 0 row and column weighted by
+    sqrt(1/2), and 1..h for the odd one).
+    """
+    width = factor.shape[0]
+    h = width // 2  # the axis position of index 0
+    grid = np.arange(width * width).reshape(width, width).T  # [n, m]
+    plus = factor[h:, h:] + factor[h:, h::-1]
+    plus[0] *= math.sqrt(0.5)
+    plus[:, 0] *= math.sqrt(0.5)
+    minus = factor[h + 1:, h + 1:] - factor[h + 1:, h - 1::-1]
+    scaled = -c * factor
+    fold = _MirrorFold(n_fixed=width, even=grid[h:].ravel(),
+                       even_image=grid[h::-1].ravel(), odd=grid[h + 1:].ravel(),
+                       odd_image=grid[h - 1::-1].ravel())
+    return _MirrorBlocks(fold=fold, potential=lambda: (np.kron(plus, scaled),
+                                                       np.kron(minus, scaled)))
+
+
+def _swap_blocks(factor: np.ndarray, waves, c: float) -> _MirrorBlocks:
+    """The fold of the square window ``waves`` under x <-> y, (m, n) -> (n, m),
+    with the blocks of -c*(S ⊗ S) gathered once, pairwise from ``factor`` S.
+
+    For waves a = (i, j) and b = (k, l) at axis positions i, j, k, l, with
+    R b = (l, k), the fold's entries H[a, b] +- H[a, R b] are
+    -c*(S[i, k] S[j, l] +- S[i, l] S[j, k]); each gather is block-sized.
+    Each call of ``potential`` copies the cached blocks.
+    """
+    fold = _mirror_fold(waves, lambda m, n: (n, m))
+    blocks = []
+    for rows, combine in ((fold.even, np.add), (fold.odd, np.subtract)):
+        i, j = np.divmod(rows, factor.shape[0])
+        block = factor[i[:, None], i]
+        block *= factor[j[:, None], j]
+        swapped = factor[i[:, None], j]
+        swapped *= factor[j[:, None], i]
+        combine(block, swapped, out=block)
+        block *= -c
+        blocks.append(block)
+    even, odd = blocks
+    even[:fold.n_fixed] *= math.sqrt(0.5)
+    even[:, :fold.n_fixed] *= math.sqrt(0.5)
+    return _MirrorBlocks(fold=fold, potential=lambda: (even.copy(), odd.copy()))
 
 
 @dataclass(frozen=True, eq=False)
 class _Problem:
-    """The k-independent part of the detuned eigenproblem on one basis.
+    """The k-independent pieces of the detuned eigenproblem on one basis.
 
-    ``potential`` is -v_prefactor * phi[G' - G], built once (read-only) as
-    -v*dphi*FF*(S ⊗ S) from the Toeplitz factor S[a, b] = s[a - b] of the
-    window's axis. Only the kinetic diagonal depends on k.
-    ``along_x`` is the fold under n -> -n, the mirror y -> -y of every k
-    with ky == 0, with the potential's blocks; ``diagonal`` the same for the
-    fold under (m, n) -> (n, m), the mirror x <-> y of every k with
-    kx == ky. Either is None when the window is not closed under it.
+    On the m-major square window H is Kx ⊗ I + I ⊗ Ky - c*(S ⊗ S), with
+    c = v*dphi*FF and S[a, b] = s[a - b] the Toeplitz factor of the pattern
+    factors ``s`` over the window's axis. Only 1D pieces and the x <-> y
+    blocks below (about N^2 / 2 entries) are kept, never an N x N array. ``hamiltonian`` writes the dense H
+    afresh for each k (``_kernels.fill_hamiltonian``); the two path mirrors
+    give smaller blocks instead. ``along_x`` is the fold under n -> -n, the
+    mirror y -> -y of every k with ky == 0, whose blocks are Kronecker
+    products written at each k (None when the window is not symmetric);
+    ``diagonal`` is the fold under (m, n) -> (n, m), the mirror x <-> y of
+    every k with kx == ky, whose potential blocks are gathered once from S.
     """
 
     omega0: float
     m0: float
+    v_prefactor: float
+    depth: float  # dphi * FF
+    s: np.ndarray
+    m_idx: np.ndarray
+    n_idx: np.ndarray
     gx: np.ndarray
     gy: np.ndarray
-    potential: np.ndarray
     along_x: _MirrorBlocks | None
-    diagonal: _MirrorBlocks | None
+    diagonal: _MirrorBlocks
 
     def kinetic(self, kx: float, ky: float) -> np.ndarray:
         """The kinetic diagonal hbar|k+G|^2/(2 m0) at (kx, ky)."""
         return HBAR * ((kx + self.gx) ** 2 + (ky + self.gy) ** 2) / (2.0 * self.m0)
 
     def hamiltonian(self, kx: float, ky: float) -> np.ndarray:
-        """Detuned H at (kx, ky): a fresh copy of the potential plus the
-        kinetic diagonal."""
-        h = self.potential.copy()
+        """Dense detuned H at (kx, ky): the pattern term written afresh plus
+        the kinetic diagonal."""
+        h = _kernels.fill_hamiltonian(self.m_idx, self.n_idx, self.s,
+                                      self.depth, self.v_prefactor)
         h[np.diag_indices_from(h)] += self.kinetic(kx, ky)
         return h
 
@@ -350,23 +399,23 @@ class _Problem:
 
 
 def _problem(lattice: LatticeSpec, basis) -> _Problem:
-    """Build the per-basis problem, with the potential's blocks under both
-    path mirrors; ``basis`` must be an m-major square window."""
+    """Build the per-basis problem from the 1D pattern factors; ``basis``
+    must be an m-major square window."""
     dp = derive_params(lattice)
     m_idx, n_idx = _basis_indices(basis)
-    potential = _kernels.fill_hamiltonian(
-        m_idx, n_idx, pattern_factors(lattice, int(np.ptp(m_idx))),
-        lattice.dphi * lattice.fill_factor, dp.v_prefactor,
-    )
-    potential.setflags(write=False)
+    s = pattern_factors(lattice, int(np.ptp(m_idx)))
+    factor = _kernels.axis_factor(m_idx, n_idx, s)
+    depth = lattice.dphi * lattice.fill_factor
+    c = dp.v_prefactor * depth
+    axis = m_idx[::factor.shape[0]]
     waves = list(zip(m_idx.tolist(), n_idx.tolist()))
     return _Problem(
-        omega0=dp.omega0, m0=dp.m0,
+        omega0=dp.omega0, m0=dp.m0, v_prefactor=dp.v_prefactor, depth=depth,
+        s=s, m_idx=m_idx, n_idx=n_idx,
         gx=np.array([rv.gx for rv in basis]),
         gy=np.array([rv.gy for rv in basis]),
-        potential=potential,
-        along_x=_mirror_blocks(potential, waves, lambda m, n: (m, -n)),
-        diagonal=_mirror_blocks(potential, waves, lambda m, n: (n, m)),
+        along_x=_axis_blocks(factor, c) if axis[0] == -axis[-1] else None,
+        diagonal=_swap_blocks(factor, waves, c),
     )
 
 
@@ -415,12 +464,12 @@ def solve_bands(config: ExperimentConfig,
                 n_bands: int = DEFAULT_N_BANDS) -> BandStructure:
     """Lowest scalar bands along the configured k-path (deterministic).
 
-    The k-independent potential, and its blocks under the two path mirrors,
-    are built once; each k-point adds its kinetic diagonal and is solved on
-    its own, in path order. Points on G-Z (ky == 0) and T-G (kx == ky),
-    the named nodes G, Z and T among them, are solved as the even and odd
-    blocks of the mirror that fixes their line; Z-T points are solved dense
-    (see ``_solve``). Named nodes get unit-norm eigenvectors, and T states
+    The problem's 1D pieces, and the T-G blocks of its pattern term, are
+    built once; each k-point is assembled from them and solved on its own,
+    in path order. Points on G-Z (ky == 0) and T-G (kx == ky), the named
+    nodes G, Z and T among them, are solved as the even and odd blocks of
+    the mirror that fixes their line; Z-T points are solved dense (see
+    ``_solve``). Named nodes get unit-norm eigenvectors, and T states
     their representation labels; interior points are solved eigenvalue-only
     and their states carry ``coefficients=None``.
     """
@@ -551,7 +600,9 @@ class TPointAnalysis:
     """Eigenstates at the T point on the corner window, by C4v sector.
 
     ``omegas`` and the columns of ``vectors`` are the lowest
-    ``DEFAULT_N_BANDS`` states; ``groups`` are their degenerate clusters and
+    ``DEFAULT_N_BANDS`` states. The rows of ``vectors`` follow
+    ``t_centered_basis(h, pitch)``: the waves (m, n) with m, n in [-h-1, h],
+    m-major, n fastest. ``groups`` are their degenerate clusters and
     ``labels`` each group's common sector (``unclassified`` when a group
     mixes sectors or lies in one of the two sectors without a corner
     channel). ``edges`` are the lowest T1(S), T5(X,Y) and T4(XY) sector
@@ -565,7 +616,6 @@ class TPointAnalysis:
 
     omegas: np.ndarray
     vectors: np.ndarray
-    basis: tuple[ReciprocalVector, ...]
     groups: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
     edges: tuple[float, float, float]  # T1(S), T5(X,Y), T4(XY) sector edges
@@ -642,7 +692,6 @@ def t_point_analysis(config: ExperimentConfig,
     spectrum; kappa is odd under its axis mirror, a diagonal on the grid.
     """
     hw = halfwidth if halfwidth is not None else config.basis_halfwidth
-    basis = tuple(t_centered_basis(hw, config.lattice.pitch))
     (s_block, s_partner, xy_block, xy_partner, pair), fold, kappa, dp = (
         _t_sectors(config.lattice, hw))
     k, n_bands = hw + 1, DEFAULT_N_BANDS
@@ -687,7 +736,7 @@ def t_point_analysis(config: ExperimentConfig,
             k2_sum = float(np.sum(coupling ** 2 / (w[order[i]] - w_x)))
             masses[lab] = dp.m0 / (1.0 + 2.0 * HBAR / dp.m0 * k2_sum)
     return TPointAnalysis(
-        omegas=omegas, vectors=v, basis=basis,
+        omegas=omegas, vectors=v,
         groups=tuple(tuple(g) for g in groups), labels=tuple(labels),
         edges=edges, masses=masses,
     )

@@ -4,10 +4,11 @@ These deliberately avoid the code paths they check: the quadrature oracle
 integrates pointwise samples of the real-space pattern over the smooth
 pieces of the cell (it never touches the analytic Fourier series), the
 folding oracle enumerates free-space parabolas, the dense oracle solves the
-whole Hamiltonian in one eigensolve (never its mirror blocks), the sector
-oracle folds the dense corner-window Hamiltonian index by index (never its
-1D factors), and the high-precision oracle re-derives the closed-form orbital parameters with
-mpmath.
+whole Hamiltonian in one eigensolve (never its mirror blocks), the assembly
+oracle writes the dense Hamiltonian entry by entry from the wave indices,
+the mirror-block and sector oracles fold a dense Hamiltonian index by index
+(never its 1D factors), and the high-precision oracle re-derives the
+closed-form orbital parameters with mpmath.
 """
 import math
 
@@ -15,8 +16,8 @@ import numpy as np
 
 from phczeeman import derive_params, named_kpoint, phase_pattern
 from phczeeman.constants import C, HBAR
-from phczeeman.lattice import t_centered_basis
-from phczeeman.planewave import _mirror_fold, _problem
+from phczeeman.lattice import pattern_factors, t_centered_basis
+from phczeeman.planewave import _mirror_fold
 
 
 def quadrature_fourier_coefficient(lattice, m, n, order=40):
@@ -71,6 +72,40 @@ def dense_eigh(problem, kx, ky, n_bands):
     return problem.omega0 + w[:n_bands], v[:, :n_bands]
 
 
+def dense_hamiltonian(lattice, basis, kx, ky):
+    """The detuned H at (kx, ky) over ``basis``, in any wave order:
+    -v*phi[(mi - mj, ni - nj)] with phi = ((dphi*FF)*s[mi - mj])*s[ni - nj],
+    plus the kinetic diagonal hbar|k+G|^2/(2 m0)."""
+    dp = derive_params(lattice)
+    m = np.array([rv.m for rv in basis])
+    n = np.array([rv.n for rv in basis])
+    span = int(max(np.ptp(m), np.ptp(n)))
+    s = pattern_factors(lattice, span)
+    depth = lattice.dphi * lattice.fill_factor
+    phi = (depth * s[m[:, None] - m + span]) * s[n[:, None] - n + span]
+    h = -dp.v_prefactor * phi
+    gx = np.array([rv.gx for rv in basis])
+    gy = np.array([rv.gy for rv in basis])
+    h[np.diag_indices_from(h)] += (
+        HBAR * ((kx + gx) ** 2 + (ky + gy) ** 2) / (2.0 * dp.m0))
+    return h
+
+
+def mirror_blocks(h, basis, image, even, odd):
+    """The even and odd blocks of the dense ``h`` under the wave map
+    ``image(m, n) -> (m', n')``, over the waves at positions ``even`` and
+    ``odd`` of ``basis``: H[a, b] + H[a, R b] with a fixed wave's row and
+    column weighted by sqrt(1/2), and H[a, b] - H[a, R b]."""
+    pos = {(rv.m, rv.n): i for i, rv in enumerate(basis)}
+    blocks = []
+    for rows, sign in ((even, 1.0), (odd, -1.0)):
+        partner = np.array([pos[image(basis[i].m, basis[i].n)] for i in rows])
+        weight = np.where(partner == rows, math.sqrt(0.5), 1.0)
+        block = h[np.ix_(rows, rows)] + sign * h[np.ix_(rows, partner)]
+        blocks.append(weight[:, None] * block * weight)
+    return blocks
+
+
 def dense_t_sectors(lattice, halfwidth):
     """The five C4v sector blocks of the dense detuned H at T on the corner
     window (S, its x <-> y-odd partner, XY, its partner, (x-odd, y-even)),
@@ -80,7 +115,7 @@ def dense_t_sectors(lattice, halfwidth):
     (n -> -1-n), then the (even, even) and (odd, odd) blocks by x <-> y.
     """
     basis = t_centered_basis(halfwidth, lattice.pitch)
-    h = _problem(lattice, basis).hamiltonian(*named_kpoint("T", lattice.pitch))
+    h = dense_hamiltonian(lattice, basis, *named_kpoint("T", lattice.pitch))
     waves = [(rv.m, rv.n) for rv in basis]
     fold_x = _mirror_fold(waves, lambda m, n: (-1 - m, n))
     half = [waves[i] for i in fold_x.odd]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -29,7 +30,8 @@ from phczeeman.planewave import (
     _solve, _t_sectors,
 )
 from phczeeman.zeeman import m_closed_form
-from oracles import dense_eigh, dense_t_sectors, folded_free_bands
+from oracles import (dense_eigh, dense_hamiltonian, dense_t_sectors,
+                     folded_free_bands, mirror_blocks)
 
 
 def _corner_state(basis, pattern):
@@ -39,6 +41,22 @@ def _corner_state(basis, pattern):
     for (m, n), val in zip([(0, 0), (-1, 0), (0, -1), (-1, -1)], pattern):
         vec[pos[(m, n)]] = val
     return vec / np.linalg.norm(vec)
+
+
+def _traced(fn):
+    """fn's result, and the bytes of Python allocations (numpy arrays
+    included) it left held and at its peak, above those held before it."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return result, held - before, peak - before
 
 
 def _record_shapes(monkeypatch, solver):
@@ -211,6 +229,8 @@ class TestSolveBands:
             solve_bands(cfg, n_bands=100)
 
     def test_potential_gathered_once(self, bands_config, monkeypatch):
+        # the dense pattern term is written only at the points solved dense:
+        # once per Z-T interior point, never for a mirror line
         calls = []
         original = _kernels.fill_hamiltonian
 
@@ -222,11 +242,14 @@ class TestSolveBands:
         cfg = replace(bands_config, samples_per_segment=3, basis_halfwidth=3)
         bs = solve_bands(cfg)
         assert len(bs.kpoints) == 10
-        assert len(calls) == 1
+        dense = [kp for kp in bs.kpoints if kp.ky != 0.0 and kp.kx != kp.ky]
+        assert len(dense) == 2
+        assert len(calls) == len(dense)
 
 
 class TestProblem:
-    """The per-basis problem: potential built once, H fresh at each k."""
+    """The per-basis problem: 1D pieces and cached x <-> y blocks, H fresh
+    at each k."""
 
     def test_hamiltonian_is_fresh(self, bands_lattice):
         basis = tuple(reciprocal_basis(3, bands_lattice.pitch))
@@ -236,6 +259,25 @@ class TestProblem:
         expected = first.copy()
         first[:] = 0.0
         assert np.array_equal(problem.hamiltonian(kx, ky), expected)
+
+    def test_problem_holds_no_dense_array(self, bands_lattice):
+        # the cached x <-> y blocks hold about N^2 / 2 entries; the rest is
+        # 1D (measured 0.53 N^2 * 8 B at h = 10)
+        basis = tuple(reciprocal_basis(10, bands_lattice.pitch))
+        n = len(basis)
+        _, held, _ = _traced(lambda: _problem(bands_lattice, basis))
+        assert held <= 0.6 * n * n * 8
+
+    def test_solve_bands_peak_memory(self, bands_config):
+        # at most one dense H (a Z-T point) besides the cached x <-> y
+        # blocks: measured 1.76 N^2 * 8 B at h = 10, against 3.19 when the
+        # potential and both mirrors' blocks were held across k-points
+        cfg = replace(bands_config, basis_halfwidth=10, samples_per_segment=2)
+        n = (2 * cfg.basis_halfwidth + 1) ** 2
+        solve_bands(replace(cfg, basis_halfwidth=2))  # first-call allocations
+        bs, _, peak = _traced(lambda: solve_bands(cfg))
+        assert len(bs.kpoints) == 7
+        assert peak <= 2.25 * n * n * 8
 
 
 class TestEigenpairContract:
@@ -265,8 +307,9 @@ class TestTPointSectors:
     """t_point_analysis solves H at T in its exact C4v sectors."""
 
     @staticmethod
-    def _hamiltonian(config, analysis):
-        return _problem(config.lattice, analysis.basis).hamiltonian(
+    def _hamiltonian(config, halfwidth):
+        basis = t_centered_basis(halfwidth, config.lattice.pitch)
+        return _problem(config.lattice, basis).hamiltonian(
             *named_kpoint("T", config.lattice.pitch))
 
     @pytest.mark.parametrize("halfwidth", [3, 7, 14])
@@ -296,7 +339,7 @@ class TestTPointSectors:
     @pytest.mark.parametrize("halfwidth", [3, 7])
     def test_lifted_pairs_meet_contract(self, bands_config, halfwidth):
         analysis = t_point_analysis(bands_config, halfwidth=halfwidth)
-        h = self._hamiltonian(bands_config, analysis)
+        h = self._hamiltonian(bands_config, halfwidth)
         w = analysis.omegas - derive_params(bands_config.lattice).omega0
         v = analysis.vectors
         residual = np.max(np.linalg.norm(h @ v - v * w, axis=0))
@@ -306,7 +349,7 @@ class TestTPointSectors:
     @pytest.mark.parametrize("halfwidth", [3, 7])
     def test_merged_omegas_match_dense(self, bands_config, halfwidth):
         analysis = t_point_analysis(bands_config, halfwidth=halfwidth)
-        h = self._hamiltonian(bands_config, analysis)
+        h = self._hamiltonian(bands_config, halfwidth)
         dense = np.linalg.eigvalsh(h)[:DEFAULT_N_BANDS]
         w = analysis.omegas - derive_params(bands_config.lattice).omega0
         assert np.max(np.abs(w - dense)) <= 1e-12 * np.linalg.norm(h)
@@ -321,7 +364,8 @@ class TestTPointSectors:
     @pytest.mark.parametrize("halfwidth", [3, 7])
     def test_labels_and_signs_follow_parities(self, bands_config, halfwidth):
         analysis = t_point_analysis(bands_config, halfwidth=halfwidth)
-        waves = [(rv.m, rv.n) for rv in analysis.basis]
+        waves = [(rv.m, rv.n)
+                 for rv in t_centered_basis(halfwidth, bands_config.lattice.pitch)]
         pos = {wave: i for i, wave in enumerate(waves)}
         mirrors = ([pos[-1 - m, n] for m, n in waves],
                    [pos[m, -1 - n] for m, n in waves],
@@ -480,9 +524,42 @@ class TestMirrorBlockedSolve:
         assert np.array_equal(w, bands_dp.omega0 + np.linalg.eigvalsh(h)[:8])
 
 
+class TestPathBlocksFromFactors:
+    """The G-Z and T-G blocks built from the 1D pattern factors against the
+    fold of the oracle's dense H; Z-T points solve the dense H itself."""
+
+    @pytest.mark.parametrize("halfwidth", [2, 3, 7])
+    def test_blocks_match_fold_of_oracle(self, bands_lattice, halfwidth):
+        basis = tuple(reciprocal_basis(halfwidth, bands_lattice.pitch))
+        problem = _problem(bands_lattice, basis)
+        for mirror in (problem.along_x, problem.diagonal):
+            fold = mirror.fold  # every wave once: an orbit's first, or its image
+            assert np.array_equal(
+                np.sort(np.concatenate([fold.even, fold.odd_image])),
+                np.arange(len(basis)))
+        images = {"G-Z": lambda m, n: (m, -n), "T-G": lambda m, n: (n, m)}
+        kinds = []
+        for kp in build_kpath(("G", "Z", "T", "G"), bands_lattice.pitch, 4):
+            h = dense_hamiltonian(bands_lattice, basis, kp.kx, kp.ky)
+            mirror = problem.fold_at(kp.kx, kp.ky)
+            if mirror is None:
+                kinds.append("dense")
+                assert np.array_equal(problem.hamiltonian(kp.kx, kp.ky), h)
+                continue
+            kinds.append("G-Z" if kp.ky == 0.0 else "T-G")
+            expected = mirror_blocks(h, basis, images[kinds[-1]],
+                                     mirror.fold.even, mirror.fold.odd)
+            blocks = mirror.blocks(problem.kinetic(kp.kx, kp.ky))
+            for block, folded in zip(blocks, expected, strict=True):
+                assert block.shape == folded.shape
+                assert np.max(np.abs(block - folded)) <= (
+                    1e-15 * np.linalg.norm(h))
+        assert kinds == ["G-Z"] * 5 + ["dense"] * 3 + ["T-G"] * 4 + ["G-Z"]
+
+
 class TestFoldedNamedNodes:
-    """The named nodes are solved in the mirror blocks too, from potential
-    blocks gathered once per basis, and checked against one dense eigh."""
+    """The named nodes are solved in the mirror blocks too, built from the
+    1D pattern factors, and checked against one dense eigh."""
 
     @pytest.mark.parametrize("kx_frac,ky_frac", [(0.3, 0.0), (0.3, 0.3)])
     def test_cached_blocks_match_fold_of_dense(self, bands_lattice, kx_frac,
@@ -493,10 +570,15 @@ class TestFoldedNamedNodes:
         ky = 2 * math.pi * ky_frac / bands_lattice.pitch
         mirror = problem.fold_at(kx, ky)
         h = problem.hamiltonian(kx, ky)
-        cached = mirror.blocks(problem.kinetic(kx, ky))
+        kinetic = problem.kinetic(kx, ky)
+        cached = mirror.blocks(kinetic)
         for block, folded in zip(cached, mirror.fold.blocks(h)):
             assert np.max(np.abs(block - folded)) <= 1e-15 * np.linalg.norm(h)
-        assert not any(b.flags.writeable for b in mirror.potential)
+        expected = [block.copy() for block in cached]
+        for block in cached:
+            block[:] = 0.0  # each call returns fresh blocks
+        for block, again in zip(expected, mirror.blocks(kinetic)):
+            assert np.array_equal(block, again)
 
     @pytest.mark.parametrize("halfwidth", [3, 7, 14])
     def test_node_pairs_match_dense_oracle(self, bands_lattice, halfwidth):
@@ -558,9 +640,12 @@ class TestClassification:
         group = np.column_stack([x_state, y_state])
         assert classify_t_states([group], basis) == [LABEL_PAIR]
 
-    def test_lowest_corner_state_is_s_with_large_projection(self, bands_t_analysis):
+    def test_lowest_corner_state_is_s_with_large_projection(self, bands_config,
+                                                            bands_t_analysis):
         vec = bands_t_analysis.vectors[:, 0]
-        s_chan = _corner_state(bands_t_analysis.basis, (1, 1, 1, 1))
+        basis = t_centered_basis(bands_config.basis_halfwidth,
+                                 bands_config.lattice.pitch)
+        s_chan = _corner_state(basis, (1, 1, 1, 1))
         assert abs(np.vdot(s_chan, vec)) ** 2 >= 0.9
         assert bands_t_analysis.labels[0] == LABEL_S
 
@@ -576,13 +661,16 @@ class TestClassification:
         assert len(analysis.groups[0]) == 4
         assert analysis.labels[0] == "unclassified"
 
-    def test_pair_basis_fixed_to_parity_members(self, bands_t_analysis):
+    def test_pair_basis_fixed_to_parity_members(self, bands_config,
+                                                bands_t_analysis):
         # the twofold group comes out rotated onto (x-odd, y-odd) members
         # with canonical phases, independent of the eigensolver's arbitrary
         # in-pair mixing
         grp = bands_t_analysis.group_of(LABEL_PAIR)
-        x_chan = _corner_state(bands_t_analysis.basis, (1, -1, 1, -1))
-        y_chan = _corner_state(bands_t_analysis.basis, (1, 1, -1, -1))
+        basis = t_centered_basis(bands_config.basis_halfwidth,
+                                 bands_config.lattice.pitch)
+        x_chan = _corner_state(basis, (1, -1, 1, -1))
+        y_chan = _corner_state(basis, (1, 1, -1, -1))
         v0 = bands_t_analysis.vectors[:, grp[0]]
         v1 = bands_t_analysis.vectors[:, grp[1]]
         ov_x0 = np.vdot(x_chan, v0)
@@ -651,7 +739,8 @@ class TestEffectiveMass:
         cfg = ExperimentConfig(lattice=replace(bands_lattice, dphi=dphi))
         analysis = t_point_analysis(cfg)
         pitch = cfg.lattice.pitch
-        problem = _problem(cfg.lattice, analysis.basis)
+        problem = _problem(cfg.lattice,
+                           t_centered_basis(cfg.basis_halfwidth, pitch))
         kt = named_kpoint("T", pitch)
         step = step_fraction * math.pi / pitch
         for label, edge in ((LABEL_S, analysis.edges[0]),
