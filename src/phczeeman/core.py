@@ -230,8 +230,8 @@ DEFAULT_BASIS_HALFWIDTH = 7
 # Largest plane-wave cutoff. At h = 40 `bands` peaks highest (`validate`
 # builds the same problem): a dense Z-T point's 6561-wave H (344 MB), the
 # eigensolver's copy of it and the cached x <-> y blocks (172 MB) reach
-# 868 MB resident. `split` solves only the T sectors and peaks at 190 MB
-# (measured on Linux, numpy with OpenBLAS).
+# 868 MB resident. `split` solves only the T sectors, one at a time, and
+# peaks at 158 MB (measured on Linux, numpy with OpenBLAS).
 MAX_BASIS_HALFWIDTH = 40
 # Largest dump-fourier halfwidth: every index difference of a capped basis.
 MAX_FOURIER_HALFWIDTH = 2 * MAX_BASIS_HALFWIDTH

@@ -15,30 +15,32 @@ c = v*dphi*FF and S the Toeplitz sinc factor over the window's axis (see
 ``_kernels``). Only these 1D pieces are kept per basis; no N x N array lives
 across k-points. Along a k-path only the named nodes (G, Z, T) get
 eigenvectors; interior path points need only their frequencies and are
-solved eigenvalue-only. Every point on a mirror line of the path, named
-nodes included, is solved as two parity blocks: on G-Z (ky == 0) the mirror
-y -> -y maps wave (m, n) to (m, -n), on T-G (kx == ky) the mirror x <-> y
-maps it to (n, m). The symmetric window is closed under both, so H splits
-exactly into an even block of (h+1)(2h+1) and an odd block of h(2h+1)
-waves. A G-Z block is the Kronecker product -c*(S+- ⊗ S) of the n -> -n
-fold of the factor, written afresh at each point; the T-G blocks' pattern
-term is gathered once per basis, pair by pair from S. Each point adds its
-folded kinetic diagonal, and block vectors are lifted back onto the basis.
-Z-T points are solved dense, the pattern term written afresh at each
-point: their mirror maps m to -1-m, under which the symmetric window is not
-closed. The T point itself is analysed on the corner window, which is
-closed under the whole C4v little group of T: its exact parity sectors are
-assembled from the mirror-folded 1D pattern factors without forming H (see
-``_t_sectors``), so the degenerate pair comes out exactly degenerate and
-every state's label is the sector it was solved in. The S and XY edge
-masses are the exact second-order k.p sums over the (x-odd, y-even) sector,
-the only one kappa_x S and kappa_y XY reach.
+solved eigenvalue-only.
+
+Every mirror block comes from two folds of the 1D factors: an axis mirror
+folds S into S+-[a, b] = s[|a-b|] +- s[a+b+shift] (``_axis_fold``), and
+x <-> y folds -c*(A ⊗ A) for a symmetric A (``_swap_fold``). The kinetic
+diagonal stays diagonal under both, and block vectors are lifted back onto
+the basis. On a k-path every point on a mirror line, named nodes included,
+is solved as two parity blocks of (h+1)(2h+1) and h(2h+1) waves: on G-Z
+(ky == 0) the blocks of y -> -y, -c*(S+- ⊗ S) with shift 0, are written at
+each point; on T-G (kx == ky) those of x <-> y, the swap fold of S, are
+gathered once per basis. Z-T points are solved dense, the pattern term
+written afresh at each point: their mirror maps m to -1-m, under which the
+symmetric window is not closed. The T point itself is analysed on the
+corner window, closed under the whole C4v little group of T: its axis
+mirrors fold S with shift 1, each axis-parity sector is -c*(S_p ⊗ S_q) plus
+the kinetic diagonal, and the swap folds of S+ and S- split two of them
+(``_t_sectors``). H is never formed, the degenerate pair comes out exactly
+degenerate and every state's label is the sector it was solved in. The S
+and XY edge masses are the exact second-order k.p sums over the
+(x-odd, y-even) sector, the only one kappa_x S and kappa_y XY reach.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -217,14 +219,18 @@ def _basis_indices(basis) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class _MirrorFold:
-    """A mirror of the basis as gather indices for its even and odd blocks.
+    """A mirror of the basis as the waves of its even and odd blocks, with
+    the pattern term's blocks under it.
 
     With R the wave permutation, ``even`` lists the ``n_fixed`` fixed waves
     (R f = f) and then one wave p of each swapped pair, with ``even_image``
-    = R[even]. The even block H[a, b] + H[a, R b], with each fixed row and
-    column scaled by 1/sqrt(2), holds H[f, f'], sqrt(2) H[f, p] and
-    H[p, q] + H[p, R q]; the odd block over ``odd`` (the pair waves p) is
-    H[p, q] - H[p, R q]. Both are exact when H commutes with R.
+    = R[even]; ``odd`` lists the pair waves p, with ``odd_image`` = R[odd].
+    The even block of a matrix H that commutes with R is H[a, b] + H[a, R b]
+    with each fixed row and column scaled by 1/sqrt(2), and the odd block
+    H[p, q] - H[p, R q]. ``potential()`` returns fresh blocks of the
+    pattern term, which ``blocks`` adds to in place. The kinetic diagonal K
+    stays diagonal under the fold: K[p, R p] = 0 for a pair wave p, and the
+    two 1/sqrt(2) scalings of a fixed wave undo its doubled entry.
     """
 
     n_fixed: int
@@ -232,14 +238,14 @@ class _MirrorFold:
     even_image: np.ndarray
     odd: np.ndarray
     odd_image: np.ndarray
+    potential: Callable[[], tuple[np.ndarray, np.ndarray]]
 
-    def blocks(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        rows = h[self.even]
-        even = rows[:, self.even] + rows[:, self.even_image]
-        even[:self.n_fixed] *= math.sqrt(0.5)
-        even[:, :self.n_fixed] *= math.sqrt(0.5)
-        rows = h[self.odd]
-        return even, rows[:, self.odd] - rows[:, self.odd_image]
+    def blocks(self, kinetic: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The even and odd blocks of H for the kinetic diagonal ``kinetic``."""
+        even, odd = self.potential()
+        even[np.diag_indices_from(even)] += kinetic[self.even]
+        odd[np.diag_indices_from(odd)] += kinetic[self.odd]
+        return even, odd
 
     def lift(self, u: np.ndarray, odd: bool = False) -> np.ndarray:
         """Columns ``u`` over the even (or odd) block as unit-norm vectors
@@ -256,97 +262,81 @@ class _MirrorFold:
         return out
 
 
-def _mirror_fold(waves, image) -> _MirrorFold | None:
-    """The fold of the waves ``(m, n)`` under the map ``image(m, n) -> (m', n')``.
+def _axis_fold(s: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """The even and odd folds S+- of the Toeplitz factor S[i, j] = s[|i - j|]
+    under an axis mirror, from its half factor ``s`` = s_0, s_1, ....
 
-    None when the waves are not closed under the map.
+    S+-[a, b] = s[|a - b|] +- s[a + b + shift] over the distances a, b of
+    the half axis from the mirror, as far as ``s`` reaches. A mirror through
+    a wave (shift 0, i -> -i) fixes a = 0: S+ weights that row and column by
+    sqrt(1/2), and S- drops them. A mirror between waves (shift 1,
+    i -> -1-i) fixes none.
     """
-    pos = {wave: i for i, wave in enumerate(waves)}
-    try:
-        partner = np.array([pos[image(m, n)] for m, n in waves], dtype=np.int64)
-    except KeyError:
-        return None
-    idx = np.arange(partner.size)
-    fixed = idx[partner == idx]
-    pairs = idx[idx < partner]
-    even = np.concatenate([fixed, pairs])
-    return _MirrorFold(n_fixed=fixed.size, even=even,
-                       even_image=partner[even], odd=pairs,
-                       odd_image=partner[pairs])
+    a = np.arange((s.size + 1 - shift) // 2)
+    toeplitz, hankel = s[np.abs(a[:, None] - a)], s[a[:, None] + a + shift]
+    plus, minus = toeplitz + hankel, toeplitz - hankel
+    if shift == 0:
+        plus[0] *= math.sqrt(0.5)
+        plus[:, 0] *= math.sqrt(0.5)
+        minus = minus[1:, 1:]
+    return plus, minus
 
 
-@dataclass(frozen=True, eq=False)
-class _MirrorBlocks:
-    """A mirror fold of the basis and the pattern term's blocks under it.
+def _swap_fold(a: np.ndarray, c: float) -> _MirrorFold:
+    """The fold of the m-major square grid over the axis of the symmetric
+    ``a`` under x <-> y, (i, j) -> (j, i), with the blocks of -c*(A ⊗ A).
 
-    ``potential()`` returns fresh even and odd blocks of the pattern term.
-    The kinetic diagonal K stays diagonal under the fold: K[p, R p] = 0 for
-    a pair wave p, and the two 1/sqrt(2) scalings of a fixed wave undo its
-    doubled entry. So at every k the mirror fixes, the blocks of H are those
-    with K[even] and K[odd] added to their diagonals.
+    The fold lists the fixed waves (i, i), then the pairs (i, j), i < j, in
+    m-major order. For waves (i, j) and (k, l) its entries are
+    -c*(A[i, k] A[j, l] +- A[i, l] A[j, k]), each product of a row gather
+    and then a column gather of ``a``, made afresh at each ``potential``
+    call.
     """
+    width = a.shape[0]
+    i, j = np.triu_indices(width, 1)
+    rows = np.concatenate([np.arange(width), i])
+    cols = np.concatenate([np.arange(width), j])
 
-    fold: _MirrorFold
-    potential: Callable[[], tuple[np.ndarray, np.ndarray]]
-
-    def blocks(self, kinetic: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Fresh even and odd blocks of H for the kinetic diagonal ``kinetic``."""
-        even, odd = self.potential()
-        even[np.diag_indices_from(even)] += kinetic[self.fold.even]
-        odd[np.diag_indices_from(odd)] += kinetic[self.fold.odd]
+    def potential():
+        blocks = []
+        for p, q, combine in ((rows, cols, np.add), (i, j, np.subtract)):
+            a_p, a_q = a[p], a[q]
+            block = a_p[:, p]
+            block *= a_q[:, q]
+            swapped = a_p[:, q]
+            swapped *= a_q[:, p]
+            combine(block, swapped, out=block)
+            block *= -c
+            blocks.append(block)
+        even, odd = blocks
+        even[:width] *= math.sqrt(0.5)
+        even[:, :width] *= math.sqrt(0.5)
         return even, odd
 
+    return _MirrorFold(n_fixed=width, even=rows * width + cols,
+                       even_image=cols * width + rows, odd=i * width + j,
+                       odd_image=j * width + i, potential=potential)
 
-def _axis_blocks(factor: np.ndarray, c: float) -> _MirrorBlocks:
+
+def _axis_blocks(factor: np.ndarray, c: float) -> _MirrorFold:
     """The fold of the symmetric window with axis factor S = ``factor``
     under n -> -n, with the blocks of -c*(S ⊗ S) written at each call.
 
     The fold lists its waves by n and then m: the fixed waves (m, 0), then
     (m, n) for n = 1..h, each over m in axis order; their images are
-    (m, -n). On that grid -c*(S ⊗ S) folds to -c*(S+- ⊗ S), where
-    S+-[a, b] = s[a - b] +- s[a + b] over the distances a, b from the mirror
-    (0..h for the even block, with the a = 0 row and column weighted by
-    sqrt(1/2), and 1..h for the odd one).
+    (m, -n). On that grid -c*(S ⊗ S) folds to -c*(S+- ⊗ S), with S+- the
+    shift-0 ``_axis_fold`` of S's first column s_0..s_2h.
     """
     width = factor.shape[0]
     h = width // 2  # the axis position of index 0
     grid = np.arange(width * width).reshape(width, width).T  # [n, m]
-    plus = factor[h:, h:] + factor[h:, h::-1]
-    plus[0] *= math.sqrt(0.5)
-    plus[:, 0] *= math.sqrt(0.5)
-    minus = factor[h + 1:, h + 1:] - factor[h + 1:, h - 1::-1]
+    plus, minus = _axis_fold(factor[:, 0], 0)
     scaled = -c * factor
-    fold = _MirrorFold(n_fixed=width, even=grid[h:].ravel(),
+    return _MirrorFold(n_fixed=width, even=grid[h:].ravel(),
                        even_image=grid[h::-1].ravel(), odd=grid[h + 1:].ravel(),
-                       odd_image=grid[h - 1::-1].ravel())
-    return _MirrorBlocks(fold=fold, potential=lambda: (np.kron(plus, scaled),
-                                                       np.kron(minus, scaled)))
-
-
-def _swap_blocks(factor: np.ndarray, waves, c: float) -> _MirrorBlocks:
-    """The fold of the square window ``waves`` under x <-> y, (m, n) -> (n, m),
-    with the blocks of -c*(S ⊗ S) gathered once, pairwise from ``factor`` S.
-
-    For waves a = (i, j) and b = (k, l) at axis positions i, j, k, l, with
-    R b = (l, k), the fold's entries H[a, b] +- H[a, R b] are
-    -c*(S[i, k] S[j, l] +- S[i, l] S[j, k]); each gather is block-sized.
-    Each call of ``potential`` copies the cached blocks.
-    """
-    fold = _mirror_fold(waves, lambda m, n: (n, m))
-    blocks = []
-    for rows, combine in ((fold.even, np.add), (fold.odd, np.subtract)):
-        i, j = np.divmod(rows, factor.shape[0])
-        block = factor[i[:, None], i]
-        block *= factor[j[:, None], j]
-        swapped = factor[i[:, None], j]
-        swapped *= factor[j[:, None], i]
-        combine(block, swapped, out=block)
-        block *= -c
-        blocks.append(block)
-    even, odd = blocks
-    even[:fold.n_fixed] *= math.sqrt(0.5)
-    even[:, :fold.n_fixed] *= math.sqrt(0.5)
-    return _MirrorBlocks(fold=fold, potential=lambda: (even.copy(), odd.copy()))
+                       odd_image=grid[h - 1::-1].ravel(),
+                       potential=lambda: (np.kron(plus, scaled),
+                                          np.kron(minus, scaled)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,13 +346,14 @@ class _Problem:
     On the m-major square window H is Kx ⊗ I + I ⊗ Ky - c*(S ⊗ S), with
     c = v*dphi*FF and S[a, b] = s[a - b] the Toeplitz factor of the pattern
     factors ``s`` over the window's axis. Only 1D pieces and the x <-> y
-    blocks below (about N^2 / 2 entries) are kept, never an N x N array. ``hamiltonian`` writes the dense H
-    afresh for each k (``_kernels.fill_hamiltonian``); the two path mirrors
-    give smaller blocks instead. ``along_x`` is the fold under n -> -n, the
-    mirror y -> -y of every k with ky == 0, whose blocks are Kronecker
-    products written at each k (None when the window is not symmetric);
-    ``diagonal`` is the fold under (m, n) -> (n, m), the mirror x <-> y of
-    every k with kx == ky, whose potential blocks are gathered once from S.
+    blocks (about N^2 / 2 entries) are kept, never an N x N array.
+    ``hamiltonian`` writes the dense H afresh for each k
+    (``_kernels.fill_hamiltonian``); the two path mirrors give smaller
+    blocks instead. ``along_x`` is the fold under n -> -n, the mirror
+    y -> -y of every k with ky == 0, whose blocks -c*(S+- ⊗ S) are written
+    at each k (None when the window is not symmetric); ``diagonal`` is the
+    fold under (m, n) -> (n, m), the mirror x <-> y of every k with
+    kx == ky, whose blocks are gathered once from S and copied at each k.
     """
 
     omega0: float
@@ -374,8 +365,8 @@ class _Problem:
     n_idx: np.ndarray
     gx: np.ndarray
     gy: np.ndarray
-    along_x: _MirrorBlocks | None
-    diagonal: _MirrorBlocks
+    along_x: _MirrorFold | None
+    diagonal: _MirrorFold
 
     def kinetic(self, kx: float, ky: float) -> np.ndarray:
         """The kinetic diagonal hbar|k+G|^2/(2 m0) at (kx, ky)."""
@@ -389,8 +380,8 @@ class _Problem:
         h[np.diag_indices_from(h)] += self.kinetic(kx, ky)
         return h
 
-    def fold_at(self, kx: float, ky: float) -> _MirrorBlocks | None:
-        """The mirror blocks H splits into at (kx, ky), or None (solve dense)."""
+    def fold_at(self, kx: float, ky: float) -> _MirrorFold | None:
+        """The mirror fold H splits under at (kx, ky), or None (solve dense)."""
         if ky == 0.0:
             return self.along_x
         if kx == ky:
@@ -408,14 +399,16 @@ def _problem(lattice: LatticeSpec, basis) -> _Problem:
     depth = lattice.dphi * lattice.fill_factor
     c = dp.v_prefactor * depth
     axis = m_idx[::factor.shape[0]]
-    waves = list(zip(m_idx.tolist(), n_idx.tolist()))
+    diagonal = _swap_fold(factor, c)
+    cached = diagonal.potential()
     return _Problem(
         omega0=dp.omega0, m0=dp.m0, v_prefactor=dp.v_prefactor, depth=depth,
         s=s, m_idx=m_idx, n_idx=n_idx,
         gx=np.array([rv.gx for rv in basis]),
         gy=np.array([rv.gy for rv in basis]),
         along_x=_axis_blocks(factor, c) if axis[0] == -axis[-1] else None,
-        diagonal=_swap_blocks(factor, waves, c),
+        diagonal=replace(diagonal, potential=lambda: (cached[0].copy(),
+                                                      cached[1].copy())),
     )
 
 
@@ -455,8 +448,7 @@ def _solve(problem: _Problem, kx, ky, n_bands, vectors: bool = False):
     order = np.argsort(w, kind="stable")[:n_bands]
     v = None
     if vectors:
-        v = np.hstack([mirror.fold.lift(u_even),
-                       mirror.fold.lift(u_odd, True)])[:, order]
+        v = np.hstack([mirror.lift(u_even), mirror.lift(u_odd, True)])[:, order]
     return problem.omega0 + w[order], v
 
 
@@ -634,38 +626,38 @@ def _t_sectors(lattice: LatticeSpec, halfwidth: int):
     """The five C4v sector blocks of the detuned H at T on the corner window.
 
     With k = halfwidth + 1, the mirror m -> -1-m folds the window's axis
-    [-k, k-1] onto its half m = -k..-1, and the Toeplitz factor into
-    S+-[a, b] = s[a-b] +- s[a+b+1] over the distances a = -1-m from the
-    mirror; the kinetic term, with kappa = (pi/pitch)(2m+1), stays diagonal.
-    So each axis-parity sector is -c*(S_p ⊗ S_q), c = v*dphi*FF, plus the
-    kinetic diagonal on the m-major k x k grid of the half axes, and the
-    x <-> y fold of that grid splits the (even, even) and (odd, odd) sectors.
-    Returns the blocks (S, its x <-> y-odd partner, XY, its partner,
-    (x-odd, y-even)), that fold, kappa on the half axis and the derived
-    parameters.
+    [-k, k-1] onto its half m = -k..-1, and the Toeplitz factor into the
+    shift-1 ``_axis_fold`` S+- over the distances a = -1-m from the mirror
+    (descending along the half axis); the kinetic term, with
+    kappa = (pi/pitch)(2m+1), stays diagonal. So each axis-parity sector is
+    -c*(S_p ⊗ S_q), c = v*dphi*FF, plus the kinetic diagonal on the m-major
+    k x k grid of the half axes, and the x <-> y fold of that grid
+    (``_swap_fold`` of S+ and of S-) splits the (even, even) and (odd, odd)
+    sectors. Returns an iterator over the blocks (S, its x <-> y-odd
+    partner, XY, its partner, (x-odd, y-even)), each built as it is taken so
+    that a caller solving them in turn holds about one at a time; the fold
+    of the (even, even) grid, which the (odd, odd) one shares; kappa on the
+    half axis; and the derived parameters.
     """
     k = halfwidth + 1
     dp = derive_params(lattice)
     m = np.arange(-k, 0)
     kappa = named_kpoint("T", lattice.pitch)[0] + 2.0 * math.pi * m / lattice.pitch
-    kinetic = HBAR * (kappa[:, None] ** 2 + kappa[None, :] ** 2) / (2.0 * dp.m0)
+    kinetic = HBAR * (kappa[:, None] ** 2 + kappa ** 2).ravel() / (2.0 * dp.m0)
     s = pattern_factors(lattice, 2 * k - 1)[2 * k - 1:]  # s_j for j = 0..2k-1
-    a = -1 - m
-    toeplitz, hankel = s[np.abs(a[:, None] - a)], s[a[:, None] + a + 1]
-    even, odd = toeplitz + hankel, toeplitz - hankel
+    even, odd = (f[::-1, ::-1] for f in _axis_fold(s, 1))
     c = dp.v_prefactor * lattice.dphi * lattice.fill_factor
+    folds = _swap_fold(even, c), _swap_fold(odd, c)
 
-    def sector(s_x, s_y):
-        h = np.kron(s_x, s_y)
-        h *= -c
-        h[np.diag_indices_from(h)] += kinetic.ravel()
-        return h
+    def blocks():
+        for fold in folds:
+            yield from fold.blocks(kinetic)
+        pair = np.kron(odd, even)
+        pair *= -c
+        pair[np.diag_indices_from(pair)] += kinetic
+        yield pair
 
-    fold = _mirror_fold([(i, j) for i in range(k) for j in range(k)],
-                        lambda i, j: (j, i))
-    blocks = (*fold.blocks(sector(even, even)), *fold.blocks(sector(odd, odd)),
-              sector(odd, even))
-    return blocks, fold, kappa, dp
+    return blocks(), folds[0], kappa, dp
 
 
 def t_point_analysis(config: ExperimentConfig,
@@ -692,8 +684,7 @@ def t_point_analysis(config: ExperimentConfig,
     spectrum; kappa is odd under its axis mirror, a diagonal on the grid.
     """
     hw = halfwidth if halfwidth is not None else config.basis_halfwidth
-    (s_block, s_partner, xy_block, xy_partner, pair), fold, kappa, dp = (
-        _t_sectors(config.lattice, hw))
+    blocks, fold, kappa, dp = _t_sectors(config.lattice, hw)
     k, n_bands = hw + 1, DEFAULT_N_BANDS
 
     def solve(block, odd):  # lowest omegas and their k x k grids
@@ -701,11 +692,11 @@ def t_point_analysis(config: ExperimentConfig,
         return w[:n_bands], fold.lift(u[:, :n_bands], odd).T.reshape(-1, k, k)
 
     # per sector: lowest omegas, their grids, axis parities (x, y), label
-    sectors = [(*solve(s_block, False), (1, 1), LABEL_S),
-               (*solve(s_partner, True), (1, 1), LABEL_NONE),
-               (*solve(xy_block, False), (-1, -1), LABEL_XY),
-               (*solve(xy_partner, True), (-1, -1), LABEL_NONE)]
-    w_x, u_x = _lapack(np.linalg.eigh, pair)  # whole, for the masses
+    sectors = [(*solve(next(blocks), False), (1, 1), LABEL_S),
+               (*solve(next(blocks), True), (1, 1), LABEL_NONE),
+               (*solve(next(blocks), False), (-1, -1), LABEL_XY),
+               (*solve(next(blocks), True), (-1, -1), LABEL_NONE)]
+    w_x, u_x = _lapack(np.linalg.eigh, next(blocks))  # whole, for the masses
     x_grids = u_x[:, :n_bands].T.reshape(-1, k, k)
     sectors += [(w_x[:n_bands], x_grids, (-1, 1), LABEL_PAIR),
                 (w_x[:n_bands], x_grids.transpose(0, 2, 1), (1, -1), LABEL_PAIR)]

@@ -17,7 +17,6 @@ import numpy as np
 from phczeeman import derive_params, named_kpoint, phase_pattern
 from phczeeman.constants import C, HBAR
 from phczeeman.lattice import pattern_factors, t_centered_basis
-from phczeeman.planewave import _mirror_fold
 
 
 def quadrature_fourier_coefficient(lattice, m, n, order=40):
@@ -91,15 +90,30 @@ def dense_hamiltonian(lattice, basis, kx, ky):
     return h
 
 
-def mirror_blocks(h, basis, image, even, odd):
-    """The even and odd blocks of the dense ``h`` under the wave map
-    ``image(m, n) -> (m', n')``, over the waves at positions ``even`` and
-    ``odd`` of ``basis``: H[a, b] + H[a, R b] with a fixed wave's row and
-    column weighted by sqrt(1/2), and H[a, b] - H[a, R b]."""
-    pos = {(rv.m, rv.n): i for i, rv in enumerate(basis)}
+def mirror_fold(waves, image):
+    """Positions in ``waves`` of a mirror's even and odd waves, found wave by
+    wave under the map ``image(*wave) -> wave``: the even list is the fixed
+    waves, then the first of each swapped pair, in ``waves`` order; the odd
+    list is those pair waves."""
+    pos = {wave: i for i, wave in enumerate(waves)}
+    partner = [pos[image(*wave)] for wave in waves]
+    fixed = [i for i, p in enumerate(partner) if p == i]
+    pairs = [i for i, p in enumerate(partner) if i < p]
+    return fixed + pairs, pairs
+
+
+def mirror_blocks(h, waves, image, even=None, odd=None):
+    """The even and odd blocks of the dense ``h`` over ``waves`` under the
+    map ``image(*wave) -> wave``: H[a, b] + H[a, R b] with a fixed wave's
+    row and column weighted by sqrt(1/2), and H[a, b] - H[a, R b]. The rows
+    are the positions ``even`` and ``odd``, by default ``mirror_fold``'s."""
+    if even is None:
+        even, odd = mirror_fold(waves, image)
+    pos = {wave: i for i, wave in enumerate(waves)}
     blocks = []
     for rows, sign in ((even, 1.0), (odd, -1.0)):
-        partner = np.array([pos[image(basis[i].m, basis[i].n)] for i in rows])
+        rows = np.asarray(rows, dtype=int)
+        partner = np.array([pos[image(*waves[i])] for i in rows], dtype=int)
         weight = np.where(partner == rows, math.sqrt(0.5), 1.0)
         block = h[np.ix_(rows, rows)] + sign * h[np.ix_(rows, partner)]
         blocks.append(weight[:, None] * block * weight)
@@ -117,15 +131,15 @@ def dense_t_sectors(lattice, halfwidth):
     basis = t_centered_basis(halfwidth, lattice.pitch)
     h = dense_hamiltonian(lattice, basis, *named_kpoint("T", lattice.pitch))
     waves = [(rv.m, rv.n) for rv in basis]
-    fold_x = _mirror_fold(waves, lambda m, n: (-1 - m, n))
-    half = [waves[i] for i in fold_x.odd]
-    fold_y = _mirror_fold(half, lambda m, n: (m, -1 - n))
-    quarter = [half[i] for i in fold_y.odd]
-    fold_d = _mirror_fold(quarter, lambda m, n: (n, m))
-    x_even, x_odd = fold_x.blocks(h)
-    odd_even, odd_odd = fold_y.blocks(x_odd)
-    return (*fold_d.blocks(fold_y.blocks(x_even)[0]), *fold_d.blocks(odd_odd),
-            odd_even), h
+    flip_x, flip_y, swap = ((lambda m, n: (-1 - m, n)),
+                            (lambda m, n: (m, -1 - n)), (lambda m, n: (n, m)))
+    x_even, x_odd = mirror_blocks(h, waves, flip_x)
+    half = [waves[i] for i in mirror_fold(waves, flip_x)[1]]
+    even_even, _ = mirror_blocks(x_even, half, flip_y)
+    odd_even, odd_odd = mirror_blocks(x_odd, half, flip_y)
+    quarter = [half[i] for i in mirror_fold(half, flip_y)[1]]
+    return (*mirror_blocks(even_even, quarter, swap),
+            *mirror_blocks(odd_odd, quarter, swap), odd_even), h
 
 
 def mp_closed_form_total(lattice, dps=40):

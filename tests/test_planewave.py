@@ -26,12 +26,12 @@ from phczeeman.constants import HBAR
 from phczeeman.lattice import t_centered_basis
 from phczeeman import _kernels
 from phczeeman.planewave import (
-    DEFAULT_N_BANDS, LABEL_NONE, LABEL_PAIR, LABEL_S, LABEL_XY, _problem,
-    _solve, _t_sectors,
+    DEFAULT_N_BANDS, LABEL_NONE, LABEL_PAIR, LABEL_S, LABEL_XY, _axis_fold,
+    _problem, _solve, _swap_fold, _t_sectors,
 )
 from phczeeman.zeeman import m_closed_form
 from oracles import (dense_eigh, dense_hamiltonian, dense_t_sectors,
-                     folded_free_bands, mirror_blocks)
+                     folded_free_bands, mirror_blocks, mirror_fold)
 
 
 def _corner_state(basis, pattern):
@@ -314,7 +314,7 @@ class TestTPointSectors:
 
     @pytest.mark.parametrize("halfwidth", [3, 7, 14])
     def test_sectors_match_fold_of_dense(self, bands_lattice, halfwidth):
-        blocks = _t_sectors(bands_lattice, halfwidth)[0]
+        blocks = tuple(_t_sectors(bands_lattice, halfwidth)[0])
         expected, h = dense_t_sectors(bands_lattice, halfwidth)
         assert len(blocks) == len(expected) == 5
         for block, folded in zip(blocks, expected):
@@ -396,9 +396,11 @@ class TestTPointSectors:
         problem = _problem(bands_lattice, basis)
         kx = 0.3 * math.pi / bands_lattice.pitch
         h = problem.hamiltonian(kx, kx)
-        fold = problem.diagonal.fold
+        fold = problem.diagonal
         assert fold.n_fixed == 7
-        for odd, block in zip((False, True), fold.blocks(h)):
+        folded = mirror_blocks(h, [(rv.m, rv.n) for rv in basis],
+                               lambda m, n: (n, m), fold.even, fold.odd)
+        for odd, block in zip((False, True), folded):
             w, u = np.linalg.eigh(block)
             v = fold.lift(u, odd)
             assert v.shape == (len(basis), block.shape[0])
@@ -480,7 +482,7 @@ class TestMirrorBlockedSolve:
         basis = reciprocal_basis(halfwidth, bands_lattice.pitch)
         problem = _problem(bands_lattice, basis)
         for mirror in (problem.along_x, problem.diagonal):
-            even, odd = mirror.fold.even.size, mirror.fold.odd.size
+            even, odd = mirror.even.size, mirror.odd.size
             assert even == (halfwidth + 1) * (2 * halfwidth + 1)
             assert odd == halfwidth * (2 * halfwidth + 1)
             assert even + odd == (2 * halfwidth + 1) ** 2
@@ -532,8 +534,9 @@ class TestPathBlocksFromFactors:
     def test_blocks_match_fold_of_oracle(self, bands_lattice, halfwidth):
         basis = tuple(reciprocal_basis(halfwidth, bands_lattice.pitch))
         problem = _problem(bands_lattice, basis)
-        for mirror in (problem.along_x, problem.diagonal):
-            fold = mirror.fold  # every wave once: an orbit's first, or its image
+        waves = [(rv.m, rv.n) for rv in basis]
+        for fold in (problem.along_x, problem.diagonal):
+            # every wave once: an orbit's first, or its image
             assert np.array_equal(
                 np.sort(np.concatenate([fold.even, fold.odd_image])),
                 np.arange(len(basis)))
@@ -547,14 +550,64 @@ class TestPathBlocksFromFactors:
                 assert np.array_equal(problem.hamiltonian(kp.kx, kp.ky), h)
                 continue
             kinds.append("G-Z" if kp.ky == 0.0 else "T-G")
-            expected = mirror_blocks(h, basis, images[kinds[-1]],
-                                     mirror.fold.even, mirror.fold.odd)
+            expected = mirror_blocks(h, waves, images[kinds[-1]],
+                                     mirror.even, mirror.odd)
             blocks = mirror.blocks(problem.kinetic(kp.kx, kp.ky))
             for block, folded in zip(blocks, expected, strict=True):
                 assert block.shape == folded.shape
                 assert np.max(np.abs(block - folded)) <= (
                     1e-15 * np.linalg.norm(h))
         assert kinds == ["G-Z"] * 5 + ["dense"] * 3 + ["T-G"] * 4 + ["G-Z"]
+
+
+class TestFoldHelpers:
+    """``_axis_fold`` and ``_swap_fold`` against the oracle's wave-by-wave
+    fold of the dense matrices they stand for."""
+
+    @pytest.mark.parametrize("shift", [0, 1])
+    @pytest.mark.parametrize("width", [2, 3, 4, 5])
+    def test_axis_fold_matches_oracle(self, width, shift):
+        s = np.random.default_rng(width + 10 * shift).standard_normal(
+            2 * width - 1 + shift)  # s_0 .. s_{2 width - 2 + shift}
+        # the half axis 0..width-1 first, then its images under m -> -shift-m
+        axis = np.concatenate([np.arange(width),
+                               -shift - np.arange(1 - shift, width)])
+        toeplitz = s[np.abs(axis[:, None] - axis)]
+        expected = mirror_blocks(toeplitz, [(m,) for m in axis],
+                                 lambda m: (-shift - m,))
+        for block, folded in zip(_axis_fold(s, shift), expected, strict=True):
+            assert block.shape == folded.shape
+            assert np.max(np.abs(block - folded)) <= (
+                1e-15 * np.linalg.norm(toeplitz))
+        assert expected[0].shape[0] == width
+
+    @pytest.mark.parametrize("width", [2, 3, 4, 5])
+    def test_swap_fold_matches_oracle(self, width):
+        rng = np.random.default_rng(width)
+        a = rng.standard_normal((width, width))
+        a += a.T  # symmetric, and not Toeplitz
+        assert not np.allclose(a[1:, 1:], a[:-1, :-1])
+        c, diag = 0.7, rng.standard_normal(width)
+        kinetic = (diag[:, None] + diag).ravel()  # even under x <-> y
+        fold = _swap_fold(a, c)
+        waves = [(i, j) for i in range(width) for j in range(width)]
+
+        def swap(i, j):
+            return j, i
+
+        even, odd = mirror_fold(waves, swap)
+        assert fold.n_fixed == width
+        assert fold.even.tolist() == even and fold.odd.tolist() == odd
+        assert fold.even_image.tolist() == [waves.index(swap(*waves[i]))
+                                            for i in even]
+        assert fold.odd_image.tolist() == [waves.index(swap(*waves[i]))
+                                           for i in odd]
+        h = -c * np.kron(a, a)
+        h[np.diag_indices_from(h)] += kinetic
+        expected = mirror_blocks(h, waves, swap)
+        for block, folded in zip(fold.blocks(kinetic), expected, strict=True):
+            assert block.shape == folded.shape
+            assert np.max(np.abs(block - folded)) <= 1e-15 * np.linalg.norm(h)
 
 
 class TestFoldedNamedNodes:
@@ -572,7 +625,10 @@ class TestFoldedNamedNodes:
         h = problem.hamiltonian(kx, ky)
         kinetic = problem.kinetic(kx, ky)
         cached = mirror.blocks(kinetic)
-        for block, folded in zip(cached, mirror.fold.blocks(h)):
+        image = (lambda m, n: (m, -n)) if ky == 0.0 else (lambda m, n: (n, m))
+        folded_h = mirror_blocks(h, [(rv.m, rv.n) for rv in basis], image,
+                                 mirror.even, mirror.odd)
+        for block, folded in zip(cached, folded_h, strict=True):
             assert np.max(np.abs(block - folded)) <= 1e-15 * np.linalg.norm(h)
         expected = [block.copy() for block in cached]
         for block in cached:
