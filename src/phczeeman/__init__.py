@@ -36,7 +36,6 @@ from .lattice import (
 )
 from .planewave import (
     BandStructure,
-    BlochState,
     KPathPoint,
     LongitudinalProfile,
     TPointAnalysis,
@@ -70,7 +69,7 @@ __all__ = [
     "ExperimentConfig", "load_config", "derive_params", "eigh",
     "ReciprocalVector", "phase_pattern", "pattern_factors",
     "fourier_coefficient", "reciprocal_basis", "t_centered_basis", "sinc",
-    "BlochState", "BandStructure", "LongitudinalProfile",
+    "BandStructure", "LongitudinalProfile",
     "KPathPoint", "TPointAnalysis", "named_kpoint", "build_kpath",
     "solve_bands", "cluster_degenerate", "classify_t_states",
     "t_point_analysis",

@@ -6,9 +6,10 @@ is depth * s_m * s_n, with depth = dphi*FF and s_j = sinc(pi*j*sqrt(FF)).
 On the m-major square window that ``reciprocal_basis`` and
 ``t_centered_basis`` produce, the matrix phi[(mi - mj, ni - nj)] is therefore
 the Kronecker product (depth*S) ⊗ S of the Toeplitz factor S[a, b] = s[a - b]
-over the window's axis. ``fill_hamiltonian`` writes that product out, and
-``pattern_overlap`` applies S along both axes of the coefficients reshaped
-onto the window instead. ``BACKEND`` names the implementation for run
+over the window's axis. ``axis_factor`` builds S and checks the window,
+``fill_hamiltonian`` writes the product out from S, and ``pattern_overlap``
+applies S along both axes of the coefficients reshaped onto the window
+instead. ``BACKEND`` names the implementation for run
 reports.
 """
 from __future__ import annotations
@@ -41,13 +42,13 @@ def axis_factor(m_idx, n_idx, s) -> np.ndarray:
     return s[axis[:, None] - axis[None, :] + s.size // 2]
 
 
-def fill_hamiltonian(m_idx, n_idx, s, depth, v_prefactor):
+def fill_hamiltonian(factor, depth, v_prefactor):
     """Assemble the pattern term H[i,j] = -v*phi[(mi-mj, ni-nj)], with
-    phi = ((depth*s[mi-mj])*s[ni-nj]) for every pair of waves."""
-    factor = axis_factor(m_idx, n_idx, s)
+    phi = ((depth*s[mi-mj])*s[ni-nj]) for every pair of waves, from the
+    window's ``axis_factor`` S."""
     # np.kron(depth * factor, factor), written into one array without the
     # temporaries np.kron makes
-    h = np.empty((m_idx.size, m_idx.size))
+    h = np.empty((factor.size, factor.size))
     np.multiply((depth * factor)[:, None, :, None], factor[None, :, None, :],
                 out=h.reshape(factor.shape * 2))
     h *= -v_prefactor

@@ -49,26 +49,21 @@ SWEEP_HEADER = ("dphi,pitch_um,M_plus,M_minus,M,dwL_over_Omega,dwS_over_Omega,"
                 "spread_rms_mm,consistency_ratio")
 
 
-def _fmt(x) -> str:
-    """Shortest-round-trip float formatting; NaN and inf never reach a file."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ComputationError(f"non-finite value {x} in the output")
-    return repr(x)
-
-
-def _float_rows(*columns):
-    """Rows of shortest-round-trip strings from float columns, scalars
-    broadcast; each column is checked for NaN and inf once."""
-    columns = np.broadcast_arrays(*(np.asarray(c, dtype=float)
-                                    for c in columns))
+def _rows(*columns):
+    """CSV rows of strings from columns, scalars broadcast. A float column
+    is written as shortest-round-trip reprs and checked for NaN and inf
+    once, before any row is made; any other column (integers, labels)
+    through ``str``."""
+    columns = np.broadcast_arrays(*map(np.asarray, columns))
     for column in columns:
-        finite = np.isfinite(column)
-        if not finite.all():
-            raise ComputationError(
-                f"non-finite value {column[~finite][0]} in the output"
-            )
-    return zip(*(map(repr, column.tolist()) for column in columns))
+        if column.dtype.kind == "f":
+            finite = np.isfinite(column)
+            if not finite.all():
+                raise ComputationError(
+                    f"non-finite value {column[~finite][0]} in the output"
+                )
+    return zip(*(map(repr if column.dtype.kind == "f" else str,
+                     column.ravel().tolist()) for column in columns))
 
 
 def _write_csv(path: str, header: str, rows) -> None:
@@ -122,16 +117,31 @@ def _derived_paths(base: str, tags) -> dict[str, str]:
 # --------------------------------------------------------------------------
 # bands
 
+def _path_columns(kpts, n_bands: int) -> tuple:
+    """The k_index, path_pos, kx, ky and band columns of a path's rows, as
+    a column per k-point and a row of bands, broadcast by ``_rows`` to one
+    row per (k-point, band)."""
+    return (*(np.array([getattr(p, name) for p in kpts])[:, None]
+              for name in ("index", "path_pos", "kx", "ky")),
+            np.arange(n_bands))
+
+
+def _detuning_ghz(omegas, config: ExperimentConfig):
+    omega0 = derive_params(config.lattice).omega0
+    return (omegas - omega0) / (2.0 * math.pi * 1e9)
+
+
+def _nearest(omegas, targets):
+    """The entry of each row of ``omegas`` nearest to each target in the
+    same row of ``targets``, as an array of the targets' shape."""
+    gaps = np.abs(omegas[:, None, :] - targets[:, :, None])
+    return np.take_along_axis(omegas, np.argmin(gaps, axis=2), axis=1)
+
+
 def _band_rows(bs: pw.BandStructure):
-    omega0 = derive_params(bs.config.lattice).omega0
-    for kp_pt, row in zip(bs.kpoints, bs.states):
-        for st in row:
-            detuning_ghz = (st.omega - omega0) / (2.0 * math.pi * 1e9)
-            yield (
-                str(kp_pt.index), _fmt(kp_pt.path_pos), _fmt(kp_pt.kx),
-                _fmt(kp_pt.ky), str(st.band_index), str(st.degeneracy),
-                _fmt(st.omega), _fmt(detuning_ghz), st.rep_label or "",
-            )
+    # every scalar band carries the two photon spin states: degeneracy 2
+    return _rows(*_path_columns(bs.kpoints, bs.n_bands), "2", bs.omegas,
+                 _detuning_ghz(bs.omegas, bs.config), bs.rep_labels)
 
 
 def _kp_spectrum_on_path(config: ExperimentConfig, kpts) -> kpmod.KpSpectrum:
@@ -143,30 +153,18 @@ def _kp_spectrum_on_path(config: ExperimentConfig, kpts) -> kpmod.KpSpectrum:
 
 
 def _kp_rows(config: ExperimentConfig, kpts, spectrum: kpmod.KpSpectrum):
-    omega0 = derive_params(config.lattice).omega0
-    for i, kp_pt in enumerate(kpts):
-        note = "" if spectrum.within_window[i] else "extrapolation"
-        for b in range(8):
-            w = spectrum.omegas[i, b]
-            yield (
-                str(kp_pt.index), _fmt(kp_pt.path_pos), _fmt(kp_pt.kx),
-                _fmt(kp_pt.ky), str(b), "1", _fmt(w),
-                _fmt((w - omega0) / (2.0 * math.pi * 1e9)), note,
-                str(spectrum.blocks[i, b]),
-            )
+    note = np.where(spectrum.within_window, "", "extrapolation")[:, None]
+    return _rows(*_path_columns(kpts, spectrum.omegas.shape[1]), "1",
+                 spectrum.omegas, _detuning_ghz(spectrum.omegas, config),
+                 note, spectrum.blocks)
 
 
 def _diff_rows(bs: pw.BandStructure, spectrum: kpmod.KpSpectrum):
-    opw = bs.omegas()
-    for i, kp_pt in enumerate(bs.kpoints):
-        for b in range(8):
-            w = spectrum.omegas[i, b]
-            nearest = float(opw[i, np.argmin(np.abs(opw[i] - w))])
-            yield (
-                str(kp_pt.index), _fmt(kp_pt.path_pos), _fmt(kp_pt.kx),
-                _fmt(kp_pt.ky), str(b), _fmt(w), _fmt(nearest),
-                _fmt(w - nearest),
-            )
+    with np.errstate(over="ignore"):  # the finiteness check reports it
+        nearest = _nearest(bs.omegas, spectrum.omegas)
+        diff = spectrum.omegas - nearest
+    return _rows(*_path_columns(bs.kpoints, spectrum.omegas.shape[1]),
+                 spectrum.omegas, nearest, diff)
 
 
 _PLOT_TEMPLATE = """# gnuplot script generated by phczeeman
@@ -275,7 +273,7 @@ def cmd_split(args) -> int:
             rel_diffs.append(np.divide(diff, scale, out=np.zeros_like(diff),
                                        where=scale != 0))
     _write_csv(args.output, SPLIT_HEADER,
-               _float_rows(rates, dws_kp, dwl_kp, dws_f, dwl_f, *rel_diffs))
+               _rows(rates, dws_kp, dwl_kp, dws_f, dwl_f, *rel_diffs))
     print(args.output)
     if args.emit_plotscript:
         print(_emit_plotscript(args.output, "split"))
@@ -333,7 +331,7 @@ def cmd_sweep(args) -> int:
         values.tolist(), f"swept {args.param} values")
     lattice = _sweep_lattice(config.lattice, args.param, values)
     res = zm.zeeman_result(lattice)
-    _write_csv(args.output, SWEEP_HEADER, _float_rows(
+    _write_csv(args.output, SWEEP_HEADER, _rows(
         lattice.dphi, lattice.pitch * 1e6, res.m_plus, res.m_minus,
         res.m_total, res.delta_omega_L_per_Omega, res.delta_omega_S_per_Omega,
         res.spread_rms * 1e3, res.consistency_ratio,
@@ -354,12 +352,11 @@ def cmd_dump_fourier(args) -> int:
         raise ConfigError(
             f"--halfwidth must be in [1, {MAX_FOURIER_HALFWIDTH}], got {hw}"
         )
-    rows = (
-        (str(m), str(n), _fmt(fourier_coefficient(config.lattice, m, n)))
-        for m in range(-hw, hw + 1)
-        for n in range(-hw, hw + 1)
-    )
-    _write_csv(args.output, "m,n,value", rows)
+    axis = np.arange(-hw, hw + 1)
+    m, n = np.repeat(axis, axis.size), np.tile(axis, axis.size)
+    values = [fourier_coefficient(config.lattice, mi, ni)
+              for mi, ni in zip(m.tolist(), n.tolist())]
+    _write_csv(args.output, "m,n,value", _rows(m, n, np.array(values)))
     print(args.output)
     return 0
 
@@ -398,8 +395,9 @@ def _kp_vs_opw_worst(config: ExperimentConfig, model: kpmod.KpModel,
 
     The points along x from T are solved dense, each writing its own H; the
     diagonal ones in the x <-> y blocks, whose pattern term the plane-wave
-    problem caches (about N^2 / 2 entries). A function of its own so that
-    this cache is freed before the later checks run.
+    problem gathers at the first of them (about N^2 / 2 entries). A
+    function of its own so that those blocks are freed before the later
+    checks run.
     """
     lattice = config.lattice
     basis = tuple(reciprocal_basis(config.basis_halfwidth, lattice.pitch))
@@ -413,14 +411,8 @@ def _kp_vs_opw_worst(config: ExperimentConfig, model: kpmod.KpModel,
         for direction in ((-1.0, 0.0), (-1.0 / math.sqrt(2), -1.0 / math.sqrt(2)))
     ])
     spectra = kpmod.kp_bands(model, k - t_pt, RotationSpec(0.0)).omegas
-    worst_rel = 0.0
-    for (kx, ky), spec8 in zip(k, spectra):
-        w_opw = pw._solve(problem, kx, ky, 8)[0]
-        for w_kp in spec8:
-            worst_rel = max(
-                worst_rel, float(np.min(np.abs(w_opw - w_kp))) / span
-            )
-    return worst_rel
+    opw = np.array([pw._solve(problem, kx, ky, 8)[0] for kx, ky in k])
+    return float(np.max(np.abs(spectra - _nearest(opw, spectra)))) / span
 
 
 def run_validation(config: ExperimentConfig) -> dict:
@@ -511,8 +503,8 @@ def run_validation(config: ExperimentConfig) -> dict:
     # 7. unimodular longitudinal factor and bounded alpha at Gamma
     gamma_cfg = replace(config, kpath=("G",), samples_per_segment=1)
     bs_gamma = pw.solve_bands(gamma_cfg)
-    ground = bs_gamma.states[0][0]
-    profile = pw.longitudinal_profile(ground, lattice)
+    profile = pw.longitudinal_profile(bs_gamma.vectors[0][:, 0],
+                                      bs_gamma.basis, lattice)
     dev_eta = float(np.max(np.abs(np.abs(1.0 + profile.eta_samples) - 1.0)))
     mean_floor = lattice.dphi * lattice.fill_factor
     alpha_ok = mean_floor < profile.alpha < lattice.dphi

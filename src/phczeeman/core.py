@@ -112,7 +112,9 @@ class DerivedParams:
     k_z: longitudinal wavenumber 2*pi*n/lambda; l_z: cavity length lambda/n;
     m0: photon effective mass n*hbar*k_z/c; p_interband: momentum matrix
     element hbar*pi/(sqrt(2)*pitch); omega0: carrier frequency c*k_z/n;
-    v_prefactor: potential depth per unit pattern phase c/(2*n*l_z).
+    v_prefactor: potential depth per unit pattern phase c/(2*n*l_z); eps:
+    relative permittivity n^2 of the nonmagnetic cavity, which ties m0 to
+    omega0 (m0*c^2 = eps*hbar*omega0, checked at construction).
     """
 
     k_z: float
@@ -121,13 +123,11 @@ class DerivedParams:
     p_interband: float
     omega0: float
     v_prefactor: float
-    z_impedance: float
     eps: float
-    mu: float
 
     def __post_init__(self):
         for name in ("k_z", "l_z", "m0", "p_interband", "omega0",
-                     "v_prefactor", "z_impedance", "eps", "mu"):
+                     "v_prefactor", "eps"):
             value = np.asarray(getattr(self, name))
             bad = ~((value > 0) & np.isfinite(value))
             if bad.any():
@@ -156,10 +156,9 @@ def derive_params(lattice: LatticeSpec) -> DerivedParams:
     p = HBAR * math.pi / (math.sqrt(2.0) * lattice.pitch)
     omega0 = C * k_z / n
     v = C / (2.0 * n * l_z)
-    # nonmagnetic cavity: mu = 1, eps = n^2, relative impedance Z = 1/n
     return DerivedParams(
         k_z=k_z, l_z=l_z, m0=m0, p_interband=p, omega0=omega0,
-        v_prefactor=v, z_impedance=1.0 / n, eps=n * n, mu=1.0,
+        v_prefactor=v, eps=n * n,
     )
 
 
@@ -228,10 +227,13 @@ def eigh(h) -> tuple[np.ndarray, np.ndarray]:
 DEFAULT_KPATH = ("G", "Z", "T", "G")
 DEFAULT_BASIS_HALFWIDTH = 7
 # Largest plane-wave cutoff. At h = 40 `bands` peaks highest (`validate`
-# builds the same problem): a dense Z-T point's 6561-wave H (344 MB), the
-# eigensolver's copy of it and the cached x <-> y blocks (172 MB) reach
-# 868 MB resident. `split` solves only the T sectors, one at a time, and
-# peaks at 158 MB (measured on Linux, numpy with OpenBLAS).
+# builds the same problem): a dense Z-T point's 6561-wave H (344 MB) and the
+# eigensolver's copy of it reach 778 MB resident on the default path, whose
+# Z-T points all come before its first kx == ky point, where the x <-> y
+# blocks (172 MB) are gathered; held during a dense solve, as on a path
+# that reaches kx == ky first, those blocks raise it to 868 MB. `split`
+# solves only the T sectors, one at a time, and peaks at 158 MB (measured
+# on Linux, numpy with OpenBLAS).
 MAX_BASIS_HALFWIDTH = 40
 # Largest dump-fourier halfwidth: every index difference of a capped basis.
 MAX_FOURIER_HALFWIDTH = 2 * MAX_BASIS_HALFWIDTH

@@ -80,7 +80,6 @@ class KpSpectrum:
     ``within_window`` flags points inside the k.p validity window.
     """
 
-    k_rel: np.ndarray
     omegas: np.ndarray
     blocks: np.ndarray
     within_window: np.ndarray
@@ -183,7 +182,7 @@ def kp_bands(model: KpModel, kpath, rot: RotationSpec) -> KpSpectrum:
     wl, _ = eigh(HermitianMatrix(lower))
     w = np.concatenate([wu, wl], axis=-1)
     order = np.argsort(w, axis=-1, kind="stable")
-    return KpSpectrum(k_rel=k_rel, omegas=np.take_along_axis(w, order, axis=-1),
+    return KpSpectrum(omegas=np.take_along_axis(w, order, axis=-1),
                       blocks=np.repeat([1, -1], 4)[order],
                       within_window=window)
 

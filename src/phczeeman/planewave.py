@@ -12,10 +12,11 @@ Numerical notes: the eigenproblem is assembled and solved in detuning units
 (carrier frequency subtracted from the diagonal). On the m-major square
 window every basis must be, H is exactly Kx ⊗ I + I ⊗ Ky - c*(S ⊗ S), with
 c = v*dphi*FF and S the Toeplitz sinc factor over the window's axis (see
-``_kernels``). Only these 1D pieces are kept per basis; no N x N array lives
-across k-points. Along a k-path only the named nodes (G, Z, T) get
-eigenvectors; interior path points need only their frequencies and are
-solved eigenvalue-only.
+``_kernels``). Only S and these 1D pieces are kept per basis; no N x N
+array lives across k-points. A k-path's results are arrays over (k-point,
+band) filled in place (``BandStructure``): only the named nodes (G, Z, T)
+keep eigenvectors; interior path points need only their frequencies and
+are solved eigenvalue-only.
 
 Every mirror block comes from two folds of the 1D factors: an axis mirror
 folds S into S+-[a, b] = s[|a-b|] +- s[a+b+shift] (``_axis_fold``), and
@@ -25,13 +26,13 @@ the basis. On a k-path every point on a mirror line, named nodes included,
 is solved as two parity blocks of (h+1)(2h+1) and h(2h+1) waves: on G-Z
 (ky == 0) the blocks of y -> -y, -c*(S+- ⊗ S) with shift 0, are written at
 each point; on T-G (kx == ky) those of x <-> y, the swap fold of S, are
-gathered once per basis. Z-T points are solved dense, the pattern term
-written afresh at each point: their mirror maps m to -1-m, under which the
-symmetric window is not closed. The T point itself is analysed on the
-corner window, closed under the whole C4v little group of T: its axis
-mirrors fold S with shift 1, each axis-parity sector is -c*(S_p ⊗ S_q) plus
-the kinetic diagonal, and the swap folds of S+ and S- split two of them
-(``_t_sectors``). H is never formed, the degenerate pair comes out exactly
+gathered at the path's first such point and copied at each. Z-T points are
+solved dense, the pattern term written afresh at each point: their mirror
+maps m to -1-m, under which the symmetric window is not closed. The T point
+itself is analysed on the corner window, closed under the whole C4v little
+group of T: its axis mirrors fold S with shift 1, each axis-parity sector
+is -c*(S_p ⊗ S_q) plus the kinetic diagonal, and the swap folds of S+ and
+S- split two of them (``_t_sectors``). H is never formed, the degenerate pair comes out exactly
 degenerate and every state's label is the sector it was solved in. The S
 and XY edge masses are the exact second-order k.p sums over the
 (x-odd, y-even) sector, the only one kappa_x S and kappa_y XY reach.
@@ -41,6 +42,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -136,48 +138,27 @@ def build_kpath(nodes, pitch: float, samples_per_segment: int) -> list[KPathPoin
 # data model
 
 @dataclass(frozen=True, eq=False)
-class BlochState:
-    """One scalar eigenstate: omega and unit-norm plane-wave coefficients.
+class BandStructure:
+    """The lowest bands on a k-path, as arrays over (k-point, band).
 
-    ``coefficients`` is None for a frequency-only state, as solve_bands
-    returns at interior path points; vectors, when present, are unit-norm.
-    ``degeneracy`` is 2: every scalar band carries the two photon spin
-    states, which stay degenerate in the absence of rotation.
+    ``omegas[i, b]`` is band b at ``kpoints[i]``, ascending in b, and
+    ``rep_labels[i, b]`` its T representation label, "" off the T node.
+    ``vectors`` maps the index of each named node (G, Z, T) to the unit
+    eigenvector columns, (basis size, n_bands), of its bands over ``basis``;
+    interior points are solved for omegas only. Every scalar band carries
+    the two photon spin states, which stay degenerate without rotation.
     """
 
-    band_index: int
-    k_perp: tuple[float, float]
-    omega: float
-    coefficients: np.ndarray | None
-    basis: tuple[ReciprocalVector, ...]
-    degeneracy: int = 2
-    rep_label: str | None = None
-
-    def __post_init__(self):
-        if self.coefficients is not None:
-            norm = float(np.sum(np.abs(self.coefficients) ** 2))
-            if abs(norm - 1.0) > 1e-10:
-                raise ValidationError(f"state coefficients not unit-norm: {norm}")
-        if not self.omega > 0:
-            raise ValidationError(f"state omega must be positive, got {self.omega}")
-
-
-@dataclass(frozen=True, eq=False)
-class BandStructure:
-    """Eigenpairs on a k-path; per k-point omegas ascending, fixed band count."""
-
     kpoints: tuple[KPathPoint, ...]
-    states: tuple[tuple[BlochState, ...], ...]
+    omegas: np.ndarray
+    rep_labels: np.ndarray
+    vectors: dict[int, np.ndarray]
     basis: tuple[ReciprocalVector, ...]
     config: ExperimentConfig
 
     @property
     def n_bands(self) -> int:
-        return len(self.states[0])
-
-    def omegas(self) -> np.ndarray:
-        """(n_k, n_bands) array of eigenfrequencies."""
-        return np.array([[st.omega for st in row] for row in self.states])
+        return self.omegas.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,16 +177,6 @@ class LongitudinalProfile:
         dev = np.max(np.abs(np.abs(1.0 + self.eta_samples) - 1.0))
         if dev > 1e-12:
             raise ValidationError(f"|1+eta| deviates from 1 by {dev:.3e}")
-
-
-def _state_vector(state: BlochState) -> np.ndarray:
-    """The state's coefficients; ValidationError for a frequency-only state."""
-    if state.coefficients is None:
-        raise ValidationError(
-            f"state (band {state.band_index}, k = {state.k_perp}) has no "
-            "coefficients; solve_bands keeps them only at the named nodes"
-        )
-    return np.asarray(state.coefficients)
 
 
 # --------------------------------------------------------------------------
@@ -344,29 +315,33 @@ class _Problem:
     """The k-independent pieces of the detuned eigenproblem on one basis.
 
     On the m-major square window H is Kx ⊗ I + I ⊗ Ky - c*(S ⊗ S), with
-    c = v*dphi*FF and S[a, b] = s[a - b] the Toeplitz factor of the pattern
-    factors ``s`` over the window's axis. Only 1D pieces and the x <-> y
-    blocks (about N^2 / 2 entries) are kept, never an N x N array.
-    ``hamiltonian`` writes the dense H afresh for each k
+    c = v*dphi*FF and S = ``factor`` the Toeplitz factor of the pattern
+    factors over the window's axis. Only 1D pieces and S are kept, never an
+    N x N array. ``hamiltonian`` writes the dense H afresh for each k
     (``_kernels.fill_hamiltonian``); the two path mirrors give smaller
     blocks instead. ``along_x`` is the fold under n -> -n, the mirror
     y -> -y of every k with ky == 0, whose blocks -c*(S+- ⊗ S) are written
     at each k (None when the window is not symmetric); ``diagonal`` is the
     fold under (m, n) -> (n, m), the mirror x <-> y of every k with
-    kx == ky, whose blocks are gathered once from S and copied at each k.
+    kx == ky, whose blocks (about N^2 / 2 entries) are gathered from S at
+    its first use and copied at each k.
     """
 
     omega0: float
     m0: float
     v_prefactor: float
     depth: float  # dphi * FF
-    s: np.ndarray
-    m_idx: np.ndarray
-    n_idx: np.ndarray
+    factor: np.ndarray
     gx: np.ndarray
     gy: np.ndarray
     along_x: _MirrorFold | None
-    diagonal: _MirrorFold
+
+    @cached_property
+    def diagonal(self) -> _MirrorFold:
+        fold = _swap_fold(self.factor, self.v_prefactor * self.depth)
+        cached = fold.potential()
+        return replace(fold, potential=lambda: (cached[0].copy(),
+                                                cached[1].copy()))
 
     def kinetic(self, kx: float, ky: float) -> np.ndarray:
         """The kinetic diagonal hbar|k+G|^2/(2 m0) at (kx, ky)."""
@@ -375,8 +350,7 @@ class _Problem:
     def hamiltonian(self, kx: float, ky: float) -> np.ndarray:
         """Dense detuned H at (kx, ky): the pattern term written afresh plus
         the kinetic diagonal."""
-        h = _kernels.fill_hamiltonian(self.m_idx, self.n_idx, self.s,
-                                      self.depth, self.v_prefactor)
+        h = _kernels.fill_hamiltonian(self.factor, self.depth, self.v_prefactor)
         h[np.diag_indices_from(h)] += self.kinetic(kx, ky)
         return h
 
@@ -394,21 +368,17 @@ def _problem(lattice: LatticeSpec, basis) -> _Problem:
     must be an m-major square window."""
     dp = derive_params(lattice)
     m_idx, n_idx = _basis_indices(basis)
-    s = pattern_factors(lattice, int(np.ptp(m_idx)))
-    factor = _kernels.axis_factor(m_idx, n_idx, s)
+    factor = _kernels.axis_factor(m_idx, n_idx,
+                                  pattern_factors(lattice, int(np.ptp(m_idx))))
     depth = lattice.dphi * lattice.fill_factor
-    c = dp.v_prefactor * depth
     axis = m_idx[::factor.shape[0]]
-    diagonal = _swap_fold(factor, c)
-    cached = diagonal.potential()
     return _Problem(
         omega0=dp.omega0, m0=dp.m0, v_prefactor=dp.v_prefactor, depth=depth,
-        s=s, m_idx=m_idx, n_idx=n_idx,
+        factor=factor,
         gx=np.array([rv.gx for rv in basis]),
         gy=np.array([rv.gy for rv in basis]),
-        along_x=_axis_blocks(factor, c) if axis[0] == -axis[-1] else None,
-        diagonal=replace(diagonal, potential=lambda: (cached[0].copy(),
-                                                      cached[1].copy())),
+        along_x=(_axis_blocks(factor, dp.v_prefactor * depth)
+                 if axis[0] == -axis[-1] else None),
     )
 
 
@@ -456,25 +426,29 @@ def solve_bands(config: ExperimentConfig,
                 n_bands: int = DEFAULT_N_BANDS) -> BandStructure:
     """Lowest scalar bands along the configured k-path (deterministic).
 
-    The problem's 1D pieces, and the T-G blocks of its pattern term, are
-    built once; each k-point is assembled from them and solved on its own,
-    in path order. Points on G-Z (ky == 0) and T-G (kx == ky), the named
-    nodes G, Z and T among them, are solved as the even and odd blocks of
-    the mirror that fixes their line; Z-T points are solved dense (see
-    ``_solve``). Named nodes get unit-norm eigenvectors, and T states
-    their representation labels; interior points are solved eigenvalue-only
-    and their states carry ``coefficients=None``.
+    The problem's 1D pieces are built once; each k-point is assembled from
+    them and solved on its own, in path order, into its row of the
+    structure's arrays. Points on G-Z (ky == 0) and T-G (kx == ky), the
+    named nodes G, Z and T among them, are solved as the even and odd
+    blocks of the mirror that fixes their line, the T-G blocks gathered at
+    the path's first such point; Z-T points are solved dense (see
+    ``_solve``). Named nodes keep their unit-norm eigenvectors, and T rows
+    get their representation labels; interior points are solved
+    eigenvalue-only.
     """
     basis = tuple(reciprocal_basis(config.basis_halfwidth, config.lattice.pitch))
     if n_bands > len(basis):
         raise ValidationError(
             f"n_bands = {n_bands} exceeds basis size {len(basis)}"
         )
-    kpts = build_kpath(config.kpath, config.lattice.pitch,
-                       config.samples_per_segment)
+    kpts = tuple(build_kpath(config.kpath, config.lattice.pitch,
+                             config.samples_per_segment))
     problem = _problem(config.lattice, basis)
-
-    rows = []
+    bs = BandStructure(
+        kpoints=kpts, omegas=np.empty((len(kpts), n_bands)),
+        rep_labels=np.full((len(kpts), n_bands), "", dtype=object),
+        vectors={}, basis=basis, config=config,
+    )
     for kp in kpts:
         try:
             w, v = _solve(problem, kp.kx, kp.ky, n_bands, vectors=bool(kp.label))
@@ -482,27 +456,15 @@ def solve_bands(config: ExperimentConfig,
             raise ComputationError(
                 f"{exc} at k-point {kp.index} (kx={kp.kx:.6g}, ky={kp.ky:.6g})"
             ) from exc
-        labels = [None] * n_bands
+        bs.omegas[kp.index] = w
+        if v is not None:
+            bs.vectors[kp.index] = v
         if kp.label == "T":
             groups = cluster_degenerate(w)
-            group_labels = classify_t_states([v[:, g] for g in groups], basis)
-            for grp, lab in zip(groups, group_labels):
-                for i in grp:
-                    labels[i] = lab
-        rows.append(tuple(
-            BlochState(
-                band_index=b,
-                k_perp=(kp.kx, kp.ky),
-                omega=float(w[b]),
-                coefficients=None if v is None else v[:, b].astype(complex),
-                basis=basis,
-                rep_label=labels[b],
-            )
-            for b in range(n_bands)
-        ))
-    return BandStructure(
-        kpoints=tuple(kpts), states=tuple(rows), basis=basis, config=config,
-    )
+            for grp, lab in zip(groups, classify_t_states(
+                    [v[:, g] for g in groups], basis)):
+                bs.rep_labels[kp.index, grp] = lab
+    return bs
 
 
 # --------------------------------------------------------------------------
@@ -778,18 +740,27 @@ def perturbative_edges(lattice: LatticeSpec) -> tuple[float, float, float]:
 # --------------------------------------------------------------------------
 # longitudinal profile
 
-def longitudinal_profile(state: BlochState, lattice: LatticeSpec,
+def longitudinal_profile(coefficients, basis, lattice: LatticeSpec,
                          samples: int = 256) -> LongitudinalProfile:
-    """Per-reflection phase and fast longitudinal factor of a Bloch state.
+    """Per-reflection phase and fast longitudinal factor of a Bloch state,
+    given by its unit-norm plane-wave ``coefficients`` over ``basis``.
 
     alpha is the pattern expectation value in the state; eta is sampled on a
     uniform grid over one longitudinal period z in [-l_z, l_z). The exponent
     is purely imaginary, so |1 + eta| = 1 identically and the wrapped sum of
     eta increments over the period vanishes. ValidationError unless the
-    state's basis is an m-major square window.
+    coefficients are unit-norm, one per wave, and ``basis`` is an m-major
+    square window.
     """
-    c = _state_vector(state)
-    m_idx, n_idx = _basis_indices(state.basis)
+    c = np.asarray(coefficients)
+    if c.shape != (len(basis),):
+        raise ValidationError(
+            f"{c.shape} coefficients for a basis of {len(basis)} waves"
+        )
+    norm = float(np.sum(np.abs(c) ** 2))
+    if abs(norm - 1.0) > 1e-10:
+        raise ValidationError(f"state coefficients not unit-norm: {norm}")
+    m_idx, n_idx = _basis_indices(basis)
     alpha = _kernels.pattern_overlap(
         c, m_idx, n_idx, pattern_factors(lattice, int(np.ptp(m_idx))),
         lattice.dphi * lattice.fill_factor,

@@ -44,7 +44,6 @@ class ZeemanResult:
     delta_omega_S_per_Omega: float
     delta_omega_L_per_Omega: float
     spread_rms: float
-    sinc_s: float
     consistency_ratio: float
 
 
@@ -184,7 +183,6 @@ def zeeman_result(lattice: LatticeSpec) -> ZeemanResult:
         delta_omega_S_per_Omega=dws,
         delta_omega_L_per_Omega=dwl,
         spread_rms=spread_rms(m_plus, m_minus, dp.p_interband),
-        sinc_s=pattern_sinc(lattice.fill_factor),
         consistency_ratio=consistency_ratio(lattice, m_plus, m_minus,
                                             lattice.n_refr, dp),
     )

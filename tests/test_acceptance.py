@@ -170,8 +170,8 @@ def test_criterion_08_longitudinal_factor(bands_config):
     """|1 + eta| = 1 to 1e-12 and alpha strictly inside (dphi*FF, dphi)."""
     cfg = replace(bands_config, kpath=("G",), samples_per_segment=1)
     bs = solve_bands(cfg)
-    ground = bs.states[0][0]
-    profile = longitudinal_profile(ground, cfg.lattice, samples=1024)
+    profile = longitudinal_profile(bs.vectors[0][:, 0], bs.basis, cfg.lattice,
+                                   samples=1024)
     dev = float(np.max(np.abs(np.abs(1.0 + profile.eta_samples) - 1.0)))
     lo = cfg.lattice.dphi * cfg.lattice.fill_factor
     hi = cfg.lattice.dphi

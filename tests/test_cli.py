@@ -471,6 +471,49 @@ class TestNonFiniteInputs:
         assert _no_nan_written(out)
 
 
+    @pytest.mark.parametrize("model,poisoned", [
+        ("opw", "opw"), ("kp", "kp"), ("both", "opw"), ("both", "kp"),
+        ("both", "diff"),
+    ])
+    def test_non_finite_band_value(self, bands_cfg_file, tmp_path, capsys,
+                                   monkeypatch, model, poisoned):
+        # a NaN in the plane-wave or k.p omegas; for the diff file alone,
+        # finite omegas whose difference overflows
+        from phczeeman import kp, planewave
+        solve_bands, kp_bands = planewave.solve_bands, kp.kp_bands
+
+        def bad_opw(*args, **kwargs):
+            bs = solve_bands(*args, **kwargs)
+            if poisoned == "diff":
+                bs.omegas[:] = -1e308
+            else:
+                bs.omegas[1, 3] = math.nan
+            return bs
+
+        def bad_kp(*args, **kwargs):
+            spectrum = kp_bands(*args, **kwargs)
+            if poisoned == "diff":
+                spectrum.omegas[:] = 1e308
+            else:
+                spectrum.omegas[1, 3] = math.nan
+            return spectrum
+
+        if poisoned in ("opw", "diff"):
+            monkeypatch.setattr(planewave, "solve_bands", bad_opw)
+        if poisoned in ("kp", "diff"):
+            monkeypatch.setattr(kp, "kp_bands", bad_kp)
+        out = tmp_path / "bands.csv"
+        rc = main(["bands", bands_cfg_file, "-o", str(out), "--model", model,
+                   "--kpath", "G:Z", "--samples", "2"])
+        assert rc == 1
+        assert "non-finite value" in capsys.readouterr().err
+        poisoned_file = out if model != "both" else (
+            tmp_path / f"bands_{poisoned}.csv")
+        assert not poisoned_file.exists()
+        for path in tmp_path.glob("bands*.csv"):
+            text = path.read_text().lower()
+            assert "nan" not in text and "inf" not in text, path.name
+
     @pytest.mark.filterwarnings("ignore")  # fast-rotation and overflow warnings
     def test_overflowing_splitting_is_computation_failure(self, tmp_path,
                                                           capsys):

@@ -203,14 +203,13 @@ class TestDeriveParams:
     def test_all_positive(self, bands_lattice):
         dp = derive_params(bands_lattice)
         for name in ("k_z", "l_z", "m0", "p_interband", "omega0",
-                     "v_prefactor", "z_impedance", "eps", "mu"):
+                     "v_prefactor", "eps"):
             assert getattr(dp, name) > 0
 
     def test_impedance_convention(self, bands_lattice):
+        # nonmagnetic cavity: eps = n^2
         dp = derive_params(bands_lattice)
-        assert dp.mu == 1.0
         assert dp.eps == pytest.approx(3.53**2, rel=1e-15, abs=0)
-        assert dp.z_impedance == pytest.approx(1.0 / 3.53, rel=1e-15, abs=0)
 
     def test_scale_covariance(self, bands_lattice):
         from dataclasses import replace
@@ -222,7 +221,7 @@ class TestDeriveParams:
         assert dp2.p_interband == pytest.approx(dp1.p_interband / 2,
                                                 rel=1e-15, abs=0)
         # dimensionless combinations are invariant
-        assert dp2.z_impedance == dp1.z_impedance
+        assert dp2.eps == dp1.eps
         assert dp2.k_z * dp2.l_z == pytest.approx(dp1.k_z * dp1.l_z,
                                                   rel=1e-15, abs=0)
 

@@ -28,8 +28,9 @@ def fill_args(bands_lattice):
 def test_numpy_fill_matches_direct_formula(bands_lattice):
     for window in (reciprocal_basis, t_centered_basis):
         args = _fill_args(bands_lattice, window(4, bands_lattice.pitch))
-        m_idx, n_idx, _, _, v = args
-        h = _kernels.fill_hamiltonian(*args)
+        m_idx, n_idx, s, depth, v = args
+        h = _kernels.fill_hamiltonian(_kernels.axis_factor(m_idx, n_idx, s),
+                                      depth, v)
         expected = np.array([
             [-v * fourier_coefficient(bands_lattice, int(mi - mj), int(ni - nj))
              for mj, nj in zip(m_idx, n_idx)]
@@ -54,15 +55,16 @@ def test_overlap_matches_quadratic_form(bands_lattice, fill_args):
 
 
 def test_non_window_rejected(fill_args):
-    m_idx, n_idx, s, depth, v = fill_args
+    # fill_hamiltonian takes the factor axis_factor built and checked
+    m_idx, n_idx, s, depth, _ = fill_args
     order = np.random.default_rng(3).permutation(m_idx.size)
     with pytest.raises(ValidationError, match="square window"):
-        _kernels.fill_hamiltonian(m_idx[order], n_idx[order], s, depth, v)
+        _kernels.axis_factor(m_idx[order], n_idx[order], s)
     with pytest.raises(ValidationError, match="square window"):
-        _kernels.fill_hamiltonian(m_idx[:-1], n_idx[:-1], s, depth, v)
+        _kernels.axis_factor(m_idx[:-1], n_idx[:-1], s)
     # factors that do not reach every axis difference
     with pytest.raises(ValidationError, match="square window"):
-        _kernels.fill_hamiltonian(m_idx, n_idx, s[1:-1], depth, v)
+        _kernels.axis_factor(m_idx, n_idx, s[1:-1])
     c = np.ones(m_idx.size)
     with pytest.raises(ValidationError, match="square window"):
         _kernels.pattern_overlap(c[order], m_idx[order], n_idx[order], s, depth)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from phczeeman import (
-    BlochState,
     ComputationError,
     ExperimentConfig,
     ValidationError,
@@ -24,7 +23,7 @@ from phczeeman import (
 )
 from phczeeman.constants import HBAR
 from phczeeman.lattice import t_centered_basis
-from phczeeman import _kernels
+from phczeeman import _kernels, planewave
 from phczeeman.planewave import (
     DEFAULT_N_BANDS, LABEL_NONE, LABEL_PAIR, LABEL_S, LABEL_XY, _axis_fold,
     _problem, _solve, _swap_fold, _t_sectors,
@@ -139,7 +138,7 @@ class TestSolveBands:
     def test_empty_lattice_fourfold_at_t(self, empty_config):
         cfg = replace(empty_config, kpath=("T",), samples_per_segment=1)
         bs = solve_bands(cfg)
-        w = np.array([st.omega for st in bs.states[0]])
+        w = bs.omegas[0]
         dp = derive_params(cfg.lattice)
         # frozen: omega0 + hbar*(2*pi^2/pitch^2)/(2*m0)
         expected = dp.omega0 + 2267474541135.295
@@ -159,7 +158,7 @@ class TestSolveBands:
     def test_patterned_t_multiplicities(self, bands_config):
         cfg = replace(bands_config, kpath=("T",), samples_per_segment=1)
         bs = solve_bands(cfg)
-        w = np.array([st.omega for st in bs.states[0]])
+        w = bs.omegas[0]
         groups = cluster_degenerate(w[:4])
         assert [len(g) for g in groups] == [1, 2, 1]
 
@@ -168,15 +167,14 @@ class TestSolveBands:
         cfg = replace(bands_config, kpath=("Z", "T"), samples_per_segment=4,
                       basis_halfwidth=halfwidth)
         bs = solve_bands(cfg)
-        t_row = bs.states[-1]
-        assert [st.rep_label for st in t_row[:4]] == [LABEL_S, LABEL_PAIR,
-                                                      LABEL_PAIR, LABEL_XY]
+        assert list(bs.rep_labels[-1, :4]) == [LABEL_S, LABEL_PAIR,
+                                               LABEL_PAIR, LABEL_XY]
         if halfwidth == 3:
             # the symmetric window splits the pair beyond the cluster
             # tolerance, and the channel weights still label both members
-            assert t_row[2].omega - t_row[1].omega > 1.0
+            assert bs.omegas[-1, 2] - bs.omegas[-1, 1] > 1.0
         # off the node no labels are assigned
-        assert bs.states[0][0].rep_label is None
+        assert set(bs.rep_labels[:-1].ravel()) == {""}
 
     def test_band_ordering_at_t(self, bands_t_analysis):
         # attractive wells order the corner states S < (X,Y) < XY
@@ -190,16 +188,15 @@ class TestSolveBands:
                       basis_halfwidth=4)
         a = solve_bands(cfg)
         b = solve_bands(cfg)
-        assert np.array_equal(a.omegas(), b.omegas())
+        assert np.array_equal(a.omegas, b.omegas)
+        assert np.array_equal(a.rep_labels, b.rep_labels)
 
     def test_band_count_constant(self, bands_config):
         cfg = replace(bands_config, kpath=("G", "Z"), samples_per_segment=3,
                       basis_halfwidth=3)
         bs = solve_bands(cfg, n_bands=6)
-        assert all(len(row) == 6 for row in bs.states)
-        for row in bs.states:
-            w = [st.omega for st in row]
-            assert w == sorted(w)
+        assert bs.omegas.shape == bs.rep_labels.shape == (4, 6)
+        assert np.all(np.diff(bs.omegas, axis=1) >= 0)
 
     def test_c4v_spectrum_invariance(self, bands_config):
         basis = reciprocal_basis(5, bands_config.lattice.pitch)
@@ -218,10 +215,10 @@ class TestSolveBands:
         dp = derive_params(cfg.lattice)
         depth = dp.v_prefactor * cfg.lattice.dphi
         floor = dp.omega0 - depth
-        for kp_pt, row in zip(bs.kpoints, bs.states):
-            assert row[0].omega >= floor
+        for kp_pt, row in zip(bs.kpoints, bs.omegas):
+            assert row[0] >= floor
             free = folded_free_bands(cfg.lattice, kp_pt.kx, kp_pt.ky, 5, 1)[0]
-            assert row[0].omega <= free + depth
+            assert row[0] <= free + depth
 
     def test_n_bands_above_basis_size_rejected(self, bands_config):
         cfg = replace(bands_config, basis_halfwidth=2)
@@ -246,10 +243,41 @@ class TestSolveBands:
         assert len(dense) == 2
         assert len(calls) == len(dense)
 
+    def test_swap_blocks_gathered_at_first_diagonal_point(self, bands_config,
+                                                          monkeypatch):
+        # the x <-> y blocks are gathered once, and only on a path that
+        # reaches kx == ky
+        gathers = []
+        original = planewave._swap_fold
+
+        def counting(a, c):
+            fold = original(a, c)
+
+            def potential():
+                gathers.append(a.shape)
+                return fold.potential()
+
+            return replace(fold, potential=potential)
+
+        monkeypatch.setattr(planewave, "_swap_fold", counting)
+        cfg = replace(bands_config, samples_per_segment=3, basis_halfwidth=3)
+        g_z = solve_bands(replace(cfg, kpath=("G", "Z")))
+        assert gathers == []
+        full = solve_bands(cfg)
+        assert gathers == [(7, 7)]
+        assert np.array_equal(full.omegas[:4], g_z.omegas)
+        # the same omegas as with the blocks gathered up front
+        eager = _problem(cfg.lattice, full.basis)
+        eager.diagonal
+        for kp in full.kpoints:
+            w, _ = _solve(eager, kp.kx, kp.ky, DEFAULT_N_BANDS,
+                          vectors=bool(kp.label))
+            assert np.array_equal(w, full.omegas[kp.index])
+
 
 class TestProblem:
-    """The per-basis problem: 1D pieces and cached x <-> y blocks, H fresh
-    at each k."""
+    """The per-basis problem: 1D pieces and S, x <-> y blocks gathered at
+    their first use, H fresh at each k."""
 
     def test_hamiltonian_is_fresh(self, bands_lattice):
         basis = tuple(reciprocal_basis(3, bands_lattice.pitch))
@@ -261,12 +289,15 @@ class TestProblem:
         assert np.array_equal(problem.hamiltonian(kx, ky), expected)
 
     def test_problem_holds_no_dense_array(self, bands_lattice):
-        # the cached x <-> y blocks hold about N^2 / 2 entries; the rest is
-        # 1D (measured 0.53 N^2 * 8 B at h = 10)
+        # S and the 1D pieces (measured 7.3 N * 8 B at h = 10); the x <-> y
+        # blocks, about N^2 / 2 entries (measured 0.52 N^2 * 8 B), only
+        # once a k-point on the diagonal asks for them
         basis = tuple(reciprocal_basis(10, bands_lattice.pitch))
         n = len(basis)
-        _, held, _ = _traced(lambda: _problem(bands_lattice, basis))
-        assert held <= 0.6 * n * n * 8
+        problem, held, _ = _traced(lambda: _problem(bands_lattice, basis))
+        assert held <= 16 * n * 8
+        _, gathered, _ = _traced(lambda: problem.diagonal)
+        assert 0.45 * n * n * 8 <= gathered <= 0.6 * n * n * 8
 
     def test_solve_bands_peak_memory(self, bands_config):
         # at most one dense H (a Z-T point) besides the cached x <-> y
@@ -421,29 +452,21 @@ class TestFrequencyOnlyInterior:
     def test_vectors_only_at_named_nodes(self, small_path):
         labels = [kp.label for kp in small_path.kpoints]
         assert labels == ["G", "", "", "Z", "", "", "T"]
-        for kp_pt, row in zip(small_path.kpoints, small_path.states):
-            for st in row:
-                if kp_pt.label:
-                    norm = float(np.sum(np.abs(st.coefficients) ** 2))
-                    assert norm == pytest.approx(1.0, abs=1e-10)
-                else:
-                    assert st.coefficients is None
+        assert sorted(small_path.vectors) == [0, 3, 6]
+        for v in small_path.vectors.values():
+            assert v.shape == (len(small_path.basis), small_path.n_bands)
+            assert np.allclose(np.sum(v ** 2, axis=0), 1.0, rtol=0,
+                               atol=1e-10)
 
     def test_interior_omegas_match_refined_solve(self, small_path):
         cfg = small_path.config
         problem = _problem(cfg.lattice, small_path.basis)
-        for kp_pt, row in zip(small_path.kpoints, small_path.states):
+        for kp_pt, w in zip(small_path.kpoints, small_path.omegas):
             if kp_pt.label:
                 continue
             w_ref, _ = dense_eigh(problem, kp_pt.kx, kp_pt.ky,
                                   small_path.n_bands)
-            w = np.array([st.omega for st in row])
             assert np.max(np.abs(w - w_ref)) <= 16.0
-
-    def test_profile_and_fields_reject_interior_state(self, small_path):
-        state = small_path.states[1][0]
-        with pytest.raises(ValidationError, match="no coefficients"):
-            longitudinal_profile(state, small_path.config.lattice)
 
     def test_eigenvalue_failure_names_kpoint(self, bands_config, monkeypatch):
         def fail(_h):
@@ -669,12 +692,12 @@ class TestFoldedNamedNodes:
         w, v = dense_eigh(problem, *named_kpoint("T", cfg.lattice.pitch),
                           DEFAULT_N_BANDS)
         groups = cluster_degenerate(w)
-        expected = [None] * DEFAULT_N_BANDS
+        expected = [""] * DEFAULT_N_BANDS
         for grp, lab in zip(groups, classify_t_states(
                 [v[:, g] for g in groups], bs.basis)):
             for i in grp:
                 expected[i] = lab
-        assert [st.rep_label for st in bs.states[0]] == expected
+        assert list(bs.rep_labels[0]) == expected
         assert expected[:4] == [LABEL_S, LABEL_PAIR, LABEL_PAIR, LABEL_XY]
 
 
@@ -849,22 +872,19 @@ class TestEffectiveMass:
 
 
 class TestLongitudinalProfile:
-    def test_uniform_state_alpha_is_mean(self, bands_lattice, bands_dp):
+    def test_uniform_state_alpha_is_mean(self, bands_lattice):
         basis = tuple(reciprocal_basis(3, bands_lattice.pitch))
         pos = [(rv.m, rv.n) for rv in basis].index((0, 0))
         coeffs = np.zeros(len(basis), dtype=complex)
         coeffs[pos] = 1.0
-        state = BlochState(band_index=0, k_perp=(0.0, 0.0),
-                           omega=bands_dp.omega0, coefficients=coeffs,
-                           basis=basis)
-        profile = longitudinal_profile(state, bands_lattice)
+        profile = longitudinal_profile(coeffs, basis, bands_lattice)
         assert profile.alpha == pytest.approx(0.013, rel=1e-12, abs=0)
 
     def test_ground_state_alpha_bounds(self, bands_config):
         cfg = replace(bands_config, kpath=("G",), samples_per_segment=1)
         bs = solve_bands(cfg)
-        ground = bs.states[0][0]
-        profile = longitudinal_profile(ground, cfg.lattice)
+        profile = longitudinal_profile(bs.vectors[0][:, 0], bs.basis,
+                                       cfg.lattice)
         mean = cfg.lattice.dphi * cfg.lattice.fill_factor
         assert mean < profile.alpha < cfg.lattice.dphi
 
@@ -872,58 +892,48 @@ class TestLongitudinalProfile:
         cfg = replace(bands_config, kpath=("G",), samples_per_segment=1,
                       basis_halfwidth=4)
         bs = solve_bands(cfg)
-        profile = longitudinal_profile(bs.states[0][0], cfg.lattice, samples=512)
+        profile = longitudinal_profile(bs.vectors[0][:, 0], bs.basis,
+                                       cfg.lattice, samples=512)
         assert np.max(np.abs(np.abs(1 + profile.eta_samples) - 1)) <= 1e-12
 
-    def test_gauge_invariance(self, bands_lattice, bands_dp):
+    def test_gauge_invariance(self, bands_lattice):
         basis = tuple(reciprocal_basis(2, bands_lattice.pitch))
         rng = np.random.default_rng(8)
         raw = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
         raw /= np.linalg.norm(raw)
-        st1 = BlochState(0, (0.0, 0.0), bands_dp.omega0, raw, basis)
-        st2 = BlochState(0, (0.0, 0.0), bands_dp.omega0,
-                         raw * np.exp(1j * 0.7), basis)
-        a1 = longitudinal_profile(st1, bands_lattice).alpha
-        a2 = longitudinal_profile(st2, bands_lattice).alpha
+        a1 = longitudinal_profile(raw, basis, bands_lattice).alpha
+        a2 = longitudinal_profile(raw * np.exp(1j * 0.7), basis,
+                                  bands_lattice).alpha
         assert a1 == pytest.approx(a2, rel=1e-12, abs=0)
         assert np.isreal(a1)
 
-    def test_periodic_increments_cancel(self, bands_lattice, bands_dp):
+    def test_periodic_increments_cancel(self, bands_lattice):
         basis = tuple(reciprocal_basis(2, bands_lattice.pitch))
         pos = [(rv.m, rv.n) for rv in basis].index((0, 0))
         coeffs = np.zeros(len(basis), dtype=complex)
         coeffs[pos] = 1.0
-        state = BlochState(0, (0.0, 0.0), bands_dp.omega0, coeffs, basis)
-        profile = longitudinal_profile(state, bands_lattice, samples=256)
+        profile = longitudinal_profile(coeffs, basis, bands_lattice,
+                                       samples=256)
         eta = profile.eta_samples
         wrapped = np.sum(np.diff(np.concatenate([eta, eta[:1]])))
         assert abs(wrapped) < 1e-14
 
-    def test_shuffled_basis_rejected(self, bands_lattice, bands_dp):
+    def test_shuffled_basis_rejected(self, bands_lattice):
         # the potential is built as S ⊗ S, which holds only on the m-major
         # square window; a permuted basis must not be silently mis-assembled
         basis = list(reciprocal_basis(2, bands_lattice.pitch))
         np.random.default_rng(4).shuffle(basis)
         coeffs = np.full(len(basis), 1.0 / math.sqrt(len(basis)), dtype=complex)
-        state = BlochState(0, (0.0, 0.0), bands_dp.omega0, coeffs,
-                           tuple(basis))
         with pytest.raises(ValidationError, match="square window"):
-            longitudinal_profile(state, bands_lattice)
+            longitudinal_profile(coeffs, tuple(basis), bands_lattice)
 
-
-class TestBlochStateValidation:
-    def test_norm_enforced(self, bands_lattice):
+    def test_non_unit_norm_rejected(self, bands_lattice):
         basis = tuple(reciprocal_basis(1, bands_lattice.pitch))
-        bad = np.ones(len(basis), dtype=complex)
         with pytest.raises(ValidationError, match="unit-norm"):
-            BlochState(0, (0.0, 0.0), 1.0, bad, basis)
-
-    def test_positive_omega(self, bands_lattice):
-        basis = tuple(reciprocal_basis(1, bands_lattice.pitch))
-        coeffs = np.zeros(len(basis), dtype=complex)
-        coeffs[0] = 1.0
-        with pytest.raises(ValidationError, match="omega"):
-            BlochState(0, (0.0, 0.0), -1.0, coeffs, basis)
+            longitudinal_profile(np.ones(len(basis), dtype=complex), basis,
+                                 bands_lattice)
+        with pytest.raises(ValidationError, match="for a basis of 9 waves"):
+            longitudinal_profile(np.ones(1), basis, bands_lattice)
 
 
 class TestConvergence:
