@@ -36,6 +36,7 @@ from .core import (
 )
 from .lattice import (
     fourier_coefficient,
+    pattern_factors,
     phase_pattern,
     reciprocal_basis,
 )
@@ -354,9 +355,11 @@ def cmd_dump_fourier(args) -> int:
         )
     axis = np.arange(-hw, hw + 1)
     m, n = np.repeat(axis, axis.size), np.tile(axis, axis.size)
-    values = [fourier_coefficient(config.lattice, mi, ni)
-              for mi, ni in zip(m.tolist(), n.tolist())]
-    _write_csv(args.output, "m,n,value", _rows(m, n, np.array(values)))
+    # ((dphi*FF)*s_m)*s_n, the evaluation order of fourier_coefficient
+    lattice = config.lattice
+    s = pattern_factors(lattice, hw)
+    values = np.outer((lattice.dphi * lattice.fill_factor) * s, s).ravel()
+    _write_csv(args.output, "m,n,value", _rows(m, n, values))
     print(args.output)
     return 0
 

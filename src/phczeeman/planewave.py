@@ -15,24 +15,35 @@ c = v*dphi*FF and S the Toeplitz sinc factor over the window's axis (see
 ``_kernels``). Only S and these 1D pieces are kept per basis; no N x N
 array lives across k-points. A k-path's results are arrays over (k-point,
 band) filled in place (``BandStructure``): only the named nodes (G, Z, T)
-keep eigenvectors; interior path points need only their frequencies and
-are solved eigenvalue-only.
+keep eigenvectors; interior path points need only their frequencies.
+
+From halfwidth ``_BLOCK_MIN_HALFWIDTH`` (8, the measured crossover) every
+path point is solved by a warm-started block eigensolver (LOBPCG,
+``_block_solve``) on the matrix-free apply kin∘X - c*S X S^T, X the block's
+columns reshaped onto the window (``_Problem.apply``): 12 vectors, 8 of
+them wanted, each point starting from the previous point's block. Its
+omegas are the Rayleigh quotients of converged vectors, so they carry no
+round-off that grows with the basis as a dense eigensolve's do, and a
+point holds O(36 N) entries, never H. Named nodes keep the block's
+vectors. Below the crossover the mirror blocks and dense solves described
+next are faster, and interior points there are solved eigenvalue-only.
 
 Every mirror block comes from two folds of the 1D factors: an axis mirror
 folds S into S+-[a, b] = s[|a-b|] +- s[a+b+shift] (``_axis_fold``), and
 x <-> y folds -c*(A ⊗ A) for a symmetric A (``_swap_fold``). The kinetic
 diagonal stays diagonal under both, and block vectors are lifted back onto
-the basis. On a k-path every point on a mirror line, named nodes included,
-is solved as two parity blocks of (h+1)(2h+1) and h(2h+1) waves: on G-Z
-(ky == 0) the blocks of y -> -y, -c*(S+- ⊗ S) with shift 0, are written at
-each point; on T-G (kx == ky) those of x <-> y, the swap fold of S, are
-gathered at the path's first such point and copied at each. Z-T points are
-solved dense, the pattern term written afresh at each point: their mirror
-maps m to -1-m, under which the symmetric window is not closed. The T point
-itself is analysed on the corner window, closed under the whole C4v little
-group of T: its axis mirrors fold S with shift 1, each axis-parity sector
-is -c*(S_p ⊗ S_q) plus the kinetic diagonal, and the swap folds of S+ and
-S- split two of them (``_t_sectors``). H is never formed, the degenerate pair comes out exactly
+the basis. Below the crossover every point on a mirror line of a k-path,
+named nodes included, is solved as two parity blocks of (h+1)(2h+1) and
+h(2h+1) waves: on G-Z (ky == 0) the blocks of y -> -y, -c*(S+- ⊗ S) with
+shift 0, are written at each point; on T-G (kx == ky) those of x <-> y,
+the swap fold of S, are gathered at the path's first such point and copied
+at each. Z-T points are solved dense, the pattern term written afresh at
+each point: their mirror maps m to -1-m, under which the symmetric window
+is not closed. The T point itself is analysed on the corner window,
+closed under the whole C4v little group of T: its axis mirrors fold S with
+shift 1, each axis-parity sector is -c*(S_p ⊗ S_q) plus the kinetic
+diagonal, and the swap folds of S+ and S- split two of them
+(``_t_sectors``). H is never formed, the degenerate pair comes out exactly
 degenerate and every state's label is the sector it was solved in. The S
 and XY edge masses are the exact second-order k.p sums over the
 (x-odd, y-even) sector, the only one kappa_x S and kappa_y XY reach.
@@ -63,6 +74,17 @@ from .lattice import (
 )
 
 DEFAULT_N_BANDS = 8  # covers the corner manifold plus guard bands
+
+# The warm-started block eigensolver (``_block_solve``) solves every path
+# point of a basis at least _BLOCK_MIN_HALFWIDTH wide; below it the mirror
+# blocks and dense solves of ``_solve`` are faster. At 8 the two take the
+# same time on the default path, and the block solver's omegas are the
+# more accurate (measured crossover, see README).
+_BLOCK_MIN_HALFWIDTH = 8
+_BLOCK_GUARD = 4  # block vectors beyond the wanted bands
+_BLOCK_MAX_ITERATIONS = 100
+_BLOCK_RESIDUAL = 1e-8  # wanted residual norms, relative to c = v*dphi*FF
+_BLOCK_FLOOR = 1e-14  # ... and relative to the window's largest kinetic energy
 
 # Representation labels at the T point (C4v little group).
 LABEL_S = "T1(S)"
@@ -145,7 +167,7 @@ class BandStructure:
     ``rep_labels[i, b]`` its T representation label, "" off the T node.
     ``vectors`` maps the index of each named node (G, Z, T) to the unit
     eigenvector columns, (basis size, n_bands), of its bands over ``basis``;
-    interior points are solved for omegas only. Every scalar band carries
+    interior points keep omegas only. Every scalar band carries
     the two photon spin states, which stay degenerate without rotation.
     """
 
@@ -317,14 +339,16 @@ class _Problem:
     On the m-major square window H is Kx ⊗ I + I ⊗ Ky - c*(S ⊗ S), with
     c = v*dphi*FF and S = ``factor`` the Toeplitz factor of the pattern
     factors over the window's axis. Only 1D pieces and S are kept, never an
-    N x N array. ``hamiltonian`` writes the dense H afresh for each k
-    (``_kernels.fill_hamiltonian``); the two path mirrors give smaller
-    blocks instead. ``along_x`` is the fold under n -> -n, the mirror
-    y -> -y of every k with ky == 0, whose blocks -c*(S+- ⊗ S) are written
-    at each k (None when the window is not symmetric); ``diagonal`` is the
-    fold under (m, n) -> (n, m), the mirror x <-> y of every k with
-    kx == ky, whose blocks (about N^2 / 2 entries) are gathered from S at
-    its first use and copied at each k.
+    N x N array. ``apply`` applies H to a block of vectors without forming
+    it, for the block eigensolver, whose stopping bound is
+    ``residual_bound``. Below that solver's crossover, ``hamiltonian``
+    writes the dense H afresh for each k (``_kernels.fill_hamiltonian``);
+    the two path mirrors give smaller blocks instead. ``along_x`` is the
+    fold under n -> -n, the mirror y -> -y of every k with ky == 0, whose
+    blocks -c*(S+- ⊗ S) are written at each k (None when the window is not
+    symmetric); ``diagonal`` is the fold under (m, n) -> (n, m), the mirror
+    x <-> y of every k with kx == ky, whose blocks (about N^2 / 2 entries)
+    are gathered from S at its first use and copied at each k.
     """
 
     omega0: float
@@ -361,6 +385,25 @@ class _Problem:
         if kx == ky:
             return self.diagonal
         return None
+
+    def apply(self, kx: float, ky: float, x: np.ndarray) -> np.ndarray:
+        """H at (kx, ky) applied to the columns of ``x``, without forming H:
+        kin∘X - c*S X S^T on each column X reshaped onto the n x n window."""
+        width = self.factor.shape[0]
+        grid = x.T.reshape(-1, width, width)
+        pattern = self.factor @ grid @ self.factor.T
+        pattern *= -self.v_prefactor * self.depth
+        return pattern.reshape(x.shape[1], -1).T + self.kinetic(kx, ky)[:, None] * x
+
+    @property
+    def residual_bound(self) -> float:
+        """The block solver's stopping bound on each wanted residual norm:
+        ``_BLOCK_RESIDUAL`` times the corner-manifold scale c, and no less
+        than the residual the apply's round-off leaves at the largest
+        kinetic energy of the window."""
+        largest = HBAR * (np.max(self.gx ** 2) + np.max(self.gy ** 2)) / (2.0 * self.m0)
+        return max(_BLOCK_RESIDUAL * abs(self.v_prefactor * self.depth),
+                   _BLOCK_FLOOR * largest)
 
 
 def _problem(lattice: LatticeSpec, basis) -> _Problem:
@@ -422,19 +465,91 @@ def _solve(problem: _Problem, kx, ky, n_bands, vectors: bool = False):
     return problem.omega0 + w[order], v
 
 
+def _orthonormal(z: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the part of ``z`` orthogonal to the
+    orthonormal columns ``x``: two passes of projection and Cholesky-QR,
+    with Householder QR of [x, z] where the Gram matrix is not numerically
+    positive definite."""
+    z = z / np.linalg.norm(z, axis=0)
+    for _ in range(2):
+        z = z - x @ (x.T @ z)
+        try:
+            z = z @ np.linalg.inv(np.linalg.cholesky(z.T @ z)).T
+        except np.linalg.LinAlgError:
+            return np.linalg.qr(np.hstack([x, z]))[0][:, x.shape[1]:]
+    return z
+
+
+def _block_solve(problem: _Problem, kx, ky, n_bands, start=None):
+    """Lowest ``n_bands`` detuned eigenvalues at (kx, ky), ascending, and an
+    orthonormal block whose first ``n_bands`` columns are their vectors, by
+    LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)) on
+    ``problem.apply``.
+
+    The block holds ``_BLOCK_GUARD`` more vectors than wanted. ``start`` is
+    the block to start from, the previous path point's as MPB warm-starts
+    (Johnson and Joannopoulos, Opt. Express 8, 173 (2001)); None starts
+    from the lowest-kinetic plane waves. Each step preconditions the
+    residuals of the unconverged columns by 1/(|H_ii - lambda| + 1e-3 max
+    kin), H_ii = kin - c the diagonal of H, and solves the Rayleigh-Ritz
+    problem on the block, those directions and the previous step's. Once
+    every wanted residual norm is at most ``problem.residual_bound``, the
+    eigenvalues returned are the Rayleigh quotients of the wanted vectors,
+    each taken with a fresh apply over its own norm; ComputationError when
+    that takes more than ``_BLOCK_MAX_ITERATIONS`` steps.
+    """
+    kinetic = problem.kinetic(kx, ky)
+    size = n_bands + _BLOCK_GUARD
+    if start is None:
+        start = np.zeros((kinetic.size, size))
+        start[np.argsort(kinetic, kind="stable")[:size], np.arange(size)] = 1.0
+    diagonal = kinetic - problem.v_prefactor * problem.depth  # s_0 = 1
+    shift = 1e-3 * np.max(kinetic)
+    bound = problem.residual_bound
+    x, ax, p = start, problem.apply(kx, ky, start), None
+    w, c = _lapack(np.linalg.eigh, x.T @ ax)
+    x, ax = x @ c, ax @ c
+    for _ in range(_BLOCK_MAX_ITERATIONS):
+        r = ax - x * w
+        norms = np.linalg.norm(r, axis=0)
+        if np.all(norms[:n_bands] <= bound):
+            wanted = x[:, :n_bands]
+            w = (np.einsum("ij,ij->j", wanted, problem.apply(kx, ky, wanted))
+                 / np.einsum("ij,ij->j", wanted, wanted))
+            order = np.argsort(w, kind="stable")
+            x[:, :n_bands] = wanted[:, order]
+            return w[order], x
+        active = norms > bound
+        z = r[:, active] / (np.abs(diagonal[:, None] - w[active]) + shift)
+        if p is not None:
+            z = np.hstack([z, p[:, active]])
+        z = _orthonormal(z, x)
+        q, aq = np.hstack([x, z]), np.hstack([ax, problem.apply(kx, ky, z)])
+        theta, c = _lapack(np.linalg.eigh, q.T @ aq)
+        c = c[:, :size]
+        p, x, ax, w = z @ c[size:], q @ c, aq @ c, theta[:size]
+    raise ComputationError(
+        f"block eigensolver left a residual of {np.max(norms[:n_bands]):.3e} "
+        f"rad/s (bound {bound:.3e}) after {_BLOCK_MAX_ITERATIONS} iterations"
+    )
+
+
 def solve_bands(config: ExperimentConfig,
                 n_bands: int = DEFAULT_N_BANDS) -> BandStructure:
     """Lowest scalar bands along the configured k-path (deterministic).
 
-    The problem's 1D pieces are built once; each k-point is assembled from
-    them and solved on its own, in path order, into its row of the
-    structure's arrays. Points on G-Z (ky == 0) and T-G (kx == ky), the
-    named nodes G, Z and T among them, are solved as the even and odd
+    The problem's 1D pieces are built once, and the k-points are solved in
+    path order into their rows of the structure's arrays. From halfwidth
+    ``_BLOCK_MIN_HALFWIDTH`` (when the basis holds at least three blocks)
+    each point is solved by the block eigensolver on the matrix-free apply,
+    warm-started from the previous point's block (``_block_solve``), and
+    named nodes keep the block's wanted vectors. Below it each point is
+    assembled and solved on its own: points on G-Z (ky == 0) and T-G
+    (kx == ky), the named nodes G, Z and T among them, as the even and odd
     blocks of the mirror that fixes their line, the T-G blocks gathered at
-    the path's first such point; Z-T points are solved dense (see
-    ``_solve``). Named nodes keep their unit-norm eigenvectors, and T rows
-    get their representation labels; interior points are solved
-    eigenvalue-only.
+    the path's first such point; Z-T points dense (see ``_solve``);
+    interior points eigenvalue-only. Named nodes keep unit-norm
+    eigenvectors, and T rows get their representation labels.
     """
     basis = tuple(reciprocal_basis(config.basis_halfwidth, config.lattice.pitch))
     if n_bands > len(basis):
@@ -449,15 +564,23 @@ def solve_bands(config: ExperimentConfig,
         rep_labels=np.full((len(kpts), n_bands), "", dtype=object),
         vectors={}, basis=basis, config=config,
     )
+    blocked = (config.basis_halfwidth >= _BLOCK_MIN_HALFWIDTH
+               and 3 * (n_bands + _BLOCK_GUARD) <= len(basis))
+    block = None
     for kp in kpts:
         try:
-            w, v = _solve(problem, kp.kx, kp.ky, n_bands, vectors=bool(kp.label))
+            if blocked:
+                w, block = _block_solve(problem, kp.kx, kp.ky, n_bands, block)
+                w, v = problem.omega0 + w, block[:, :n_bands]
+            else:
+                w, v = _solve(problem, kp.kx, kp.ky, n_bands,
+                              vectors=bool(kp.label))
         except ComputationError as exc:
             raise ComputationError(
                 f"{exc} at k-point {kp.index} (kx={kp.kx:.6g}, ky={kp.ky:.6g})"
             ) from exc
         bs.omegas[kp.index] = w
-        if v is not None:
+        if kp.label:
             bs.vectors[kp.index] = v
         if kp.label == "T":
             groups = cluster_degenerate(w)

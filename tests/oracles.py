@@ -4,7 +4,9 @@ These deliberately avoid the code paths they check: the quadrature oracle
 integrates pointwise samples of the real-space pattern over the smooth
 pieces of the cell (it never touches the analytic Fourier series), the
 folding oracle enumerates free-space parabolas, the dense oracle solves the
-whole Hamiltonian in one eigensolve (never its mirror blocks), the assembly
+whole Hamiltonian in one eigensolve (never its mirror blocks), the Rayleigh
+oracle takes the eigenvalues as np.longdouble Rayleigh quotients of a dense
+eigensolve's vectors (never the eigenvalues LAPACK returns), the assembly
 oracle writes the dense Hamiltonian entry by entry from the wave indices,
 the mirror-block and sector oracles fold a dense Hamiltonian index by index
 (never its 1D factors), and the high-precision oracle re-derives the
@@ -69,6 +71,22 @@ def dense_eigh(problem, kx, ky, n_bands):
     of the detuned H of a ``planewave._Problem`` at (kx, ky)."""
     w, v = np.linalg.eigh(problem.hamiltonian(kx, ky))
     return problem.omega0 + w[:n_bands], v[:, :n_bands]
+
+
+def rayleigh_omegas(lattice, basis, kx, ky, n_bands):
+    """Lowest ``n_bands`` omegas at (kx, ky) as np.longdouble Rayleigh
+    quotients of the vectors of one dense ``eigh`` of ``dense_hamiltonian``.
+
+    A quotient is off the eigenvalue of that H by about |r|^2 / gap, with r
+    the vector's round-off residual, far below the round-off of the
+    eigenvalues ``eigh`` returns (which grows with the largest kinetic
+    energy of the basis), and its sum is taken in extended precision.
+    """
+    h = dense_hamiltonian(lattice, basis, kx, ky)
+    v = np.linalg.eigh(h)[1][:, :n_bands].astype(np.longdouble)
+    quotient = (np.einsum("ij,ij->j", v, h.astype(np.longdouble) @ v)
+                / np.einsum("ij,ij->j", v, v))
+    return np.longdouble(derive_params(lattice).omega0) + quotient
 
 
 def dense_hamiltonian(lattice, basis, kx, ky):

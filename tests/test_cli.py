@@ -16,6 +16,9 @@ from phczeeman import LatticeSpec
 
 BANDS_DOC = {"lambda_nm": 960, "n": 3.53, "pitch_um": 4, "ff": 0.65, "dphi": 0.02}
 WEAK_DOC = {**BANDS_DOC, "dphi": 1e-4}
+# perfbench's seed-12345 jittered lattice (workloads.lattice_for_seed)
+JITTERED_DOC = {"lambda_nm": 960, "n": 3.53, "pitch_um": 3.916619872545341,
+                "ff": 0.5520338338914137, "dphi": 0.018252065092537434}
 
 
 @pytest.fixture
@@ -208,6 +211,22 @@ class TestBandsCommand:
         main(["bands", bands_cfg_file, "-o", str(tmp_path / "b.csv"),
               "--kpath", "Z:T", "--samples", "2"])
         assert open(bands_cfg_file, "rb").read() == before
+
+    def test_block_solver_non_convergence_exits_1(self, tmp_path, capsys,
+                                                  monkeypatch):
+        from phczeeman import planewave
+        monkeypatch.setattr(planewave, "_BLOCK_MAX_ITERATIONS", 1)
+        cfg = tmp_path / "wide.json"
+        cfg.write_text(json.dumps(
+            {**BANDS_DOC, "basis_halfwidth": planewave._BLOCK_MIN_HALFWIDTH}))
+        out = tmp_path / "bands.csv"
+        rc = main(["bands", str(cfg), "-o", str(out), "--samples", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("computation failed: block eigensolver")
+        assert "at k-point 0 (kx=0, ky=0)" in err
+        assert not out.exists()
 
 
 class TestSplitCommand:
@@ -426,6 +445,25 @@ class TestDumpFourier:
             assert float(value) == pytest.approx(
                 fourier_coefficient(lattice, int(m), int(n)), rel=1e-12, abs=0
             )
+
+    @pytest.mark.parametrize("doc", [
+        BANDS_DOC, JITTERED_DOC,
+        {**BANDS_DOC, "pitch_um": 4.37, "ff": 0.713, "dphi": 0.0137},
+    ])
+    def test_bytes_match_per_entry_coefficients(self, doc, tmp_path):
+        # the outer product of the pattern factors writes the same floats
+        # as fourier_coefficient entry by entry
+        from phczeeman import fourier_coefficient, load_config
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "fourier.csv"
+        assert main(["dump-fourier", str(cfg), "-o", str(out),
+                     "--halfwidth", "30"]) == 0
+        lattice = load_config(cfg.read_text()).lattice
+        lines = ["m,n,value"] + [
+            f"{m},{n},{fourier_coefficient(lattice, m, n)!r}"
+            for m in range(-30, 31) for n in range(-30, 31)]
+        assert out.read_text() == "\n".join(lines) + "\n"
 
 
 def _no_nan_written(path):

@@ -8,6 +8,7 @@ import pytest
 from phczeeman import (
     ComputationError,
     ExperimentConfig,
+    LatticeSpec,
     ValidationError,
     build_kpath,
     classify_t_states,
@@ -25,12 +26,18 @@ from phczeeman.constants import HBAR
 from phczeeman.lattice import t_centered_basis
 from phczeeman import _kernels, planewave
 from phczeeman.planewave import (
-    DEFAULT_N_BANDS, LABEL_NONE, LABEL_PAIR, LABEL_S, LABEL_XY, _axis_fold,
-    _problem, _solve, _swap_fold, _t_sectors,
+    _BLOCK_MIN_HALFWIDTH, DEFAULT_N_BANDS, LABEL_NONE, LABEL_PAIR, LABEL_S,
+    LABEL_XY, _axis_fold, _block_solve, _problem, _solve, _swap_fold,
+    _t_sectors,
 )
 from phczeeman.zeeman import m_closed_form
 from oracles import (dense_eigh, dense_hamiltonian, dense_t_sectors,
-                     folded_free_bands, mirror_blocks, mirror_fold)
+                     folded_free_bands, mirror_blocks, mirror_fold,
+                     rayleigh_omegas)
+
+# perfbench's seed-12345 jittered lattice (workloads.lattice_for_seed)
+JITTERED = dict(lambda_vac=960e-9, n_refr=3.53, pitch=3.916619872545341e-6,
+                fill_factor=0.5520338338914137, dphi=0.018252065092537434)
 
 
 def _corner_state(basis, pattern):
@@ -301,9 +308,12 @@ class TestProblem:
 
     def test_solve_bands_peak_memory(self, bands_config):
         # at most one dense H (a Z-T point) besides the cached x <-> y
-        # blocks: measured 1.76 N^2 * 8 B at h = 10, against 3.19 when the
-        # potential and both mirrors' blocks were held across k-points
-        cfg = replace(bands_config, basis_halfwidth=10, samples_per_segment=2)
+        # blocks: measured 1.76 N^2 * 8 B at h = 10 and 1.78 at h = 7 (the
+        # widest window below the block solver's crossover), against 3.19
+        # when the potential and both mirrors' blocks were held across
+        # k-points
+        cfg = replace(bands_config, basis_halfwidth=_BLOCK_MIN_HALFWIDTH - 1,
+                      samples_per_segment=2)
         n = (2 * cfg.basis_halfwidth + 1) ** 2
         solve_bands(replace(cfg, basis_halfwidth=2))  # first-call allocations
         bs, _, peak = _traced(lambda: solve_bands(cfg))
@@ -477,6 +487,114 @@ class TestFrequencyOnlyInterior:
                       basis_halfwidth=2)
         with pytest.raises(ComputationError, match="at k-point 1 "):
             solve_bands(cfg)
+
+
+class TestBlockSolver:
+    """Path points of a basis at or above the crossover halfwidth are solved
+    by the warm-started block eigensolver on the matrix-free apply."""
+
+    @pytest.fixture(scope="class", params=["reference", "weak", "jittered"])
+    def lattice(self, request, bands_lattice):
+        return {"reference": bands_lattice,
+                "weak": replace(bands_lattice, dphi=1e-4),
+                "jittered": LatticeSpec(**JITTERED)}[request.param]
+
+    def test_apply_matches_dense(self, lattice):
+        basis = tuple(reciprocal_basis(_BLOCK_MIN_HALFWIDTH, lattice.pitch))
+        problem = _problem(lattice, basis)
+        x = np.random.default_rng(3).standard_normal((len(basis), 5))
+        kx, ky = 0.7 * math.pi / lattice.pitch, 0.2 * math.pi / lattice.pitch
+        h = dense_hamiltonian(lattice, basis, kx, ky)
+        assert np.allclose(problem.apply(kx, ky, x), h @ x, rtol=0,
+                           atol=1e-13 * np.linalg.norm(h))
+
+    def test_eigenpair_contract(self, lattice):
+        # every returned pair meets the stopping bound through the apply, and
+        # each block, warm-started along the path, is orthonormal
+        basis = tuple(reciprocal_basis(_BLOCK_MIN_HALFWIDTH, lattice.pitch))
+        problem = _problem(lattice, basis)
+        block = None
+        for kp in build_kpath(("G", "Z", "T", "G"), lattice.pitch, 3):
+            w, block = _block_solve(problem, kp.kx, kp.ky, 8, block)
+            v = block[:, :8]
+            residual = np.linalg.norm(
+                problem.apply(kp.kx, kp.ky, v) - v * w, axis=0)
+            assert np.all(residual <= problem.residual_bound)
+            assert np.max(np.abs(block.T @ block - np.eye(12))) <= 1e-12
+            assert np.all(np.diff(w) >= 0)
+            h = dense_hamiltonian(lattice, basis, kp.kx, kp.ky)
+            assert np.allclose(w, np.linalg.eigvalsh(h)[:8], rtol=0,
+                               atol=1e-12 * np.linalg.norm(h))
+
+    def test_solve_bands_above_crossover(self, bands_config, monkeypatch):
+        # no dense H and no large eigensolve; the nodes keep the block's
+        # vectors, and T is labelled from them
+        fills = []
+        monkeypatch.setattr(_kernels, "fill_hamiltonian",
+                            lambda *a: fills.append(a))
+        shapes = _record_shapes(monkeypatch, "eigh")
+        cfg = replace(bands_config, basis_halfwidth=_BLOCK_MIN_HALFWIDTH,
+                      samples_per_segment=2)
+        bs = solve_bands(cfg)
+        assert fills == []
+        assert max(shape[0] for shape in shapes) <= 36
+        assert sorted(bs.vectors) == [0, 2, 4, 6]
+        for v in bs.vectors.values():
+            assert v.shape == (len(bs.basis), 8)
+            assert np.max(np.abs(v.T @ v - np.eye(8))) <= 1e-12
+        assert list(bs.rep_labels[4, :4]) == [LABEL_S, LABEL_PAIR,
+                                              LABEL_PAIR, LABEL_XY]
+        assert np.array_equal(solve_bands(cfg).omegas, bs.omegas)
+
+    def test_peak_memory_linear_in_basis(self, bands_config):
+        # the block's arrays, O(N * 36) entries (measured 345 N * 8 B at
+        # h = 14), where one dense H alone is N^2 * 8 B = 841 N * 8 B
+        cfg = replace(bands_config, basis_halfwidth=14, samples_per_segment=2)
+        n = (2 * cfg.basis_halfwidth + 1) ** 2
+        solve_bands(replace(cfg, basis_halfwidth=2))  # first-call allocations
+        _, _, peak = _traced(lambda: solve_bands(cfg))
+        assert peak <= 450 * n * 8
+
+    @pytest.mark.parametrize("halfwidth,n_bands", [
+        (_BLOCK_MIN_HALFWIDTH - 1, 8),
+        (_BLOCK_MIN_HALFWIDTH, 93),  # three blocks of 93 + 4 exceed 289 waves
+    ])
+    def test_dense_below_crossover(self, bands_config, monkeypatch,
+                                   halfwidth, n_bands):
+        solves = []
+        monkeypatch.setattr(planewave, "_block_solve",
+                            lambda *a: solves.append(a))
+        cfg = replace(bands_config, basis_halfwidth=halfwidth,
+                      samples_per_segment=2)
+        assert solve_bands(cfg, n_bands=n_bands).omegas.shape == (7, n_bands)
+        assert solves == []
+
+    def test_empty_lattice_free_bands(self, empty_config):
+        # c = 0: the bound falls back to the apply's round-off scale
+        basis = tuple(reciprocal_basis(_BLOCK_MIN_HALFWIDTH, 4e-6))
+        problem = _problem(empty_config.lattice, basis)
+        block = None
+        for frac in (0.0, 0.3, 0.5):
+            kx, ky = frac * math.pi / 4e-6, 0.5 * frac * math.pi / 4e-6
+            w, block = _block_solve(problem, kx, ky, 8, block)
+            oracle = folded_free_bands(empty_config.lattice, kx, ky,
+                                       _BLOCK_MIN_HALFWIDTH, 8)
+            assert np.allclose(problem.omega0 + w, oracle, rtol=1e-12)
+
+
+class TestPathAccuracy:
+    """Path omegas against the extended-precision Rayleigh-quotient oracle
+    at h = 14 (the bands_wide workload), where the eigenvalues of a dense
+    eigensolve carry several rad/s of round-off."""
+
+    def test_within_one_rad_s_of_oracle(self, bands_config):
+        cfg = replace(bands_config, basis_halfwidth=14, samples_per_segment=8)
+        bs = solve_bands(cfg)
+        # interior points of G-Z, Z-T and T-G, and the T node
+        for index in (4, 12, 21, 16):
+            kp = bs.kpoints[index]
+            oracle = rayleigh_omegas(cfg.lattice, bs.basis, kp.kx, kp.ky, 8)
+            assert np.max(np.abs(bs.omegas[index] - oracle)) <= 1.0
 
 
 class TestMirrorBlockedSolve:
