@@ -30,6 +30,8 @@ from .core import (
     ExperimentConfig,
     RotationSpec,
     ValidationError,
+    beyond_slow_rotation,
+    beyond_weak_contrast,
     derive_params,
     eigh,
     load_config,
@@ -86,28 +88,40 @@ def _read_config(path: str) -> ExperimentConfig:
     return load_config(text)
 
 
-def _build_each(build, values, what: str) -> list:
-    """``[build(v) for v in values]`` with the specs' regime warnings merged.
-
-    A spec warns with its own value in the message, so Python's
-    once-per-location filter would print one warning per value; this issues
-    one instead, with the count of out-of-regime values and the warning of
-    the largest |value|.
-    """
-    built, flagged = [], []
+def _warning_of(build, value) -> str:
+    """The message of the last warning ``build(value)`` issues."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for value in values:
-            before = len(caught)
-            built.append(build(value))
-            if len(caught) > before:
-                flagged.append((abs(value), str(caught[-1].message)))
-    if flagged:
+        build(value)
+    return str(caught[-1].message)
+
+
+def _check_column(build, values, suspect, flagged, what: str) -> None:
+    """Check the array ``values`` as building each value's spec would,
+    building only the values the boolean masks pick out.
+
+    ``suspect`` marks the values whose ``build`` may raise; they are built
+    in column order, so the first error is the one a value-by-value loop
+    would raise. ``flagged`` (broadcast to the column) marks the values
+    whose spec warns. A spec's warning carries its value, so Python's
+    once-per-location filter would print one per value; instead one
+    warning is issued with the count of flagged values and the largest
+    (|value|, message) among them, whose spec is built for its message.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for value in values[suspect].tolist():
+            build(value)
+    flagged = np.broadcast_to(flagged, values.shape)
+    if flagged.any():
+        candidates = values[flagged]
+        magnitudes = np.abs(candidates)
+        largest = set(candidates[magnitudes == magnitudes.max()].tolist())
+        message = max(_warning_of(build, value) for value in largest)
         warnings.warn(
-            f"{len(flagged)} of {len(built)} {what} are out of regime; the "
-            f"largest: {max(flagged)[1]}", UserWarning, stacklevel=2,
+            f"{np.count_nonzero(flagged)} of {values.size} {what} are out of "
+            f"regime; the largest: {message}", UserWarning, stacklevel=2,
         )
-    return built
 
 
 def _derived_paths(base: str, tags) -> dict[str, str]:
@@ -258,9 +272,10 @@ def cmd_split(args) -> int:
         raise ConfigError(f"bad --omega-list: {exc}") from exc
     if not omega_list:
         raise ConfigError("--omega-list must contain at least one value")
-    # rejects NaN/inf up front
-    _build_each(RotationSpec, omega_list, "rotation rates")
     rates = np.array(omega_list)
+    # rejects NaN/inf up front
+    _check_column(RotationSpec, rates, ~np.isfinite(rates),
+                  beyond_slow_rotation(rates), "rotation rates")
 
     analysis = pw.t_point_analysis(config)
     model = kpmod.kp_from_opw(analysis.edges, config.lattice)
@@ -293,8 +308,9 @@ def _sweep_lattice(base, param: str, value):
     """``base`` with the swept field set to ``value``, a float or an array.
 
     A float gives a validated LatticeSpec. An array gives the sweep's
-    lattices as one lattice of columns, for the elementwise closed forms;
-    its values must each have been validated as a float first.
+    lattices as one lattice of columns, for the regime check and the
+    elementwise closed forms; it is not validated, so the column must have
+    been checked first (``_check_column``).
     """
     field, factor = _SWEEP_FIELDS[param]
     if isinstance(value, np.ndarray):
@@ -327,10 +343,15 @@ def cmd_sweep(args) -> int:
             "orbital parameters are negative", UserWarning,
         )
 
-    _build_each(
-        lambda value: _sweep_lattice(config.lattice, args.param, value),
-        values.tolist(), f"swept {args.param} values")
+    # Every LatticeSpec bound is an interval in the swept field and both
+    # ends of the sweep passed it, so only a value that rounding puts
+    # outside [from, to] can raise.
     lattice = _sweep_lattice(config.lattice, args.param, values)
+    low, high = sorted((args.sweep_from, args.sweep_to))
+    _check_column(
+        lambda value: _sweep_lattice(config.lattice, args.param, value),
+        values, ~((values >= low) & (values <= high)),
+        beyond_weak_contrast(lattice.dphi), f"swept {args.param} values")
     res = zm.zeeman_result(lattice)
     _write_csv(args.output, SWEEP_HEADER, _rows(
         lattice.dphi, lattice.pitch * 1e6, res.m_plus, res.m_minus,
@@ -373,48 +394,57 @@ def _fourier_vs_quadrature(lattice, order: int = 48) -> float:
 
     The integrand is sampled from phase_pattern over the pixel support (the
     pattern vanishes outside), where it is smooth, so fixed-order GL is
-    accurate to round-off. Nodes and pattern samples serve every (m, n).
+    accurate to round-off. The pattern is even, so every coefficient is the
+    cosine integral w_m^T P w_n, w_m the weights times cos(g_m x) at the
+    nodes: all of them are one product W P W^T of the (11, order) rows.
     """
     half = 0.5 * lattice.pitch * math.sqrt(lattice.fill_factor)
     nodes, weights = np.polynomial.legendre.leggauss(order)
     x = half * nodes
-    wx = half * weights
     xx, yy = np.meshgrid(x, x, indexing="ij")
     pattern = phase_pattern(lattice, xx, yy)
-    worst = 0.0
-    for m in range(-5, 6):
-        for n in range(-5, 6):
-            gx = 2.0 * math.pi * m / lattice.pitch
-            gy = 2.0 * math.pi * n / lattice.pitch
-            vals = pattern * np.cos(gx * xx) * np.cos(gy * yy)
-            quad = float(wx @ vals @ wx) / lattice.pitch ** 2
-            worst = max(worst, abs(fourier_coefficient(lattice, m, n) - quad))
-    return worst
+    orders = range(-5, 6)
+    g = 2.0 * math.pi * np.array(orders, dtype=float) / lattice.pitch
+    rows = (half * weights) * np.cos(g[:, None] * x)
+    quad = rows @ pattern @ rows.T / lattice.pitch ** 2
+    analytic = np.array([[fourier_coefficient(lattice, m, n) for n in orders]
+                         for m in orders])
+    return float(np.max(np.abs(analytic - quad)))
 
 
 def _kp_vs_opw_worst(config: ExperimentConfig, model: kpmod.KpModel,
                      span: float) -> float:
-    """Worst |omega_kp - omega_opw| / span within 0.25*pi/pitch of T.
+    """Worst |omega_kp - omega_opw| / span within 0.25*pi/pitch of T, on
+    nine points of each of two rays out of T (along -x and the diagonal).
 
-    The points along x from T are solved dense, each writing its own H; the
-    diagonal ones in the x <-> y blocks, whose pattern term the plane-wave
-    problem gathers at the first of them (about N^2 / 2 entries). A
-    function of its own so that those blocks are freed before the later
-    checks run.
+    Each ray is solved as ``solve_bands`` solves a path: from halfwidth
+    ``_BLOCK_MIN_HALFWIDTH`` by the block solver, each point warm-started
+    from the ray's previous one; below it each point by ``_solve``, the
+    points along x dense, each writing its own H, and the diagonal ones in
+    the x <-> y blocks, whose pattern term the plane-wave problem gathers
+    at the first of them (about N^2 / 2 entries). A function of its own so
+    that those blocks are freed before the later checks run.
     """
     lattice = config.lattice
     basis = tuple(reciprocal_basis(config.basis_halfwidth, lattice.pitch))
     problem = pw._problem(lattice, basis)
-    t_pt = pw.named_kpoint("T", lattice.pitch)
+    blocked = pw._block_solved(config.basis_halfwidth, 8, len(basis))
+    t_pt = np.array(pw.named_kpoint("T", lattice.pitch))
     window = 0.25 * math.pi / lattice.pitch
-    k = np.array([
-        (t_pt[0] + frac * window * direction[0],
-         t_pt[1] + frac * window * direction[1])
-        for frac in np.linspace(0.0, 1.0, 9)
-        for direction in ((-1.0, 0.0), (-1.0 / math.sqrt(2), -1.0 / math.sqrt(2)))
-    ])
-    spectra = kpmod.kp_bands(model, k - t_pt, RotationSpec(0.0)).omegas
-    opw = np.array([pw._solve(problem, kx, ky, 8)[0] for kx, ky in k])
+    directions = np.array([(-1.0, 0.0), (-1.0 / math.sqrt(2), -1.0 / math.sqrt(2))])
+    rays = t_pt + (np.linspace(0.0, 1.0, 9) * window)[:, None, None] * directions
+    spectra = kpmod.kp_bands(model, (rays - t_pt).reshape(-1, 2),
+                             RotationSpec(0.0)).omegas
+    opw = np.empty(rays.shape[:2] + (8,))
+    for ray in range(rays.shape[1]):
+        block = None
+        for point, (kx, ky) in enumerate(rays[:, ray].tolist()):
+            if blocked:
+                w, block = pw._block_solve(problem, kx, ky, 8, block)
+                opw[point, ray] = problem.omega0 + w
+            else:
+                opw[point, ray] = pw._solve(problem, kx, ky, 8)[0]
+    opw = opw.reshape(spectra.shape)
     return float(np.max(np.abs(spectra - _nearest(opw, spectra)))) / span
 
 

@@ -23,6 +23,19 @@ DPHI_HARD_LIMIT = 0.1
 DOMAIN_RADIUS = 1e-3  # m
 
 
+def beyond_weak_contrast(dphi):
+    """Whether |dphi| exceeds the weak-contrast regime, in which a
+    LatticeSpec warns; elementwise on an array of contrasts."""
+    return abs(dphi) > DPHI_SOFT_LIMIT
+
+
+def beyond_slow_rotation(omega_z):
+    """Whether |omega_z| * DOMAIN_RADIUS / c exceeds 1e-3, the first-order
+    slow-rotation regime, in which a RotationSpec warns; elementwise on an
+    array of rates."""
+    return abs(omega_z) * DOMAIN_RADIUS / C > 1e-3
+
+
 class ConfigError(ValueError):
     """Malformed configuration document (parse failure, missing/unknown key)."""
 
@@ -71,7 +84,7 @@ class LatticeSpec:
             raise ValidationError(
                 f"dphi must satisfy |dphi| <= {DPHI_HARD_LIMIT}, got {self.dphi}"
             )
-        if abs(self.dphi) > DPHI_SOFT_LIMIT:
+        if beyond_weak_contrast(self.dphi):
             warnings.warn(
                 f"|dphi| = {abs(self.dphi)} exceeds the weak-contrast regime "
                 f"(|dphi| <= {DPHI_SOFT_LIMIT}); results are extrapolations",
@@ -95,7 +108,7 @@ class RotationSpec:
     def __post_init__(self):
         if not math.isfinite(self.omega_z):
             raise ValidationError(f"omega_z must be finite, got {self.omega_z}")
-        if abs(self.omega_z) * DOMAIN_RADIUS / C > 1e-3:
+        if beyond_slow_rotation(self.omega_z):
             warnings.warn(
                 f"omega_z = {self.omega_z:.3g} rad/s leaves the first-order "
                 "slow-rotation regime over the mm-scale mode spread",
@@ -241,8 +254,8 @@ DEFAULT_SAMPLES_PER_SEGMENT = 40
 # Most samples per k-path segment: each sample is one dense eigensolve, so a
 # three-segment path at the cap is 30001 solves.
 MAX_SAMPLES_PER_SEGMENT = 10_000
-# Most values in one sweep: each is a row of closed forms, so the cap only
-# stops a typo from building a grid of that many specs.
+# Most values in one sweep: each is a row of closed forms and of the CSV, so
+# the cap only stops a typo from computing and writing that many rows.
 MAX_SWEEP_POINTS = 100_000
 
 

@@ -388,12 +388,16 @@ class _Problem:
 
     def apply(self, kx: float, ky: float, x: np.ndarray) -> np.ndarray:
         """H at (kx, ky) applied to the columns of ``x``, without forming H:
-        kin∘X - c*S X S^T on each column X reshaped onto the n x n window."""
+        kin∘X - c*S X S^T on each column X reshaped onto the n x n window.
+
+        ``x`` (N, b) is read as an (n, n, b) grid [m, n, column]: S acts on
+        the m axis as one (n, n) by (n, n*b) product, and then on the n axis
+        of each m as one stacked product."""
         width = self.factor.shape[0]
-        grid = x.T.reshape(-1, width, width)
-        pattern = self.factor @ grid @ self.factor.T
+        pattern = (self.factor @ x.reshape(width, -1)).reshape(width, width, -1)
+        pattern = self.factor @ pattern
         pattern *= -self.v_prefactor * self.depth
-        return pattern.reshape(x.shape[1], -1).T + self.kinetic(kx, ky)[:, None] * x
+        return pattern.reshape(x.shape) + self.kinetic(kx, ky)[:, None] * x
 
     @property
     def residual_bound(self) -> float:
@@ -534,6 +538,14 @@ def _block_solve(problem: _Problem, kx, ky, n_bands, start=None):
     )
 
 
+def _block_solved(halfwidth: int, n_bands: int, size: int) -> bool:
+    """Whether a path on a basis of ``size`` waves and ``halfwidth`` is
+    solved by the block solver: from ``_BLOCK_MIN_HALFWIDTH``, when the
+    basis holds at least three blocks."""
+    return (halfwidth >= _BLOCK_MIN_HALFWIDTH
+            and 3 * (n_bands + _BLOCK_GUARD) <= size)
+
+
 def solve_bands(config: ExperimentConfig,
                 n_bands: int = DEFAULT_N_BANDS) -> BandStructure:
     """Lowest scalar bands along the configured k-path (deterministic).
@@ -564,8 +576,7 @@ def solve_bands(config: ExperimentConfig,
         rep_labels=np.full((len(kpts), n_bands), "", dtype=object),
         vectors={}, basis=basis, config=config,
     )
-    blocked = (config.basis_halfwidth >= _BLOCK_MIN_HALFWIDTH
-               and 3 * (n_bands + _BLOCK_GUARD) <= len(basis))
+    blocked = _block_solved(config.basis_halfwidth, n_bands, len(basis))
     block = None
     for kp in kpts:
         try:

@@ -10,9 +10,12 @@ eigensolve's vectors (never the eigenvalues LAPACK returns), the assembly
 oracle writes the dense Hamiltonian entry by entry from the wave indices,
 the mirror-block and sector oracles fold a dense Hamiltonian index by index
 (never its 1D factors), and the high-precision oracle re-derives the
-closed-form orbital parameters with mpmath.
+closed-form orbital parameters with mpmath. ``build_each`` checks a
+column of values by building every value's spec, the loop the CLI's
+mask-based column check replaces.
 """
 import math
+import warnings
 
 import numpy as np
 
@@ -184,3 +187,23 @@ def mp_closed_form_total(lattice, dps=40):
         m_plus = pref / (s * (1 + s))
         m_minus = pref / (s * (1 - s))
         return float(m_plus), float(m_minus), float(m_plus + m_minus)
+
+
+def build_each(build, values, what):
+    """``[build(v) for v in values]`` with the specs' regime warnings merged
+    into one: the count of values whose spec warned, and the warning of the
+    largest (|value|, message)."""
+    built, flagged = [], []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for value in values:
+            before = len(caught)
+            built.append(build(value))
+            if len(caught) > before:
+                flagged.append((abs(value), str(caught[-1].message)))
+    if flagged:
+        warnings.warn(
+            f"{len(flagged)} of {len(built)} {what} are out of regime; the "
+            f"largest: {max(flagged)[1]}", UserWarning, stacklevel=2,
+        )
+    return built

@@ -11,7 +11,8 @@ from phczeeman.cli import main
 from phczeeman.core import (
     MAX_FOURIER_HALFWIDTH, MAX_SAMPLES_PER_SEGMENT, MAX_SWEEP_POINTS,
 )
-from oracles import folded_free_bands
+from phczeeman import cli
+from oracles import build_each, folded_free_bands
 from phczeeman import LatticeSpec
 
 BANDS_DOC = {"lambda_nm": 960, "n": 3.53, "pitch_um": 4, "ff": 0.65, "dphi": 0.02}
@@ -412,6 +413,43 @@ class TestValidateCommand:
         statuses = {c["name"]: c["status"] for c in report["checks"]}
         assert statuses["convergence"] == "warn"
 
+    def test_kp_vs_opw_block_solved_above_crossover(self, monkeypatch):
+        # at h = 10 both rays out of T go through the warm-started block
+        # solver, never _solve, and agree with the dense path
+        from phczeeman import ExperimentConfig, kp, planewave
+        config = ExperimentConfig(LatticeSpec(960e-9, 3.53, 4e-6, 0.65, 0.02),
+                                  basis_halfwidth=10)
+        analysis = planewave.t_point_analysis(config)
+        model = kp.kp_from_opw(analysis.edges, config.lattice)
+        span = analysis.edges[2] - analysis.edges[0]
+        calls = []
+        solve = planewave._solve
+        monkeypatch.setattr(planewave, "_solve",
+                            lambda *a, **k: calls.append(a[1:3]) or solve(*a, **k))
+        blocked = cli._kp_vs_opw_worst(config, model, span)
+        assert calls == []
+        monkeypatch.setattr(planewave, "_BLOCK_MIN_HALFWIDTH", 11)
+        dense = cli._kp_vs_opw_worst(config, model, span)
+        assert len(calls) == 18
+        assert blocked == pytest.approx(dense, rel=5e-10, abs=0)
+        assert 0 < blocked <= 0.05
+
+    def test_fourier_quadrature_per_coefficient(self, monkeypatch):
+        # one product serves all 121 quadratures; each analytic coefficient
+        # is still evaluated on its own
+        calls = []
+        coefficient = cli.fourier_coefficient
+        monkeypatch.setattr(cli, "fourier_coefficient",
+                            lambda lat, m, n: calls.append((m, n))
+                            or coefficient(lat, m, n))
+        for doc in (BANDS_DOC, JITTERED_DOC, {**BANDS_DOC, "pitch_um": 4.37,
+                                              "ff": 0.713, "dphi": 0.0137}):
+            calls.clear()
+            lat = LatticeSpec(doc["lambda_nm"] * 1e-9, doc["n"],
+                              doc["pitch_um"] * 1e-6, doc["ff"], doc["dphi"])
+            assert cli._fourier_vs_quadrature(lat) <= 1e-16
+            assert calls == [(m, n) for m in range(-5, 6) for n in range(-5, 6)]
+
     def test_corrupted_config(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")
@@ -574,6 +612,80 @@ class TestNonFiniteInputs:
         assert rc == 1
         assert not [w for w in caught
                     if issubclass(w.category, RuntimeWarning)]
+
+
+# the smallest pitch (um) of the weak lattice that passes the cavity-length
+# bound pitch*n/lambda >= 2
+PITCH_FLOOR_UM = 0.5439093484419265
+ONE_BELOW = 0.9999999999999999  # the largest float below 1
+
+
+class TestColumnChecks:
+    """``sweep`` and ``split`` check their value columns from array masks;
+    exit code, stderr, warnings and output equal those of building every
+    value's spec (``oracles.build_each``)."""
+
+    @staticmethod
+    def _run(argv, tmp_path, capsys, tag):
+        out = tmp_path / f"{tag}.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argv[:2] + ["-o", str(out)] + argv[2:])
+        regime = [(w.category, str(w.message)) for w in caught
+                  if "out of regime" in str(w.message)]
+        return (rc, capsys.readouterr().err, regime,
+                out.read_bytes() if out.exists() else None)
+
+    @pytest.mark.parametrize("doc, args", [
+        # dphi across the soft limit, linear and log; symmetric bounds tie
+        (WEAK_DOC, ["dphi", "0.001", "0.03", "50"]),
+        (WEAK_DOC, ["dphi", "1e-3", "0.05", "40", "--log"]),
+        (WEAK_DOC, ["dphi", "-0.05", "0.05", "10"]),
+        (WEAK_DOC, ["dphi", "0.001", "0.015", "9"]),
+        # bounds at the hard limits
+        (WEAK_DOC, ["dphi", "-0.1", "0.1", "8"]),
+        (WEAK_DOC, ["dphi", "0.1", "0.09999999999999996", "5", "--log"]),
+        (WEAK_DOC, ["dphi", "0.1", "0.100000000001", "5"]),
+        (WEAK_DOC, ["pitch", str(PITCH_FLOOR_UM), "5", "7"]),
+        (WEAK_DOC, ["pitch", str(PITCH_FLOOR_UM), str(PITCH_FLOOR_UM), "5",
+                    "--log"]),
+        (WEAK_DOC, ["pitch", "5", "0.5439", "7"]),
+        (WEAK_DOC, ["ff", "5e-324", "2e-323", "6"]),
+        (WEAK_DOC, ["ff", "2e-323", "5e-324", "6"]),
+        (WEAK_DOC, ["ff", "0.5", str(ONE_BELOW), "9", "--log"]),
+        (WEAK_DOC, ["ff", "0.5", "1.0", "9"]),
+        # pitch and ff sweeps on an out-of-regime base dphi
+        ({**WEAK_DOC, "dphi": 0.05}, ["pitch", "3", "6", "7"]),
+        ({**WEAK_DOC, "dphi": -0.05}, ["ff", "0.3", "0.9", "7", "--log"]),
+    ])
+    def test_sweep_matches_per_value_specs(self, tmp_path, capsys,
+                                           monkeypatch, doc, args):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        param, lo, hi, points, *flags = args
+        argv = ["sweep", str(cfg), "--param", param, f"--from={lo}",
+                f"--to={hi}", "--points", points, *flags]
+        self._assert_matches(argv, tmp_path, capsys, monkeypatch)
+
+    @pytest.mark.parametrize("omega_list", [
+        "1,2,1e12,nan", "1e12,inf,-inf", "0,-inf,nan", "5,1e12,inf",
+        # +-omega ties above the slow-rotation limit: +omega's message wins
+        "1e12,-1e12", "-1e12,1e12,5", "-3e12,1e12,-2e12", "1,10,100",
+    ])
+    def test_split_matches_per_value_specs(self, weak_cfg_file, tmp_path,
+                                           capsys, monkeypatch, omega_list):
+        argv = ["split", weak_cfg_file, f"--omega-list={omega_list}"]
+        self._assert_matches(argv, tmp_path, capsys, monkeypatch)
+
+    def _assert_matches(self, argv, tmp_path, capsys, monkeypatch):
+        got = self._run(argv, tmp_path, capsys, "masks")
+        monkeypatch.setattr(
+            cli, "_check_column",
+            lambda build, values, suspect, flagged, what:
+            build_each(build, values.tolist(), what))
+        want = self._run(argv, tmp_path, capsys, "each")
+        assert got == want
+        assert len(got[2]) <= 1
 
 
 class TestResourceAndWriteErrors:
