@@ -26,7 +26,7 @@ from .kp import (
     zeeman_splittings_at_T,
 )
 from .lattice import (
-    ReciprocalVector,
+    Window,
     fourier_coefficient,
     pattern_factors,
     phase_pattern,
@@ -67,7 +67,7 @@ __all__ = [
     "ComputationError", "ConfigError", "ValidationError",
     "LatticeSpec", "DerivedParams", "RotationSpec", "HermitianMatrix",
     "ExperimentConfig", "load_config", "derive_params", "eigh",
-    "ReciprocalVector", "phase_pattern", "pattern_factors",
+    "Window", "phase_pattern", "pattern_factors",
     "fourier_coefficient", "reciprocal_basis", "t_centered_basis", "sinc",
     "BandStructure", "LongitudinalProfile",
     "KPathPoint", "TPointAnalysis", "named_kpoint", "build_kpath",

@@ -426,7 +426,7 @@ def _kp_vs_opw_worst(config: ExperimentConfig, model: kpmod.KpModel,
     that those blocks are freed before the later checks run.
     """
     lattice = config.lattice
-    basis = tuple(reciprocal_basis(config.basis_halfwidth, lattice.pitch))
+    basis = reciprocal_basis(config.basis_halfwidth, lattice.pitch)
     problem = pw._problem(lattice, basis)
     blocked = pw._block_solved(config.basis_halfwidth, 8, len(basis))
     t_pt = np.array(pw.named_kpoint("T", lattice.pitch))

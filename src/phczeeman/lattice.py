@@ -1,4 +1,4 @@
-"""Mirror phase pattern, its Fourier series and reciprocal-basis enumeration.
+"""Mirror phase pattern, its Fourier series and the plane-wave windows.
 
 The pattern is a square lattice (period ``pitch`` in x and y) of square
 pixels of side ``pitch*sqrt(fill_factor)`` centered on the lattice sites,
@@ -9,7 +9,7 @@ square-lattice point symmetry exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,38 +36,58 @@ def sinc(x):
 
 
 @dataclass(frozen=True)
-class ReciprocalVector:
-    """Reciprocal-lattice vector G = 2*pi*(m, n)/pitch."""
+class Window:
+    """The square window of plane waves G = 2*pi*(m, n)/pitch with m and n
+    in [start, start + width), m-major, n fastest.
 
-    m: int
-    n: int
+    ``m``, ``n``, ``gx`` and ``gy`` are arrays over its width**2 waves in
+    that order; ``axis`` holds the indices one axis runs over.
+    """
+
+    start: int
+    width: int
     pitch: float
-    gx: float = field(init=False)
-    gy: float = field(init=False)
 
     def __post_init__(self):
+        if self.width < 1:
+            raise ValidationError(f"window width must be >= 1, got {self.width}")
         if self.pitch <= 0:
             raise ValidationError(f"pitch must be > 0, got {self.pitch}")
-        object.__setattr__(self, "gx", 2.0 * math.pi * self.m / self.pitch)
-        object.__setattr__(self, "gy", 2.0 * math.pi * self.n / self.pitch)
+
+    def __len__(self) -> int:
+        return self.width * self.width
+
+    @property
+    def axis(self) -> np.ndarray:
+        return np.arange(self.start, self.start + self.width)
+
+    @property
+    def m(self) -> np.ndarray:
+        return np.repeat(self.axis, self.width)
+
+    @property
+    def n(self) -> np.ndarray:
+        return np.tile(self.axis, self.width)
+
+    @property
+    def gx(self) -> np.ndarray:
+        return 2.0 * math.pi * self.m / self.pitch
+
+    @property
+    def gy(self) -> np.ndarray:
+        return 2.0 * math.pi * self.n / self.pitch
 
 
-def reciprocal_basis(halfwidth: int, pitch: float) -> list[ReciprocalVector]:
-    """All (m, n) with |m|, |n| <= halfwidth, lexicographic by (m, n).
-
-    The ordering is deterministic; size is (2*halfwidth + 1)**2.
-    """
+def reciprocal_basis(halfwidth: int, pitch: float) -> Window:
+    """The symmetric window |m|, |n| <= halfwidth, of (2*halfwidth + 1)**2
+    waves."""
     if halfwidth < 1:
         raise ValidationError(f"halfwidth must be >= 1, got {halfwidth}")
-    return [
-        ReciprocalVector(m=m, n=n, pitch=pitch)
-        for m in range(-halfwidth, halfwidth + 1)
-        for n in range(-halfwidth, halfwidth + 1)
-    ]
+    return Window(-halfwidth, 2 * halfwidth + 1, pitch)
 
 
-def t_centered_basis(halfwidth: int, pitch: float) -> list[ReciprocalVector]:
-    """Index window m, n in [-halfwidth-1, halfwidth], lexicographic.
+def t_centered_basis(halfwidth: int, pitch: float) -> Window:
+    """The corner window m, n in [-halfwidth-1, halfwidth].
 
     At the Brillouin-zone corner T = (pi/pitch, pi/pitch) the folded waves are
     exp(i*pi*((2m+1)x + (2n+1)y)/pitch); this window keeps |2m+1| <= 2h+1 and
@@ -78,11 +98,7 @@ def t_centered_basis(halfwidth: int, pitch: float) -> list[ReciprocalVector]:
     """
     if halfwidth < 1:
         raise ValidationError(f"halfwidth must be >= 1, got {halfwidth}")
-    return [
-        ReciprocalVector(m=m, n=n, pitch=pitch)
-        for m in range(-halfwidth - 1, halfwidth + 1)
-        for n in range(-halfwidth - 1, halfwidth + 1)
-    ]
+    return Window(-halfwidth - 1, 2 * halfwidth + 2, pitch)
 
 
 def phase_pattern(lattice: LatticeSpec, x, y):

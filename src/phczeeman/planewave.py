@@ -9,13 +9,16 @@ masses of the nondegenerate edges, and evaluates the longitudinal Bloch
 factor.
 
 Numerical notes: the eigenproblem is assembled and solved in detuning units
-(carrier frequency subtracted from the diagonal). On the m-major square
-window every basis must be, H is exactly Kx ⊗ I + I ⊗ Ky - c*(S ⊗ S), with
-c = v*dphi*FF and S the Toeplitz sinc factor over the window's axis (see
-``_kernels``). Only S and these 1D pieces are kept per basis; no N x N
-array lives across k-points. A k-path's results are arrays over (k-point,
-band) filled in place (``BandStructure``): only the named nodes (G, Z, T)
-keep eigenvectors; interior path points need only their frequencies.
+(carrier frequency subtracted from the diagonal). Every basis is a square
+``lattice.Window`` of waves, m-major: the symmetric window
+(``reciprocal_basis``) for k-paths and the corner window
+(``t_centered_basis``) at T. On it H is exactly Kx ⊗ I + I ⊗ Ky - c*(S ⊗ S),
+with c = v*dphi*FF and S the Toeplitz sinc factor over the window's axis
+(see ``_kernels``). Only S and these 1D pieces are kept per window; no
+N x N array lives across k-points. A k-path's results are arrays over
+(k-point, band) filled in place (``BandStructure``): only the named nodes
+(G, Z, T) keep eigenvectors; interior path points need only their
+frequencies.
 
 From halfwidth ``_BLOCK_MIN_HALFWIDTH`` (8, the measured crossover) every
 path point is solved by a warm-started block eigensolver (LOBPCG,
@@ -67,10 +70,11 @@ from .core import (
     derive_params,
 )
 from .lattice import (
-    ReciprocalVector,
+    Window,
     pattern_factors,
     reciprocal_basis,
     sinc,
+    t_centered_basis,
 )
 
 DEFAULT_N_BANDS = 8  # covers the corner manifold plus guard bands
@@ -166,16 +170,17 @@ class BandStructure:
     ``omegas[i, b]`` is band b at ``kpoints[i]``, ascending in b, and
     ``rep_labels[i, b]`` its T representation label, "" off the T node.
     ``vectors`` maps the index of each named node (G, Z, T) to the unit
-    eigenvector columns, (basis size, n_bands), of its bands over ``basis``;
-    interior points keep omegas only. Every scalar band carries
-    the two photon spin states, which stay degenerate without rotation.
+    eigenvector columns, (basis size, n_bands), of its bands over the
+    symmetric window ``basis``; interior points keep omegas only. Every
+    scalar band carries the two photon spin states, which stay degenerate
+    without rotation.
     """
 
     kpoints: tuple[KPathPoint, ...]
     omegas: np.ndarray
     rep_labels: np.ndarray
     vectors: dict[int, np.ndarray]
-    basis: tuple[ReciprocalVector, ...]
+    basis: Window
     config: ExperimentConfig
 
     @property
@@ -203,12 +208,6 @@ class LongitudinalProfile:
 
 # --------------------------------------------------------------------------
 # Hamiltonian assembly
-
-def _basis_indices(basis) -> tuple[np.ndarray, np.ndarray]:
-    m_idx = np.array([rv.m for rv in basis], dtype=np.int64)
-    n_idx = np.array([rv.n for rv in basis], dtype=np.int64)
-    return m_idx, n_idx
-
 
 @dataclass(frozen=True, eq=False)
 class _MirrorFold:
@@ -334,11 +333,11 @@ def _axis_blocks(factor: np.ndarray, c: float) -> _MirrorFold:
 
 @dataclass(frozen=True, eq=False)
 class _Problem:
-    """The k-independent pieces of the detuned eigenproblem on one basis.
+    """The k-independent pieces of the detuned eigenproblem on one window.
 
-    On the m-major square window H is Kx ⊗ I + I ⊗ Ky - c*(S ⊗ S), with
-    c = v*dphi*FF and S = ``factor`` the Toeplitz factor of the pattern
-    factors over the window's axis. Only 1D pieces and S are kept, never an
+    H is Kx ⊗ I + I ⊗ Ky - c*(S ⊗ S), with c = v*dphi*FF, S = ``factor``
+    the Toeplitz factor of the pattern factors over the window's axis and
+    ``gx``, ``gy`` the window's G. Only 1D pieces and S are kept, never an
     N x N array. ``apply`` applies H to a block of vectors without forming
     it, for the block eigensolver, whose stopping bound is
     ``residual_bound``. Below that solver's crossover, ``hamiltonian``
@@ -410,22 +409,17 @@ class _Problem:
                    _BLOCK_FLOOR * largest)
 
 
-def _problem(lattice: LatticeSpec, basis) -> _Problem:
-    """Build the per-basis problem from the 1D pattern factors; ``basis``
-    must be an m-major square window."""
+def _problem(lattice: LatticeSpec, window: Window) -> _Problem:
+    """Build the problem on ``window`` from the 1D pattern factors; only a
+    symmetric window gets the fold ``along_x``."""
     dp = derive_params(lattice)
-    m_idx, n_idx = _basis_indices(basis)
-    factor = _kernels.axis_factor(m_idx, n_idx,
-                                  pattern_factors(lattice, int(np.ptp(m_idx))))
+    factor = _kernels.axis_factor(pattern_factors(lattice, window.width - 1))
     depth = lattice.dphi * lattice.fill_factor
-    axis = m_idx[::factor.shape[0]]
     return _Problem(
         omega0=dp.omega0, m0=dp.m0, v_prefactor=dp.v_prefactor, depth=depth,
-        factor=factor,
-        gx=np.array([rv.gx for rv in basis]),
-        gy=np.array([rv.gy for rv in basis]),
+        factor=factor, gx=window.gx, gy=window.gy,
         along_x=(_axis_blocks(factor, dp.v_prefactor * depth)
-                 if axis[0] == -axis[-1] else None),
+                 if 2 * window.start + window.width == 1 else None),
     )
 
 
@@ -563,7 +557,7 @@ def solve_bands(config: ExperimentConfig,
     interior points eigenvalue-only. Named nodes keep unit-norm
     eigenvectors, and T rows get their representation labels.
     """
-    basis = tuple(reciprocal_basis(config.basis_halfwidth, config.lattice.pitch))
+    basis = reciprocal_basis(config.basis_halfwidth, config.lattice.pitch)
     if n_bands > len(basis):
         raise ValidationError(
             f"n_bands = {n_bands} exceeds basis size {len(basis)}"
@@ -623,7 +617,7 @@ def cluster_degenerate(omegas: np.ndarray, tol: float | None = None) -> list[lis
     return groups
 
 
-def _corner_channels(basis) -> dict[str, np.ndarray]:
+def _corner_channels(window: Window) -> dict[str, np.ndarray]:
     """Symmetrized combinations of the four nearest equivalent T-point waves.
 
     Slots (m, n) in ((0,0), (-1,0), (0,-1), (-1,-1)) carry the folded waves
@@ -631,15 +625,13 @@ def _corner_channels(basis) -> dict[str, np.ndarray]:
     definite parities under x -> -x and x <-> y, so projecting onto them is
     the parity test in disguise.
     """
-    pos = {(rv.m, rv.n): i for i, rv in enumerate(basis)}
-    slots = [(0, 0), (-1, 0), (0, -1), (-1, -1)]
-    try:
-        slot_idx = [pos[s] for s in slots]
-    except KeyError:
+    start, width = window.start, window.width
+    if start > -1 or start + width < 1:
         raise ValidationError(
             "basis lacks the four nearest equivalent T-point waves"
-        ) from None
-    ns = len(basis)
+        )
+    slot_idx = [(m - start) * width + n - start
+                for m, n in ((0, 0), (-1, 0), (0, -1), (-1, -1))]
     patterns = {
         "S": (1.0, 1.0, 1.0, 1.0),    # cos*cos: even, even
         "X": (1.0, -1.0, 1.0, -1.0),  # i sin*cos: x-odd, y-even
@@ -647,11 +639,9 @@ def _corner_channels(basis) -> dict[str, np.ndarray]:
         "XY": (1.0, -1.0, -1.0, 1.0),  # sin*sin: x-odd, y-odd
     }
     channels = {}
-    for name, pat in patterns.items():
-        vec = np.zeros(ns)
-        for idx, val in zip(slot_idx, pat):
-            vec[idx] = 0.5 * val
-        channels[name] = vec
+    for name, pattern in patterns.items():
+        channels[name] = np.zeros(len(window))
+        channels[name][slot_idx] = 0.5 * np.array(pattern)
     return channels
 
 
@@ -661,11 +651,12 @@ def classify_t_states(groups, basis) -> list[str]:
     Used at the T node of a k-path, whose symmetric window is not closed
     under the corner mirrors, so its states carry no exact sector. Each group
     is an (ns, g) array whose g columns are the group's coefficient vectors
-    over ``basis``. Its weight on each symmetrized corner-wave channel is
-    the squared projection summed over the group; the label is the channel
-    holding more than half of the group's weight, or ``unclassified`` when
-    the group is dominated by higher shells (not an error) or spans several
-    channels.
+    over the window ``basis``. Its weight on each symmetrized corner-wave
+    channel is the squared projection summed over the group; the label is
+    the channel holding more than half of the group's weight, or
+    ``unclassified`` when the group is dominated by higher shells (not an
+    error) or spans several channels. ValidationError when the window lacks
+    the four corner waves.
     """
     channels = _corner_channels(basis)
     labels = []
@@ -688,9 +679,9 @@ class TPointAnalysis:
     """Eigenstates at the T point on the corner window, by C4v sector.
 
     ``omegas`` and the columns of ``vectors`` are the lowest
-    ``DEFAULT_N_BANDS`` states. The rows of ``vectors`` follow
-    ``t_centered_basis(h, pitch)``: the waves (m, n) with m, n in [-h-1, h],
-    m-major, n fastest. ``groups`` are their degenerate clusters and
+    ``DEFAULT_N_BANDS`` states. The rows of ``vectors`` follow the corner
+    window ``t_centered_basis(h, pitch)``: the waves (m, n) with m, n in
+    [-h-1, h], m-major, n fastest. ``groups`` are their degenerate clusters and
     ``labels`` each group's common sector (``unclassified`` when a group
     mixes sectors or lies in one of the two sectors without a corner
     channel). ``edges`` are the lowest T1(S), T5(X,Y) and T4(XY) sector
@@ -722,27 +713,28 @@ def _t_sectors(lattice: LatticeSpec, halfwidth: int):
     """The five C4v sector blocks of the detuned H at T on the corner window.
 
     With k = halfwidth + 1, the mirror m -> -1-m folds the window's axis
-    [-k, k-1] onto its half m = -k..-1, and the Toeplitz factor into the
-    shift-1 ``_axis_fold`` S+- over the distances a = -1-m from the mirror
-    (descending along the half axis); the kinetic term, with
-    kappa = (pi/pitch)(2m+1), stays diagonal. So each axis-parity sector is
-    -c*(S_p ⊗ S_q), c = v*dphi*FF, plus the kinetic diagonal on the m-major
-    k x k grid of the half axes, and the x <-> y fold of that grid
-    (``_swap_fold`` of S+ and of S-) splits the (even, even) and (odd, odd)
-    sectors. Returns an iterator over the blocks (S, its x <-> y-odd
-    partner, XY, its partner, (x-odd, y-even)), each built as it is taken so
-    that a caller solving them in turn holds about one at a time; the fold
-    of the (even, even) grid, which the (odd, odd) one shares; kappa on the
-    half axis; and the derived parameters.
+    [-k, k-1] onto its half m = -k..-1, and the Toeplitz factor S of the
+    corner window's ``_problem`` into the shift-1 ``_axis_fold`` S+- over
+    the distances a = -1-m from the mirror (descending along the half axis);
+    the kinetic term, with kappa = (pi/pitch)(2m+1), stays diagonal and is
+    the problem's on the m-major k x k grid of the half axes. So each
+    axis-parity sector is -c*(S_p ⊗ S_q), c = v*dphi*FF, plus that kinetic
+    diagonal, and the x <-> y fold of the grid (``_swap_fold`` of S+ and of
+    S-) splits the (even, even) and (odd, odd) sectors. Returns an iterator
+    over the blocks (S, its x <-> y-odd partner, XY, its partner, (x-odd,
+    y-even)), each built as it is taken so that a caller solving them in
+    turn holds about one at a time; the fold of the (even, even) grid, which
+    the (odd, odd) one shares; kappa on the half axis; and the problem.
     """
     k = halfwidth + 1
-    dp = derive_params(lattice)
-    m = np.arange(-k, 0)
-    kappa = named_kpoint("T", lattice.pitch)[0] + 2.0 * math.pi * m / lattice.pitch
-    kinetic = HBAR * (kappa[:, None] ** 2 + kappa ** 2).ravel() / (2.0 * dp.m0)
-    s = pattern_factors(lattice, 2 * k - 1)[2 * k - 1:]  # s_j for j = 0..2k-1
-    even, odd = (f[::-1, ::-1] for f in _axis_fold(s, 1))
-    c = dp.v_prefactor * lattice.dphi * lattice.fill_factor
+    problem = _problem(lattice, t_centered_basis(halfwidth, lattice.pitch))
+    t_point = named_kpoint("T", lattice.pitch)
+    kappa = t_point[0] + problem.gx.reshape(2 * k, 2 * k)[:k, 0]
+    kinetic = problem.kinetic(*t_point).reshape(2 * k, 2 * k)[:k, :k].ravel()
+    even, odd = (f[::-1, ::-1] for f in _axis_fold(problem.factor[:, 0], 1))
+    # (v*dphi)*FF, not the problem's v*(dphi*FF): the two differ by an ulp
+    # on some lattices, and the T edges are written with this rounding
+    c = problem.v_prefactor * lattice.dphi * lattice.fill_factor
     folds = _swap_fold(even, c), _swap_fold(odd, c)
 
     def blocks():
@@ -753,7 +745,7 @@ def _t_sectors(lattice: LatticeSpec, halfwidth: int):
         pair[np.diag_indices_from(pair)] += kinetic
         yield pair
 
-    return blocks(), folds[0], kappa, dp
+    return blocks(), folds[0], kappa, problem
 
 
 def t_point_analysis(config: ExperimentConfig,
@@ -780,7 +772,7 @@ def t_point_analysis(config: ExperimentConfig,
     spectrum; kappa is odd under its axis mirror, a diagonal on the grid.
     """
     hw = halfwidth if halfwidth is not None else config.basis_halfwidth
-    blocks, fold, kappa, dp = _t_sectors(config.lattice, hw)
+    blocks, fold, kappa, problem = _t_sectors(config.lattice, hw)
     k, n_bands = hw + 1, DEFAULT_N_BANDS
 
     def solve(block, odd):  # lowest omegas and their k x k grids
@@ -799,7 +791,7 @@ def t_point_analysis(config: ExperimentConfig,
 
     w = np.concatenate([sec[0] for sec in sectors])
     order = np.argsort(w, kind="stable")[:n_bands]
-    omegas = dp.omega0 + w[order]
+    omegas = problem.omega0 + w[order]
     kept = np.concatenate([sec[1] for sec in sectors])[order]
     state = [sec[2:] for sec in sectors for _ in sec[0]]  # (parities, label)
     # unfold onto the window: grid[m, n] / 2 on (m, n) and its mirror images
@@ -813,7 +805,7 @@ def t_point_analysis(config: ExperimentConfig,
     for grp in groups:
         members = {state[order[i]][1] for i in grp}
         labels.append(members.pop() if len(members) == 1 else LABEL_NONE)
-    edges = tuple(float(dp.omega0 + sectors[i][0][0]) for i in (0, 4, 2))
+    edges = tuple(float(problem.omega0 + sectors[i][0][0]) for i in (0, 4, 2))
     masses = {}
     for lab, kap in ((LABEL_S, kappa[:, None]), (LABEL_XY, kappa[None, :])):
         grp = next((g for g, g_lab in zip(groups, labels) if g_lab == lab), ())
@@ -821,7 +813,7 @@ def t_point_analysis(config: ExperimentConfig,
             i = grp[0]
             coupling = u_x.T @ (kap * kept[i]).ravel()
             k2_sum = float(np.sum(coupling ** 2 / (w[order[i]] - w_x)))
-            masses[lab] = dp.m0 / (1.0 + 2.0 * HBAR / dp.m0 * k2_sum)
+            masses[lab] = problem.m0 / (1.0 + 2.0 * HBAR / problem.m0 * k2_sum)
     return TPointAnalysis(
         omegas=omegas, vectors=v,
         groups=tuple(tuple(g) for g in groups), labels=tuple(labels),
@@ -874,29 +866,27 @@ def perturbative_edges(lattice: LatticeSpec) -> tuple[float, float, float]:
 # --------------------------------------------------------------------------
 # longitudinal profile
 
-def longitudinal_profile(coefficients, basis, lattice: LatticeSpec,
+def longitudinal_profile(coefficients, window: Window, lattice: LatticeSpec,
                          samples: int = 256) -> LongitudinalProfile:
     """Per-reflection phase and fast longitudinal factor of a Bloch state,
-    given by its unit-norm plane-wave ``coefficients`` over ``basis``.
+    given by its unit-norm plane-wave ``coefficients`` over ``window``.
 
     alpha is the pattern expectation value in the state; eta is sampled on a
     uniform grid over one longitudinal period z in [-l_z, l_z). The exponent
     is purely imaginary, so |1 + eta| = 1 identically and the wrapped sum of
     eta increments over the period vanishes. ValidationError unless the
-    coefficients are unit-norm, one per wave, and ``basis`` is an m-major
-    square window.
+    coefficients are unit-norm, one per wave.
     """
     c = np.asarray(coefficients)
-    if c.shape != (len(basis),):
+    if c.shape != (len(window),):
         raise ValidationError(
-            f"{c.shape} coefficients for a basis of {len(basis)} waves"
+            f"{c.shape} coefficients for a basis of {len(window)} waves"
         )
     norm = float(np.sum(np.abs(c) ** 2))
     if abs(norm - 1.0) > 1e-10:
         raise ValidationError(f"state coefficients not unit-norm: {norm}")
-    m_idx, n_idx = _basis_indices(basis)
     alpha = _kernels.pattern_overlap(
-        c, m_idx, n_idx, pattern_factors(lattice, int(np.ptp(m_idx))),
+        c, _kernels.axis_factor(pattern_factors(lattice, window.width - 1)),
         lattice.dphi * lattice.fill_factor,
     )
     # z/(2 l_z) in [-1/2, 1/2); sawtooth theta(z) - 1/2 - z/(2 l_z)

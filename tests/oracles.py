@@ -93,21 +93,19 @@ def rayleigh_omegas(lattice, basis, kx, ky, n_bands):
 
 
 def dense_hamiltonian(lattice, basis, kx, ky):
-    """The detuned H at (kx, ky) over ``basis``, in any wave order:
+    """The detuned H at (kx, ky) over the waves of the window ``basis``,
+    written entry by entry from their index arrays:
     -v*phi[(mi - mj, ni - nj)] with phi = ((dphi*FF)*s[mi - mj])*s[ni - nj],
     plus the kinetic diagonal hbar|k+G|^2/(2 m0)."""
     dp = derive_params(lattice)
-    m = np.array([rv.m for rv in basis])
-    n = np.array([rv.n for rv in basis])
+    m, n = basis.m, basis.n
     span = int(max(np.ptp(m), np.ptp(n)))
     s = pattern_factors(lattice, span)
     depth = lattice.dphi * lattice.fill_factor
     phi = (depth * s[m[:, None] - m + span]) * s[n[:, None] - n + span]
     h = -dp.v_prefactor * phi
-    gx = np.array([rv.gx for rv in basis])
-    gy = np.array([rv.gy for rv in basis])
     h[np.diag_indices_from(h)] += (
-        HBAR * ((kx + gx) ** 2 + (ky + gy) ** 2) / (2.0 * dp.m0))
+        HBAR * ((kx + basis.gx) ** 2 + (ky + basis.gy) ** 2) / (2.0 * dp.m0))
     return h
 
 
@@ -151,7 +149,7 @@ def dense_t_sectors(lattice, halfwidth):
     """
     basis = t_centered_basis(halfwidth, lattice.pitch)
     h = dense_hamiltonian(lattice, basis, *named_kpoint("T", lattice.pitch))
-    waves = [(rv.m, rv.n) for rv in basis]
+    waves = list(zip(basis.m.tolist(), basis.n.tolist()))
     flip_x, flip_y, swap = ((lambda m, n: (-1 - m, n)),
                             (lambda m, n: (m, -1 - n)), (lambda m, n: (n, m)))
     x_even, x_odd = mirror_blocks(h, waves, flip_x)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from phczeeman import (
     ValidationError,
+    Window,
     fourier_coefficient,
     pattern_factors,
     phase_pattern,
@@ -130,10 +131,15 @@ class TestReciprocalBasis:
     def test_counts(self):
         assert len(reciprocal_basis(1, 4e-6)) == 9
         assert len(reciprocal_basis(7, 4e-6)) == 225
+        assert len(t_centered_basis(7, 4e-6)) == 256
+
+    def test_windows(self):
+        assert reciprocal_basis(3, 4e-6) == Window(-3, 7, 4e-6)
+        assert t_centered_basis(3, 4e-6) == Window(-4, 8, 4e-6)
 
     def test_lexicographic_order(self):
         basis = reciprocal_basis(1, 4e-6)
-        assert [(rv.m, rv.n) for rv in basis] == [
+        assert list(zip(basis.m.tolist(), basis.n.tolist())) == [
             (-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1),
             (1, -1), (1, 0), (1, 1),
         ]
@@ -141,23 +147,34 @@ class TestReciprocalBasis:
     def test_deterministic(self):
         a = reciprocal_basis(3, 4e-6)
         b = reciprocal_basis(3, 4e-6)
-        assert [(rv.m, rv.n, rv.gx, rv.gy) for rv in a] == [
-            (rv.m, rv.n, rv.gx, rv.gy) for rv in b
-        ]
+        for attr in ("m", "n", "gx", "gy"):
+            assert np.array_equal(getattr(a, attr), getattr(b, attr))
 
     def test_g_consistency(self):
-        for rv in reciprocal_basis(2, 4e-6):
-            assert rv.gx == 2 * math.pi * rv.m / 4e-6
-            assert rv.gy == 2 * math.pi * rv.n / 4e-6
+        # bit for bit the value each wave's G was once computed as alone
+        for window in (reciprocal_basis, t_centered_basis):
+            for pitch in (4e-6, 3.916619872545341e-6):
+                basis = window(5, pitch)
+                for i, (m, n) in enumerate(zip(basis.m.tolist(),
+                                               basis.n.tolist())):
+                    assert basis.gx[i] == 2.0 * math.pi * m / pitch
+                    assert basis.gy[i] == 2.0 * math.pi * n / pitch
 
     def test_halfwidth_bound(self):
-        with pytest.raises(ValidationError):
-            reciprocal_basis(0, 4e-6)
+        for window in (reciprocal_basis, t_centered_basis):
+            with pytest.raises(ValidationError):
+                window(0, 4e-6)
+
+    def test_invalid_window_rejected(self):
+        with pytest.raises(ValidationError, match="pitch"):
+            reciprocal_basis(2, 0.0)
+        with pytest.raises(ValidationError, match="width"):
+            Window(0, 0, 4e-6)
 
     def test_t_centered_window(self):
         basis = t_centered_basis(2, 4e-6)
-        idx = {(rv.m, rv.n) for rv in basis}
-        assert len(basis) == 36  # (2*2+2)^2
+        idx = set(zip(basis.m.tolist(), basis.n.tolist()))
+        assert len(idx) == len(basis) == 36  # (2*2+2)^2
         # closed under the corner point group: x-mirror m -> -m-1 and swap
         for m, n in idx:
             assert (-m - 1, n) in idx

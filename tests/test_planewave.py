@@ -10,6 +10,7 @@ from phczeeman import (
     ExperimentConfig,
     LatticeSpec,
     ValidationError,
+    Window,
     build_kpath,
     classify_t_states,
     cluster_degenerate,
@@ -23,7 +24,7 @@ from phczeeman import (
     t_point_analysis,
 )
 from phczeeman.constants import HBAR
-from phczeeman.lattice import t_centered_basis
+from phczeeman.lattice import pattern_factors, t_centered_basis
 from phczeeman import _kernels, planewave
 from phczeeman.planewave import (
     _BLOCK_MIN_HALFWIDTH, DEFAULT_N_BANDS, LABEL_NONE, LABEL_PAIR, LABEL_S,
@@ -40,9 +41,14 @@ JITTERED = dict(lambda_vac=960e-9, n_refr=3.53, pitch=3.916619872545341e-6,
                 fill_factor=0.5520338338914137, dphi=0.018252065092537434)
 
 
+def _waves(basis):
+    """The (m, n) of each wave of the window ``basis``, in its order."""
+    return list(zip(basis.m.tolist(), basis.n.tolist()))
+
+
 def _corner_state(basis, pattern):
     """Unit-norm coefficient vector over the four corner-wave slots."""
-    pos = {(rv.m, rv.n): i for i, rv in enumerate(basis)}
+    pos = {wave: i for i, wave in enumerate(_waves(basis))}
     vec = np.zeros(len(basis), dtype=complex)
     for (m, n), val in zip([(0, 0), (-1, 0), (0, -1), (-1, -1)], pattern):
         vec[pos[(m, n)]] = val
@@ -119,14 +125,14 @@ class TestBuildHamiltonian:
         off = h - np.diag(np.diag(h))
         assert np.all(off == 0.0)
         # the G = 0 diagonal entry at k = 0 is the carrier frequency
-        i0 = [(rv.m, rv.n) for rv in basis].index((0, 0))
+        i0 = _waves(basis).index((0, 0))
         assert bands_dp.omega0 + h[i0, i0] == bands_dp.omega0
 
     def test_potential_element_at_t(self, bands_lattice):
         basis = reciprocal_basis(7, bands_lattice.pitch)
         kt = named_kpoint("T", bands_lattice.pitch)
         h = _problem(bands_lattice, basis).hamiltonian(*kt)
-        pairs = [(rv.m, rv.n) for rv in basis]
+        pairs = _waves(basis)
         i, j = pairs.index((0, 0)), pairs.index((1, 0))
         # frozen: -v_prefactor * phi_{1,0} from high-precision evaluation
         assert h[i, j] == pytest.approx(-458288227774.01698, rel=1e-12)
@@ -287,7 +293,7 @@ class TestProblem:
     their first use, H fresh at each k."""
 
     def test_hamiltonian_is_fresh(self, bands_lattice):
-        basis = tuple(reciprocal_basis(3, bands_lattice.pitch))
+        basis = reciprocal_basis(3, bands_lattice.pitch)
         problem = _problem(bands_lattice, basis)
         kx, ky = named_kpoint("T", bands_lattice.pitch)
         first = problem.hamiltonian(kx, ky)
@@ -299,7 +305,7 @@ class TestProblem:
         # S and the 1D pieces (measured 7.3 N * 8 B at h = 10); the x <-> y
         # blocks, about N^2 / 2 entries (measured 0.52 N^2 * 8 B), only
         # once a k-point on the diagonal asks for them
-        basis = tuple(reciprocal_basis(10, bands_lattice.pitch))
+        basis = reciprocal_basis(10, bands_lattice.pitch)
         n = len(basis)
         problem, held, _ = _traced(lambda: _problem(bands_lattice, basis))
         assert held <= 16 * n * 8
@@ -332,7 +338,7 @@ class TestEigenpairContract:
     @pytest.mark.parametrize("window", [reciprocal_basis, t_centered_basis])
     @pytest.mark.parametrize("node", ["G", "Z", "T"])
     def test_refined_pairs(self, bands_lattice, bands_dp, window, node):
-        basis = tuple(window(7, bands_lattice.pitch))
+        basis = window(7, bands_lattice.pitch)
         kx, ky = named_kpoint(node, bands_lattice.pitch)
         problem = _problem(bands_lattice, basis)
         w, v = _solve(problem, kx, ky, 8, vectors=True)
@@ -361,6 +367,19 @@ class TestTPointSectors:
         for block, folded in zip(blocks, expected):
             assert block.shape == folded.shape
             assert np.max(np.abs(block - folded)) <= 1e-15 * np.linalg.norm(h)
+
+    def test_sector_coupling_rounding(self, bands_lattice, bands_dp):
+        # the sectors scale by c = (v*dphi)*FF, the rounding the written T
+        # edges carry; the path's v*(dphi*FF) is an ulp away on this lattice
+        c = bands_dp.v_prefactor * bands_lattice.dphi * bands_lattice.fill_factor
+        assert c != bands_dp.v_prefactor * (bands_lattice.dphi
+                                            * bands_lattice.fill_factor)
+        k = 4
+        s = pattern_factors(bands_lattice, 2 * k - 1)[2 * k - 1:]
+        even, odd = (f[::-1, ::-1] for f in _axis_fold(s, 1))
+        pair = tuple(_t_sectors(bands_lattice, k - 1)[0])[4]
+        off = ~np.eye(k * k, dtype=bool)
+        assert np.array_equal(pair[off], (-c * np.kron(odd, even))[off])
 
     @pytest.mark.parametrize("halfwidth", [3, 7, 14])
     def test_eigh_only_on_sectors(self, bands_config, monkeypatch, halfwidth):
@@ -405,8 +424,7 @@ class TestTPointSectors:
     @pytest.mark.parametrize("halfwidth", [3, 7])
     def test_labels_and_signs_follow_parities(self, bands_config, halfwidth):
         analysis = t_point_analysis(bands_config, halfwidth=halfwidth)
-        waves = [(rv.m, rv.n)
-                 for rv in t_centered_basis(halfwidth, bands_config.lattice.pitch)]
+        waves = _waves(t_centered_basis(halfwidth, bands_config.lattice.pitch))
         pos = {wave: i for i, wave in enumerate(waves)}
         mirrors = ([pos[-1 - m, n] for m, n in waves],
                    [pos[m, -1 - n] for m, n in waves],
@@ -433,13 +451,13 @@ class TestTPointSectors:
 
     def test_fold_lift_gives_eigenvectors(self, bands_lattice):
         # the x <-> y fold of the symmetric window has fixed waves (m == n)
-        basis = tuple(reciprocal_basis(3, bands_lattice.pitch))
+        basis = reciprocal_basis(3, bands_lattice.pitch)
         problem = _problem(bands_lattice, basis)
         kx = 0.3 * math.pi / bands_lattice.pitch
         h = problem.hamiltonian(kx, kx)
         fold = problem.diagonal
         assert fold.n_fixed == 7
-        folded = mirror_blocks(h, [(rv.m, rv.n) for rv in basis],
+        folded = mirror_blocks(h, _waves(basis),
                                lambda m, n: (n, m), fold.even, fold.odd)
         for odd, block in zip((False, True), folded):
             w, u = np.linalg.eigh(block)
@@ -500,7 +518,7 @@ class TestBlockSolver:
                 "jittered": LatticeSpec(**JITTERED)}[request.param]
 
     def test_apply_matches_dense(self, lattice):
-        basis = tuple(reciprocal_basis(_BLOCK_MIN_HALFWIDTH, lattice.pitch))
+        basis = reciprocal_basis(_BLOCK_MIN_HALFWIDTH, lattice.pitch)
         problem = _problem(lattice, basis)
         x = np.random.default_rng(3).standard_normal((len(basis), 5))
         kx, ky = 0.7 * math.pi / lattice.pitch, 0.2 * math.pi / lattice.pitch
@@ -511,7 +529,7 @@ class TestBlockSolver:
     def test_eigenpair_contract(self, lattice):
         # every returned pair meets the stopping bound through the apply, and
         # each block, warm-started along the path, is orthonormal
-        basis = tuple(reciprocal_basis(_BLOCK_MIN_HALFWIDTH, lattice.pitch))
+        basis = reciprocal_basis(_BLOCK_MIN_HALFWIDTH, lattice.pitch)
         problem = _problem(lattice, basis)
         block = None
         for kp in build_kpath(("G", "Z", "T", "G"), lattice.pitch, 3):
@@ -571,7 +589,7 @@ class TestBlockSolver:
 
     def test_empty_lattice_free_bands(self, empty_config):
         # c = 0: the bound falls back to the apply's round-off scale
-        basis = tuple(reciprocal_basis(_BLOCK_MIN_HALFWIDTH, 4e-6))
+        basis = reciprocal_basis(_BLOCK_MIN_HALFWIDTH, 4e-6)
         problem = _problem(empty_config.lattice, basis)
         block = None
         for frac in (0.0, 0.3, 0.5):
@@ -604,7 +622,7 @@ class TestMirrorBlockedSolve:
     @pytest.mark.parametrize("halfwidth", [2, 3, 7])
     def test_blocked_omegas_match_dense(self, bands_lattice, bands_dp,
                                         halfwidth):
-        basis = tuple(reciprocal_basis(halfwidth, bands_lattice.pitch))
+        basis = reciprocal_basis(halfwidth, bands_lattice.pitch)
         problem = _problem(bands_lattice, basis)
         kpts = [kp for kp in build_kpath(("G", "Z", "T", "G"),
                                          bands_lattice.pitch, 4)
@@ -631,7 +649,7 @@ class TestMirrorBlockedSolve:
     @pytest.mark.parametrize("kx_frac,ky_frac", [(0.3, 0.0), (0.3, 0.3)])
     def test_block_solves_reach_eigvalsh(self, bands_lattice, monkeypatch,
                                          kx_frac, ky_frac):
-        basis = tuple(reciprocal_basis(7, bands_lattice.pitch))
+        basis = reciprocal_basis(7, bands_lattice.pitch)
         problem = _problem(bands_lattice, basis)
         shapes = _record_shapes(monkeypatch, "eigvalsh")
         kx = 2 * math.pi * kx_frac / bands_lattice.pitch
@@ -655,7 +673,7 @@ class TestMirrorBlockedSolve:
     def test_t_centered_window_solves_g_z_dense(self, bands_lattice,
                                                 bands_dp, monkeypatch):
         # n -> -n maps the window [-h-1, h] onto [-h, h+1]: not closed
-        basis = tuple(t_centered_basis(3, bands_lattice.pitch))
+        basis = t_centered_basis(3, bands_lattice.pitch)
         problem = _problem(bands_lattice, basis)
         assert problem.along_x is None
         assert problem.diagonal is not None
@@ -673,9 +691,9 @@ class TestPathBlocksFromFactors:
 
     @pytest.mark.parametrize("halfwidth", [2, 3, 7])
     def test_blocks_match_fold_of_oracle(self, bands_lattice, halfwidth):
-        basis = tuple(reciprocal_basis(halfwidth, bands_lattice.pitch))
+        basis = reciprocal_basis(halfwidth, bands_lattice.pitch)
         problem = _problem(bands_lattice, basis)
-        waves = [(rv.m, rv.n) for rv in basis]
+        waves = _waves(basis)
         for fold in (problem.along_x, problem.diagonal):
             # every wave once: an orbit's first, or its image
             assert np.array_equal(
@@ -758,7 +776,7 @@ class TestFoldedNamedNodes:
     @pytest.mark.parametrize("kx_frac,ky_frac", [(0.3, 0.0), (0.3, 0.3)])
     def test_cached_blocks_match_fold_of_dense(self, bands_lattice, kx_frac,
                                                ky_frac):
-        basis = tuple(reciprocal_basis(7, bands_lattice.pitch))
+        basis = reciprocal_basis(7, bands_lattice.pitch)
         problem = _problem(bands_lattice, basis)
         kx = 2 * math.pi * kx_frac / bands_lattice.pitch
         ky = 2 * math.pi * ky_frac / bands_lattice.pitch
@@ -767,7 +785,7 @@ class TestFoldedNamedNodes:
         kinetic = problem.kinetic(kx, ky)
         cached = mirror.blocks(kinetic)
         image = (lambda m, n: (m, -n)) if ky == 0.0 else (lambda m, n: (n, m))
-        folded_h = mirror_blocks(h, [(rv.m, rv.n) for rv in basis], image,
+        folded_h = mirror_blocks(h, _waves(basis), image,
                                  mirror.even, mirror.odd)
         for block, folded in zip(cached, folded_h, strict=True):
             assert np.max(np.abs(block - folded)) <= 1e-15 * np.linalg.norm(h)
@@ -779,7 +797,7 @@ class TestFoldedNamedNodes:
 
     @pytest.mark.parametrize("halfwidth", [3, 7, 14])
     def test_node_pairs_match_dense_oracle(self, bands_lattice, halfwidth):
-        basis = tuple(reciprocal_basis(halfwidth, bands_lattice.pitch))
+        basis = reciprocal_basis(halfwidth, bands_lattice.pitch)
         problem = _problem(bands_lattice, basis)
         for node in ("G", "Z", "T"):
             kx, ky = named_kpoint(node, bands_lattice.pitch)
@@ -837,6 +855,21 @@ class TestClassification:
         group = np.column_stack([x_state, y_state])
         assert classify_t_states([group], basis) == [LABEL_PAIR]
 
+    @pytest.mark.parametrize("start,width", [(-1, 2), (-3, 5), (-1, 4)])
+    def test_corner_slots_on_any_window(self, bands_lattice, start, width):
+        # the slots are found from start and width; the state from its waves
+        basis = Window(start, width, bands_lattice.pitch)
+        for pattern, label in (((1, 1, 1, 1), LABEL_S), ((1, -1, -1, 1), LABEL_XY)):
+            state = _corner_state(basis, pattern)
+            assert classify_t_states([state[:, None]], basis) == [label]
+
+    @pytest.mark.parametrize("start,width", [(0, 3), (-3, 3), (-1, 1)])
+    def test_window_without_corner_waves_rejected(self, bands_lattice, start,
+                                                  width):
+        basis = Window(start, width, bands_lattice.pitch)
+        with pytest.raises(ValidationError, match="four nearest"):
+            classify_t_states([np.ones((len(basis), 1))], basis)
+
     def test_lowest_corner_state_is_s_with_large_projection(self, bands_config,
                                                             bands_t_analysis):
         vec = bands_t_analysis.vectors[:, 0]
@@ -848,7 +881,7 @@ class TestClassification:
 
     def test_higher_shell_state_unclassified(self, bands_lattice):
         basis = reciprocal_basis(3, bands_lattice.pitch)
-        pos = {(rv.m, rv.n): i for i, rv in enumerate(basis)}
+        pos = {wave: i for i, wave in enumerate(_waves(basis))}
         vec = np.zeros(len(basis), dtype=complex)
         vec[pos[(2, 2)]] = 1.0
         assert classify_t_states([vec[:, None]], basis) == ["unclassified"]
@@ -991,8 +1024,8 @@ class TestEffectiveMass:
 
 class TestLongitudinalProfile:
     def test_uniform_state_alpha_is_mean(self, bands_lattice):
-        basis = tuple(reciprocal_basis(3, bands_lattice.pitch))
-        pos = [(rv.m, rv.n) for rv in basis].index((0, 0))
+        basis = reciprocal_basis(3, bands_lattice.pitch)
+        pos = _waves(basis).index((0, 0))
         coeffs = np.zeros(len(basis), dtype=complex)
         coeffs[pos] = 1.0
         profile = longitudinal_profile(coeffs, basis, bands_lattice)
@@ -1015,7 +1048,7 @@ class TestLongitudinalProfile:
         assert np.max(np.abs(np.abs(1 + profile.eta_samples) - 1)) <= 1e-12
 
     def test_gauge_invariance(self, bands_lattice):
-        basis = tuple(reciprocal_basis(2, bands_lattice.pitch))
+        basis = reciprocal_basis(2, bands_lattice.pitch)
         rng = np.random.default_rng(8)
         raw = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
         raw /= np.linalg.norm(raw)
@@ -1026,8 +1059,8 @@ class TestLongitudinalProfile:
         assert np.isreal(a1)
 
     def test_periodic_increments_cancel(self, bands_lattice):
-        basis = tuple(reciprocal_basis(2, bands_lattice.pitch))
-        pos = [(rv.m, rv.n) for rv in basis].index((0, 0))
+        basis = reciprocal_basis(2, bands_lattice.pitch)
+        pos = _waves(basis).index((0, 0))
         coeffs = np.zeros(len(basis), dtype=complex)
         coeffs[pos] = 1.0
         profile = longitudinal_profile(coeffs, basis, bands_lattice,
@@ -1036,17 +1069,8 @@ class TestLongitudinalProfile:
         wrapped = np.sum(np.diff(np.concatenate([eta, eta[:1]])))
         assert abs(wrapped) < 1e-14
 
-    def test_shuffled_basis_rejected(self, bands_lattice):
-        # the potential is built as S ⊗ S, which holds only on the m-major
-        # square window; a permuted basis must not be silently mis-assembled
-        basis = list(reciprocal_basis(2, bands_lattice.pitch))
-        np.random.default_rng(4).shuffle(basis)
-        coeffs = np.full(len(basis), 1.0 / math.sqrt(len(basis)), dtype=complex)
-        with pytest.raises(ValidationError, match="square window"):
-            longitudinal_profile(coeffs, tuple(basis), bands_lattice)
-
     def test_non_unit_norm_rejected(self, bands_lattice):
-        basis = tuple(reciprocal_basis(1, bands_lattice.pitch))
+        basis = reciprocal_basis(1, bands_lattice.pitch)
         with pytest.raises(ValidationError, match="unit-norm"):
             longitudinal_profile(np.ones(len(basis), dtype=complex), basis,
                                  bands_lattice)
