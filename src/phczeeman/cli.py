@@ -53,11 +53,16 @@ SWEEP_HEADER = ("dphi,pitch_um,M_plus,M_minus,M,dwL_over_Omega,dwS_over_Omega,"
 
 
 def _rows(*columns):
-    """CSV rows of strings from columns, scalars broadcast. A float column
+    """CSV rows of strings from columns broadcast together. A float column
     is written as shortest-round-trip reprs and checked for NaN and inf
     once, before any row is made; any other column (integers, labels)
-    through ``str``."""
-    columns = np.broadcast_arrays(*map(np.asarray, columns))
+    through ``str``. A column smaller than the broadcast shape (a scalar,
+    or a per-k-point column of a band file) is formatted once per value and
+    its strings are broadcast; a full-size column is formatted as the rows
+    are made."""
+    columns = [np.asarray(column) for column in columns]
+    shape = np.broadcast_shapes(*(column.shape for column in columns))
+    cells = []
     for column in columns:
         if column.dtype.kind == "f":
             finite = np.isfinite(column)
@@ -65,8 +70,13 @@ def _rows(*columns):
                 raise ComputationError(
                     f"non-finite value {column[~finite][0]} in the output"
                 )
-    return zip(*(map(repr if column.dtype.kind == "f" else str,
-                     column.ravel().tolist()) for column in columns))
+        text = map(repr if column.dtype.kind == "f" else str,
+                   column.ravel().tolist())
+        if column.shape != shape:
+            text = np.array(list(text), dtype=object).reshape(column.shape)
+            text = np.broadcast_to(text, shape).ravel().tolist()
+        cells.append(text)
+    return zip(*cells)
 
 
 def _write_csv(path: str, header: str, rows) -> None:
@@ -417,33 +427,22 @@ def _kp_vs_opw_worst(config: ExperimentConfig, model: kpmod.KpModel,
     """Worst |omega_kp - omega_opw| / span within 0.25*pi/pitch of T, on
     nine points of each of two rays out of T (along -x and the diagonal).
 
-    Each ray is solved as ``solve_bands`` solves a path: from halfwidth
-    ``_BLOCK_MIN_HALFWIDTH`` by the block solver, each point warm-started
-    from the ray's previous one; below it each point by ``_solve``, the
-    points along x dense, each writing its own H, and the diagonal ones in
-    the x <-> y blocks, whose pattern term the plane-wave problem gathers
-    at the first of them (about N^2 / 2 entries). A function of its own so
-    that those blocks are freed before the later checks run.
+    Each ray is solved as a path by ``planewave.solve_path``, on one
+    problem: the x <-> y blocks that the diagonal ray's points may use are
+    gathered once (about N^2 / 2 entries). A function of its own so that
+    those blocks are freed before the later checks run.
     """
     lattice = config.lattice
-    basis = reciprocal_basis(config.basis_halfwidth, lattice.pitch)
-    problem = pw._problem(lattice, basis)
-    blocked = pw._block_solved(config.basis_halfwidth, 8, len(basis))
+    problem = pw._problem(lattice, reciprocal_basis(config.basis_halfwidth,
+                                                    lattice.pitch))
     t_pt = np.array(pw.named_kpoint("T", lattice.pitch))
     window = 0.25 * math.pi / lattice.pitch
     directions = np.array([(-1.0, 0.0), (-1.0 / math.sqrt(2), -1.0 / math.sqrt(2))])
     rays = t_pt + (np.linspace(0.0, 1.0, 9) * window)[:, None, None] * directions
     spectra = kpmod.kp_bands(model, (rays - t_pt).reshape(-1, 2),
                              RotationSpec(0.0)).omegas
-    opw = np.empty(rays.shape[:2] + (8,))
-    for ray in range(rays.shape[1]):
-        block = None
-        for point, (kx, ky) in enumerate(rays[:, ray].tolist()):
-            if blocked:
-                w, block = pw._block_solve(problem, kx, ky, 8, block)
-                opw[point, ray] = problem.omega0 + w
-            else:
-                opw[point, ray] = pw._solve(problem, kx, ky, 8)[0]
+    opw = np.stack([pw.solve_path(problem, rays[:, ray].tolist(), 8)[0]
+                    for ray in range(rays.shape[1])], axis=1)
     opw = opw.reshape(spectra.shape)
     return float(np.max(np.abs(spectra - _nearest(opw, spectra)))) / span
 

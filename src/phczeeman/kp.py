@@ -4,7 +4,9 @@ The model lives on the eight spin-orbital products of the four corner-wave
 representations; it is block-diagonal in the circular-polarization basis, a
 4x4 block per handedness. Rotation about the cavity axis enters as an exact
 perturbation whose k = 0 part is diagonal, so spin and orbital splittings
-are linear in the rotation rate to machine precision. Each block is
+are linear in the rotation rate to machine precision and are read from the
+k = 0 diagonals without an eigensolve; ``kp_bands``, away from k = 0,
+diagonalizes its stacked blocks. Each block is
 quadratic in k and diagonal at k = 0 with rotation off, so the edge masses
 follow exactly from the second-order k.p sum over its slots.
 
@@ -188,45 +190,38 @@ def kp_bands(model: KpModel, kpath, rot: RotationSpec) -> KpSpectrum:
 
 
 def zeeman_splittings_at_T(model: KpModel, omega_rot):
-    """Spin and orbital rotation splittings from the k = 0 block eigenvalues.
+    """Spin and orbital rotation splittings read from the k = 0 blocks.
 
     ``omega_rot`` is a rotation rate or an array of them; the splittings
     come back as arrays of its shape. All k = 0 blocks are built as one
-    stack and diagonalized in one ``eigh`` call per handedness.
+    stack of the model with its band edges set to zero.
 
-    At k = 0 the rotation part of both blocks is diagonal, so every
-    eigenvalue is exactly linear in the rotation rate and the common
-    band-edge offset cancels exactly: the splittings are extracted from the
-    diagonalized rotation part alone, which keeps them accurate to round-off
-    (~1e-16 relative) instead of the ~1e-1 rad/s floor a subtraction of
-    full-scale eigenvalues would allow. Matching the full-block
-    diagonalization at frequency-scale precision is asserted in the tests.
+    At k = 0 both blocks are exactly diagonal (checked: a nonzero
+    off-diagonal entry raises ComputationError), so their diagonals are
+    their eigenvalues, exactly linear in the rotation rate, and no
+    eigensolve is needed. With the edges at zero the common band-edge
+    offset cancels exactly, which keeps the splittings accurate to
+    round-off (~1e-16 relative) instead of the ~1e-1 rad/s floor a
+    subtraction of full-scale eigenvalues would allow. The spin splitting
+    is the mean of the T5'/T5 slots (0 and 3) of the lower block minus that
+    of the upper; the orbital splitting is upper slot 1 minus slot 2.
+    The diagonals are read from the summed blocks as built, where adding
+    the zero k.p and free terms turns a -0.0 rotation entry into +0.0.
     """
     model0 = replace(model, omega_T5=0.0, omega_T1=0.0, omega_T5p=0.0)
     upper, lower = _block_matrices(model0, 0.0, 0.0, omega_rot)
-    wu, vu = eigh(HermitianMatrix(upper))
-    wl, vl = eigh(HermitianMatrix(lower))
-
-    def spin_value(w, v):
-        # weight on the T5'/T5 slots (0 and 3); both carry the same shift.
-        # The blocks are diagonal, so every eigenvector is a basis vector
-        # and exactly two of each block lie on these slots.
-        spin = np.abs(v[..., 0, :]) ** 2 + np.abs(v[..., 3, :]) ** 2 > 0.5
-        if not np.all(np.count_nonzero(spin, axis=-1) == 2):
-            raise ComputationError(
-                "k = 0 block eigenvectors do not separate the spin slots"
-            )
-        return w[spin].reshape(w.shape[:-1] + (2,)).mean(axis=-1)
-
-    def orbital_value(w, v, slot):
-        nearest = np.argmax(np.abs(v[..., slot, :]) ** 2, axis=-1)
-        return np.take_along_axis(w, nearest[..., None], axis=-1)[..., 0]
-
-    # a difference of two finite eigenvalues may overflow; the caller's
+    diagonals = []
+    for block in (upper, lower):
+        HermitianMatrix(block)  # rejects a block an overflow made non-finite
+        if np.any(block[..., ~np.eye(4, dtype=bool)] != 0):
+            raise ComputationError("k = 0 rotation block is not diagonal")
+        diagonals.append(block.diagonal(axis1=-2, axis2=-1).real)
+    du, dl = diagonals
+    # a difference of two finite entries may overflow; the caller's
     # finiteness check reports it
     with np.errstate(over="ignore"):
-        delta_s = spin_value(wl, vl) - spin_value(wu, vu)
-        delta_l = orbital_value(wu, vu, 1) - orbital_value(wu, vu, 2)
+        delta_s = dl[..., [0, 3]].mean(axis=-1) - du[..., [0, 3]].mean(axis=-1)
+        delta_l = du[..., 1] - du[..., 2]
     return delta_s, delta_l
 
 

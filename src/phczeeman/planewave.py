@@ -15,10 +15,11 @@ Numerical notes: the eigenproblem is assembled and solved in detuning units
 (``t_centered_basis``) at T. On it H is exactly Kx ⊗ I + I ⊗ Ky - c*(S ⊗ S),
 with c = v*dphi*FF and S the Toeplitz sinc factor over the window's axis
 (see ``_kernels``). Only S and these 1D pieces are kept per window; no
-N x N array lives across k-points. A k-path's results are arrays over
-(k-point, band) filled in place (``BandStructure``): only the named nodes
-(G, Z, T) keep eigenvectors; interior path points need only their
-frequencies.
+N x N array lives across k-points. A k-path is solved point by point in
+path order by ``solve_path``, the one place that picks the solver below;
+its results are arrays over (k-point, band) (``BandStructure``): only the
+named nodes (G, Z, T) keep eigenvectors; interior path points need only
+their frequencies.
 
 From halfwidth ``_BLOCK_MIN_HALFWIDTH`` (8, the measured crossover) every
 path point is solved by a warm-started block eigensolver (LOBPCG,
@@ -532,12 +533,42 @@ def _block_solve(problem: _Problem, kx, ky, n_bands, start=None):
     )
 
 
-def _block_solved(halfwidth: int, n_bands: int, size: int) -> bool:
-    """Whether a path on a basis of ``size`` waves and ``halfwidth`` is
-    solved by the block solver: from ``_BLOCK_MIN_HALFWIDTH``, when the
-    basis holds at least three blocks."""
-    return (halfwidth >= _BLOCK_MIN_HALFWIDTH
-            and 3 * (n_bands + _BLOCK_GUARD) <= size)
+def solve_path(problem: _Problem, kpoints, n_bands: int, keep=()):
+    """Lowest ``n_bands`` omegas at each (kx, ky) of ``kpoints`` on the
+    symmetric-window ``problem``, solved in path order, as an
+    (n_k, n_bands) array, and the unit eigenvectors of the points whose
+    positions are in ``keep``, keyed by position.
+
+    From halfwidth ``_BLOCK_MIN_HALFWIDTH``, when the basis holds at least
+    three blocks, each point is solved by the block eigensolver on the
+    matrix-free apply, warm-started from the previous point's block
+    (``_block_solve``), whose wanted columns are its vectors. Below it each
+    point is assembled and solved on its own (``_solve``): points on a path
+    mirror line as that mirror's even and odd blocks, others dense, and
+    eigenvalue-only unless kept.
+    """
+    width = problem.factor.shape[0]
+    blocked = (width // 2 >= _BLOCK_MIN_HALFWIDTH
+               and 3 * (n_bands + _BLOCK_GUARD) <= width * width)
+    omegas = np.empty((len(kpoints), n_bands))
+    vectors = {}
+    block = None
+    for i, (kx, ky) in enumerate(kpoints):
+        kept = i in keep
+        try:
+            if blocked:
+                w, block = _block_solve(problem, kx, ky, n_bands, block)
+                w, v = problem.omega0 + w, block[:, :n_bands]
+            else:
+                w, v = _solve(problem, kx, ky, n_bands, vectors=kept)
+        except ComputationError as exc:
+            raise ComputationError(
+                f"{exc} at k-point {i} (kx={kx:.6g}, ky={ky:.6g})"
+            ) from exc
+        omegas[i] = w
+        if kept:
+            vectors[i] = v
+    return omegas, vectors
 
 
 def solve_bands(config: ExperimentConfig,
@@ -545,17 +576,8 @@ def solve_bands(config: ExperimentConfig,
     """Lowest scalar bands along the configured k-path (deterministic).
 
     The problem's 1D pieces are built once, and the k-points are solved in
-    path order into their rows of the structure's arrays. From halfwidth
-    ``_BLOCK_MIN_HALFWIDTH`` (when the basis holds at least three blocks)
-    each point is solved by the block eigensolver on the matrix-free apply,
-    warm-started from the previous point's block (``_block_solve``), and
-    named nodes keep the block's wanted vectors. Below it each point is
-    assembled and solved on its own: points on G-Z (ky == 0) and T-G
-    (kx == ky), the named nodes G, Z and T among them, as the even and odd
-    blocks of the mirror that fixes their line, the T-G blocks gathered at
-    the path's first such point; Z-T points dense (see ``_solve``);
-    interior points eigenvalue-only. Named nodes keep unit-norm
-    eigenvectors, and T rows get their representation labels.
+    path order by ``solve_path``. Named nodes keep unit-norm eigenvectors,
+    and T rows get their representation labels.
     """
     basis = reciprocal_basis(config.basis_halfwidth, config.lattice.pitch)
     if n_bands > len(basis):
@@ -564,31 +586,18 @@ def solve_bands(config: ExperimentConfig,
         )
     kpts = tuple(build_kpath(config.kpath, config.lattice.pitch,
                              config.samples_per_segment))
-    problem = _problem(config.lattice, basis)
+    omegas, vectors = solve_path(
+        _problem(config.lattice, basis), [(kp.kx, kp.ky) for kp in kpts],
+        n_bands, {kp.index for kp in kpts if kp.label})
     bs = BandStructure(
-        kpoints=kpts, omegas=np.empty((len(kpts), n_bands)),
+        kpoints=kpts, omegas=omegas,
         rep_labels=np.full((len(kpts), n_bands), "", dtype=object),
-        vectors={}, basis=basis, config=config,
+        vectors=vectors, basis=basis, config=config,
     )
-    blocked = _block_solved(config.basis_halfwidth, n_bands, len(basis))
-    block = None
     for kp in kpts:
-        try:
-            if blocked:
-                w, block = _block_solve(problem, kp.kx, kp.ky, n_bands, block)
-                w, v = problem.omega0 + w, block[:, :n_bands]
-            else:
-                w, v = _solve(problem, kp.kx, kp.ky, n_bands,
-                              vectors=bool(kp.label))
-        except ComputationError as exc:
-            raise ComputationError(
-                f"{exc} at k-point {kp.index} (kx={kp.kx:.6g}, ky={kp.ky:.6g})"
-            ) from exc
-        bs.omegas[kp.index] = w
-        if kp.label:
-            bs.vectors[kp.index] = v
         if kp.label == "T":
-            groups = cluster_degenerate(w)
+            v = vectors[kp.index]
+            groups = cluster_degenerate(omegas[kp.index])
             for grp, lab in zip(groups, classify_t_states(
                     [v[:, g] for g in groups], basis)):
                 bs.rep_labels[kp.index, grp] = lab

@@ -12,15 +12,27 @@ the mirror-block and sector oracles fold a dense Hamiltonian index by index
 (never its 1D factors), and the high-precision oracle re-derives the
 closed-form orbital parameters with mpmath. ``build_each`` checks a
 column of values by building every value's spec, the loop the CLI's
-mask-based column check replaces.
+mask-based column check replaces. ``eigh_splittings_at_T`` diagonalizes the
+k = 0 k.p blocks whose diagonals ``kp.zeeman_splittings_at_T`` reads, and
+``rows_per_cell`` formats every cell of the broadcast columns on its own,
+as ``cli._rows`` did before it formatted a broadcast column once per value.
 """
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
-from phczeeman import derive_params, named_kpoint, phase_pattern
+from phczeeman import (
+    ComputationError,
+    HermitianMatrix,
+    derive_params,
+    eigh,
+    named_kpoint,
+    phase_pattern,
+)
 from phczeeman.constants import C, HBAR
+from phczeeman.kp import _block_matrices
 from phczeeman.lattice import pattern_factors, t_centered_basis
 
 
@@ -205,3 +217,48 @@ def build_each(build, values, what):
             f"largest: {max(flagged)[1]}", UserWarning, stacklevel=2,
         )
     return built
+
+
+def eigh_splittings_at_T(model, omega_rot):
+    """Spin and orbital splittings from one ``eigh`` per handedness of the
+    k = 0 blocks of ``model`` with its band edges at zero: the spin value
+    of a block is the mean of the two eigenvalues whose vectors lie on the
+    T5'/T5 slots (0 and 3), the orbital one the difference of the
+    eigenvalues whose vectors lie most on upper slots 1 and 2."""
+    model0 = replace(model, omega_T5=0.0, omega_T1=0.0, omega_T5p=0.0)
+    upper, lower = _block_matrices(model0, 0.0, 0.0, omega_rot)
+    wu, vu = eigh(HermitianMatrix(upper))
+    wl, vl = eigh(HermitianMatrix(lower))
+
+    def spin_value(w, v):
+        spin = np.abs(v[..., 0, :]) ** 2 + np.abs(v[..., 3, :]) ** 2 > 0.5
+        if not np.all(np.count_nonzero(spin, axis=-1) == 2):
+            raise ComputationError(
+                "k = 0 block eigenvectors do not separate the spin slots"
+            )
+        return w[spin].reshape(w.shape[:-1] + (2,)).mean(axis=-1)
+
+    def orbital_value(w, v, slot):
+        nearest = np.argmax(np.abs(v[..., slot, :]) ** 2, axis=-1)
+        return np.take_along_axis(w, nearest[..., None], axis=-1)[..., 0]
+
+    with np.errstate(over="ignore"):
+        delta_s = spin_value(wl, vl) - spin_value(wu, vu)
+        delta_l = orbital_value(wu, vu, 1) - orbital_value(wu, vu, 2)
+    return delta_s, delta_l
+
+
+def rows_per_cell(*columns):
+    """``cli._rows`` cell by cell: the columns broadcast to full size and
+    every cell formatted on its own, floats by ``repr`` and anything else
+    by ``str``, with the same finiteness check first."""
+    columns = np.broadcast_arrays(*map(np.asarray, columns))
+    for column in columns:
+        if column.dtype.kind == "f":
+            finite = np.isfinite(column)
+            if not finite.all():
+                raise ComputationError(
+                    f"non-finite value {column[~finite][0]} in the output"
+                )
+    return zip(*(map(repr if column.dtype.kind == "f" else str,
+                     column.ravel().tolist()) for column in columns))

@@ -12,8 +12,8 @@ from phczeeman.core import (
     MAX_FOURIER_HALFWIDTH, MAX_SAMPLES_PER_SEGMENT, MAX_SWEEP_POINTS,
 )
 from phczeeman import cli
-from oracles import build_each, folded_free_bands
-from phczeeman import LatticeSpec
+from oracles import build_each, folded_free_bands, rows_per_cell
+from phczeeman import ComputationError, LatticeSpec
 
 BANDS_DOC = {"lambda_nm": 960, "n": 3.53, "pitch_um": 4, "ff": 0.65, "dphi": 0.02}
 WEAK_DOC = {**BANDS_DOC, "dphi": 1e-4}
@@ -602,7 +602,7 @@ class TestNonFiniteInputs:
         assert "non-finite value" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_overflowing_rotation_is_silent(self, tmp_path):
+    def test_overflowing_rotation_is_silent(self, tmp_path, capsys):
         cfg = tmp_path / "vacuum.json"
         cfg.write_text(json.dumps({**WEAK_DOC, "n": 1.0}))
         with warnings.catch_warnings(record=True) as caught:
@@ -610,8 +610,55 @@ class TestNonFiniteInputs:
             rc = main(["split", str(cfg), "-o", str(tmp_path / "split.csv"),
                        "--omega-list=1e308"])
         assert rc == 1
+        assert "matrix holds a non-finite value" in capsys.readouterr().err
         assert not [w for w in caught
                     if issubclass(w.category, RuntimeWarning)]
+
+
+class TestRows:
+    """``cli._rows`` formats a broadcast column once per value; its rows
+    equal those of formatting every cell (``oracles.rows_per_cell``)."""
+
+    FLOATS = [-0.0, 5e-324, 1e16, 1e-5, 0.1]
+
+    def test_mixed_shapes_match_per_cell_oracle(self):
+        n, m = len(self.FLOATS), 3
+        full = np.array(self.FLOATS)[:, None] * np.array([1.0, -1.0, 3.0])
+        labels = np.full((n, m), "", dtype=object)
+        labels[1, 2] = "T1(S)"
+        columns = (np.float64(0.1), np.array(self.FLOATS)[:, None],
+                   np.arange(m)[None, :], full, "2", 7, -0.0,
+                   np.array(self.FLOATS[::-1])[:, None], labels,
+                   np.where(np.arange(n) % 2 == 0, "", "extrapolation")[:, None])
+        got = list(cli._rows(*columns))
+        assert got == list(rows_per_cell(*columns))
+        assert len(got) == n * m and got[0][:3] == ("0.1", "-0.0", "0")
+
+    def test_scalars_only(self):
+        assert list(cli._rows(1e16, "x", 3)) == [("1e+16", "x", "3")]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_broadcast_column_message(self, bad):
+        columns = (np.arange(3.0), np.float64(bad), np.ones((2, 1)))
+        messages = []
+        for rows in (cli._rows, rows_per_cell):
+            with pytest.raises(ComputationError) as info:
+                rows(*columns)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == f"non-finite value {bad} in the output"
+
+    def test_non_finite_broadcast_column_writes_no_file(
+            self, weak_cfg_file, tmp_path, capsys, monkeypatch):
+        # a sweep over dphi writes dwS_over_Omega as one broadcast scalar
+        zeeman_result = cli.zm.zeeman_result
+        monkeypatch.setattr(cli.zm, "zeeman_result", lambda lattice: replace(
+            zeeman_result(lattice), delta_omega_S_per_Omega=math.nan))
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", weak_cfg_file, "-o", str(out), "--param", "dphi",
+                   "--from", "1e-5", "--to", "1e-3", "--points", "4"])
+        assert rc == 1
+        assert "non-finite value nan in the output" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # the smallest pitch (um) of the weak lattice that passes the cavity-length

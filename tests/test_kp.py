@@ -22,8 +22,9 @@ from phczeeman import (
     zeeman_splittings_at_T,
 )
 from phczeeman.constants import HBAR
+from phczeeman import kp
 from phczeeman.kp import _block_matrices
-from oracles import mp_closed_form_total
+from oracles import eigh_splittings_at_T, mp_closed_form_total
 
 ROT0 = RotationSpec(0.0)
 
@@ -31,6 +32,15 @@ ROT0 = RotationSpec(0.0)
 @pytest.fixture(scope="module")
 def weak_model(weak_lattice):
     return kp_from_opw(perturbative_edges(weak_lattice), weak_lattice)
+
+
+@pytest.fixture(scope="module")
+def bands_model(bands_lattice):
+    return kp_from_opw(perturbative_edges(bands_lattice), bands_lattice)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
 
 
 @pytest.fixture(scope="module")
@@ -307,6 +317,73 @@ class TestZeemanSplittings:
         # slope extraction over any two rates is exact to round-off
         s3 = shifts(250.0)
         assert np.allclose(s1 - s3, s3, rtol=1e-12)
+
+
+class TestDiagonalRead:
+    """``zeeman_splittings_at_T`` reads the k = 0 diagonals; the reference
+    is one ``eigh`` per handedness (``oracles.eigh_splittings_at_T``)."""
+
+    # the benchmark's split rates: 1e-2 .. 1e3 rad/s, log-spaced
+    BENCH_RATES = [10.0 ** (-2 + 5 * i / 999) for i in range(1000)]
+
+    @staticmethod
+    def _unscaled_band(model):
+        # LAPACK's zheevd rescales a matrix whose largest entry lies outside
+        # [2^-485, 2^485]; the largest k = 0 entry is |omega|(1 + M)/n^2
+        scale = model.n_refr ** 2 / (1.0 + model.m_total)
+        return 2.0 ** -485 * scale, 2.0 ** 485 * scale
+
+    @pytest.mark.parametrize("model_name", ["bands_model", "weak_model"])
+    def test_bit_identical_to_eigh_oracle(self, request, model_name):
+        model = request.getfixturevalue(model_name)
+        low, high = self._unscaled_band(model)
+        assert low < 1e-145 and 1e-2 < 1e3 < high
+        rates = np.array([0.0, -0.0, 1e-145, -1e-145, low, -low, high, -high]
+                         + self.BENCH_RATES)
+        for got, want in zip(zeeman_splittings_at_T(model, rates),
+                             eigh_splittings_at_T(model, rates)):
+            # bit patterns, so that the sign of a zero counts too
+            assert np.array_equal(_bits(got), _bits(want))
+
+    def test_stack_bit_identical_to_oracle(self, weak_model):
+        rates = np.array([[0.0, -0.0, 1.0], [-321.0, 1e-145, 1e3]])
+        got = zeeman_splittings_at_T(weak_model, rates)
+        want = eigh_splittings_at_T(weak_model, rates)
+        for a, b in zip(got, want):
+            assert a.shape == (2, 3)
+            assert np.array_equal(_bits(a), _bits(b))
+
+    def test_outside_unscaled_band(self, bands_model):
+        # the oracle's rescaled eigenvalues are up to 1 ulp off the exact
+        # diagonal the read returns (at +-1e150 they round back to it on
+        # this lattice, and are 1 ulp off on perfbench's seed-12345 one)
+        rates = np.array([1e-300, 1e200, -1e308, 1e150, -1e150, 1e-146])
+        low, high = self._unscaled_band(bands_model)
+        assert np.all((np.abs(rates) < low) | (np.abs(rates) > high))
+        dws, dwl = zeeman_splittings_at_T(bands_model, rates)
+        for got, want in zip((dws, dwl),
+                             eigh_splittings_at_T(bands_model, rates)):
+            assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+        zero_edge = replace(bands_model, omega_T5=0.0, omega_T1=0.0,
+                            omega_T5p=0.0)
+        upper, lower = _block_matrices(zero_edge, 0.0, 0.0, rates)
+        du = upper.diagonal(axis1=-2, axis2=-1).real
+        dl = lower.diagonal(axis1=-2, axis2=-1).real
+        assert np.array_equal(dws, dl[:, 0] - du[:, 0])
+        assert np.array_equal(dws, dl[:, 3] - du[:, 3])
+        assert np.array_equal(dwl, du[:, 1] - du[:, 2])
+
+    def test_off_diagonal_entry_raises(self, weak_model, monkeypatch):
+        build = kp._block_matrices
+
+        def leaky(*args):
+            upper, lower = build(*args)
+            lower[..., 1, 2] = lower[..., 2, 1] = 1e-300
+            return upper, lower
+
+        monkeypatch.setattr(kp, "_block_matrices", leaky)
+        with pytest.raises(ComputationError, match="not diagonal"):
+            zeeman_splittings_at_T(weak_model, np.array([0.0, 1.0]))
 
 
 def _fsum_deviation(model):

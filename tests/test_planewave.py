@@ -587,6 +587,39 @@ class TestBlockSolver:
         assert solve_bands(cfg, n_bands=n_bands).omegas.shape == (7, n_bands)
         assert solves == []
 
+    @pytest.mark.parametrize("halfwidth", [_BLOCK_MIN_HALFWIDTH - 1,
+                                           _BLOCK_MIN_HALFWIDTH])
+    def test_solve_path_is_solve_bands_loop(self, bands_config, halfwidth):
+        # keeping the named nodes gives the rows and node vectors that
+        # solve_bands returns; vectors only at the positions kept
+        cfg = replace(bands_config, basis_halfwidth=halfwidth,
+                      samples_per_segment=2)
+        bs = solve_bands(cfg)
+        problem = _problem(cfg.lattice, bs.basis)
+        points = [(kp.kx, kp.ky) for kp in bs.kpoints]
+        omegas, vectors = planewave.solve_path(problem, points, 8,
+                                               {0, 2, 4, 6})
+        assert np.array_equal(omegas, bs.omegas)
+        assert sorted(vectors) == sorted(bs.vectors) == [0, 2, 4, 6]
+        for i, v in vectors.items():
+            assert np.array_equal(v, bs.vectors[i])
+        assert planewave.solve_path(problem, points[:3], 8)[1] == {}
+
+    def test_solve_path_names_the_failing_point(self, bands_config,
+                                                monkeypatch):
+        def fail(problem, kx, ky, *args, **kwargs):
+            if ky > 0:
+                raise ComputationError("no convergence")
+            return solve(problem, kx, ky, *args, **kwargs)
+
+        solve = planewave._solve
+        monkeypatch.setattr(planewave, "_solve", fail)
+        problem = _problem(bands_config.lattice,
+                           reciprocal_basis(3, bands_config.lattice.pitch))
+        with pytest.raises(ComputationError,
+                           match=r"^no convergence at k-point 1 \(kx=1, ky=2\)$"):
+            planewave.solve_path(problem, [(0.0, 0.0), (1.0, 2.0)], 8)
+
     def test_empty_lattice_free_bands(self, empty_config):
         # c = 0: the bound falls back to the apply's round-off scale
         basis = reciprocal_basis(_BLOCK_MIN_HALFWIDTH, 4e-6)
