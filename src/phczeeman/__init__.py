@@ -47,6 +47,7 @@ from .planewave import (
     opw_mass_at_t,
     perturbative_edges,
     solve_bands,
+    t_edges,
     t_point_analysis,
 )
 from .zeeman import (
@@ -72,7 +73,7 @@ __all__ = [
     "BandStructure", "LongitudinalProfile",
     "KPathPoint", "TPointAnalysis", "named_kpoint", "build_kpath",
     "solve_bands", "cluster_degenerate", "classify_t_states",
-    "t_point_analysis",
+    "t_edges", "t_point_analysis",
     "perturbative_edges", "opw_mass_at_t", "longitudinal_profile",
     "KpModel", "KpSpectrum", "kp_from_opw", "kp_bands",
     "zeeman_splittings_at_T", "fsum_fd_masses", "fsum_target_masses",

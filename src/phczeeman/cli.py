@@ -287,8 +287,10 @@ def cmd_split(args) -> int:
     _check_column(RotationSpec, rates, ~np.isfinite(rates),
                   beyond_slow_rotation(rates), "rotation rates")
 
-    analysis = pw.t_point_analysis(config)
-    model = kpmod.kp_from_opw(analysis.edges, config.lattice)
+    # the splittings and closed forms read no edge; kp_from_opw checks
+    # their order, so eigenvalue-only sector solves suffice
+    edges = pw.t_edges(config.lattice, config.basis_halfwidth)
+    model = kpmod.kp_from_opw(edges, config.lattice)
     dws_kp, dwl_kp = kpmod.zeeman_splittings_at_T(model, rates)
     dws_f, dwl_f = zm.splittings(model.m_plus, model.m_minus,
                                  config.lattice.n_refr, rates)
@@ -557,10 +559,8 @@ def run_validation(config: ExperimentConfig) -> dict:
            "(documented discrepancy between the two printed forms)")
 
     # 9. basis convergence (advisory: warns, never fails)
-    bigger = pw.t_point_analysis(config, halfwidth=config.basis_halfwidth + 2)
-    conv = max(
-        abs(a - b) / abs(a) for a, b in zip(bigger.edges, analysis.edges)
-    )
+    bigger = pw.t_edges(lattice, config.basis_halfwidth + 2)
+    conv = max(abs(a - b) / abs(a) for a, b in zip(bigger, analysis.edges))
     record("convergence", "pass" if conv < 1e-6 else "warn",
            f"edge change {conv:.3e} for halfwidth {config.basis_halfwidth} "
            f"-> {config.basis_halfwidth + 2} (advisory bound 1e-6)")

@@ -245,8 +245,8 @@ DEFAULT_BASIS_HALFWIDTH = 7
 # Z-T points all come before its first kx == ky point, where the x <-> y
 # blocks (172 MB) are gathered; held during a dense solve, as on a path
 # that reaches kx == ky first, those blocks raise it to 868 MB. `split`
-# solves only the T sectors, one at a time, and peaks at 158 MB (measured
-# on Linux, numpy with OpenBLAS).
+# solves only three T sectors, eigenvalue-only and one at a time, and peaks
+# at 82 MB (measured on Linux, numpy with OpenBLAS).
 MAX_BASIS_HALFWIDTH = 40
 # Largest dump-fourier halfwidth: every index difference of a capped basis.
 MAX_FOURIER_HALFWIDTH = 2 * MAX_BASIS_HALFWIDTH

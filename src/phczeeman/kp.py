@@ -150,7 +150,7 @@ def _block_matrices(model: KpModel, kx, ky,
     mp_ = model.m_plus
     mm_ = model.m_minus
     mt = model.m_total
-    # an out-of-range rate overflows here; HermitianMatrix rejects the block
+    # an out-of-range rate overflows here; the callers reject the block
     with np.errstate(over="ignore", invalid="ignore"):
         h_rot = -x * _matrix([
             [1.0, -mm_ * a * km, mm_ * a * kp, 0.0],
@@ -197,7 +197,8 @@ def zeeman_splittings_at_T(model: KpModel, omega_rot):
     stack of the model with its band edges set to zero.
 
     At k = 0 both blocks are exactly diagonal (checked: a nonzero
-    off-diagonal entry raises ComputationError), so their diagonals are
+    off-diagonal entry raises ComputationError, as does a non-finite entry
+    from a rate that overflows), so their diagonals are
     their eigenvalues, exactly linear in the rotation rate, and no
     eigensolve is needed. With the edges at zero the common band-edge
     offset cancels exactly, which keeps the splittings accurate to
@@ -212,7 +213,8 @@ def zeeman_splittings_at_T(model: KpModel, omega_rot):
     upper, lower = _block_matrices(model0, 0.0, 0.0, omega_rot)
     diagonals = []
     for block in (upper, lower):
-        HermitianMatrix(block)  # rejects a block an overflow made non-finite
+        if not np.all(np.isfinite(block)):  # an overflow of the rate
+            raise ComputationError("matrix holds a non-finite value (4x4)")
         if np.any(block[..., ~np.eye(4, dtype=bool)] != 0):
             raise ComputationError("k = 0 rotation block is not diagonal")
         diagonals.append(block.diagonal(axis1=-2, axis2=-1).real)

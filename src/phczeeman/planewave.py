@@ -51,9 +51,12 @@ diagonal, and the swap folds of S+ and S- split two of them
 degenerate and every state's label is the sector it was solved in. The S
 and XY edge masses are the exact second-order k.p sums over the
 (x-odd, y-even) sector, the only one kappa_x S and kappa_y XY reach.
+``t_edges`` solves, eigenvalue-only, just the three sectors whose lowest
+states are the edges, for callers that need nothing else.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -828,6 +831,22 @@ def t_point_analysis(config: ExperimentConfig,
         groups=tuple(tuple(g) for g in groups), labels=tuple(labels),
         edges=edges, masses=masses,
     )
+
+
+def t_edges(lattice: LatticeSpec, halfwidth: int) -> tuple[float, float, float]:
+    """The T1(S), T5(X,Y) and T4(XY) edges at T, as ``TPointAnalysis.edges``
+    holds them, from eigenvalue-only solves of the three sectors they are
+    the lowest states of (``_t_sectors`` blocks 0, 4 and 2).
+
+    Callers that need only the edges take them here: no eigenvectors,
+    masses or unfold. ``eigvalsh`` may differ from ``t_point_analysis``'s
+    ``eigh`` in the last digits, so outputs that write the edges
+    (``bands --model kp``) keep taking them from ``t_point_analysis``.
+    """
+    blocks, _, _, problem = _t_sectors(lattice, halfwidth)
+    s, xy, pair = (_lapack(np.linalg.eigvalsh, block)[0]
+                   for block in itertools.islice(blocks, 0, None, 2))
+    return tuple(float(problem.omega0 + w) for w in (s, pair, xy))
 
 
 def opw_mass_at_t(config: ExperimentConfig, edge_label: str,

@@ -278,6 +278,21 @@ class TestSplitCommand:
         assert "4 of 4 rotation rates" in str(regime[0].message)
         assert "omega_z = 4e+09" in str(regime[0].message)
 
+    def test_t_edges_eigenvalue_only(self, bands_cfg_file, tmp_path,
+                                     monkeypatch):
+        # the edges feed only kp_from_opw's order check: no eigenvectors,
+        # no T-point analysis
+        from phczeeman import planewave
+        calls = []
+        eigh, analyse = np.linalg.eigh, planewave.t_point_analysis
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: (
+            calls.append("eigh") or eigh(*a, **k)))
+        monkeypatch.setattr(planewave, "t_point_analysis", lambda *a, **k: (
+            calls.append("t_point_analysis") or analyse(*a, **k)))
+        rc = main(["split", bands_cfg_file, "-o", str(tmp_path / "s.csv")])
+        assert rc == 0
+        assert calls == []
+
     def test_negative_contrast_fails_on_edge_order(self, tmp_path, capsys):
         # dphi < 0 reverses the corner edges, which the k.p model rejects
         path = tmp_path / "negative.json"
@@ -412,6 +427,22 @@ class TestValidateCommand:
         report = json.loads(report_path.read_text())
         statuses = {c["name"]: c["status"] for c in report["checks"]}
         assert statuses["convergence"] == "warn"
+
+    def test_convergence_rung_reads_edges_only(self, bands_cfg_file,
+                                               tmp_path, monkeypatch):
+        # one T-point analysis at the config's halfwidth; the h + 2 rung
+        # takes its edges eigenvalue-only
+        from phczeeman import planewave
+        analyses, edges = [], []
+        analyse, solve = planewave.t_point_analysis, planewave.t_edges
+        monkeypatch.setattr(planewave, "t_point_analysis", lambda *a, **k: (
+            analyses.append(k.get("halfwidth")) or analyse(*a, **k)))
+        monkeypatch.setattr(planewave, "t_edges", lambda lattice, h: (
+            edges.append(h) or solve(lattice, h)))
+        assert main(["validate", bands_cfg_file,
+                     "-o", str(tmp_path / "report.json")]) == 0
+        assert analyses == [None]
+        assert edges == [9]
 
     def test_kp_vs_opw_block_solved_above_crossover(self, monkeypatch):
         # at h = 10 both rays out of T go through the warm-started block
@@ -610,7 +641,8 @@ class TestNonFiniteInputs:
             rc = main(["split", str(cfg), "-o", str(tmp_path / "split.csv"),
                        "--omega-list=1e308"])
         assert rc == 1
-        assert "matrix holds a non-finite value" in capsys.readouterr().err
+        assert ("matrix holds a non-finite value (4x4)"
+                in capsys.readouterr().err)
         assert not [w for w in caught
                     if issubclass(w.category, RuntimeWarning)]
 

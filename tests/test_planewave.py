@@ -21,6 +21,7 @@ from phczeeman import (
     perturbative_edges,
     reciprocal_basis,
     solve_bands,
+    t_edges,
     t_point_analysis,
 )
 from phczeeman.constants import HBAR
@@ -973,6 +974,35 @@ class TestBandEdges:
         analytic = perturbative_edges(weak_lattice)
         for a, b in zip(analytic, weak_t_analysis.edges):
             assert a == pytest.approx(b, rel=1e-8)
+
+
+class TestTEdges:
+    """t_edges gives t_point_analysis's edges from eigenvalue-only solves."""
+
+    @pytest.mark.parametrize("lattice", ["reference", "jittered"])
+    @pytest.mark.parametrize("halfwidth", [3, 7, 10, 14])
+    def test_matches_analysis_edges(self, bands_lattice, lattice, halfwidth):
+        lattice = bands_lattice if lattice == "reference" else LatticeSpec(
+            **JITTERED)
+        edges = t_edges(lattice, halfwidth)
+        expected = t_point_analysis(ExperimentConfig(lattice=lattice),
+                                    halfwidth=halfwidth).edges
+        assert all(type(e) is float for e in edges)
+        assert edges[0] < edges[1] < edges[2]
+        for got, want in zip(edges, expected, strict=True):
+            assert got == pytest.approx(want, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("halfwidth", [3, 7])
+    def test_three_sectors_eigenvalue_only(self, bands_lattice, monkeypatch,
+                                           halfwidth):
+        vectors = _record_shapes(monkeypatch, "eigh")
+        values = _record_shapes(monkeypatch, "eigvalsh")
+        t_edges(bands_lattice, halfwidth)
+        k = halfwidth + 1
+        assert vectors == []
+        # S, XY and (x-odd, y-even), in the order _t_sectors builds them
+        assert values == [(k * (k + 1) // 2,) * 2, (k * (k + 1) // 2,) * 2,
+                          (k * k,) * 2]
 
 
 def _fd_curvature(f, step, levels):
