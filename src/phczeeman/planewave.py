@@ -52,7 +52,8 @@ degenerate and every state's label is the sector it was solved in. The S
 and XY edge masses are the exact second-order k.p sums over the
 (x-odd, y-even) sector, the only one kappa_x S and kappa_y XY reach.
 ``t_edges`` solves, eigenvalue-only, just the three sectors whose lowest
-states are the edges, for callers that need nothing else.
+states are the edges, for callers that need nothing else; a k-path's T
+node, solved on the symmetric window, takes its labels from them.
 """
 from __future__ import annotations
 
@@ -172,7 +173,8 @@ class BandStructure:
     """The lowest bands on a k-path, as arrays over (k-point, band).
 
     ``omegas[i, b]`` is band b at ``kpoints[i]``, ascending in b, and
-    ``rep_labels[i, b]`` its T representation label, "" off the T node.
+    ``rep_labels[i, b]`` its T representation label, "" off the T node: the
+    sector of the corner-window edge it lies at (``classify_t_states``).
     ``vectors`` maps the index of each named node (G, Z, T) to the unit
     eigenvector columns, (basis size, n_bands), of its bands over the
     symmetric window ``basis``; interior points keep omegas only. Every
@@ -580,7 +582,8 @@ def solve_bands(config: ExperimentConfig,
 
     The problem's 1D pieces are built once, and the k-points are solved in
     path order by ``solve_path``. Named nodes keep unit-norm eigenvectors,
-    and T rows get their representation labels.
+    and T rows get their representation labels from the corner window's
+    sector edges (``t_edges``, ``classify_t_states``).
     """
     basis = reciprocal_basis(config.basis_halfwidth, config.lattice.pitch)
     if n_bands > len(basis):
@@ -597,13 +600,11 @@ def solve_bands(config: ExperimentConfig,
         rep_labels=np.full((len(kpts), n_bands), "", dtype=object),
         vectors=vectors, basis=basis, config=config,
     )
-    for kp in kpts:
-        if kp.label == "T":
-            v = vectors[kp.index]
-            groups = cluster_degenerate(omegas[kp.index])
-            for grp, lab in zip(groups, classify_t_states(
-                    [v[:, g] for g in groups], basis)):
-                bs.rep_labels[kp.index, grp] = lab
+    t_rows = [kp.index for kp in kpts if kp.label == "T"]
+    if t_rows:
+        edges = t_edges(config.lattice, config.basis_halfwidth)
+        for i in t_rows:
+            bs.rep_labels[i] = classify_t_states(omegas[i], edges)
     return bs
 
 
@@ -629,74 +630,38 @@ def cluster_degenerate(omegas: np.ndarray, tol: float | None = None) -> list[lis
     return groups
 
 
-def _corner_channels(window: Window) -> dict[str, np.ndarray]:
-    """Symmetrized combinations of the four nearest equivalent T-point waves.
-
-    Slots (m, n) in ((0,0), (-1,0), (0,-1), (-1,-1)) carry the folded waves
-    exp(i*pi*(+-x +- y)/pitch) with signs (++, -+, +-, --). The channels have
-    definite parities under x -> -x and x <-> y, so projecting onto them is
-    the parity test in disguise.
-    """
-    start, width = window.start, window.width
-    if start > -1 or start + width < 1:
-        raise ValidationError(
-            "basis lacks the four nearest equivalent T-point waves"
-        )
-    slot_idx = [(m - start) * width + n - start
-                for m, n in ((0, 0), (-1, 0), (0, -1), (-1, -1))]
-    patterns = {
-        "S": (1.0, 1.0, 1.0, 1.0),    # cos*cos: even, even
-        "X": (1.0, -1.0, 1.0, -1.0),  # i sin*cos: x-odd, y-even
-        "Y": (1.0, 1.0, -1.0, -1.0),  # i cos*sin: x-even, y-odd
-        "XY": (1.0, -1.0, -1.0, 1.0),  # sin*sin: x-odd, y-odd
-    }
-    channels = {}
-    for name, pattern in patterns.items():
-        channels[name] = np.zeros(len(window))
-        channels[name][slot_idx] = 0.5 * np.array(pattern)
-    return channels
-
-
-def classify_t_states(groups, basis) -> list[str]:
-    """Representation labels for degenerate eigenvector groups at T.
+def classify_t_states(omegas, edges) -> list[str]:
+    """Representation labels for the ascending ``omegas`` of a T node, from
+    the T1(S), T5(X,Y) and T4(XY) sector ``edges`` (``t_edges``).
 
     Used at the T node of a k-path, whose symmetric window is not closed
-    under the corner mirrors, so its states carry no exact sector. Each group
-    is an (ns, g) array whose g columns are the group's coefficient vectors
-    over the window ``basis``. Its weight on each symmetrized corner-wave
-    channel is the squared projection summed over the group; the label is
-    the channel holding more than half of the group's weight, or
-    ``unclassified`` when the group is dominated by higher shells (not an
-    error) or spans several channels. ValidationError when the window lacks
-    the four corner waves.
+    under the corner mirrors, so its states carry no exact sector. Each edge
+    labels its nearest rows, as many as its sector's multiplicity (one for S
+    and XY, two for the pair), of those closer to it than a quarter of the
+    smallest gap between the edges; every other row is ``unclassified``.
+    Edges that coincide (dphi = 0) leave every row unclassified.
     """
-    channels = _corner_channels(basis)
-    labels = []
-    for group in groups:
-        weight = {name: float(np.sum(np.abs(vec @ group.conj()) ** 2))
-                  for name, vec in channels.items()}
-        g = group.shape[1]
-        scores = {
-            LABEL_S: weight["S"] / g,
-            LABEL_PAIR: (weight["X"] + weight["Y"]) / g,
-            LABEL_XY: weight["XY"] / g,
-        }
-        best = max(scores, key=scores.get)
-        labels.append(best if scores[best] > 0.5 else LABEL_NONE)
-    return labels
+    omegas = np.asarray(omegas)
+    labels = np.full(omegas.size, LABEL_NONE, dtype=object)
+    reach = 0.25 * min(abs(a - b) for a, b in itertools.combinations(edges, 2))
+    for edge, label, count in zip(edges, (LABEL_S, LABEL_PAIR, LABEL_XY),
+                                  (1, 2, 1)):
+        distance = np.abs(omegas - edge)
+        nearest = np.argsort(distance, kind="stable")[:count]
+        labels[nearest[distance[nearest] < reach]] = label
+    return labels.tolist()
 
 
 @dataclass(frozen=True, eq=False)
 class TPointAnalysis:
-    """Eigenstates at the T point on the corner window, by C4v sector.
+    """Eigenvalues at the T point on the corner window, by C4v sector.
 
-    ``omegas`` and the columns of ``vectors`` are the lowest
-    ``DEFAULT_N_BANDS`` states. The rows of ``vectors`` follow the corner
-    window ``t_centered_basis(h, pitch)``: the waves (m, n) with m, n in
-    [-h-1, h], m-major, n fastest. ``groups`` are their degenerate clusters and
+    ``omegas`` are the lowest ``DEFAULT_N_BANDS`` states of the corner
+    window ``t_centered_basis(h, pitch)``, the waves (m, n) with m, n in
+    [-h-1, h]. ``groups`` are their degenerate clusters and
     ``labels`` each group's common sector (``unclassified`` when a group
-    mixes sectors or lies in one of the two sectors without a corner
-    channel). ``edges`` are the lowest T1(S), T5(X,Y) and T4(XY) sector
+    mixes sectors or lies in one of the two x <-> y-odd partner sectors,
+    which hold none of the four corner waves). ``edges`` are the lowest T1(S), T5(X,Y) and T4(XY) sector
     omegas, which ``KpModel`` calls omega_T5, omega_T1 and omega_T5p (its
     docstring holds the map).
     ``masses`` maps LABEL_S and LABEL_XY to the curvature mass
@@ -706,7 +671,6 @@ class TPointAnalysis:
     """
 
     omegas: np.ndarray
-    vectors: np.ndarray
     groups: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
     edges: tuple[float, float, float]  # T1(S), T5(X,Y), T4(XY) sector edges
@@ -772,8 +736,7 @@ def t_point_analysis(config: ExperimentConfig,
     sizes, and the (x-odd, y-even) sector of k^2 waves, whose transposed
     grid is the (x-even, y-odd) sector; each is solved by one eigh. A T5
     pair is an (x-odd, y-even) state and its transpose, so it is exactly
-    degenerate, x member first. The kept states are unfolded onto the
-    window with the sign that makes their (0, 0) coefficient non-negative.
+    degenerate, x member first.
 
     The S and XY edge masses come from the second-order k.p sum (Luttinger
     and Kohn, Phys. Rev. 97, 869 (1955)); H(k) is quadratic in k, so for a
@@ -791,31 +754,25 @@ def t_point_analysis(config: ExperimentConfig,
         w, u = _lapack(np.linalg.eigh, block)
         return w[:n_bands], fold.lift(u[:, :n_bands], odd).T.reshape(-1, k, k)
 
-    # per sector: lowest omegas, their grids, axis parities (x, y), label
-    sectors = [(*solve(next(blocks), False), (1, 1), LABEL_S),
-               (*solve(next(blocks), True), (1, 1), LABEL_NONE),
-               (*solve(next(blocks), False), (-1, -1), LABEL_XY),
-               (*solve(next(blocks), True), (-1, -1), LABEL_NONE)]
+    # per sector: lowest omegas, their grids, label
+    sectors = [(*solve(next(blocks), False), LABEL_S),
+               (*solve(next(blocks), True), LABEL_NONE),
+               (*solve(next(blocks), False), LABEL_XY),
+               (*solve(next(blocks), True), LABEL_NONE)]
     w_x, u_x = _lapack(np.linalg.eigh, next(blocks))  # whole, for the masses
     x_grids = u_x[:, :n_bands].T.reshape(-1, k, k)
-    sectors += [(w_x[:n_bands], x_grids, (-1, 1), LABEL_PAIR),
-                (w_x[:n_bands], x_grids.transpose(0, 2, 1), (1, -1), LABEL_PAIR)]
+    sectors += [(w_x[:n_bands], x_grids, LABEL_PAIR),
+                (w_x[:n_bands], x_grids.transpose(0, 2, 1), LABEL_PAIR)]
 
     w = np.concatenate([sec[0] for sec in sectors])
     order = np.argsort(w, kind="stable")[:n_bands]
     omegas = problem.omega0 + w[order]
     kept = np.concatenate([sec[1] for sec in sectors])[order]
-    state = [sec[2:] for sec in sectors for _ in sec[0]]  # (parities, label)
-    # unfold onto the window: grid[m, n] / 2 on (m, n) and its mirror images
-    x_par, y_par = np.array([state[i][0] for i in order]).T[:, :, None, None]
-    v = np.concatenate([kept, x_par * kept[:, ::-1]], axis=1)
-    v = 0.5 * np.concatenate([v, y_par * v[:, :, ::-1]], axis=2)
-    v = v.reshape(n_bands, -1).T
-    v *= np.where(v[k * (2 * k + 1)] < 0.0, -1.0, 1.0)  # the wave (0, 0)
+    state = [sec[2] for sec in sectors for _ in sec[0]]  # each omega's label
     groups = cluster_degenerate(omegas)
     labels = []
     for grp in groups:
-        members = {state[order[i]][1] for i in grp}
+        members = {state[order[i]] for i in grp}
         labels.append(members.pop() if len(members) == 1 else LABEL_NONE)
     edges = tuple(float(problem.omega0 + sectors[i][0][0]) for i in (0, 4, 2))
     masses = {}
@@ -827,7 +784,7 @@ def t_point_analysis(config: ExperimentConfig,
             k2_sum = float(np.sum(coupling ** 2 / (w[order[i]] - w_x)))
             masses[lab] = problem.m0 / (1.0 + 2.0 * HBAR / problem.m0 * k2_sum)
     return TPointAnalysis(
-        omegas=omegas, vectors=v,
+        omegas=omegas,
         groups=tuple(tuple(g) for g in groups), labels=tuple(labels),
         edges=edges, masses=masses,
     )
@@ -838,8 +795,9 @@ def t_edges(lattice: LatticeSpec, halfwidth: int) -> tuple[float, float, float]:
     holds them, from eigenvalue-only solves of the three sectors they are
     the lowest states of (``_t_sectors`` blocks 0, 4 and 2).
 
-    Callers that need only the edges take them here: no eigenvectors,
-    masses or unfold. ``eigvalsh`` may differ from ``t_point_analysis``'s
+    Callers that need only the edges take them here, with no eigenvectors
+    or masses: ``split``, ``validate``'s convergence rung and the labels of
+    a k-path's T node. ``eigvalsh`` may differ from ``t_point_analysis``'s
     ``eigh`` in the last digits, so outputs that write the edges
     (``bands --model kp``) keep taking them from ``t_point_analysis``.
     """

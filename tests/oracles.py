@@ -16,6 +16,11 @@ mask-based column check replaces. ``eigh_splittings_at_T`` diagonalizes the
 k = 0 k.p blocks whose diagonals ``kp.zeeman_splittings_at_T`` reads, and
 ``rows_per_cell`` formats every cell of the broadcast columns on its own,
 as ``cli._rows`` did before it formatted a broadcast column once per value.
+``channel_labels`` labels a k-path's T row from its eigenvectors' weight on
+the four corner waves, the heuristic the sector-edge labels replaced, and
+``unfold_t_states`` solves the corner window's C4v sectors and unfolds
+their lowest states onto the window, as ``t_point_analysis`` did before it
+dropped its eigenvectors.
 """
 import math
 import warnings
@@ -26,6 +31,7 @@ import numpy as np
 from phczeeman import (
     ComputationError,
     HermitianMatrix,
+    cluster_degenerate,
     derive_params,
     eigh,
     named_kpoint,
@@ -262,3 +268,90 @@ def rows_per_cell(*columns):
                 )
     return zip(*(map(repr if column.dtype.kind == "f" else str,
                      column.ravel().tolist()) for column in columns))
+
+
+def channel_labels(omegas, vectors, window):
+    """T labels of one k-path row from its eigenvectors ``vectors`` over the
+    symmetric ``window``: the rows' degenerate clusters (``cluster_degenerate``)
+    each take the label whose corner-wave channels hold more than half of
+    the cluster's squared projection, else ``unclassified``.
+
+    The channels are the symmetrized combinations of the four nearest
+    equivalent T-point waves (m, n) = (0, 0), (-1, 0), (0, -1), (-1, -1):
+    cos*cos (S), i sin*cos and i cos*sin (the pair) and sin*sin (XY).
+    """
+    start, width = window.start, window.width
+    slots = [(m - start) * width + n - start
+             for m, n in ((0, 0), (-1, 0), (0, -1), (-1, -1))]
+    channels = {
+        "T1(S)": [(1.0, 1.0, 1.0, 1.0)],
+        "T5(X,Y)": [(1.0, -1.0, 1.0, -1.0), (1.0, 1.0, -1.0, -1.0)],
+        "T4(XY)": [(1.0, -1.0, -1.0, 1.0)],
+    }
+    labels = [""] * len(omegas)
+    for group in cluster_degenerate(omegas):
+        corner = vectors[slots][:, group]
+        scores = {}
+        for label, patterns in channels.items():
+            weight = sum(np.sum(np.abs(0.5 * np.array(p) @ corner) ** 2)
+                         for p in patterns)
+            scores[label] = float(weight) / len(group)
+        best = max(scores, key=scores.get)
+        for i in group:
+            labels[i] = best if scores[best] > 0.5 else "unclassified"
+    return labels
+
+
+def unfold_t_states(lattice, halfwidth, n_bands=8):
+    """The lowest ``n_bands`` detuned eigenvalues at T on the corner window
+    ``t_centered_basis(halfwidth)`` and their unit eigenvectors over it,
+    from ``eigh`` on each C4v sector block of ``dense_t_sectors``.
+
+    Each sector's states are unfolded onto the window wave by wave, undoing
+    the folds of ``dense_t_sectors`` in reverse (x <-> y, then y -> -y,
+    then x -> -x); the (x-even, y-odd) states are the transposes of the
+    (x-odd, y-even) ones. Their sign makes the coefficient of the wave
+    (0, 0) non-negative.
+    """
+    basis = t_centered_basis(halfwidth, lattice.pitch)
+    waves = list(zip(basis.m.tolist(), basis.n.tolist()))
+    flip_x, flip_y, swap = ((lambda m, n: (-1 - m, n)),
+                            (lambda m, n: (m, -1 - n)), (lambda m, n: (n, m)))
+
+    def lift(u, waves, image, odd):
+        """Columns ``u`` over the even (or odd) block of the fold of
+        ``waves`` under ``image`` as vectors over ``waves``."""
+        pos = {wave: i for i, wave in enumerate(waves)}
+        out = np.zeros((len(waves), u.shape[1]))
+        for row, i in zip(u, mirror_fold(waves, image)[odd]):
+            partner = pos[image(*waves[i])]
+            if partner == i:
+                out[i] = row
+            else:
+                out[i] = math.sqrt(0.5) * row
+                out[partner] = (-1.0 if odd else 1.0) * out[i]
+        return out
+
+    half = [waves[i] for i in mirror_fold(waves, flip_x)[1]]
+    quarter = [half[i] for i in mirror_fold(half, flip_y)[1]]
+    transpose = [waves.index(swap(*wave)) for wave in waves]
+    # (x odd, y odd, x <-> y odd or None) of each of dense_t_sectors' blocks
+    kinds = [(0, 0, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1), (1, 0, None)]
+    omegas, vectors = [], []
+    for (x_odd, y_odd, swap_odd), block in zip(
+            kinds, dense_t_sectors(lattice, halfwidth)[0]):
+        w, u = np.linalg.eigh(block)
+        u = u[:, :n_bands]
+        if swap_odd is not None:
+            u = lift(u, quarter, swap, swap_odd)
+        u = lift(lift(u, half, flip_y, y_odd), waves, flip_x, x_odd)
+        omegas.append(w[:n_bands])
+        vectors.append(u)
+        if swap_odd is None:
+            omegas.append(w[:n_bands])
+            vectors.append(u[transpose])
+    w = np.concatenate(omegas)
+    order = np.argsort(w, kind="stable")[:n_bands]
+    v = np.hstack(vectors)[:, order]
+    v *= np.where(v[waves.index((0, 0))] < 0.0, -1.0, 1.0)
+    return w[order], v

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -33,9 +34,9 @@ from phczeeman.planewave import (
     _t_sectors,
 )
 from phczeeman.zeeman import m_closed_form
-from oracles import (dense_eigh, dense_hamiltonian, dense_t_sectors,
-                     folded_free_bands, mirror_blocks, mirror_fold,
-                     rayleigh_omegas)
+from oracles import (channel_labels, dense_eigh, dense_hamiltonian,
+                     dense_t_sectors, folded_free_bands, mirror_blocks,
+                     mirror_fold, rayleigh_omegas, unfold_t_states)
 
 # perfbench's seed-12345 jittered lattice (workloads.lattice_for_seed)
 JITTERED = dict(lambda_vac=960e-9, n_refr=3.53, pitch=3.916619872545341e-6,
@@ -185,7 +186,7 @@ class TestSolveBands:
                                                LABEL_PAIR, LABEL_XY]
         if halfwidth == 3:
             # the symmetric window splits the pair beyond the cluster
-            # tolerance, and the channel weights still label both members
+            # tolerance, and the pair edge still labels both members
             assert bs.omegas[-1, 2] - bs.omegas[-1, 1] > 1.0
         # off the node no labels are assigned
         assert set(bs.rep_labels[:-1].ravel()) == {""}
@@ -259,8 +260,9 @@ class TestSolveBands:
 
     def test_swap_blocks_gathered_at_first_diagonal_point(self, bands_config,
                                                           monkeypatch):
-        # the x <-> y blocks are gathered once, and only on a path that
-        # reaches kx == ky
+        # the x <-> y blocks of the symmetric window, (2h+1, 2h+1) factors,
+        # are gathered once, and only on a path that reaches kx == ky; the
+        # T node's labels fold the corner window's half factors (t_edges)
         gathers = []
         original = planewave._swap_fold
 
@@ -278,7 +280,7 @@ class TestSolveBands:
         g_z = solve_bands(replace(cfg, kpath=("G", "Z")))
         assert gathers == []
         full = solve_bands(cfg)
-        assert gathers == [(7, 7)]
+        assert [shape for shape in gathers if shape == (7, 7)] == [(7, 7)]
         assert np.array_equal(full.omegas[:4], g_z.omegas)
         # the same omegas as with the blocks gathered up front
         eager = _problem(cfg.lattice, full.basis)
@@ -399,10 +401,11 @@ class TestTPointSectors:
 
     @pytest.mark.parametrize("halfwidth", [3, 7])
     def test_lifted_pairs_meet_contract(self, bands_config, halfwidth):
+        # the omegas with the oracle's sector states unfolded onto the window
         analysis = t_point_analysis(bands_config, halfwidth=halfwidth)
         h = self._hamiltonian(bands_config, halfwidth)
         w = analysis.omegas - derive_params(bands_config.lattice).omega0
-        v = analysis.vectors
+        _, v = unfold_t_states(bands_config.lattice, halfwidth)
         residual = np.max(np.linalg.norm(h @ v - v * w, axis=0))
         assert residual <= 1e-10 * np.linalg.norm(h)
         assert np.max(np.abs(v.T @ v - np.eye(DEFAULT_N_BANDS))) <= 1e-10
@@ -424,7 +427,14 @@ class TestTPointSectors:
 
     @pytest.mark.parametrize("halfwidth", [3, 7])
     def test_labels_and_signs_follow_parities(self, bands_config, halfwidth):
+        # each group's label is the sector of the oracle's states at its
+        # omegas, read from their parities on the window
         analysis = t_point_analysis(bands_config, halfwidth=halfwidth)
+        w, vectors = unfold_t_states(bands_config.lattice, halfwidth)
+        omega0 = derive_params(bands_config.lattice).omega0
+        h = self._hamiltonian(bands_config, halfwidth)
+        assert np.max(np.abs(omega0 + w - analysis.omegas)) <= (
+            1e-12 * np.linalg.norm(h))
         waves = _waves(t_centered_basis(halfwidth, bands_config.lattice.pitch))
         pos = {wave: i for i, wave in enumerate(waves)}
         mirrors = ([pos[-1 - m, n] for m, n in waves],
@@ -440,7 +450,7 @@ class TestTPointSectors:
         sector_labels = {(1, 1, 1): LABEL_S, (-1, -1, 1): LABEL_XY,
                          (-1, 1, 0): LABEL_PAIR, (1, -1, 0): LABEL_PAIR}
         state_labels = []
-        for vec in analysis.vectors.T:
+        for vec in vectors.T:
             parities = tuple(parity(vec, perm) for perm in mirrors)
             assert 0 not in parities[:2]  # every state has both axis parities
             state_labels.append(sector_labels.get(parities, LABEL_NONE))
@@ -448,7 +458,7 @@ class TestTPointSectors:
             found = {state_labels[i] for i in grp}
             assert lab == (found.pop() if len(found) == 1 else LABEL_NONE)
             assert type(lab) is str  # reaches report.json through repr
-        assert np.all(analysis.vectors[pos[0, 0]] >= 0.0)
+        assert np.all(vectors[pos[0, 0]] >= 0.0)
 
     def test_fold_lift_gives_eigenvectors(self, bands_lattice):
         # the x <-> y fold of the symmetric window has fixed waves (m == n)
@@ -547,7 +557,7 @@ class TestBlockSolver:
 
     def test_solve_bands_above_crossover(self, bands_config, monkeypatch):
         # no dense H and no large eigensolve; the nodes keep the block's
-        # vectors, and T is labelled from them
+        # vectors, and T is labelled from the sector edges
         fills = []
         monkeypatch.setattr(_kernels, "fill_hamiltonian",
                             lambda *a: fills.append(a))
@@ -855,39 +865,140 @@ class TestFoldedNamedNodes:
 
     @pytest.mark.parametrize("halfwidth", [3, 7, 14])
     def test_t_labels_match_dense_oracle(self, bands_config, halfwidth):
+        # the sector-edge labels against the channel weights of one dense
+        # eigh's vectors
         cfg = replace(bands_config, kpath=("T",), samples_per_segment=1,
                       basis_halfwidth=halfwidth)
         bs = solve_bands(cfg)
         problem = _problem(cfg.lattice, bs.basis)
         w, v = dense_eigh(problem, *named_kpoint("T", cfg.lattice.pitch),
                           DEFAULT_N_BANDS)
-        groups = cluster_degenerate(w)
-        expected = [""] * DEFAULT_N_BANDS
-        for grp, lab in zip(groups, classify_t_states(
-                [v[:, g] for g in groups], bs.basis)):
-            for i in grp:
-                expected[i] = lab
+        expected = channel_labels(w, v, bs.basis)
         assert list(bs.rep_labels[0]) == expected
         assert expected[:4] == [LABEL_S, LABEL_PAIR, LABEL_PAIR, LABEL_XY]
 
 
+def _label_lattices():
+    """The lattices the T labels are checked on, by id: the reference, 30
+    drawn from ``default_rng(12345)`` (pitch U(3, 6) um, FF U(0.3, 0.9),
+    dphi = +-10^U(-4, -1.3)) and the reference at four more dphi."""
+    reference = LatticeSpec(lambda_vac=960e-9, n_refr=3.53, pitch=4e-6,
+                            fill_factor=0.65, dphi=0.02)
+    lattices = {"reference": reference}
+    rng = np.random.default_rng(12345)
+    for i in range(30):
+        pitch = rng.uniform(3.0, 6.0) * 1e-6
+        fill_factor = rng.uniform(0.3, 0.9)
+        dphi = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4.0, -1.3)
+        lattices[f"rng{i:02d}"] = replace(reference, pitch=pitch,
+                                          fill_factor=fill_factor,
+                                          dphi=float(dphi))
+    for dphi in (0.1, -0.1, 0.0, 1e-6):
+        lattices[f"dphi={dphi:g}"] = replace(reference, dphi=dphi)
+    return lattices
+
+
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", UserWarning)  # |dphi| > 0.02
+    _LABEL_LATTICES = _label_lattices()
+
+
+def _t_row(lattice, halfwidth, n_bands=DEFAULT_N_BANDS):
+    """The band structure of the one-point path T."""
+    return solve_bands(ExperimentConfig(
+        lattice=lattice, kpath=("T",), samples_per_segment=1,
+        basis_halfwidth=halfwidth), n_bands=n_bands)
+
+
 class TestClassification:
+    """T labels from the sector edges (``classify_t_states``), and the
+    channel-weight oracle (``channel_labels``) they are checked against."""
+
+    @pytest.mark.parametrize("halfwidth", [2, 3, 7, 10])
+    @pytest.mark.parametrize("name", list(_LABEL_LATTICES))
+    def test_labels_match_channel_oracle(self, name, halfwidth):
+        bs = _t_row(_LABEL_LATTICES[name], halfwidth)
+        assert list(bs.rep_labels[0]) == channel_labels(
+            bs.omegas[0], bs.vectors[0], bs.basis)
+
+    def test_nearest_rows_within_a_quarter_gap(self):
+        # edges 0, 4 and 10: the smallest gap is 4, so the reach is 1,
+        # strictly; the pair edge takes its two nearest rows
+        omegas = [-0.5, 3.0, 3.5, 4.2, 5.0, 9.5, 12.0]
+        assert classify_t_states(omegas, (0.0, 4.0, 10.0)) == [
+            LABEL_S, LABEL_NONE, LABEL_PAIR, LABEL_PAIR, LABEL_NONE, LABEL_XY,
+            LABEL_NONE]
+        assert classify_t_states([1.0], (0.0, 4.0, 10.0)) == [LABEL_NONE]
+
+    def test_coincident_edges_leave_rows_unclassified(self, empty_config):
+        # dphi = 0: the four corner states are degenerate, and the edges
+        # coincide, so no row lies strictly within a quarter of their gap
+        edges = t_edges(empty_config.lattice, 3)
+        assert edges[0] == edges[1] == edges[2]
+        bs = _t_row(empty_config.lattice, 3)
+        assert list(bs.rep_labels[0]) == [LABEL_NONE] * DEFAULT_N_BANDS
+        assert classify_t_states(bs.omegas[0][:4], edges) == [LABEL_NONE] * 4
+
+    @pytest.mark.parametrize("halfwidth", [3, 7])
+    def test_negative_dphi_reverses_order(self, bands_lattice, halfwidth):
+        bs = _t_row(replace(bands_lattice, dphi=-0.01), halfwidth)
+        assert list(bs.rep_labels[0, :4]) == [LABEL_XY, LABEL_PAIR,
+                                              LABEL_PAIR, LABEL_S]
+        assert set(bs.rep_labels[0, 4:]) == {LABEL_NONE}
+
+    @pytest.mark.parametrize("halfwidth", [3, 7, 10])
+    def test_multiplicity_bounds_each_edge(self, halfwidth):
+        # at dphi = -0.1 the S edge lies above the next x <-> y-odd state,
+        # and two more rows lie within a quarter gap of it: only the
+        # nearest one is S
+        lattice = _LABEL_LATTICES["dphi=-0.1"]
+        bs = _t_row(lattice, halfwidth)
+        assert list(bs.rep_labels[0]) == [
+            LABEL_XY, LABEL_PAIR, LABEL_PAIR, LABEL_NONE, LABEL_S,
+            LABEL_NONE, LABEL_NONE, LABEL_NONE]
+        edges = t_edges(lattice, halfwidth)
+        reach = 0.25 * min(abs(edges[0] - edges[1]), abs(edges[1] - edges[2]))
+        assert np.all(np.abs(bs.omegas[0, 5:7] - edges[0]) < reach)
+
+    @pytest.mark.parametrize("n_bands", [1, 2, 3])
+    def test_fewer_bands_than_corner_states(self, bands_lattice, n_bands):
+        bs = _t_row(bands_lattice, 3, n_bands=n_bands)
+        assert list(bs.rep_labels[0]) == [LABEL_S, LABEL_PAIR,
+                                          LABEL_PAIR][:n_bands]
+
+    def test_edges_solved_once_per_path(self, bands_config, monkeypatch):
+        calls = []
+        solve = planewave.t_edges
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(planewave, "t_edges", counting)
+        cfg = replace(bands_config, kpath=("T", "G", "T"),
+                      samples_per_segment=2, basis_halfwidth=3)
+        bs = solve_bands(cfg)
+        assert calls == [(cfg.lattice, 3)]
+        assert list(bs.rep_labels[0, :4]) == list(bs.rep_labels[-1, :4])
+        solve_bands(replace(cfg, kpath=("G", "Z")))
+        assert len(calls) == 1
+
     def test_empty_lattice_symmetric_combo_is_s(self, bands_lattice):
         basis = reciprocal_basis(3, bands_lattice.pitch)
         state = _corner_state(basis, (1, 1, 1, 1))  # cos*cos
-        assert classify_t_states([state[:, None]], basis) == [LABEL_S]
+        assert channel_labels([0.0], state[:, None], basis) == [LABEL_S]
 
     def test_empty_lattice_sin_sin_is_xy(self, bands_lattice):
         basis = reciprocal_basis(3, bands_lattice.pitch)
         state = _corner_state(basis, (1, -1, -1, 1))  # sin*sin
-        assert classify_t_states([state[:, None]], basis) == [LABEL_XY]
+        assert channel_labels([0.0], state[:, None], basis) == [LABEL_XY]
 
     def test_pair_combo_is_t5(self, bands_lattice):
         basis = reciprocal_basis(3, bands_lattice.pitch)
         x_state = _corner_state(basis, (1, -1, 1, -1))
         y_state = _corner_state(basis, (1, 1, -1, -1))
         group = np.column_stack([x_state, y_state])
-        assert classify_t_states([group], basis) == [LABEL_PAIR]
+        assert channel_labels([0.0, 0.0], group, basis) == [LABEL_PAIR] * 2
 
     @pytest.mark.parametrize("start,width", [(-1, 2), (-3, 5), (-1, 4)])
     def test_corner_slots_on_any_window(self, bands_lattice, start, width):
@@ -895,22 +1006,15 @@ class TestClassification:
         basis = Window(start, width, bands_lattice.pitch)
         for pattern, label in (((1, 1, 1, 1), LABEL_S), ((1, -1, -1, 1), LABEL_XY)):
             state = _corner_state(basis, pattern)
-            assert classify_t_states([state[:, None]], basis) == [label]
-
-    @pytest.mark.parametrize("start,width", [(0, 3), (-3, 3), (-1, 1)])
-    def test_window_without_corner_waves_rejected(self, bands_lattice, start,
-                                                  width):
-        basis = Window(start, width, bands_lattice.pitch)
-        with pytest.raises(ValidationError, match="four nearest"):
-            classify_t_states([np.ones((len(basis), 1))], basis)
+            assert channel_labels([0.0], state[:, None], basis) == [label]
 
     def test_lowest_corner_state_is_s_with_large_projection(self, bands_config,
                                                             bands_t_analysis):
-        vec = bands_t_analysis.vectors[:, 0]
-        basis = t_centered_basis(bands_config.basis_halfwidth,
-                                 bands_config.lattice.pitch)
+        h = bands_config.basis_halfwidth
+        _, vectors = unfold_t_states(bands_config.lattice, h)
+        basis = t_centered_basis(h, bands_config.lattice.pitch)
         s_chan = _corner_state(basis, (1, 1, 1, 1))
-        assert abs(np.vdot(s_chan, vec)) ** 2 >= 0.9
+        assert abs(np.vdot(s_chan, vectors[:, 0])) ** 2 >= 0.9
         assert bands_t_analysis.labels[0] == LABEL_S
 
     def test_higher_shell_state_unclassified(self, bands_lattice):
@@ -918,7 +1022,7 @@ class TestClassification:
         pos = {wave: i for i, wave in enumerate(_waves(basis))}
         vec = np.zeros(len(basis), dtype=complex)
         vec[pos[(2, 2)]] = 1.0
-        assert classify_t_states([vec[:, None]], basis) == ["unclassified"]
+        assert channel_labels([0.0], vec[:, None], basis) == ["unclassified"]
 
     def test_empty_lattice_fourfold_group_unclassified(self, empty_config):
         analysis = t_point_analysis(empty_config)
@@ -927,16 +1031,17 @@ class TestClassification:
 
     def test_pair_basis_fixed_to_parity_members(self, bands_config,
                                                 bands_t_analysis):
-        # the twofold group comes out rotated onto (x-odd, y-odd) members
-        # with canonical phases, independent of the eigensolver's arbitrary
-        # in-pair mixing
+        # the pair group is the sector solve's x member and its transpose,
+        # (x-odd, y-even) and (x-even, y-odd), not a mixture of the two;
+        # the oracle's canonical phase makes their channel overlaps positive
         grp = bands_t_analysis.group_of(LABEL_PAIR)
-        basis = t_centered_basis(bands_config.basis_halfwidth,
-                                 bands_config.lattice.pitch)
+        h = bands_config.basis_halfwidth
+        _, vectors = unfold_t_states(bands_config.lattice, h)
+        basis = t_centered_basis(h, bands_config.lattice.pitch)
         x_chan = _corner_state(basis, (1, -1, 1, -1))
         y_chan = _corner_state(basis, (1, 1, -1, -1))
-        v0 = bands_t_analysis.vectors[:, grp[0]]
-        v1 = bands_t_analysis.vectors[:, grp[1]]
+        v0 = vectors[:, grp[0]]
+        v1 = vectors[:, grp[1]]
         ov_x0 = np.vdot(x_chan, v0)
         ov_y1 = np.vdot(y_chan, v1)
         assert abs(ov_x0) ** 2 > 0.9 and abs(np.vdot(y_chan, v0)) ** 2 < 1e-20
