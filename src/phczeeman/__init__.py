@@ -42,11 +42,13 @@ from .planewave import (
     build_kpath,
     classify_t_states,
     cluster_degenerate,
+    eigh_contract_at_t,
     longitudinal_profile,
     named_kpoint,
     opw_mass_at_t,
     perturbative_edges,
     solve_bands,
+    solve_path,
     t_edges,
     t_point_analysis,
 )
@@ -72,8 +74,8 @@ __all__ = [
     "fourier_coefficient", "reciprocal_basis", "t_centered_basis", "sinc",
     "BandStructure", "LongitudinalProfile",
     "KPathPoint", "TPointAnalysis", "named_kpoint", "build_kpath",
-    "solve_bands", "cluster_degenerate", "classify_t_states",
-    "t_edges", "t_point_analysis",
+    "solve_path", "solve_bands", "cluster_degenerate", "classify_t_states",
+    "t_edges", "t_point_analysis", "eigh_contract_at_t",
     "perturbative_edges", "opw_mass_at_t", "longitudinal_profile",
     "KpModel", "KpSpectrum", "kp_from_opw", "kp_bands",
     "zeeman_splittings_at_T", "fsum_fd_masses", "fsum_target_masses",

@@ -33,7 +33,6 @@ from .core import (
     beyond_slow_rotation,
     beyond_weak_contrast,
     derive_params,
-    eigh,
     load_config,
 )
 from .lattice import (
@@ -429,23 +428,23 @@ def _kp_vs_opw_worst(config: ExperimentConfig, model: kpmod.KpModel,
     """Worst |omega_kp - omega_opw| / span within 0.25*pi/pitch of T, on
     nine points of each of two rays out of T (along -x and the diagonal).
 
-    Each ray is solved as a path by ``planewave.solve_path``, on one
-    problem: the x <-> y blocks that the diagonal ray's points may use are
-    gathered once (about N^2 / 2 entries). A function of its own so that
-    those blocks are freed before the later checks run.
+    The plane-wave omegas come from one path through T
+    (``planewave.solve_path``): in along the -x ray to T, then out along the
+    diagonal one. So T is solved once, and the x <-> y blocks that the
+    diagonal points may use are gathered once (about N^2 / 2 entries).
     """
     lattice = config.lattice
-    problem = pw._problem(lattice, reciprocal_basis(config.basis_halfwidth,
-                                                    lattice.pitch))
     t_pt = np.array(pw.named_kpoint("T", lattice.pitch))
     window = 0.25 * math.pi / lattice.pitch
     directions = np.array([(-1.0, 0.0), (-1.0 / math.sqrt(2), -1.0 / math.sqrt(2))])
     rays = t_pt + (np.linspace(0.0, 1.0, 9) * window)[:, None, None] * directions
     spectra = kpmod.kp_bands(model, (rays - t_pt).reshape(-1, 2),
                              RotationSpec(0.0)).omegas
-    opw = np.stack([pw.solve_path(problem, rays[:, ray].tolist(), 8)[0]
-                    for ray in range(rays.shape[1])], axis=1)
-    opw = opw.reshape(spectra.shape)
+    path = np.concatenate([rays[::-1, 0], rays[1:, 1]])  # T at position 8
+    basis = reciprocal_basis(config.basis_halfwidth, lattice.pitch)
+    opw, _ = pw.solve_path(lattice, basis, path.tolist(), 8)
+    # each ray out of T, in the order kp_bands took the rays' points
+    opw = np.stack([opw[8::-1], opw[8:]], axis=1).reshape(spectra.shape)
     return float(np.max(np.abs(spectra - _nearest(opw, spectra)))) / span
 
 
@@ -467,14 +466,8 @@ def run_validation(config: ExperimentConfig) -> dict:
 
     # 2. eigensolver contract on the T-sector blocks t_point_analysis solves;
     # the detail names the block whose residual is largest against its bound
-    pairs, ortho, ascending = [], 0.0, True
-    for block in pw._t_sectors(lattice, config.basis_halfwidth)[0]:
-        w, v = eigh(block)
-        pairs.append((float(np.max(np.linalg.norm(block @ v - v * w, axis=0))),
-                      1e-10 * float(np.linalg.norm(block))))
-        ortho = max(ortho, float(np.max(np.abs(v.T @ v - np.eye(w.size)))))
-        ascending = ascending and bool(np.all(np.diff(w) >= 0))
-    residual, bound = max(pairs, key=lambda pair: pair[0] / pair[1])
+    residual, bound, ortho, ascending = pw.eigh_contract_at_t(
+        lattice, config.basis_halfwidth)
     ok = residual <= bound and ortho <= 1e-10 and ascending
     record("eigh_contract", "pass" if ok else "fail",
            f"residual {residual:.3e} (bound {bound:.3e}), "

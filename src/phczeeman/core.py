@@ -239,14 +239,12 @@ def eigh(h) -> tuple[np.ndarray, np.ndarray]:
 
 DEFAULT_KPATH = ("G", "Z", "T", "G")
 DEFAULT_BASIS_HALFWIDTH = 7
-# Largest plane-wave cutoff. At h = 40 `bands` peaks highest (`validate`
-# builds the same problem): a dense Z-T point's 6561-wave H (344 MB) and the
-# eigensolver's copy of it reach 778 MB resident on the default path, whose
-# Z-T points all come before its first kx == ky point, where the x <-> y
-# blocks (172 MB) are gathered; held during a dense solve, as on a path
-# that reaches kx == ky first, those blocks raise it to 868 MB. `split`
-# solves only three T sectors, eigenvalue-only and one at a time, and peaks
-# at 82 MB (measured on Linux, numpy with OpenBLAS).
+# Largest plane-wave cutoff. At h = 40 every path point is solved by the
+# block eigensolver, which forms no N x N array, so the T-point analysis
+# peaks highest: `bands --model both --samples 2` reaches 155 MB resident
+# and `validate` 147 MB. `split` builds and solves only three T sectors,
+# eigenvalue-only and one at a time, and peaks at 76 MB (measured on Linux,
+# numpy with OpenBLAS, one thread).
 MAX_BASIS_HALFWIDTH = 40
 # Largest dump-fourier halfwidth: every index difference of a capped basis.
 MAX_FOURIER_HALFWIDTH = 2 * MAX_BASIS_HALFWIDTH

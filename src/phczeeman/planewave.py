@@ -16,10 +16,11 @@ Numerical notes: the eigenproblem is assembled and solved in detuning units
 with c = v*dphi*FF and S the Toeplitz sinc factor over the window's axis
 (see ``_kernels``). Only S and these 1D pieces are kept per window; no
 N x N array lives across k-points. A k-path is solved point by point in
-path order by ``solve_path``, the one place that picks the solver below;
-its results are arrays over (k-point, band) (``BandStructure``): only the
-named nodes (G, Z, T) keep eigenvectors; interior path points need only
-their frequencies.
+path order by ``solve_path``, the one place that builds a path's problem
+and picks the solver below; ``solve_bands`` and ``validate``'s k.p rays,
+one path through T, both call it. Its results are arrays over (k-point,
+band) (``BandStructure``): only the named nodes (G, Z, T) keep
+eigenvectors; interior path points need only their frequencies.
 
 From halfwidth ``_BLOCK_MIN_HALFWIDTH`` (8, the measured crossover) every
 path point is solved by a warm-started block eigensolver (LOBPCG,
@@ -47,13 +48,16 @@ is not closed. The T point itself is analysed on the corner window,
 closed under the whole C4v little group of T: its axis mirrors fold S with
 shift 1, each axis-parity sector is -c*(S_p ⊗ S_q) plus the kinetic
 diagonal, and the swap folds of S+ and S- split two of them
-(``_t_sectors``). H is never formed, the degenerate pair comes out exactly
-degenerate and every state's label is the sector it was solved in. The S
-and XY edge masses are the exact second-order k.p sums over the
-(x-odd, y-even) sector, the only one kappa_x S and kappa_y XY reach.
-``t_edges`` solves, eigenvalue-only, just the three sectors whose lowest
-states are the edges, for callers that need nothing else; a k-path's T
-node, solved on the symmetric window, takes its labels from them.
+(``_t_sectors``, which builds each sector's block by name, one parity of a
+fold at a time, only when it is asked for). H is never formed, the
+degenerate pair comes out exactly degenerate and every state's label is
+the sector it was solved in. The S and XY edge masses are the exact
+second-order k.p sums over the (x-odd, y-even) sector, the only one
+kappa_x S and kappa_y XY reach. ``t_edges`` builds and solves,
+eigenvalue-only, just the three sectors whose lowest states are the edges,
+for callers that need nothing else; a k-path's T node, solved on the
+symmetric window, takes its labels from them. ``eigh_contract_at_t``
+checks ``core.eigh``'s contract on all five sectors for ``validate``.
 """
 from __future__ import annotations
 
@@ -73,6 +77,7 @@ from .core import (
     LatticeSpec,
     ValidationError,
     derive_params,
+    eigh,
 )
 from .lattice import (
     Window,
@@ -225,10 +230,11 @@ class _MirrorFold:
     = R[even]; ``odd`` lists the pair waves p, with ``odd_image`` = R[odd].
     The even block of a matrix H that commutes with R is H[a, b] + H[a, R b]
     with each fixed row and column scaled by 1/sqrt(2), and the odd block
-    H[p, q] - H[p, R q]. ``potential()`` returns fresh blocks of the
-    pattern term, which ``blocks`` adds to in place. The kinetic diagonal K
-    stays diagonal under the fold: K[p, R p] = 0 for a pair wave p, and the
-    two 1/sqrt(2) scalings of a fixed wave undo its doubled entry.
+    H[p, q] - H[p, R q]. ``potential(odd)`` returns a fresh block of the
+    pattern term, the odd one when ``odd``, which ``block`` adds to in
+    place; one parity is built at a time. The kinetic diagonal K stays
+    diagonal under the fold: K[p, R p] = 0 for a pair wave p, and the two
+    1/sqrt(2) scalings of a fixed wave undo its doubled entry.
     """
 
     n_fixed: int
@@ -236,14 +242,15 @@ class _MirrorFold:
     even_image: np.ndarray
     odd: np.ndarray
     odd_image: np.ndarray
-    potential: Callable[[], tuple[np.ndarray, np.ndarray]]
+    potential: Callable[[bool], np.ndarray]
 
-    def blocks(self, kinetic: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The even and odd blocks of H for the kinetic diagonal ``kinetic``."""
-        even, odd = self.potential()
-        even[np.diag_indices_from(even)] += kinetic[self.even]
-        odd[np.diag_indices_from(odd)] += kinetic[self.odd]
-        return even, odd
+    def block(self, kinetic: np.ndarray, odd: bool) -> np.ndarray:
+        """The even (or odd) block of H for the kinetic diagonal
+        ``kinetic``."""
+        block = self.potential(odd)
+        block[np.diag_indices_from(block)] += kinetic[self.odd if odd
+                                                      else self.even]
+        return block
 
     def lift(self, u: np.ndarray, odd: bool = False) -> np.ndarray:
         """Columns ``u`` over the even (or odd) block as unit-norm vectors
@@ -288,28 +295,26 @@ def _swap_fold(a: np.ndarray, c: float) -> _MirrorFold:
     m-major order. For waves (i, j) and (k, l) its entries are
     -c*(A[i, k] A[j, l] +- A[i, l] A[j, k]), each product of a row gather
     and then a column gather of ``a``, made afresh at each ``potential``
-    call.
+    call for the one parity asked for.
     """
     width = a.shape[0]
     i, j = np.triu_indices(width, 1)
     rows = np.concatenate([np.arange(width), i])
     cols = np.concatenate([np.arange(width), j])
 
-    def potential():
-        blocks = []
-        for p, q, combine in ((rows, cols, np.add), (i, j, np.subtract)):
-            a_p, a_q = a[p], a[q]
-            block = a_p[:, p]
-            block *= a_q[:, q]
-            swapped = a_p[:, q]
-            swapped *= a_q[:, p]
-            combine(block, swapped, out=block)
-            block *= -c
-            blocks.append(block)
-        even, odd = blocks
-        even[:width] *= math.sqrt(0.5)
-        even[:, :width] *= math.sqrt(0.5)
-        return even, odd
+    def potential(odd):
+        p, q = (i, j) if odd else (rows, cols)
+        a_p, a_q = a[p], a[q]
+        block = a_p[:, p]
+        block *= a_q[:, q]
+        swapped = a_p[:, q]
+        swapped *= a_q[:, p]
+        (np.subtract if odd else np.add)(block, swapped, out=block)
+        block *= -c
+        if not odd:
+            block[:width] *= math.sqrt(0.5)
+            block[:, :width] *= math.sqrt(0.5)
+        return block
 
     return _MirrorFold(n_fixed=width, even=rows * width + cols,
                        even_image=cols * width + rows, odd=i * width + j,
@@ -333,8 +338,8 @@ def _axis_blocks(factor: np.ndarray, c: float) -> _MirrorFold:
     return _MirrorFold(n_fixed=width, even=grid[h:].ravel(),
                        even_image=grid[h::-1].ravel(), odd=grid[h + 1:].ravel(),
                        odd_image=grid[h - 1::-1].ravel(),
-                       potential=lambda: (np.kron(plus, scaled),
-                                          np.kron(minus, scaled)))
+                       potential=lambda odd: np.kron(minus if odd else plus,
+                                                     scaled))
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,9 +373,8 @@ class _Problem:
     @cached_property
     def diagonal(self) -> _MirrorFold:
         fold = _swap_fold(self.factor, self.v_prefactor * self.depth)
-        cached = fold.potential()
-        return replace(fold, potential=lambda: (cached[0].copy(),
-                                                cached[1].copy()))
+        cached = fold.potential(False), fold.potential(True)
+        return replace(fold, potential=lambda odd: cached[odd].copy())
 
     def kinetic(self, kx: float, ky: float) -> np.ndarray:
         """The kinetic diagonal hbar|k+G|^2/(2 m0) at (kx, ky)."""
@@ -459,8 +463,9 @@ def _solve(problem: _Problem, kx, ky, n_bands, vectors: bool = False):
     if mirror is None:
         w, v = solve(problem.hamiltonian(kx, ky))
         return problem.omega0 + w, v
+    kinetic = problem.kinetic(kx, ky)
     (w_even, u_even), (w_odd, u_odd) = (
-        solve(h) for h in mirror.blocks(problem.kinetic(kx, ky)))
+        solve(mirror.block(kinetic, odd)) for odd in (False, True))
     w = np.concatenate([w_even, w_odd])
     order = np.argsort(w, kind="stable")[:n_bands]
     v = None
@@ -538,20 +543,23 @@ def _block_solve(problem: _Problem, kx, ky, n_bands, start=None):
     )
 
 
-def solve_path(problem: _Problem, kpoints, n_bands: int, keep=()):
-    """Lowest ``n_bands`` omegas at each (kx, ky) of ``kpoints`` on the
-    symmetric-window ``problem``, solved in path order, as an
+def solve_path(lattice: LatticeSpec, window: Window, kpoints, n_bands: int,
+               keep=()):
+    """Lowest ``n_bands`` omegas of ``lattice`` at each (kx, ky) of
+    ``kpoints`` on the symmetric ``window``, solved in path order, as an
     (n_k, n_bands) array, and the unit eigenvectors of the points whose
     positions are in ``keep``, keyed by position.
 
-    From halfwidth ``_BLOCK_MIN_HALFWIDTH``, when the basis holds at least
-    three blocks, each point is solved by the block eigensolver on the
-    matrix-free apply, warm-started from the previous point's block
-    (``_block_solve``), whose wanted columns are its vectors. Below it each
-    point is assembled and solved on its own (``_solve``): points on a path
-    mirror line as that mirror's even and odd blocks, others dense, and
-    eigenvalue-only unless kept.
+    The problem's 1D pieces are built once (``_problem``). From halfwidth
+    ``_BLOCK_MIN_HALFWIDTH``, when the basis holds at least three blocks,
+    each point is solved by the block eigensolver on the matrix-free apply,
+    warm-started from the previous point's block (``_block_solve``), whose
+    wanted columns are its vectors. Below it each point is assembled and
+    solved on its own (``_solve``): points on a path mirror line as that
+    mirror's even and odd blocks, others dense, and eigenvalue-only unless
+    kept.
     """
+    problem = _problem(lattice, window)
     width = problem.factor.shape[0]
     blocked = (width // 2 >= _BLOCK_MIN_HALFWIDTH
                and 3 * (n_bands + _BLOCK_GUARD) <= width * width)
@@ -580,10 +588,10 @@ def solve_bands(config: ExperimentConfig,
                 n_bands: int = DEFAULT_N_BANDS) -> BandStructure:
     """Lowest scalar bands along the configured k-path (deterministic).
 
-    The problem's 1D pieces are built once, and the k-points are solved in
-    path order by ``solve_path``. Named nodes keep unit-norm eigenvectors,
-    and T rows get their representation labels from the corner window's
-    sector edges (``t_edges``, ``classify_t_states``).
+    The k-points are solved in path order by ``solve_path``. Named nodes
+    keep unit-norm eigenvectors, and T rows get their representation labels
+    from the corner window's sector edges (``t_edges``,
+    ``classify_t_states``).
     """
     basis = reciprocal_basis(config.basis_halfwidth, config.lattice.pitch)
     if n_bands > len(basis):
@@ -593,8 +601,8 @@ def solve_bands(config: ExperimentConfig,
     kpts = tuple(build_kpath(config.kpath, config.lattice.pitch,
                              config.samples_per_segment))
     omegas, vectors = solve_path(
-        _problem(config.lattice, basis), [(kp.kx, kp.ky) for kp in kpts],
-        n_bands, {kp.index for kp in kpts if kp.label})
+        config.lattice, basis, [(kp.kx, kp.ky) for kp in kpts], n_bands,
+        {kp.index for kp in kpts if kp.label})
     bs = BandStructure(
         kpoints=kpts, omegas=omegas,
         rep_labels=np.full((len(kpts), n_bands), "", dtype=object),
@@ -685,43 +693,68 @@ class TPointAnalysis:
         )
 
 
-def _t_sectors(lattice: LatticeSpec, halfwidth: int):
-    """The five C4v sector blocks of the detuned H at T on the corner window.
+@dataclass(frozen=True, eq=False)
+class _TSectors:
+    """The C4v sectors of the detuned H at T on the corner window, each
+    block built afresh when ``block`` is asked for it by name.
 
     With k = halfwidth + 1, the mirror m -> -1-m folds the window's axis
     [-k, k-1] onto its half m = -k..-1, and the Toeplitz factor S of the
-    corner window's ``_problem`` into the shift-1 ``_axis_fold`` S+- over
-    the distances a = -1-m from the mirror (descending along the half axis);
-    the kinetic term, with kappa = (pi/pitch)(2m+1), stays diagonal and is
-    the problem's on the m-major k x k grid of the half axes. So each
-    axis-parity sector is -c*(S_p ⊗ S_q), c = v*dphi*FF, plus that kinetic
-    diagonal, and the x <-> y fold of the grid (``_swap_fold`` of S+ and of
-    S-) splits the (even, even) and (odd, odd) sectors. Returns an iterator
-    over the blocks (S, its x <-> y-odd partner, XY, its partner, (x-odd,
-    y-even)), each built as it is taken so that a caller solving them in
-    turn holds about one at a time; the fold of the (even, even) grid, which
-    the (odd, odd) one shares; kappa on the half axis; and the problem.
+    corner window's ``problem`` into the shift-1 ``_axis_fold`` ``plus`` and
+    ``minus`` (S+-) over the distances a = -1-m from the mirror (descending
+    along the half axis); the kinetic term, with ``kappa`` =
+    (pi/pitch)(2m+1), stays diagonal and is the problem's ``kinetic`` on the
+    m-major k x k grid of the half axes. So each axis-parity sector is
+    -c*(S_p ⊗ S_q), c = v*dphi*FF, plus that kinetic diagonal, and the
+    x <-> y fold of the grid (``_swap_fold`` of S+ and of S-) splits the
+    (even, even) and (odd, odd) sectors. ``folds`` maps the four sectors it
+    splits off, T1(S) "S", T4(XY) "XY" and their x <-> y-odd partners "S'"
+    and "XY'", to their fold and parity; "X" is the (x-odd, y-even) sector,
+    which holds the x member of each T5(X,Y) pair.
     """
+
+    problem: _Problem
+    kappa: np.ndarray
+    kinetic: np.ndarray
+    plus: np.ndarray
+    minus: np.ndarray
+    c: float
+    folds: dict[str, tuple[_MirrorFold, bool]]
+
+    def block(self, name: str) -> np.ndarray:
+        """The block of the sector ``name``, one of ``_T_SECTORS``."""
+        if name == "X":
+            block = np.kron(self.minus, self.plus)
+            block *= -self.c
+            block[np.diag_indices_from(block)] += self.kinetic
+            return block
+        fold, odd = self.folds[name]
+        return fold.block(self.kinetic, odd)
+
+
+# The sectors of ``_TSectors``, in the order t_point_analysis solves them
+_T_SECTORS = ("S", "S'", "XY", "XY'", "X")
+
+
+def _t_sectors(lattice: LatticeSpec, halfwidth: int) -> _TSectors:
+    """The C4v sectors of H at T on the corner window of ``halfwidth``,
+    from the 1D pattern factors; no block is built until asked for."""
     k = halfwidth + 1
     problem = _problem(lattice, t_centered_basis(halfwidth, lattice.pitch))
     t_point = named_kpoint("T", lattice.pitch)
-    kappa = t_point[0] + problem.gx.reshape(2 * k, 2 * k)[:k, 0]
-    kinetic = problem.kinetic(*t_point).reshape(2 * k, 2 * k)[:k, :k].ravel()
-    even, odd = (f[::-1, ::-1] for f in _axis_fold(problem.factor[:, 0], 1))
+    plus, minus = (f[::-1, ::-1] for f in _axis_fold(problem.factor[:, 0], 1))
     # (v*dphi)*FF, not the problem's v*(dphi*FF): the two differ by an ulp
     # on some lattices, and the T edges are written with this rounding
     c = problem.v_prefactor * lattice.dphi * lattice.fill_factor
-    folds = _swap_fold(even, c), _swap_fold(odd, c)
-
-    def blocks():
-        for fold in folds:
-            yield from fold.blocks(kinetic)
-        pair = np.kron(odd, even)
-        pair *= -c
-        pair[np.diag_indices_from(pair)] += kinetic
-        yield pair
-
-    return blocks(), folds[0], kappa, problem
+    even, odd = _swap_fold(plus, c), _swap_fold(minus, c)
+    return _TSectors(
+        problem=problem,
+        kappa=t_point[0] + problem.gx.reshape(2 * k, 2 * k)[:k, 0],
+        kinetic=problem.kinetic(*t_point).reshape(2 * k, 2 * k)[:k, :k].ravel(),
+        plus=plus, minus=minus, c=c,
+        folds={"S": (even, False), "S'": (even, True), "XY": (odd, False),
+               "XY'": (odd, True)},
+    )
 
 
 def t_point_analysis(config: ExperimentConfig,
@@ -734,9 +767,9 @@ def t_point_analysis(config: ExperimentConfig,
     forming H. With k = h + 1 they are T1(S) of k(k+1)/2 waves, its
     x <-> y-odd partner of k(k-1)/2, T4(XY) and its partner of the same
     sizes, and the (x-odd, y-even) sector of k^2 waves, whose transposed
-    grid is the (x-even, y-odd) sector; each is solved by one eigh. A T5
-    pair is an (x-odd, y-even) state and its transpose, so it is exactly
-    degenerate, x member first.
+    grid is the (x-even, y-odd) sector; each is built by name and solved
+    by one eigh. A T5 pair is an (x-odd, y-even) state and its transpose,
+    so it is exactly degenerate, x member first.
 
     The S and XY edge masses come from the second-order k.p sum (Luttinger
     and Kohn, Phys. Rev. 97, 869 (1955)); H(k) is quadratic in k, so for a
@@ -747,35 +780,36 @@ def t_point_analysis(config: ExperimentConfig,
     spectrum; kappa is odd under its axis mirror, a diagonal on the grid.
     """
     hw = halfwidth if halfwidth is not None else config.basis_halfwidth
-    blocks, fold, kappa, problem = _t_sectors(config.lattice, hw)
-    k, n_bands = hw + 1, DEFAULT_N_BANDS
+    sectors = _t_sectors(config.lattice, hw)
+    problem, k, n_bands = sectors.problem, hw + 1, DEFAULT_N_BANDS
 
-    def solve(block, odd):  # lowest omegas and their k x k grids
-        w, u = _lapack(np.linalg.eigh, block)
+    def solve(name):  # lowest omegas and their k x k grids
+        fold, odd = sectors.folds[name]
+        w, u = _lapack(np.linalg.eigh, sectors.block(name))
         return w[:n_bands], fold.lift(u[:, :n_bands], odd).T.reshape(-1, k, k)
 
     # per sector: lowest omegas, their grids, label
-    sectors = [(*solve(next(blocks), False), LABEL_S),
-               (*solve(next(blocks), True), LABEL_NONE),
-               (*solve(next(blocks), False), LABEL_XY),
-               (*solve(next(blocks), True), LABEL_NONE)]
-    w_x, u_x = _lapack(np.linalg.eigh, next(blocks))  # whole, for the masses
+    found = [(*solve(name), label) for name, label in (
+        ("S", LABEL_S), ("S'", LABEL_NONE), ("XY", LABEL_XY),
+        ("XY'", LABEL_NONE))]
+    w_x, u_x = _lapack(np.linalg.eigh, sectors.block("X"))  # whole, for the masses
     x_grids = u_x[:, :n_bands].T.reshape(-1, k, k)
-    sectors += [(w_x[:n_bands], x_grids, LABEL_PAIR),
-                (w_x[:n_bands], x_grids.transpose(0, 2, 1), LABEL_PAIR)]
+    found += [(w_x[:n_bands], x_grids, LABEL_PAIR),
+              (w_x[:n_bands], x_grids.transpose(0, 2, 1), LABEL_PAIR)]
 
-    w = np.concatenate([sec[0] for sec in sectors])
+    w = np.concatenate([sec[0] for sec in found])
     order = np.argsort(w, kind="stable")[:n_bands]
     omegas = problem.omega0 + w[order]
-    kept = np.concatenate([sec[1] for sec in sectors])[order]
-    state = [sec[2] for sec in sectors for _ in sec[0]]  # each omega's label
+    kept = np.concatenate([sec[1] for sec in found])[order]
+    state = [sec[2] for sec in found for _ in sec[0]]  # each omega's label
     groups = cluster_degenerate(omegas)
     labels = []
     for grp in groups:
         members = {state[order[i]] for i in grp}
         labels.append(members.pop() if len(members) == 1 else LABEL_NONE)
-    edges = tuple(float(problem.omega0 + sectors[i][0][0]) for i in (0, 4, 2))
+    edges = tuple(float(problem.omega0 + found[i][0][0]) for i in (0, 4, 2))
     masses = {}
+    kappa = sectors.kappa
     for lab, kap in ((LABEL_S, kappa[:, None]), (LABEL_XY, kappa[None, :])):
         grp = next((g for g, g_lab in zip(groups, labels) if g_lab == lab), ())
         if len(grp) == 1:
@@ -793,7 +827,8 @@ def t_point_analysis(config: ExperimentConfig,
 def t_edges(lattice: LatticeSpec, halfwidth: int) -> tuple[float, float, float]:
     """The T1(S), T5(X,Y) and T4(XY) edges at T, as ``TPointAnalysis.edges``
     holds them, from eigenvalue-only solves of the three sectors they are
-    the lowest states of (``_t_sectors`` blocks 0, 4 and 2).
+    the lowest states of (S, X and XY of ``_t_sectors``), the only blocks
+    built.
 
     Callers that need only the edges take them here, with no eigenvectors
     or masses: ``split``, ``validate``'s convergence rung and the labels of
@@ -801,10 +836,35 @@ def t_edges(lattice: LatticeSpec, halfwidth: int) -> tuple[float, float, float]:
     ``eigh`` in the last digits, so outputs that write the edges
     (``bands --model kp``) keep taking them from ``t_point_analysis``.
     """
-    blocks, _, _, problem = _t_sectors(lattice, halfwidth)
-    s, xy, pair = (_lapack(np.linalg.eigvalsh, block)[0]
-                   for block in itertools.islice(blocks, 0, None, 2))
-    return tuple(float(problem.omega0 + w) for w in (s, pair, xy))
+    sectors = _t_sectors(lattice, halfwidth)
+    s, xy, pair = (_lapack(np.linalg.eigvalsh, sectors.block(name))[0]
+                   for name in ("S", "XY", "X"))
+    return tuple(float(sectors.problem.omega0 + w) for w in (s, pair, xy))
+
+
+def eigh_contract_at_t(lattice: LatticeSpec, halfwidth: int
+                       ) -> tuple[float, float, float, bool]:
+    """``core.eigh``'s contract on the five T-sector blocks that
+    ``t_point_analysis`` solves, checked in its order.
+
+    Returns the largest residual norm ||B v - w v|| of the block whose
+    residual is largest against its bound 1e-10 ||B||_F, with that bound;
+    the largest entry of |V^T V - I| over the blocks; and whether every
+    block's eigenvalues come out ascending.
+    """
+    sectors = _t_sectors(lattice, halfwidth)
+
+    def check(block):  # (residual, bound), orthonormality, ascending
+        w, v = eigh(block)
+        return ((float(np.max(np.linalg.norm(block @ v - v * w, axis=0))),
+                 1e-10 * float(np.linalg.norm(block))),
+                float(np.max(np.abs(v.T @ v - np.eye(w.size)))),
+                bool(np.all(np.diff(w) >= 0)))
+
+    pairs, ortho, ascending = zip(*(check(sectors.block(name))
+                                    for name in _T_SECTORS))
+    return (*max(pairs, key=lambda pair: pair[0] / pair[1]), max(ortho),
+            all(ascending))
 
 
 def opw_mass_at_t(config: ExperimentConfig, edge_label: str,

@@ -20,7 +20,9 @@ as ``cli._rows`` did before it formatted a broadcast column once per value.
 the four corner waves, the heuristic the sector-edge labels replaced, and
 ``unfold_t_states`` solves the corner window's C4v sectors and unfolds
 their lowest states onto the window, as ``t_point_analysis`` did before it
-dropped its eigenvectors.
+dropped its eigenvectors. ``two_ray_kp_vs_opw_worst`` solves the two rays
+of ``validate``'s k.p check as two paths out of T, each starting at T, where
+the CLI solves them as one path through T.
 """
 import math
 import warnings
@@ -31,11 +33,15 @@ import numpy as np
 from phczeeman import (
     ComputationError,
     HermitianMatrix,
+    RotationSpec,
     cluster_degenerate,
     derive_params,
     eigh,
+    kp_bands,
     named_kpoint,
     phase_pattern,
+    reciprocal_basis,
+    solve_path,
 )
 from phczeeman.constants import C, HBAR
 from phczeeman.kp import _block_matrices
@@ -355,3 +361,24 @@ def unfold_t_states(lattice, halfwidth, n_bands=8):
     v = np.hstack(vectors)[:, order]
     v *= np.where(v[waves.index((0, 0))] < 0.0, -1.0, 1.0)
     return w[order], v
+
+
+def two_ray_kp_vs_opw_worst(config, model, span):
+    """``cli._kp_vs_opw_worst`` with each ray solved as its own path out of
+    T: the worst |omega_kp - omega_opw| / span over nine points of each of
+    the rays along -x and the diagonal, within 0.25*pi/pitch of T, each k.p
+    omega against the plane-wave omega nearest to it."""
+    lattice = config.lattice
+    window = reciprocal_basis(config.basis_halfwidth, lattice.pitch)
+    t_pt = np.array(named_kpoint("T", lattice.pitch))
+    reach = 0.25 * math.pi / lattice.pitch
+    directions = np.array([(-1.0, 0.0),
+                           (-1.0 / math.sqrt(2), -1.0 / math.sqrt(2))])
+    rays = t_pt + (np.linspace(0.0, 1.0, 9) * reach)[:, None, None] * directions
+    spectra = kp_bands(model, (rays - t_pt).reshape(-1, 2),
+                       RotationSpec(0.0)).omegas
+    opw = np.stack([solve_path(lattice, window, rays[:, ray].tolist(), 8)[0]
+                    for ray in range(2)], axis=1).reshape(spectra.shape)
+    worst = max(abs(w - row[np.argmin(np.abs(row - w))])
+                for row, target in zip(opw, spectra) for w in target)
+    return float(worst) / span

@@ -12,7 +12,8 @@ from phczeeman.core import (
     MAX_FOURIER_HALFWIDTH, MAX_SAMPLES_PER_SEGMENT, MAX_SWEEP_POINTS,
 )
 from phczeeman import cli
-from oracles import build_each, folded_free_bands, rows_per_cell
+from oracles import (build_each, folded_free_bands, rows_per_cell,
+                     two_ray_kp_vs_opw_worst)
 from phczeeman import ComputationError, LatticeSpec
 
 BANDS_DOC = {"lambda_nm": 960, "n": 3.53, "pitch_um": 4, "ff": 0.65, "dphi": 0.02}
@@ -445,8 +446,9 @@ class TestValidateCommand:
         assert edges == [9]
 
     def test_kp_vs_opw_block_solved_above_crossover(self, monkeypatch):
-        # at h = 10 both rays out of T go through the warm-started block
-        # solver, never _solve, and agree with the dense path
+        # at h = 10 the path through T that holds both rays goes through
+        # the warm-started block solver, never _solve, and agrees with the
+        # dense path, which solves its 17 points (T once)
         from phczeeman import ExperimentConfig, kp, planewave
         config = ExperimentConfig(LatticeSpec(960e-9, 3.53, 4e-6, 0.65, 0.02),
                                   basis_halfwidth=10)
@@ -461,9 +463,26 @@ class TestValidateCommand:
         assert calls == []
         monkeypatch.setattr(planewave, "_BLOCK_MIN_HALFWIDTH", 11)
         dense = cli._kp_vs_opw_worst(config, model, span)
-        assert len(calls) == 18
+        assert len(calls) == 17
         assert blocked == pytest.approx(dense, rel=5e-10, abs=0)
         assert 0 < blocked <= 0.05
+
+    @pytest.mark.parametrize("halfwidth", [3, 7, 10, 14])
+    @pytest.mark.parametrize("doc", [BANDS_DOC, {**BANDS_DOC, "pitch_um": 4.37,
+                                                 "ff": 0.713, "dphi": 0.0137}])
+    def test_kp_vs_opw_one_path_is_two_rays(self, doc, halfwidth):
+        # one path through T, dense or block-solved, gives the worst
+        # deviation of the two rays solved as paths out of T
+        from phczeeman import ExperimentConfig, kp, planewave
+        config = ExperimentConfig(
+            LatticeSpec(doc["lambda_nm"] * 1e-9, doc["n"],
+                        doc["pitch_um"] * 1e-6, doc["ff"], doc["dphi"]),
+            basis_halfwidth=halfwidth)
+        analysis = planewave.t_point_analysis(config)
+        model = kp.kp_from_opw(analysis.edges, config.lattice)
+        span = analysis.edges[2] - analysis.edges[0]
+        assert cli._kp_vs_opw_worst(config, model, span) == (
+            two_ray_kp_vs_opw_worst(config, model, span))
 
     def test_fourier_quadrature_per_coefficient(self, monkeypatch):
         # one product serves all 121 quadratures; each analytic coefficient

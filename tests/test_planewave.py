@@ -15,6 +15,7 @@ from phczeeman import (
     build_kpath,
     classify_t_states,
     cluster_degenerate,
+    eigh_contract_at_t,
     derive_params,
     longitudinal_profile,
     named_kpoint,
@@ -30,8 +31,8 @@ from phczeeman.lattice import pattern_factors, t_centered_basis
 from phczeeman import _kernels, planewave
 from phczeeman.planewave import (
     _BLOCK_MIN_HALFWIDTH, DEFAULT_N_BANDS, LABEL_NONE, LABEL_PAIR, LABEL_S,
-    LABEL_XY, _axis_fold, _block_solve, _problem, _solve, _swap_fold,
-    _t_sectors,
+    LABEL_XY, _T_SECTORS, _axis_fold, _block_solve, _problem, _solve,
+    _swap_fold, _t_sectors,
 )
 from phczeeman.zeeman import m_closed_form
 from oracles import (channel_labels, dense_eigh, dense_hamiltonian,
@@ -269,9 +270,9 @@ class TestSolveBands:
         def counting(a, c):
             fold = original(a, c)
 
-            def potential():
-                gathers.append(a.shape)
-                return fold.potential()
+            def potential(odd):
+                gathers.append((a.shape, odd))
+                return fold.potential(odd)
 
             return replace(fold, potential=potential)
 
@@ -280,7 +281,9 @@ class TestSolveBands:
         g_z = solve_bands(replace(cfg, kpath=("G", "Z")))
         assert gathers == []
         full = solve_bands(cfg)
-        assert [shape for shape in gathers if shape == (7, 7)] == [(7, 7)]
+        # each parity once
+        assert [g for g in gathers if g[0] == (7, 7)] == [((7, 7), False),
+                                                          ((7, 7), True)]
         assert np.array_equal(full.omegas[:4], g_z.omegas)
         # the same omegas as with the blocks gathered up front
         eager = _problem(cfg.lattice, full.basis)
@@ -364,7 +367,8 @@ class TestTPointSectors:
 
     @pytest.mark.parametrize("halfwidth", [3, 7, 14])
     def test_sectors_match_fold_of_dense(self, bands_lattice, halfwidth):
-        blocks = tuple(_t_sectors(bands_lattice, halfwidth)[0])
+        sectors = _t_sectors(bands_lattice, halfwidth)
+        blocks = [sectors.block(name) for name in _T_SECTORS]
         expected, h = dense_t_sectors(bands_lattice, halfwidth)
         assert len(blocks) == len(expected) == 5
         for block, folded in zip(blocks, expected):
@@ -380,7 +384,7 @@ class TestTPointSectors:
         k = 4
         s = pattern_factors(bands_lattice, 2 * k - 1)[2 * k - 1:]
         even, odd = (f[::-1, ::-1] for f in _axis_fold(s, 1))
-        pair = tuple(_t_sectors(bands_lattice, k - 1)[0])[4]
+        pair = _t_sectors(bands_lattice, k - 1).block("X")
         off = ~np.eye(k * k, dtype=bool)
         assert np.array_equal(pair[off], (-c * np.kron(odd, even))[off])
 
@@ -606,15 +610,15 @@ class TestBlockSolver:
         cfg = replace(bands_config, basis_halfwidth=halfwidth,
                       samples_per_segment=2)
         bs = solve_bands(cfg)
-        problem = _problem(cfg.lattice, bs.basis)
         points = [(kp.kx, kp.ky) for kp in bs.kpoints]
-        omegas, vectors = planewave.solve_path(problem, points, 8,
-                                               {0, 2, 4, 6})
+        omegas, vectors = planewave.solve_path(cfg.lattice, bs.basis, points,
+                                               8, {0, 2, 4, 6})
         assert np.array_equal(omegas, bs.omegas)
         assert sorted(vectors) == sorted(bs.vectors) == [0, 2, 4, 6]
         for i, v in vectors.items():
             assert np.array_equal(v, bs.vectors[i])
-        assert planewave.solve_path(problem, points[:3], 8)[1] == {}
+        assert planewave.solve_path(cfg.lattice, bs.basis, points[:3],
+                                    8)[1] == {}
 
     def test_solve_path_names_the_failing_point(self, bands_config,
                                                 monkeypatch):
@@ -625,11 +629,11 @@ class TestBlockSolver:
 
         solve = planewave._solve
         monkeypatch.setattr(planewave, "_solve", fail)
-        problem = _problem(bands_config.lattice,
-                           reciprocal_basis(3, bands_config.lattice.pitch))
+        basis = reciprocal_basis(3, bands_config.lattice.pitch)
         with pytest.raises(ComputationError,
                            match=r"^no convergence at k-point 1 \(kx=1, ky=2\)$"):
-            planewave.solve_path(problem, [(0.0, 0.0), (1.0, 2.0)], 8)
+            planewave.solve_path(bands_config.lattice, basis,
+                                 [(0.0, 0.0), (1.0, 2.0)], 8)
 
     def test_empty_lattice_free_bands(self, empty_config):
         # c = 0: the bound falls back to the apply's round-off scale
@@ -755,7 +759,8 @@ class TestPathBlocksFromFactors:
             kinds.append("G-Z" if kp.ky == 0.0 else "T-G")
             expected = mirror_blocks(h, waves, images[kinds[-1]],
                                      mirror.even, mirror.odd)
-            blocks = mirror.blocks(problem.kinetic(kp.kx, kp.ky))
+            kinetic = problem.kinetic(kp.kx, kp.ky)
+            blocks = [mirror.block(kinetic, odd) for odd in (False, True)]
             for block, folded in zip(blocks, expected, strict=True):
                 assert block.shape == folded.shape
                 assert np.max(np.abs(block - folded)) <= (
@@ -808,7 +813,8 @@ class TestFoldHelpers:
         h = -c * np.kron(a, a)
         h[np.diag_indices_from(h)] += kinetic
         expected = mirror_blocks(h, waves, swap)
-        for block, folded in zip(fold.blocks(kinetic), expected, strict=True):
+        blocks = [fold.block(kinetic, odd) for odd in (False, True)]
+        for block, folded in zip(blocks, expected, strict=True):
             assert block.shape == folded.shape
             assert np.max(np.abs(block - folded)) <= 1e-15 * np.linalg.norm(h)
 
@@ -827,7 +833,7 @@ class TestFoldedNamedNodes:
         mirror = problem.fold_at(kx, ky)
         h = problem.hamiltonian(kx, ky)
         kinetic = problem.kinetic(kx, ky)
-        cached = mirror.blocks(kinetic)
+        cached = [mirror.block(kinetic, odd) for odd in (False, True)]
         image = (lambda m, n: (m, -n)) if ky == 0.0 else (lambda m, n: (n, m))
         folded_h = mirror_blocks(h, _waves(basis), image,
                                  mirror.even, mirror.odd)
@@ -836,8 +842,8 @@ class TestFoldedNamedNodes:
         expected = [block.copy() for block in cached]
         for block in cached:
             block[:] = 0.0  # each call returns fresh blocks
-        for block, again in zip(expected, mirror.blocks(kinetic)):
-            assert np.array_equal(block, again)
+        for odd, block in enumerate(expected):
+            assert np.array_equal(block, mirror.block(kinetic, bool(odd)))
 
     @pytest.mark.parametrize("halfwidth", [3, 7, 14])
     def test_node_pairs_match_dense_oracle(self, bands_lattice, halfwidth):
@@ -1108,6 +1114,39 @@ class TestTEdges:
         # S, XY and (x-odd, y-even), in the order _t_sectors builds them
         assert values == [(k * (k + 1) // 2,) * 2, (k * (k + 1) // 2,) * 2,
                           (k * k,) * 2]
+
+    @pytest.mark.parametrize("halfwidth", [3, 7])
+    def test_builds_only_its_three_sectors(self, bands_config, monkeypatch,
+                                           halfwidth):
+        # t_edges builds the S, XY and X blocks, no x <-> y-odd partner of
+        # a swap fold; t_point_analysis and the eigh contract build all five
+        built, parities = [], []
+        block = planewave._TSectors.block
+        monkeypatch.setattr(planewave._TSectors, "block", lambda self, name: (
+            built.append(name) or block(self, name)))
+        original = planewave._swap_fold
+
+        def counting(a, c):
+            fold = original(a, c)
+
+            def potential(odd):
+                parities.append(odd)
+                return fold.potential(odd)
+
+            return replace(fold, potential=potential)
+
+        monkeypatch.setattr(planewave, "_swap_fold", counting)
+        t_edges(bands_config.lattice, halfwidth)
+        assert built == ["S", "XY", "X"]
+        assert parities == [False, False]
+        for solve in (lambda: t_point_analysis(bands_config, halfwidth),
+                      lambda: eigh_contract_at_t(bands_config.lattice,
+                                                 halfwidth)):
+            built.clear()
+            parities.clear()
+            solve()
+            assert built == ["S", "S'", "XY", "XY'", "X"]
+            assert parities == [False, True, False, True]
 
 
 def _fd_curvature(f, step, levels):
