@@ -10,12 +10,108 @@ the Toeplitz factor S[a, b] = s[a - b] over the window's axis.
 S, and ``pattern_overlap`` applies S along both axes of the coefficients
 reshaped onto the window instead. ``BACKEND`` names the implementation for
 run reports.
+
+``serial_blas`` runs OpenBLAS on one thread, except that ``pooled`` gives a
+dense solve of order ``POOL_MIN_ORDER`` or more the thread count found on
+entry: on smaller matrices a second thread gains no wall time and only
+spins, and its reductions can move eigenvalues in the last digits.
+``cli.main`` runs every subcommand inside it. The thread count is set
+through the loaded OpenBLAS's own functions (numpy exposes no setter),
+looked up at first use; where none is found (another BLAS, no
+/proc/self/maps) both do nothing.
 """
 from __future__ import annotations
+
+import contextlib
+import contextvars
+import ctypes
+import functools
+import os
 
 import numpy as np
 
 BACKEND = "numpy"
+# eigvalsh wall time on 2 threads against 1 (2-core x86, OpenBLAS 0.3.31):
+# 2.4-3.0 against 2.9 ms at order 225, for twice the CPU; 9.1-9.4 against
+# 10.0-10.3 ms at 400; 15.1-15.5 against 18.8-19.2 ms at 512
+POOL_MIN_ORDER = 512
+_THREAD_FUNCTIONS = (  # (set, get) by OpenBLAS build: scipy wheel, ILP64, plain
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+# the thread count serial_blas found on entry, while it holds
+_POOL = contextvars.ContextVar("blas_pool", default=None)
+
+
+@functools.cache
+def _openblas():
+    """The (set, get) thread-count functions of the OpenBLAS this process
+    has loaded, found by its path in /proc/self/maps; None without one."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            # the path is the sixth field, present on file-backed mappings
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh
+                            if "openblas" in os.path.basename(line).lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _THREAD_FUNCTIONS:
+            try:
+                set_threads, get_threads = getattr(lib, set_name), getattr(lib, get_name)
+            except AttributeError:
+                continue
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            return set_threads, get_threads
+    return None
+
+
+def blas_thread_count() -> int | None:
+    """OpenBLAS's current thread count; None where it is not found."""
+    control = _openblas()
+    return None if control is None else control[1]()
+
+
+@contextlib.contextmanager
+def blas_threads(n: int | None):
+    """Run the body with OpenBLAS on ``n`` threads, and restore the count
+    found on entry when it exits, also on an exception. Does nothing when
+    ``n`` is None or OpenBLAS is not found."""
+    control = _openblas()
+    if control is None or n is None:
+        yield
+        return
+    set_threads, get_threads = control
+    found = get_threads()
+    set_threads(n)
+    try:
+        yield
+    finally:
+        set_threads(found)
+
+
+@contextlib.contextmanager
+def serial_blas():
+    """Run the body with OpenBLAS on one thread; ``pooled`` solves inside it
+    get the thread count found on entry."""
+    token = _POOL.set(blas_thread_count())
+    try:
+        with blas_threads(1):
+            yield
+    finally:
+        _POOL.reset(token)
+
+
+def pooled(order: int):
+    """Context for a dense solve of ``order``: inside ``serial_blas``, one of
+    order ``POOL_MIN_ORDER`` or more runs on the count it found on entry;
+    anything else runs on the count as it is."""
+    return blas_threads(_POOL.get() if order >= POOL_MIN_ORDER else None)
 
 
 def axis_factor(s) -> np.ndarray:

@@ -3,7 +3,10 @@
 Exit codes: 0 success, 1 computation/check failure, 2 usage/config error.
 Output files are UTF-8 CSV with '\\n' line endings and shortest-round-trip
 float formatting, so identical configs and flags produce byte-identical
-files.
+files. Every subcommand runs with BLAS on one thread, dense solves of order
+``_kernels.POOL_MIN_ORDER`` and up excepted (``_kernels.serial_blas``): a
+multithreaded solve of the small matrices can differ in the last digits
+from run to run.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from . import _kernels
 from . import kp as kpmod
 from . import planewave as pw
 from . import zeeman as zm
@@ -654,7 +658,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _kernels.serial_blas():
+            return args.func(args)
     except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -434,9 +434,11 @@ def _problem(lattice: LatticeSpec, window: Window) -> _Problem:
 
 
 def _lapack(solver, h):
-    """``solver(h)`` with a LAPACK convergence failure as ComputationError."""
+    """``solver(h)`` with a LAPACK convergence failure as ComputationError,
+    on the BLAS pool when ``h`` is large (``_kernels.pooled``)."""
     try:
-        return solver(h)
+        with _kernels.pooled(h.shape[-1]):
+            return solver(h)
     except np.linalg.LinAlgError as exc:
         raise ComputationError(
             f"eigensolver failed to converge on a {h.shape[0]}x{h.shape[0]} matrix"
@@ -557,7 +559,8 @@ def solve_path(lattice: LatticeSpec, window: Window, kpoints, n_bands: int,
     wanted columns are its vectors. Below it each point is assembled and
     solved on its own (``_solve``): points on a path mirror line as that
     mirror's even and odd blocks, others dense, and eigenvalue-only unless
-    kept.
+    kept; a point solved the same way earlier on the path, like the closing
+    G of G:Z:T:G, reuses that solve.
     """
     problem = _problem(lattice, window)
     width = problem.factor.shape[0]
@@ -566,14 +569,18 @@ def solve_path(lattice: LatticeSpec, window: Window, kpoints, n_bands: int,
     omegas = np.empty((len(kpoints), n_bands))
     vectors = {}
     block = None
+    solved = {}  # (kx, ky, kept) -> (w, v) below the crossover
     for i, (kx, ky) in enumerate(kpoints):
         kept = i in keep
         try:
             if blocked:
                 w, block = _block_solve(problem, kx, ky, n_bands, block)
                 w, v = problem.omega0 + w, block[:, :n_bands]
+            elif (kx, ky, kept) in solved:
+                w, v = solved[kx, ky, kept]
             else:
-                w, v = _solve(problem, kx, ky, n_bands, vectors=kept)
+                w, v = solved[kx, ky, kept] = _solve(problem, kx, ky, n_bands,
+                                                     vectors=kept)
         except ComputationError as exc:
             raise ComputationError(
                 f"{exc} at k-point {i} (kx={kx:.6g}, ky={ky:.6g})"
@@ -855,7 +862,7 @@ def eigh_contract_at_t(lattice: LatticeSpec, halfwidth: int
     sectors = _t_sectors(lattice, halfwidth)
 
     def check(block):  # (residual, bound), orthonormality, ascending
-        w, v = eigh(block)
+        w, v = _lapack(eigh, block)
         return ((float(np.max(np.linalg.norm(block @ v - v * w, axis=0))),
                  1e-10 * float(np.linalg.norm(block))),
                 float(np.max(np.abs(v.T @ v - np.eye(w.size)))),

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -65,6 +67,32 @@ class TestBandsCommand:
         assert main(["bands", bands_cfg_file, "-o", str(out1)] + args) == 0
         assert main(["bands", bands_cfg_file, "-o", str(out2)] + args) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_byte_identical_across_blas_thread_settings(self, bands_cfg_file,
+                                                         tmp_path):
+        # dense Z-T points run on one BLAS thread whatever the environment
+        # sets, so a multithreaded OpenBLAS cannot move their last digits
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        outputs = []
+        for threads in ("1", None):
+            env = {k: v for k, v in os.environ.items() if k not in
+                   ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [src, env.get("PYTHONPATH")]))
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"threads{threads}" / "bands.csv"
+            out.parent.mkdir()
+            subprocess.run(
+                [sys.executable, "-m", "phczeeman.cli", "bands", bands_cfg_file,
+                 "-o", str(out), "--kpath", "Z:T", "--samples", "6",
+                 "--model", "both"],
+                env=env, check=True, capture_output=True)
+            outputs.append({p.name: p.read_bytes()
+                            for p in sorted(out.parent.glob("*.csv"))})
+        assert list(outputs[0]) == ["bands_diff.csv", "bands_kp.csv",
+                                    "bands_opw.csv"]
+        assert outputs[0] == outputs[1]
 
     def test_empty_lattice_folded_bands(self, tmp_path):
         cfg = tmp_path / "empty.json"
