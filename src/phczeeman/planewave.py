@@ -26,12 +26,14 @@ From halfwidth ``_BLOCK_MIN_HALFWIDTH`` (8, the measured crossover) every
 path point is solved by a warm-started block eigensolver (LOBPCG,
 ``_block_solve``) on the matrix-free apply kin∘X - c*S X S^T, X the block's
 columns reshaped onto the window (``_Problem.apply``): 12 vectors, 8 of
-them wanted, each point starting from the previous point's block. Its
-omegas are the Rayleigh quotients of converged vectors, so they carry no
-round-off that grows with the basis as a dense eigensolve's do, and a
-point holds O(36 N) entries, never H. Named nodes keep the block's
-vectors. Below the crossover the mirror blocks and dense solves described
-next are faster, and interior points there are solved eigenvalue-only.
+them wanted, each point starting from the Ritz vectors over the previous
+two points' blocks. Its omegas are the Rayleigh quotients of a fresh
+apply to the converged vectors, which also certifies their residuals, so
+they carry no round-off that grows with the basis as a dense
+eigensolve's do, and a point holds O(24 N) entries, never H. Named nodes
+keep the block's vectors. Below the crossover the mirror blocks and dense
+solves described next are faster, and interior points there are solved
+eigenvalue-only.
 
 Every mirror block comes from two folds of the 1D factors: an axis mirror
 folds S into S+-[a, b] = s[|a-b|] +- s[a+b+shift] (``_axis_fold``), and
@@ -96,6 +98,7 @@ DEFAULT_N_BANDS = 8  # covers the corner manifold plus guard bands
 # more accurate (measured crossover, see README).
 _BLOCK_MIN_HALFWIDTH = 8
 _BLOCK_GUARD = 4  # block vectors beyond the wanted bands
+_BLOCK_SEARCHED_GUARD = 1  # ... of which each step searches along the first
 _BLOCK_MAX_ITERATIONS = 100
 _BLOCK_RESIDUAL = 1e-8  # wanted residual norms, relative to c = v*dphi*FF
 _BLOCK_FLOOR = 1e-14  # ... and relative to the window's largest kinetic energy
@@ -395,9 +398,10 @@ class _Problem:
             return self.diagonal
         return None
 
-    def apply(self, kx: float, ky: float, x: np.ndarray) -> np.ndarray:
-        """H at (kx, ky) applied to the columns of ``x``, without forming H:
-        kin∘X - c*S X S^T on each column X reshaped onto the n x n window.
+    def apply(self, kinetic: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """H with the kinetic diagonal ``kinetic`` (``kinetic(kx, ky)``)
+        applied to the columns of ``x``, without forming H: kin∘X - c*S X S^T
+        on each column X reshaped onto the n x n window.
 
         ``x`` (N, b) is read as an (n, n, b) grid [m, n, column]: S acts on
         the m axis as one (n, n) by (n, n*b) product, and then on the n axis
@@ -406,7 +410,7 @@ class _Problem:
         pattern = (self.factor @ x.reshape(width, -1)).reshape(width, width, -1)
         pattern = self.factor @ pattern
         pattern *= -self.v_prefactor * self.depth
-        return pattern.reshape(x.shape) + self.kinetic(kx, ky)[:, None] * x
+        return pattern.reshape(x.shape) + kinetic[:, None] * x
 
     @property
     def residual_bound(self) -> float:
@@ -481,9 +485,9 @@ def _orthonormal(z: np.ndarray, x: np.ndarray) -> np.ndarray:
     orthonormal columns ``x``: two passes of projection and Cholesky-QR,
     with Householder QR of [x, z] where the Gram matrix is not numerically
     positive definite."""
-    z = z / np.linalg.norm(z, axis=0)
+    z = z / np.sqrt(np.einsum("ij,ij->j", z, z))
     for _ in range(2):
-        z = z - x @ (x.T @ z)
+        z -= x @ (x.T @ z)
         try:
             z = z @ np.linalg.inv(np.linalg.cholesky(z.T @ z)).T
         except np.linalg.LinAlgError:
@@ -491,54 +495,87 @@ def _orthonormal(z: np.ndarray, x: np.ndarray) -> np.ndarray:
     return z
 
 
-def _block_solve(problem: _Problem, kx, ky, n_bands, start=None):
+def _block_solve(problem: _Problem, kx, ky, n_bands, previous=()):
     """Lowest ``n_bands`` detuned eigenvalues at (kx, ky), ascending, and an
     orthonormal block whose first ``n_bands`` columns are their vectors, by
     LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)) on
     ``problem.apply``.
 
-    The block holds ``_BLOCK_GUARD`` more vectors than wanted. ``start`` is
-    the block to start from, the previous path point's as MPB warm-starts
-    (Johnson and Joannopoulos, Opt. Express 8, 173 (2001)); None starts
-    from the lowest-kinetic plane waves. Each step preconditions the
-    residuals of the unconverged columns by 1/(|H_ii - lambda| + 1e-3 max
-    kin), H_ii = kin - c the diagonal of H, and solves the Rayleigh-Ritz
-    problem on the block, those directions and the previous step's. Once
-    every wanted residual norm is at most ``problem.residual_bound``, the
-    eigenvalues returned are the Rayleigh quotients of the wanted vectors,
-    each taken with a fresh apply over its own norm; ComputationError when
-    that takes more than ``_BLOCK_MAX_ITERATIONS`` steps.
+    The block holds ``_BLOCK_GUARD`` more vectors than wanted. ``previous``
+    holds the blocks of the last one or two path points, latest first, as
+    MPB warm-starts (Johnson and Joannopoulos, Opt. Express 8, 173 (2001));
+    the solve starts from the lowest Ritz vectors over their joint span (24
+    vectors from two), or with none from the lowest-kinetic plane waves.
+    Each step preconditions the residuals of the unconverged wanted columns
+    and of the first ``_BLOCK_SEARCHED_GUARD`` guard columns by
+    1/(|H_ii - lambda| + 1e-3 max kin), H_ii = kin - c the diagonal of H,
+    and solves the Rayleigh-Ritz problem on the block X, those directions
+    and the previous step's, orthonormalized into Z. As in Duersch, Shao,
+    Yang and Gu (SIAM J. Sci. Comput. 40, C655 (2018)), the X block of its
+    matrix is the known diag(lambda), so only (AX)^T Z and Z^T (AZ) are
+    multiplied out, and X and AX are updated by their Ritz coefficients
+    without a new apply. Once every wanted residual norm is at most
+    ``problem.residual_bound``, the wanted vectors get a fresh apply: the
+    eigenvalues returned are their Rayleigh quotients, each over its own
+    norm, once every true residual it gives is within the bound too.
+    Otherwise the updated AX has drifted, and the solver starts again from
+    X. ComputationError when that takes more than ``_BLOCK_MAX_ITERATIONS``
+    steps.
     """
     kinetic = problem.kinetic(kx, ky)
     size = n_bands + _BLOCK_GUARD
-    if start is None:
+    searched = n_bands + _BLOCK_SEARCHED_GUARD
+    if not previous:
         start = np.zeros((kinetic.size, size))
         start[np.argsort(kinetic, kind="stable")[:size], np.arange(size)] = 1.0
+    elif len(previous) == 1:
+        start = previous[0]
+    else:
+        start = np.hstack([previous[0],
+                           _orthonormal(previous[1], previous[0])])
     diagonal = kinetic - problem.v_prefactor * problem.depth  # s_0 = 1
     shift = 1e-3 * np.max(kinetic)
     bound = problem.residual_bound
-    x, ax, p = start, problem.apply(kx, ky, start), None
-    w, c = _lapack(np.linalg.eigh, x.T @ ax)
-    x, ax = x @ c, ax @ c
+
+    def ritz(q):  # the lowest Ritz pairs over the columns q, fresh apply
+        aq = problem.apply(kinetic, q)
+        theta, c = _lapack(np.linalg.eigh, q.T @ aq)
+        return theta[:size], q @ c[:, :size], aq @ c[:, :size]
+
+    w, x, ax = ritz(start)
+    p = None
     for _ in range(_BLOCK_MAX_ITERATIONS):
         r = ax - x * w
-        norms = np.linalg.norm(r, axis=0)
+        norms = np.sqrt(np.einsum("ij,ij->j", r, r))
         if np.all(norms[:n_bands] <= bound):
             wanted = x[:, :n_bands]
-            w = (np.einsum("ij,ij->j", wanted, problem.apply(kx, ky, wanted))
-                 / np.einsum("ij,ij->j", wanted, wanted))
-            order = np.argsort(w, kind="stable")
-            x[:, :n_bands] = wanted[:, order]
-            return w[order], x
-        active = norms > bound
+            a_wanted = problem.apply(kinetic, wanted)
+            rq = (np.einsum("ij,ij->j", wanted, a_wanted)
+                  / np.einsum("ij,ij->j", wanted, wanted))
+            r = a_wanted - wanted * rq
+            norms[:n_bands] = np.sqrt(np.einsum("ij,ij->j", r, r))
+            if np.all(norms[:n_bands] <= bound):
+                order = np.argsort(rq, kind="stable")
+                x[:, :n_bands] = wanted[:, order]
+                return rq[order], x
+            w, x, ax = ritz(x)  # the updated AX drifted: start again from x
+            p = None
+            continue
+        active = np.flatnonzero(norms[:searched] > bound)
         z = r[:, active] / (np.abs(diagonal[:, None] - w[active]) + shift)
         if p is not None:
             z = np.hstack([z, p[:, active]])
         z = _orthonormal(z, x)
-        q, aq = np.hstack([x, z]), np.hstack([ax, problem.apply(kx, ky, z)])
-        theta, c = _lapack(np.linalg.eigh, q.T @ aq)
-        c = c[:, :size]
-        p, x, ax, w = z @ c[size:], q @ c, aq @ c, theta[:size]
+        az = problem.apply(kinetic, z)
+        # the Rayleigh-Ritz matrix of [x, z]; eigh reads its lower triangle
+        gram = np.zeros((size + z.shape[1],) * 2)
+        gram[np.arange(size), np.arange(size)] = w
+        gram[size:, :size] = z.T @ ax
+        gram[size:, size:] = z.T @ az
+        theta, c = _lapack(np.linalg.eigh, gram)
+        c_x, c_z = c[:size, :size], c[size:, :size]
+        p = z @ c_z
+        x, ax, w = x @ c_x + p, ax @ c_x + az @ c_z, theta[:size]
     raise ComputationError(
         f"block eigensolver left a residual of {np.max(norms[:n_bands]):.3e} "
         f"rad/s (bound {bound:.3e}) after {_BLOCK_MAX_ITERATIONS} iterations"
@@ -554,8 +591,9 @@ def solve_path(lattice: LatticeSpec, window: Window, kpoints, n_bands: int,
 
     The problem's 1D pieces are built once (``_problem``). From halfwidth
     ``_BLOCK_MIN_HALFWIDTH``, when the basis holds at least three blocks,
-    each point is solved by the block eigensolver on the matrix-free apply,
-    warm-started from the previous point's block (``_block_solve``), whose
+    each point is solved by the block eigensolver on the matrix-free apply
+    (``_block_solve``), started from the previous two points' blocks, whose
+    span holds the vectors' linear extrapolation along the path; the
     wanted columns are its vectors. Below it each point is assembled and
     solved on its own (``_solve``): points on a path mirror line as that
     mirror's even and odd blocks, others dense, and eigenvalue-only unless
@@ -568,13 +606,14 @@ def solve_path(lattice: LatticeSpec, window: Window, kpoints, n_bands: int,
                and 3 * (n_bands + _BLOCK_GUARD) <= width * width)
     omegas = np.empty((len(kpoints), n_bands))
     vectors = {}
-    block = None
+    blocks = ()  # the last two points' blocks, latest first
     solved = {}  # (kx, ky, kept) -> (w, v) below the crossover
     for i, (kx, ky) in enumerate(kpoints):
         kept = i in keep
         try:
             if blocked:
-                w, block = _block_solve(problem, kx, ky, n_bands, block)
+                w, block = _block_solve(problem, kx, ky, n_bands, blocks)
+                blocks = (block, *blocks[:1])
                 w, v = problem.omega0 + w, block[:, :n_bands]
             elif (kx, ky, kept) in solved:
                 w, v = solved[kx, ky, kept]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -85,6 +86,28 @@ def _record_shapes(monkeypatch, solver):
 
     monkeypatch.setattr(np.linalg, solver, recording)
     return shapes
+
+
+def _path_blocks(problem, points, n_bands=8):
+    """``_block_solve`` at each of ``points`` in order, each started from the
+    last two points' blocks as ``solve_path`` starts it: yields (w, block)."""
+    blocks = ()
+    for kx, ky in points:
+        w, block = _block_solve(problem, kx, ky, n_bands, blocks)
+        blocks = (block, *blocks[:1])
+        yield w, block
+
+
+def _assert_contract(problem, kx, ky, w, block, n_bands=8):
+    """The block solver's contract at (kx, ky): ascending ``w``, each wanted
+    residual within the bound through a fresh apply, an orthonormal
+    ``block``."""
+    v = block[:, :n_bands]
+    residual = np.linalg.norm(
+        problem.apply(problem.kinetic(kx, ky), v) - v * w, axis=0)
+    assert np.all(residual <= problem.residual_bound)
+    assert np.max(np.abs(block.T @ block - np.eye(block.shape[1]))) <= 1e-12
+    assert np.all(np.diff(w) >= 0)
 
 
 class TestKPath:
@@ -538,26 +561,71 @@ class TestBlockSolver:
         x = np.random.default_rng(3).standard_normal((len(basis), 5))
         kx, ky = 0.7 * math.pi / lattice.pitch, 0.2 * math.pi / lattice.pitch
         h = dense_hamiltonian(lattice, basis, kx, ky)
-        assert np.allclose(problem.apply(kx, ky, x), h @ x, rtol=0,
-                           atol=1e-13 * np.linalg.norm(h))
+        assert np.allclose(problem.apply(problem.kinetic(kx, ky), x), h @ x,
+                           rtol=0, atol=1e-13 * np.linalg.norm(h))
 
     def test_eigenpair_contract(self, lattice):
-        # every returned pair meets the stopping bound through the apply, and
-        # each block, warm-started along the path, is orthonormal
-        basis = reciprocal_basis(_BLOCK_MIN_HALFWIDTH, lattice.pitch)
-        problem = _problem(lattice, basis)
-        block = None
-        for kp in build_kpath(("G", "Z", "T", "G"), lattice.pitch, 3):
-            w, block = _block_solve(problem, kp.kx, kp.ky, 8, block)
-            v = block[:, :8]
-            residual = np.linalg.norm(
-                problem.apply(kp.kx, kp.ky, v) - v * w, axis=0)
-            assert np.all(residual <= problem.residual_bound)
-            assert np.max(np.abs(block.T @ block - np.eye(12))) <= 1e-12
-            assert np.all(np.diff(w) >= 0)
-            h = dense_hamiltonian(lattice, basis, kp.kx, kp.ky)
-            assert np.allclose(w, np.linalg.eigvalsh(h)[:8], rtol=0,
-                               atol=1e-12 * np.linalg.norm(h))
+        # at h = 8, 10 and 14, every returned pair meets the stopping bound
+        # through a fresh apply, and each block, started from the last two
+        # along the path as solve_path starts it, is orthonormal
+        points = [(kp.kx, kp.ky)
+                  for kp in build_kpath(("G", "Z", "T", "G"), lattice.pitch, 3)]
+        for halfwidth in (_BLOCK_MIN_HALFWIDTH, 10, 14):
+            basis = reciprocal_basis(halfwidth, lattice.pitch)
+            problem = _problem(lattice, basis)
+            for (kx, ky), (w, block) in zip(points,
+                                            _path_blocks(problem, points)):
+                _assert_contract(problem, kx, ky, w, block)
+                h = dense_hamiltonian(lattice, basis, kx, ky)
+                assert np.allclose(w, np.linalg.eigvalsh(h)[:8], rtol=0,
+                                   atol=1e-12 * np.linalg.norm(h))
+
+    def test_drifted_image_is_not_returned(self, bands_lattice, monkeypatch):
+        # a start apply off by a diagonal of 1e-6 c leaves the updated AX
+        # inconsistent with X: the implicit residuals fall within the bound
+        # while the true ones do not (23 times the bound), and the fresh
+        # apply that certifies the pairs must send the solver on
+        basis = reciprocal_basis(_BLOCK_MIN_HALFWIDTH, bands_lattice.pitch)
+        problem = _problem(bands_lattice, basis)
+        kx, ky = (frac * math.pi / bands_lattice.pitch for frac in (0.3, 0.1))
+        error = (np.random.default_rng(1).random(len(basis)) * 1e-6
+                 * problem.v_prefactor * problem.depth)
+        apply, applied = planewave._Problem.apply, []
+
+        def drifting(self, kinetic, x):
+            applied.append(x.shape[1])
+            out = apply(self, kinetic, x)
+            return out + error[:, None] * x if len(applied) == 1 else out
+
+        monkeypatch.setattr(planewave._Problem, "apply", drifting)
+        w, block = _block_solve(problem, kx, ky, 8)
+        monkeypatch.undo()
+        _assert_contract(problem, kx, ky, w, block)
+
+    @pytest.mark.parametrize("nodes", [("G", "G"), ("Z", "G", "Z")])
+    def test_paths_that_defeat_the_two_block_start(self, bands_lattice, nodes):
+        # all points at one k (the previous two blocks span one space), and a
+        # path that turns back on itself: both keep the contract, and equal
+        # k-points give equal rows
+        basis = reciprocal_basis(_BLOCK_MIN_HALFWIDTH, bands_lattice.pitch)
+        problem = _problem(bands_lattice, basis)
+        points = [(kp.kx, kp.ky)
+                  for kp in build_kpath(nodes, bands_lattice.pitch, 3)]
+        for (kx, ky), (w, block) in zip(points, _path_blocks(problem, points)):
+            _assert_contract(problem, kx, ky, w, block)
+        omegas, _ = planewave.solve_path(bands_lattice, basis, points, 8)
+        for i, j in itertools.combinations(range(len(points)), 2):
+            if points[i] == points[j]:
+                assert np.max(np.abs(omegas[i] - omegas[j])) <= 0.5
+
+    def test_rayleigh_ritz_solves_on_the_wide_path(self, bands_config,
+                                                   monkeypatch):
+        # one eigh of order > 8 per point for its start and one per step:
+        # the bands_wide path (h = 14, 8 samples, 25 points) takes 146
+        shapes = _record_shapes(monkeypatch, "eigh")
+        solve_bands(replace(bands_config, basis_halfwidth=14,
+                            samples_per_segment=8))
+        assert sum(shape[0] > 8 for shape in shapes) == 146
 
     def test_solve_bands_above_crossover(self, bands_config, monkeypatch):
         # no dense H and no large eigensolve; the nodes keep the block's
@@ -639,10 +707,9 @@ class TestBlockSolver:
         # c = 0: the bound falls back to the apply's round-off scale
         basis = reciprocal_basis(_BLOCK_MIN_HALFWIDTH, 4e-6)
         problem = _problem(empty_config.lattice, basis)
-        block = None
-        for frac in (0.0, 0.3, 0.5):
-            kx, ky = frac * math.pi / 4e-6, 0.5 * frac * math.pi / 4e-6
-            w, block = _block_solve(problem, kx, ky, 8, block)
+        points = [(frac * math.pi / 4e-6, 0.5 * frac * math.pi / 4e-6)
+                  for frac in (0.0, 0.3, 0.5)]
+        for (kx, ky), (w, _) in zip(points, _path_blocks(problem, points)):
             oracle = folded_free_bands(empty_config.lattice, kx, ky,
                                        _BLOCK_MIN_HALFWIDTH, 8)
             assert np.allclose(problem.omega0 + w, oracle, rtol=1e-12)
