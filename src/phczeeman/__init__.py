@@ -42,7 +42,6 @@ from .planewave import (
     build_kpath,
     classify_t_states,
     cluster_degenerate,
-    eigh_contract_at_t,
     longitudinal_profile,
     named_kpoint,
     opw_mass_at_t,
@@ -75,7 +74,7 @@ __all__ = [
     "BandStructure", "LongitudinalProfile",
     "KPathPoint", "TPointAnalysis", "named_kpoint", "build_kpath",
     "solve_path", "solve_bands", "cluster_degenerate", "classify_t_states",
-    "t_edges", "t_point_analysis", "eigh_contract_at_t",
+    "t_edges", "t_point_analysis",
     "perturbative_edges", "opw_mass_at_t", "longitudinal_profile",
     "KpModel", "KpSpectrum", "kp_from_opw", "kp_bands",
     "zeeman_splittings_at_T", "fsum_fd_masses", "fsum_target_masses",

@@ -172,9 +172,9 @@ def _band_rows(bs: pw.BandStructure):
                  _detuning_ghz(bs.omegas, bs.config), bs.rep_labels)
 
 
-def _kp_spectrum_on_path(config: ExperimentConfig, kpts) -> kpmod.KpSpectrum:
-    analysis = pw.t_point_analysis(config)
-    model = kpmod.kp_from_opw(analysis.edges, config.lattice)
+def _kp_spectrum_on_path(config: ExperimentConfig, kpts,
+                         edges) -> kpmod.KpSpectrum:
+    model = kpmod.kp_from_opw(edges, config.lattice)
     t_pt = pw.named_kpoint("T", config.lattice.pitch)
     k_rel = np.array([[p.kx - t_pt[0], p.ky - t_pt[1]] for p in kpts])
     return kpmod.kp_bands(model, k_rel, config.rotation)
@@ -252,7 +252,10 @@ def cmd_bands(args) -> int:
         bs = pw.solve_bands(config)
     spectrum = None
     if need_kp:
-        spectrum = _kp_spectrum_on_path(config, kpts)
+        # the edges that labelled the path's T node, if any
+        edges = bs.edges if need_opw and bs.edges else pw.t_edges(
+            config.lattice, config.basis_halfwidth)
+        spectrum = _kp_spectrum_on_path(config, kpts, edges)
 
     if args.model == "both":
         paths = _derived_paths(args.output, ("opw", "kp", "diff"))
@@ -470,8 +473,8 @@ def run_validation(config: ExperimentConfig) -> dict:
 
     # 2. eigensolver contract on the T-sector blocks t_point_analysis solves;
     # the detail names the block whose residual is largest against its bound
-    residual, bound, ortho, ascending = pw.eigh_contract_at_t(
-        lattice, config.basis_halfwidth)
+    analysis = pw.t_point_analysis(config)
+    residual, bound, ortho, ascending = analysis.contract
     ok = residual <= bound and ortho <= 1e-10 and ascending
     record("eigh_contract", "pass" if ok else "fail",
            f"residual {residual:.3e} (bound {bound:.3e}), "
@@ -486,7 +489,6 @@ def run_validation(config: ExperimentConfig) -> dict:
         return {"passed": passed, "checks": checks}
 
     # 3. corner-point degeneracy structure
-    analysis = pw.t_point_analysis(config)
     sizes = [len(g) for g in analysis.groups[:3]]
     gaps_ok = True
     low = analysis.omegas

@@ -241,16 +241,17 @@ DEFAULT_KPATH = ("G", "Z", "T", "G")
 DEFAULT_BASIS_HALFWIDTH = 7
 # Largest plane-wave cutoff. At h = 40 every path point is solved by the
 # block eigensolver, which forms no N x N array, so the T-point analysis
-# peaks highest: `bands --model both --samples 2` reaches 155 MB resident
-# and `validate` 147 MB. `split` builds and solves only three T sectors,
-# eigenvalue-only and one at a time, and peaks at 76 MB (measured on Linux,
-# numpy with OpenBLAS, one thread).
+# peaks highest: `validate`, which alone makes it, reaches 149 MB resident.
+# `bands --model both --samples 2` and `split` solve only three T sectors,
+# eigenvalue-only and one at a time, and peak at 81 and 76 MB (measured on
+# Linux, numpy with OpenBLAS, one thread).
 MAX_BASIS_HALFWIDTH = 40
 # Largest dump-fourier halfwidth: every index difference of a capped basis.
 MAX_FOURIER_HALFWIDTH = 2 * MAX_BASIS_HALFWIDTH
 DEFAULT_SAMPLES_PER_SEGMENT = 40
-# Most samples per k-path segment: each sample is one dense eigensolve, so a
-# three-segment path at the cap is 30001 solves.
+# Most samples per k-path segment: each sample is one eigensolve (dense or
+# mirror-blocked, or from halfwidth 8 a block solve), so a three-segment path
+# at the cap is 30001 solves.
 MAX_SAMPLES_PER_SEGMENT = 10_000
 # Most values in one sweep: each is a row of closed forms and of the CSV, so
 # the cap only stops a typo from computing and writing that many rows.

@@ -58,8 +58,8 @@ second-order k.p sums over the (x-odd, y-even) sector, the only one
 kappa_x S and kappa_y XY reach. ``t_edges`` builds and solves,
 eigenvalue-only, just the three sectors whose lowest states are the edges,
 for callers that need nothing else; a k-path's T node, solved on the
-symmetric window, takes its labels from them. ``eigh_contract_at_t``
-checks ``core.eigh``'s contract on all five sectors for ``validate``.
+symmetric window, takes its labels from them, and ``bands``' k.p model its
+edges. ``t_point_analysis`` checks ``core.eigh``'s contract on its solves.
 """
 from __future__ import annotations
 
@@ -185,7 +185,8 @@ class BandStructure:
     sector of the corner-window edge it lies at (``classify_t_states``).
     ``vectors`` maps the index of each named node (G, Z, T) to the unit
     eigenvector columns, (basis size, n_bands), of its bands over the
-    symmetric window ``basis``; interior points keep omegas only. Every
+    symmetric window ``basis``; interior points keep omegas only. ``edges``
+    are the ``t_edges`` the T rows were labelled by, None without a T. Every
     scalar band carries the two photon spin states, which stay degenerate
     without rotation.
     """
@@ -196,6 +197,7 @@ class BandStructure:
     vectors: dict[int, np.ndarray]
     basis: Window
     config: ExperimentConfig
+    edges: tuple[float, float, float] | None
 
     @property
     def n_bands(self) -> int:
@@ -485,7 +487,8 @@ def _orthonormal(z: np.ndarray, x: np.ndarray) -> np.ndarray:
     orthonormal columns ``x``: two passes of projection and Cholesky-QR,
     with Householder QR of [x, z] where the Gram matrix is not numerically
     positive definite."""
-    z = z / np.sqrt(np.einsum("ij,ij->j", z, z))
+    norms = np.sqrt(np.einsum("ij,ij->j", z, z))
+    z = z[:, norms > 0] / norms[norms > 0]  # a zero column spans nothing
     for _ in range(2):
         z -= x @ (x.T @ z)
         try:
@@ -649,16 +652,15 @@ def solve_bands(config: ExperimentConfig,
     omegas, vectors = solve_path(
         config.lattice, basis, [(kp.kx, kp.ky) for kp in kpts], n_bands,
         {kp.index for kp in kpts if kp.label})
+    t_rows = [kp.index for kp in kpts if kp.label == "T"]
+    edges = t_edges(config.lattice, config.basis_halfwidth) if t_rows else None
     bs = BandStructure(
         kpoints=kpts, omegas=omegas,
         rep_labels=np.full((len(kpts), n_bands), "", dtype=object),
-        vectors=vectors, basis=basis, config=config,
+        vectors=vectors, basis=basis, config=config, edges=edges,
     )
-    t_rows = [kp.index for kp in kpts if kp.label == "T"]
-    if t_rows:
-        edges = t_edges(config.lattice, config.basis_halfwidth)
-        for i in t_rows:
-            bs.rep_labels[i] = classify_t_states(omegas[i], edges)
+    for i in t_rows:
+        bs.rep_labels[i] = classify_t_states(omegas[i], edges)
     return bs
 
 
@@ -721,7 +723,10 @@ class TPointAnalysis:
     ``masses`` maps LABEL_S and LABEL_XY to the curvature mass
     hbar / (d^2 omega / dk^2) of that label's first group, for each label
     whose first group is a single state; a nondegenerate state at T has an
-    isotropic mass.
+    isotropic mass. ``contract`` is ``core.eigh``'s on the five sector
+    solves: the residual ||B v - w v|| worst against its bound
+    1e-10 ||B||_F, that bound, the largest |V^T V - I| entry, and whether
+    every block's eigenvalues ascend.
     """
 
     omegas: np.ndarray
@@ -729,6 +734,7 @@ class TPointAnalysis:
     labels: tuple[str, ...]
     edges: tuple[float, float, float]  # T1(S), T5(X,Y), T4(XY) sector edges
     masses: dict[str, float]
+    contract: tuple[float, float, float, bool]
 
     def group_of(self, label: str) -> tuple[int, ...]:
         for grp, lab in zip(self.groups, self.labels):
@@ -768,7 +774,7 @@ class _TSectors:
     folds: dict[str, tuple[_MirrorFold, bool]]
 
     def block(self, name: str) -> np.ndarray:
-        """The block of the sector ``name``, one of ``_T_SECTORS``."""
+        """The block of the sector ``name``: "S", "S'", "XY", "XY'" or "X"."""
         if name == "X":
             block = np.kron(self.minus, self.plus)
             block *= -self.c
@@ -776,10 +782,6 @@ class _TSectors:
             return block
         fold, odd = self.folds[name]
         return fold.block(self.kinetic, odd)
-
-
-# The sectors of ``_TSectors``, in the order t_point_analysis solves them
-_T_SECTORS = ("S", "S'", "XY", "XY'", "X")
 
 
 def _t_sectors(lattice: LatticeSpec, halfwidth: int) -> _TSectors:
@@ -814,8 +816,9 @@ def t_point_analysis(config: ExperimentConfig,
     x <-> y-odd partner of k(k-1)/2, T4(XY) and its partner of the same
     sizes, and the (x-odd, y-even) sector of k^2 waves, whose transposed
     grid is the (x-even, y-odd) sector; each is built by name and solved
-    by one eigh. A T5 pair is an (x-odd, y-even) state and its transpose,
-    so it is exactly degenerate, x member first.
+    by one ``core.eigh``, whose contract is checked. A T5 pair is an
+    (x-odd, y-even) state and its transpose, so it is exactly degenerate,
+    x member first.
 
     The S and XY edge masses come from the second-order k.p sum (Luttinger
     and Kohn, Phys. Rev. 97, 869 (1955)); H(k) is quadratic in k, so for a
@@ -828,17 +831,29 @@ def t_point_analysis(config: ExperimentConfig,
     hw = halfwidth if halfwidth is not None else config.basis_halfwidth
     sectors = _t_sectors(config.lattice, hw)
     problem, k, n_bands = sectors.problem, hw + 1, DEFAULT_N_BANDS
+    checks = []  # per block: (residual, bound), orthonormality, ascending
 
-    def solve(name):  # lowest omegas and their k x k grids
+    def solve(name):  # the whole spectrum, with its contract checked
+        block = sectors.block(name)
+        w, u = _lapack(eigh, block)
+        residual = block @ u
+        residual -= u * w
+        checks.append(((float(np.max(np.linalg.norm(residual, axis=0))),
+                        1e-10 * float(np.linalg.norm(block))),
+                       float(np.max(np.abs(u.T @ u - np.eye(w.size)))),
+                       bool(np.all(np.diff(w) >= 0))))
+        return w, u
+
+    def lowest(name):  # lowest omegas and their k x k grids
         fold, odd = sectors.folds[name]
-        w, u = _lapack(np.linalg.eigh, sectors.block(name))
+        w, u = solve(name)
         return w[:n_bands], fold.lift(u[:, :n_bands], odd).T.reshape(-1, k, k)
 
     # per sector: lowest omegas, their grids, label
-    found = [(*solve(name), label) for name, label in (
+    found = [(*lowest(name), label) for name, label in (
         ("S", LABEL_S), ("S'", LABEL_NONE), ("XY", LABEL_XY),
         ("XY'", LABEL_NONE))]
-    w_x, u_x = _lapack(np.linalg.eigh, sectors.block("X"))  # whole, for the masses
+    w_x, u_x = solve("X")  # whole, for the masses
     x_grids = u_x[:, :n_bands].T.reshape(-1, k, k)
     found += [(w_x[:n_bands], x_grids, LABEL_PAIR),
               (w_x[:n_bands], x_grids.transpose(0, 2, 1), LABEL_PAIR)]
@@ -863,10 +878,13 @@ def t_point_analysis(config: ExperimentConfig,
             coupling = u_x.T @ (kap * kept[i]).ravel()
             k2_sum = float(np.sum(coupling ** 2 / (w[order[i]] - w_x)))
             masses[lab] = problem.m0 / (1.0 + 2.0 * HBAR / problem.m0 * k2_sum)
+    pairs, ortho, ascending = zip(*checks)
     return TPointAnalysis(
         omegas=omegas,
         groups=tuple(tuple(g) for g in groups), labels=tuple(labels),
         edges=edges, masses=masses,
+        contract=(*max(pairs, key=lambda pair: pair[0] / pair[1]), max(ortho),
+                  all(ascending)),
     )
 
 
@@ -877,40 +895,14 @@ def t_edges(lattice: LatticeSpec, halfwidth: int) -> tuple[float, float, float]:
     built.
 
     Callers that need only the edges take them here, with no eigenvectors
-    or masses: ``split``, ``validate``'s convergence rung and the labels of
-    a k-path's T node. ``eigvalsh`` may differ from ``t_point_analysis``'s
-    ``eigh`` in the last digits, so outputs that write the edges
-    (``bands --model kp``) keep taking them from ``t_point_analysis``.
+    or masses: ``split``, ``validate``'s convergence rung, and ``bands``
+    for its T-node labels and k.p model (``BandStructure.edges``). They
+    may differ from ``t_point_analysis``'s in the last digits.
     """
     sectors = _t_sectors(lattice, halfwidth)
     s, xy, pair = (_lapack(np.linalg.eigvalsh, sectors.block(name))[0]
                    for name in ("S", "XY", "X"))
     return tuple(float(sectors.problem.omega0 + w) for w in (s, pair, xy))
-
-
-def eigh_contract_at_t(lattice: LatticeSpec, halfwidth: int
-                       ) -> tuple[float, float, float, bool]:
-    """``core.eigh``'s contract on the five T-sector blocks that
-    ``t_point_analysis`` solves, checked in its order.
-
-    Returns the largest residual norm ||B v - w v|| of the block whose
-    residual is largest against its bound 1e-10 ||B||_F, with that bound;
-    the largest entry of |V^T V - I| over the blocks; and whether every
-    block's eigenvalues come out ascending.
-    """
-    sectors = _t_sectors(lattice, halfwidth)
-
-    def check(block):  # (residual, bound), orthonormality, ascending
-        w, v = _lapack(eigh, block)
-        return ((float(np.max(np.linalg.norm(block @ v - v * w, axis=0))),
-                 1e-10 * float(np.linalg.norm(block))),
-                float(np.max(np.abs(v.T @ v - np.eye(w.size)))),
-                bool(np.all(np.diff(w) >= 0)))
-
-    pairs, ortho, ascending = zip(*(check(sectors.block(name))
-                                    for name in _T_SECTORS))
-    return (*max(pairs, key=lambda pair: pair[0] / pair[1]), max(ortho),
-            all(ascending))
 
 
 def opw_mass_at_t(config: ExperimentConfig, edge_label: str,

@@ -22,7 +22,9 @@ the four corner waves, the heuristic the sector-edge labels replaced, and
 their lowest states onto the window, as ``t_point_analysis`` did before it
 dropped its eigenvectors. ``two_ray_kp_vs_opw_worst`` solves the two rays
 of ``validate``'s k.p check as two paths out of T, each starting at T, where
-the CLI solves them as one path through T.
+the CLI solves them as one path through T. ``eigh_contract_at_t`` checks
+``eigh``'s contract on the five T-sector blocks in a pass of its own, as
+``validate`` did before it read the contract of the T analysis's solves.
 """
 import math
 import warnings
@@ -46,6 +48,10 @@ from phczeeman import (
 from phczeeman.constants import C, HBAR
 from phczeeman.kp import _block_matrices
 from phczeeman.lattice import pattern_factors, t_centered_basis
+from phczeeman.planewave import _lapack, _t_sectors
+
+# The sectors of ``_t_sectors``, in the order t_point_analysis solves them
+T_SECTORS = ("S", "S'", "XY", "XY'", "X")
 
 
 def quadrature_fourier_coefficient(lattice, m, n, order=40):
@@ -382,3 +388,27 @@ def two_ray_kp_vs_opw_worst(config, model, span):
     worst = max(abs(w - row[np.argmin(np.abs(row - w))])
                 for row, target in zip(opw, spectra) for w in target)
     return float(worst) / span
+
+
+def eigh_contract_at_t(lattice, halfwidth):
+    """``eigh``'s contract on the five T-sector blocks of ``_t_sectors``,
+    each built and solved afresh, in ``t_point_analysis``'s order.
+
+    Returns the largest residual norm ||B v - w v|| of the block whose
+    residual is largest against its bound 1e-10 ||B||_F, with that bound;
+    the largest entry of |V^T V - I| over the blocks; and whether every
+    block's eigenvalues come out ascending.
+    """
+    sectors = _t_sectors(lattice, halfwidth)
+
+    def check(block):  # (residual, bound), orthonormality, ascending
+        w, v = _lapack(eigh, block)
+        return ((float(np.max(np.linalg.norm(block @ v - v * w, axis=0))),
+                 1e-10 * float(np.linalg.norm(block))),
+                float(np.max(np.abs(v.T @ v - np.eye(w.size)))),
+                bool(np.all(np.diff(w) >= 0)))
+
+    pairs, ortho, ascending = zip(*(check(sectors.block(name))
+                                    for name in T_SECTORS))
+    return (*max(pairs, key=lambda pair: pair[0] / pair[1]), max(ortho),
+            all(ascending))

@@ -545,6 +545,58 @@ class TestValidateCommand:
         assert rc == 2
 
 
+def _t_sector_solves(monkeypatch, halfwidth):
+    """Record (solver, order) of every eigensolve of a T-sector block at
+    ``halfwidth`` or ``halfwidth + 2``, told apart by the sectors' orders;
+    at h = 7 no other matrix the CLI solves has one of them."""
+    orders = set()
+    for k in (halfwidth + 1, halfwidth + 3):
+        orders |= {k * (k + 1) // 2, k * (k - 1) // 2, k * k}
+    solves = []
+
+    def recording(solver, original):
+        def solve(a, *args, **kwargs):
+            if np.shape(a)[-1] in orders:
+                solves.append((solver, np.shape(a)[-1]))
+            return original(a, *args, **kwargs)
+        return solve
+
+    for solver in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, solver,
+                            recording(solver, getattr(np.linalg, solver)))
+    return solves
+
+
+class TestTSectorSolves:
+    """Each command solves each T sector at most once per halfwidth: S, XY
+    (36 waves at h = 7) and (x-odd, y-even) (64) eigenvalue-only for the
+    edges, and all five sectors with eigh for validate's analysis."""
+
+    EDGES = [("eigvalsh", 36), ("eigvalsh", 36), ("eigvalsh", 64)]
+
+    @pytest.mark.parametrize("model", ["both", "kp"])
+    def test_bands(self, bands_cfg_file, tmp_path, monkeypatch, model):
+        solves = _t_sector_solves(monkeypatch, 7)
+        assert main(["bands", bands_cfg_file, "-o", str(tmp_path / "b.csv"),
+                     "--samples", "4", "--model", model]) == 0
+        assert solves == self.EDGES
+
+    def test_validate(self, bands_cfg_file, tmp_path, monkeypatch):
+        solves = _t_sector_solves(monkeypatch, 7)
+        assert main(["validate", bands_cfg_file,
+                     "-o", str(tmp_path / "report.json")]) == 0
+        # S, S', XY, XY', X at h, then the h + 2 rung's edges
+        assert solves == [("eigh", 36), ("eigh", 28), ("eigh", 36),
+                          ("eigh", 28), ("eigh", 64), ("eigvalsh", 55),
+                          ("eigvalsh", 55), ("eigvalsh", 100)]
+
+    def test_split(self, bands_cfg_file, tmp_path, monkeypatch):
+        solves = _t_sector_solves(monkeypatch, 7)
+        assert main(["split", bands_cfg_file,
+                     "-o", str(tmp_path / "s.csv")]) == 0
+        assert solves == self.EDGES
+
+
 class TestDumpFourier:
     def test_values_match_analytic(self, bands_cfg_file, tmp_path):
         from phczeeman import fourier_coefficient

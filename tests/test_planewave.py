@@ -16,7 +16,6 @@ from phczeeman import (
     build_kpath,
     classify_t_states,
     cluster_degenerate,
-    eigh_contract_at_t,
     derive_params,
     longitudinal_profile,
     named_kpoint,
@@ -32,13 +31,14 @@ from phczeeman.lattice import pattern_factors, t_centered_basis
 from phczeeman import _kernels, planewave
 from phczeeman.planewave import (
     _BLOCK_MIN_HALFWIDTH, DEFAULT_N_BANDS, LABEL_NONE, LABEL_PAIR, LABEL_S,
-    LABEL_XY, _T_SECTORS, _axis_fold, _block_solve, _problem, _solve,
+    LABEL_XY, _axis_fold, _block_solve, _problem, _solve,
     _swap_fold, _t_sectors,
 )
 from phczeeman.zeeman import m_closed_form
-from oracles import (channel_labels, dense_eigh, dense_hamiltonian,
-                     dense_t_sectors, folded_free_bands, mirror_blocks,
-                     mirror_fold, rayleigh_omegas, unfold_t_states)
+from oracles import (T_SECTORS, channel_labels, dense_eigh,
+                     dense_hamiltonian, dense_t_sectors, eigh_contract_at_t,
+                     folded_free_bands, mirror_blocks, mirror_fold,
+                     rayleigh_omegas, unfold_t_states)
 
 # perfbench's seed-12345 jittered lattice (workloads.lattice_for_seed)
 JITTERED = dict(lambda_vac=960e-9, n_refr=3.53, pitch=3.916619872545341e-6,
@@ -391,7 +391,7 @@ class TestTPointSectors:
     @pytest.mark.parametrize("halfwidth", [3, 7, 14])
     def test_sectors_match_fold_of_dense(self, bands_lattice, halfwidth):
         sectors = _t_sectors(bands_lattice, halfwidth)
-        blocks = [sectors.block(name) for name in _T_SECTORS]
+        blocks = [sectors.block(name) for name in T_SECTORS]
         expected, h = dense_t_sectors(bands_lattice, halfwidth)
         assert len(blocks) == len(expected) == 5
         for block, folded in zip(blocks, expected):
@@ -425,6 +425,20 @@ class TestTPointSectors:
         assert [s[0] for s in shapes] == [sym, anti, sym, anti, pair]
         assert all(s[0] == s[1] for s in shapes)
         assert 2 * (sym + anti + pair) == (2 * halfwidth + 2) ** 2
+
+    @pytest.mark.parametrize("halfwidth", [3, 7, 10])
+    @pytest.mark.parametrize("lattice", ["reference", "other", "negative"])
+    def test_contract_of_its_own_solves(self, bands_lattice, lattice,
+                                        halfwidth):
+        # bit for bit the contract of a separate pass over the five blocks
+        lattice = {"reference": bands_lattice,
+                   "other": replace(bands_lattice, pitch=4.37e-6,
+                                    fill_factor=0.713, dphi=0.0137),
+                   "negative": replace(bands_lattice, dphi=-0.01)}[lattice]
+        analysis = t_point_analysis(ExperimentConfig(lattice), halfwidth)
+        assert analysis.contract == eigh_contract_at_t(lattice, halfwidth)
+        residual, bound, ortho, ascending = analysis.contract
+        assert residual <= bound and ortho <= 1e-10 and ascending
 
     @pytest.mark.parametrize("halfwidth", [3, 7])
     def test_lifted_pairs_meet_contract(self, bands_config, halfwidth):
@@ -579,6 +593,20 @@ class TestBlockSolver:
                 h = dense_hamiltonian(lattice, basis, kx, ky)
                 assert np.allclose(w, np.linalg.eigvalsh(h)[:8], rtol=0,
                                    atol=1e-12 * np.linalg.norm(h))
+
+    def test_orthonormal_drops_a_zero_column(self):
+        # an exactly zero search direction spans nothing: it must not turn
+        # the block into NaN, and the other columns come out bit for bit
+        # as they would without it
+        rng = np.random.default_rng(5)
+        x = np.linalg.qr(rng.standard_normal((50, 4)))[0]
+        z = rng.standard_normal((50, 3))
+        z[:, 1] = 0.0
+        q = planewave._orthonormal(z, x)
+        assert np.all(np.isfinite(q)) and q.shape == (50, 2)
+        assert np.max(np.abs(q.T @ q - np.eye(2))) <= 1e-14
+        assert np.max(np.abs(x.T @ q)) <= 1e-14
+        assert np.array_equal(q, planewave._orthonormal(np.delete(z, 1, 1), x))
 
     def test_drifted_image_is_not_returned(self, bands_lattice, monkeypatch):
         # a start apply off by a diagonal of 1e-6 c leaves the updated AX
@@ -1059,8 +1087,9 @@ class TestClassification:
                       samples_per_segment=2, basis_halfwidth=3)
         bs = solve_bands(cfg)
         assert calls == [(cfg.lattice, 3)]
+        assert bs.edges == t_edges(cfg.lattice, 3)  # kept for the k.p model
         assert list(bs.rep_labels[0, :4]) == list(bs.rep_labels[-1, :4])
-        solve_bands(replace(cfg, kpath=("G", "Z")))
+        assert solve_bands(replace(cfg, kpath=("G", "Z"))).edges is None
         assert len(calls) == 1
 
     def test_empty_lattice_symmetric_combo_is_s(self, bands_lattice):
@@ -1193,7 +1222,7 @@ class TestTEdges:
     def test_builds_only_its_three_sectors(self, bands_config, monkeypatch,
                                            halfwidth):
         # t_edges builds the S, XY and X blocks, no x <-> y-odd partner of
-        # a swap fold; t_point_analysis and the eigh contract build all five
+        # a swap fold; t_point_analysis builds all five
         built, parities = [], []
         block = planewave._TSectors.block
         monkeypatch.setattr(planewave._TSectors, "block", lambda self, name: (
@@ -1213,14 +1242,11 @@ class TestTEdges:
         t_edges(bands_config.lattice, halfwidth)
         assert built == ["S", "XY", "X"]
         assert parities == [False, False]
-        for solve in (lambda: t_point_analysis(bands_config, halfwidth),
-                      lambda: eigh_contract_at_t(bands_config.lattice,
-                                                 halfwidth)):
-            built.clear()
-            parities.clear()
-            solve()
-            assert built == ["S", "S'", "XY", "XY'", "X"]
-            assert parities == [False, True, False, True]
+        built.clear()
+        parities.clear()
+        t_point_analysis(bands_config, halfwidth)
+        assert built == ["S", "S'", "XY", "XY'", "X"]
+        assert parities == [False, True, False, True]
 
 
 def _fd_curvature(f, step, levels):
