@@ -173,8 +173,7 @@ def _band_rows(bs: pw.BandStructure):
 
 
 def _kp_spectrum_on_path(config: ExperimentConfig, kpts,
-                         edges) -> kpmod.KpSpectrum:
-    model = kpmod.kp_from_opw(edges, config.lattice)
+                         model: kpmod.KpModel) -> kpmod.KpSpectrum:
     t_pt = pw.named_kpoint("T", config.lattice.pitch)
     k_rel = np.array([[p.kx - t_pt[0], p.ky - t_pt[1]] for p in kpts])
     return kpmod.kp_bands(model, k_rel, config.rotation)
@@ -247,15 +246,14 @@ def cmd_bands(args) -> int:
     kpts = pw.build_kpath(config.kpath, config.lattice.pitch,
                           config.samples_per_segment)
 
-    bs = None
-    if need_opw:
-        bs = pw.solve_bands(config)
-    spectrum = None
-    if need_kp:
-        # the edges that labelled the path's T node, if any
-        edges = bs.edges if need_opw and bs.edges else pw.t_edges(
-            config.lattice, config.basis_halfwidth)
-        spectrum = _kp_spectrum_on_path(config, kpts, edges)
+    # the T sectors first: the k.p model checks their order, and the path's
+    # T node takes its labels from them, before any path point is solved
+    edges = None
+    if need_kp or any(p.label == "T" for p in kpts):
+        edges = pw.t_edges(config.lattice, config.basis_halfwidth)
+    model = kpmod.kp_from_opw(edges, config.lattice) if need_kp else None
+    bs = pw.solve_bands(config, edges) if need_opw else None
+    spectrum = _kp_spectrum_on_path(config, kpts, model) if need_kp else None
 
     if args.model == "both":
         paths = _derived_paths(args.output, ("opw", "kp", "diff"))
@@ -449,7 +447,7 @@ def _kp_vs_opw_worst(config: ExperimentConfig, model: kpmod.KpModel,
                              RotationSpec(0.0)).omegas
     path = np.concatenate([rays[::-1, 0], rays[1:, 1]])  # T at position 8
     basis = reciprocal_basis(config.basis_halfwidth, lattice.pitch)
-    opw, _ = pw.solve_path(lattice, basis, path.tolist(), 8)
+    opw, _ = pw.solve_path(lattice, basis, path.tolist())
     # each ray out of T, in the order kp_bands took the rays' points
     opw = np.stack([opw[8::-1], opw[8:]], axis=1).reshape(spectra.shape)
     return float(np.max(np.abs(spectra - _nearest(opw, spectra)))) / span
@@ -534,10 +532,9 @@ def run_validation(config: ExperimentConfig) -> dict:
            "(bound 25%)")
 
     # 7. unimodular longitudinal factor and bounded alpha at Gamma
-    gamma_cfg = replace(config, kpath=("G",), samples_per_segment=1)
-    bs_gamma = pw.solve_bands(gamma_cfg)
-    profile = pw.longitudinal_profile(bs_gamma.vectors[0][:, 0],
-                                      bs_gamma.basis, lattice)
+    basis = reciprocal_basis(config.basis_halfwidth, lattice.pitch)
+    _, vectors = pw.solve_path(lattice, basis, [(0.0, 0.0)], keep={0})
+    profile = pw.longitudinal_profile(vectors[0][:, 0], basis, lattice)
     dev_eta = float(np.max(np.abs(np.abs(1.0 + profile.eta_samples) - 1.0)))
     mean_floor = lattice.dphi * lattice.fill_factor
     alpha_ok = mean_floor < profile.alpha < lattice.dphi

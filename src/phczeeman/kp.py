@@ -169,7 +169,9 @@ def kp_bands(model: KpModel, kpath, rot: RotationSpec) -> KpSpectrum:
     """Eight-band spectrum along a path of k-points measured from T.
 
     The blocks of all k-points are built as one stack and diagonalized in
-    one ``eigh`` call per handedness.
+    one ``eigh`` call per handedness, with the edges measured from omega_T1,
+    which is added back to the sorted eigenvalues: LAPACK's round-off then
+    scales with the corner gaps, not with the carrier frequency.
     """
     k_rel = np.atleast_2d(np.asarray(kpath, dtype=float))
     if k_rel.shape[1] != 2:
@@ -179,12 +181,16 @@ def kp_bands(model: KpModel, kpath, rot: RotationSpec) -> KpSpectrum:
     # place and move a point on the window's edge
     window = np.array([math.hypot(kx, ky) <= kmax for kx, ky in k_rel],
                       dtype=bool)
-    upper, lower = _block_matrices(model, k_rel[:, 0], k_rel[:, 1], rot.omega_z)
+    detuned = replace(model, omega_T5=model.omega_T5 - model.omega_T1,
+                      omega_T1=0.0, omega_T5p=model.omega_T5p - model.omega_T1)
+    upper, lower = _block_matrices(detuned, k_rel[:, 0], k_rel[:, 1],
+                                   rot.omega_z)
     wu, _ = eigh(HermitianMatrix(upper))
     wl, _ = eigh(HermitianMatrix(lower))
     w = np.concatenate([wu, wl], axis=-1)
     order = np.argsort(w, axis=-1, kind="stable")
-    return KpSpectrum(omegas=np.take_along_axis(w, order, axis=-1),
+    return KpSpectrum(omegas=np.take_along_axis(w, order, axis=-1)
+                      + model.omega_T1,
                       blocks=np.repeat([1, -1], 4)[order],
                       within_window=window)
 

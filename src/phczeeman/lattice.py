@@ -51,8 +51,9 @@ class Window:
     def __post_init__(self):
         if self.width < 1:
             raise ValidationError(f"window width must be >= 1, got {self.width}")
-        if self.pitch <= 0:
-            raise ValidationError(f"pitch must be > 0, got {self.pitch}")
+        if not (math.isfinite(self.pitch) and self.pitch > 0):
+            raise ValidationError(
+                f"pitch must be finite and > 0, got {self.pitch}")
 
     def __len__(self) -> int:
         return self.width * self.width

@@ -18,9 +18,9 @@ with c = v*dphi*FF and S the Toeplitz sinc factor over the window's axis
 N x N array lives across k-points. A k-path is solved point by point in
 path order by ``solve_path``, the one place that builds a path's problem
 and picks the solver below; ``solve_bands`` and ``validate``'s k.p rays,
-one path through T, both call it. Its results are arrays over (k-point,
-band) (``BandStructure``): only the named nodes (G, Z, T) keep
-eigenvectors; interior path points need only their frequencies.
+one path through T, both call it. Every point is solved afresh, and
+keeps eigenvectors only where its caller asks (``validate``'s Γ state);
+``solve_bands`` keeps none (``BandStructure``).
 
 From halfwidth ``_BLOCK_MIN_HALFWIDTH`` (8, the measured crossover) every
 path point is solved by a warm-started block eigensolver (LOBPCG,
@@ -30,10 +30,9 @@ them wanted, each point starting from the Ritz vectors over the previous
 two points' blocks. Its omegas are the Rayleigh quotients of a fresh
 apply to the converged vectors, which also certifies their residuals, so
 they carry no round-off that grows with the basis as a dense
-eigensolve's do, and a point holds O(24 N) entries, never H. Named nodes
-keep the block's vectors. Below the crossover the mirror blocks and dense
-solves described next are faster, and interior points there are solved
-eigenvalue-only.
+eigensolve's do, and a point holds O(24 N) entries, never H. Below the
+crossover the mirror blocks and dense solves described next are faster,
+and points there are solved eigenvalue-only unless kept.
 
 Every mirror block comes from two folds of the 1D factors: an axis mirror
 folds S into S+-[a, b] = s[|a-b|] +- s[a+b+shift] (``_axis_fold``), and
@@ -57,9 +56,9 @@ the sector it was solved in. The S and XY edge masses are the exact
 second-order k.p sums over the (x-odd, y-even) sector, the only one
 kappa_x S and kappa_y XY reach. ``t_edges`` builds and solves,
 eigenvalue-only, just the three sectors whose lowest states are the edges,
-for callers that need nothing else; a k-path's T node, solved on the
-symmetric window, takes its labels from them, and ``bands``' k.p model its
-edges. ``t_point_analysis`` checks ``core.eigh``'s contract on its solves.
+for callers that need nothing else; ``bands`` solves them first, for its
+k.p model and the labels of a k-path's T node, solved on the symmetric
+window. ``t_point_analysis`` checks ``core.eigh``'s contract on its solves.
 """
 from __future__ import annotations
 
@@ -89,7 +88,7 @@ from .lattice import (
     t_centered_basis,
 )
 
-DEFAULT_N_BANDS = 8  # covers the corner manifold plus guard bands
+DEFAULT_N_BANDS = 8  # bands per path point: the corner manifold plus guards
 
 # The warm-started block eigensolver (``_block_solve``) solves every path
 # point of a basis at least _BLOCK_MIN_HALFWIDTH wide; below it the mirror
@@ -183,21 +182,14 @@ class BandStructure:
     ``omegas[i, b]`` is band b at ``kpoints[i]``, ascending in b, and
     ``rep_labels[i, b]`` its T representation label, "" off the T node: the
     sector of the corner-window edge it lies at (``classify_t_states``).
-    ``vectors`` maps the index of each named node (G, Z, T) to the unit
-    eigenvector columns, (basis size, n_bands), of its bands over the
-    symmetric window ``basis``; interior points keep omegas only. ``edges``
-    are the ``t_edges`` the T rows were labelled by, None without a T. Every
-    scalar band carries the two photon spin states, which stay degenerate
-    without rotation.
+    No eigenvector is kept. Every scalar band carries the two photon spin
+    states, which stay degenerate without rotation.
     """
 
     kpoints: tuple[KPathPoint, ...]
     omegas: np.ndarray
     rep_labels: np.ndarray
-    vectors: dict[int, np.ndarray]
-    basis: Window
     config: ExperimentConfig
-    edges: tuple[float, float, float] | None
 
     @property
     def n_bands(self) -> int:
@@ -451,16 +443,18 @@ def _lapack(solver, h):
         ) from exc
 
 
-def _solve(problem: _Problem, kx, ky, n_bands, vectors: bool = False):
-    """Lowest ``n_bands`` omegas at (kx, ky), and their unit eigenvectors
-    over the basis when ``vectors`` (else None).
+def _solve(problem: _Problem, kx, ky, vectors: bool = False):
+    """Lowest ``DEFAULT_N_BANDS`` omegas at (kx, ky), and their unit
+    eigenvectors over the basis when ``vectors`` (else None).
 
     On a mirror line of the path (ky == 0, or kx == ky) whose blocks the
     problem holds, H splits exactly into the mirror's even and odd blocks.
     Each is solved on its own (``eigh`` for vectors, else ``eigvalsh``), the
-    lowest ``n_bands`` of their merged eigenvalues are kept, and their block
-    vectors are lifted onto the basis. Elsewhere H is solved dense.
+    lowest of their merged eigenvalues are kept, and their block vectors
+    are lifted onto the basis. Elsewhere H is solved dense.
     """
+    n_bands = DEFAULT_N_BANDS
+
     def solve(h):
         if vectors:
             w, u = _lapack(np.linalg.eigh, h)
@@ -498,9 +492,9 @@ def _orthonormal(z: np.ndarray, x: np.ndarray) -> np.ndarray:
     return z
 
 
-def _block_solve(problem: _Problem, kx, ky, n_bands, previous=()):
-    """Lowest ``n_bands`` detuned eigenvalues at (kx, ky), ascending, and an
-    orthonormal block whose first ``n_bands`` columns are their vectors, by
+def _block_solve(problem: _Problem, kx, ky, previous=()):
+    """Lowest ``DEFAULT_N_BANDS`` detuned eigenvalues at (kx, ky), ascending,
+    and an orthonormal block whose first columns are their vectors, by
     LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)) on
     ``problem.apply``.
 
@@ -526,6 +520,7 @@ def _block_solve(problem: _Problem, kx, ky, n_bands, previous=()):
     steps.
     """
     kinetic = problem.kinetic(kx, ky)
+    n_bands = DEFAULT_N_BANDS
     size = n_bands + _BLOCK_GUARD
     searched = n_bands + _BLOCK_SEARCHED_GUARD
     if not previous:
@@ -585,83 +580,69 @@ def _block_solve(problem: _Problem, kx, ky, n_bands, previous=()):
     )
 
 
-def solve_path(lattice: LatticeSpec, window: Window, kpoints, n_bands: int,
-               keep=()):
-    """Lowest ``n_bands`` omegas of ``lattice`` at each (kx, ky) of
+def solve_path(lattice: LatticeSpec, window: Window, kpoints, keep=()):
+    """Lowest ``DEFAULT_N_BANDS`` omegas of ``lattice`` at each (kx, ky) of
     ``kpoints`` on the symmetric ``window``, solved in path order, as an
-    (n_k, n_bands) array, and the unit eigenvectors of the points whose
-    positions are in ``keep``, keyed by position.
+    (n_k, DEFAULT_N_BANDS) array, and the unit eigenvectors of the points
+    whose positions are in ``keep``, keyed by position.
 
     The problem's 1D pieces are built once (``_problem``). From halfwidth
-    ``_BLOCK_MIN_HALFWIDTH``, when the basis holds at least three blocks,
-    each point is solved by the block eigensolver on the matrix-free apply
-    (``_block_solve``), started from the previous two points' blocks, whose
-    span holds the vectors' linear extrapolation along the path; the
-    wanted columns are its vectors. Below it each point is assembled and
-    solved on its own (``_solve``): points on a path mirror line as that
-    mirror's even and odd blocks, others dense, and eigenvalue-only unless
-    kept; a point solved the same way earlier on the path, like the closing
-    G of G:Z:T:G, reuses that solve.
+    ``_BLOCK_MIN_HALFWIDTH`` each point is solved by the block eigensolver
+    on the matrix-free apply (``_block_solve``), started from the previous
+    two points' blocks, whose span holds the vectors' linear extrapolation
+    along the path; the wanted columns are its vectors. Below it each point
+    is assembled and solved on its own (``_solve``): points on a path
+    mirror line as that mirror's even and odd blocks, others dense, and
+    eigenvalue-only unless kept. A point that recurs, like the closing G of
+    G:Z:T:G, is solved again.
     """
     problem = _problem(lattice, window)
-    width = problem.factor.shape[0]
-    blocked = (width // 2 >= _BLOCK_MIN_HALFWIDTH
-               and 3 * (n_bands + _BLOCK_GUARD) <= width * width)
-    omegas = np.empty((len(kpoints), n_bands))
+    blocked = problem.factor.shape[0] // 2 >= _BLOCK_MIN_HALFWIDTH
+    omegas = np.empty((len(kpoints), DEFAULT_N_BANDS))
     vectors = {}
     blocks = ()  # the last two points' blocks, latest first
-    solved = {}  # (kx, ky, kept) -> (w, v) below the crossover
     for i, (kx, ky) in enumerate(kpoints):
-        kept = i in keep
         try:
             if blocked:
-                w, block = _block_solve(problem, kx, ky, n_bands, blocks)
+                w, block = _block_solve(problem, kx, ky, blocks)
                 blocks = (block, *blocks[:1])
-                w, v = problem.omega0 + w, block[:, :n_bands]
-            elif (kx, ky, kept) in solved:
-                w, v = solved[kx, ky, kept]
+                w, v = problem.omega0 + w, block[:, :DEFAULT_N_BANDS]
             else:
-                w, v = solved[kx, ky, kept] = _solve(problem, kx, ky, n_bands,
-                                                     vectors=kept)
+                w, v = _solve(problem, kx, ky, vectors=i in keep)
         except ComputationError as exc:
             raise ComputationError(
                 f"{exc} at k-point {i} (kx={kx:.6g}, ky={ky:.6g})"
             ) from exc
         omegas[i] = w
-        if kept:
+        if i in keep:
             vectors[i] = v
     return omegas, vectors
 
 
-def solve_bands(config: ExperimentConfig,
-                n_bands: int = DEFAULT_N_BANDS) -> BandStructure:
-    """Lowest scalar bands along the configured k-path (deterministic).
+def solve_bands(config: ExperimentConfig, edges) -> BandStructure:
+    """Lowest scalar bands along the configured k-path (deterministic),
+    solved in path order by ``solve_path``, without eigenvectors.
 
-    The k-points are solved in path order by ``solve_path``. Named nodes
-    keep unit-norm eigenvectors, and T rows get their representation labels
-    from the corner window's sector edges (``t_edges``,
-    ``classify_t_states``).
+    T rows get their representation labels from ``edges``, the corner
+    window's sector edges (``t_edges``, ``classify_t_states``). ``edges``
+    may be None only for a path without T, else ValidationError before
+    any point is solved.
     """
-    basis = reciprocal_basis(config.basis_halfwidth, config.lattice.pitch)
-    if n_bands > len(basis):
-        raise ValidationError(
-            f"n_bands = {n_bands} exceeds basis size {len(basis)}"
-        )
     kpts = tuple(build_kpath(config.kpath, config.lattice.pitch,
                              config.samples_per_segment))
-    omegas, vectors = solve_path(
-        config.lattice, basis, [(kp.kx, kp.ky) for kp in kpts], n_bands,
-        {kp.index for kp in kpts if kp.label})
     t_rows = [kp.index for kp in kpts if kp.label == "T"]
-    edges = t_edges(config.lattice, config.basis_halfwidth) if t_rows else None
-    bs = BandStructure(
-        kpoints=kpts, omegas=omegas,
-        rep_labels=np.full((len(kpts), n_bands), "", dtype=object),
-        vectors=vectors, basis=basis, config=config, edges=edges,
-    )
+    if t_rows and edges is None:
+        raise ValidationError("a path through T needs the T sector edges "
+                              "(t_edges) to label its T node")
+    omegas, _ = solve_path(
+        config.lattice,
+        reciprocal_basis(config.basis_halfwidth, config.lattice.pitch),
+        [(kp.kx, kp.ky) for kp in kpts])
+    rep_labels = np.full(omegas.shape, "", dtype=object)
     for i in t_rows:
-        bs.rep_labels[i] = classify_t_states(omegas[i], edges)
-    return bs
+        rep_labels[i] = classify_t_states(omegas[i], edges)
+    return BandStructure(kpoints=kpts, omegas=omegas, rep_labels=rep_labels,
+                         config=config)
 
 
 # --------------------------------------------------------------------------
@@ -896,8 +877,8 @@ def t_edges(lattice: LatticeSpec, halfwidth: int) -> tuple[float, float, float]:
 
     Callers that need only the edges take them here, with no eigenvectors
     or masses: ``split``, ``validate``'s convergence rung, and ``bands``
-    for its T-node labels and k.p model (``BandStructure.edges``). They
-    may differ from ``t_point_analysis``'s in the last digits.
+    for its k.p model and T-node labels, before any path point. They may
+    differ from ``t_point_analysis``'s in the last digits.
     """
     sectors = _t_sectors(lattice, halfwidth)
     s, xy, pair = (_lapack(np.linalg.eigvalsh, sectors.block(name))[0]

@@ -217,6 +217,30 @@ def mp_closed_form_total(lattice, dps=40):
         return float(m_plus), float(m_minus), float(m_plus + m_minus)
 
 
+def mp_kp_omegas(model, k_rel, omega_rot, dps=50):
+    """The eight k.p omegas at each k of ``k_rel`` (measured from T),
+    ascending, as ``dps``-digit mpmath numbers: an mpmath eigensolve of the
+    blocks of ``model`` with its edges measured from omega_T1, whose float
+    entries it takes exactly, with omega_T1 added back at that precision."""
+    import mpmath as mp
+
+    detuned = replace(model, omega_T5=model.omega_T5 - model.omega_T1,
+                      omega_T1=0.0, omega_T5p=model.omega_T5p - model.omega_T1)
+    k_rel = np.asarray(k_rel, dtype=float)
+    blocks = _block_matrices(detuned, k_rel[:, 0], k_rel[:, 1], omega_rot)
+    omegas = []
+    with mp.workdps(dps):
+        for pair in zip(*blocks):
+            w = []
+            for block in pair:
+                matrix = mp.matrix([[mp.mpc(z.real, z.imag) for z in row]
+                                    for row in block.tolist()])
+                e = mp.eighe(matrix, eigvals_only=True)
+                w.extend(e[i] for i in range(e.rows))
+            omegas.append(sorted(mp.mpf(model.omega_T1) + x for x in w))
+    return omegas
+
+
 def build_each(build, values, what):
     """``[build(v) for v in values]`` with the specs' regime warnings merged
     into one: the count of values whose spec warned, and the warning of the
@@ -383,7 +407,7 @@ def two_ray_kp_vs_opw_worst(config, model, span):
     rays = t_pt + (np.linspace(0.0, 1.0, 9) * reach)[:, None, None] * directions
     spectra = kp_bands(model, (rays - t_pt).reshape(-1, 2),
                        RotationSpec(0.0)).omegas
-    opw = np.stack([solve_path(lattice, window, rays[:, ray].tolist(), 8)[0]
+    opw = np.stack([solve_path(lattice, window, rays[:, ray].tolist())[0]
                     for ray in range(2)], axis=1).reshape(spectra.shape)
     worst = max(abs(w - row[np.argmin(np.abs(row - w))])
                 for row, target in zip(opw, spectra) for w in target)

@@ -26,7 +26,7 @@ from phczeeman import (
     pattern_sinc,
     perturbative_edges,
     reciprocal_basis,
-    solve_bands,
+    solve_path,
     t_point_analysis,
     zeeman_splittings_at_T,
 )
@@ -168,9 +168,10 @@ def test_criterion_07_fourier_oracle(bands_lattice):
 
 def test_criterion_08_longitudinal_factor(bands_config):
     """|1 + eta| = 1 to 1e-12 and alpha strictly inside (dphi*FF, dphi)."""
-    cfg = replace(bands_config, kpath=("G",), samples_per_segment=1)
-    bs = solve_bands(cfg)
-    profile = longitudinal_profile(bs.vectors[0][:, 0], bs.basis, cfg.lattice,
+    cfg = bands_config
+    basis = reciprocal_basis(cfg.basis_halfwidth, cfg.lattice.pitch)
+    _, vectors = solve_path(cfg.lattice, basis, [(0.0, 0.0)], keep={0})
+    profile = longitudinal_profile(vectors[0][:, 0], basis, cfg.lattice,
                                    samples=1024)
     dev = float(np.max(np.abs(np.abs(1.0 + profile.eta_samples) - 1.0)))
     lo = cfg.lattice.dphi * cfg.lattice.fill_factor

@@ -242,6 +242,25 @@ class TestBandsCommand:
               "--kpath", "Z:T", "--samples", "2"])
         assert open(bands_cfg_file, "rb").read() == before
 
+    def test_edge_order_checked_before_the_path(self, tmp_path, capsys,
+                                                monkeypatch):
+        # dphi < 0 reverses the corner edges: the k.p model, built from the
+        # T sector edges first, fails before any path point is solved, and
+        # no file is written
+        from phczeeman import planewave
+        solves = []
+        solve_path = planewave.solve_path
+        monkeypatch.setattr(planewave, "solve_path", lambda *a, **k: (
+            solves.append(a) or solve_path(*a, **k)))
+        cfg = tmp_path / "negative.json"
+        cfg.write_text(json.dumps({**BANDS_DOC, "dphi": -0.01}))
+        rc = main(["bands", str(cfg), "-o", str(tmp_path / "bands.csv"),
+                   "--model", "both"])
+        assert rc == 1
+        assert "band-edge ordering violated" in capsys.readouterr().err
+        assert solves == []
+        assert list(tmp_path.glob("*.csv")) == []
+
     def test_block_solver_non_convergence_exits_1(self, tmp_path, capsys,
                                                   monkeypatch):
         from phczeeman import planewave

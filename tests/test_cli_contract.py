@@ -1,4 +1,4 @@
-"""Property test of the CLI exit-code contract.
+"""Property tests of the CLI exit-code contract.
 
 For any JSON config and any flags argparse accepts, ``main`` returns 0
 (success), 1 (computation failure) or 2 (usage/config error) and never lets
@@ -7,8 +7,11 @@ negative numbers, wrong types, bad k-path tokens and bad rate lists. Costs
 stay small: valid basis halfwidths are at most 3, valid sample counts at most
 2, valid dump-fourier halfwidths at most 4 and valid sweep point counts at
 most 3; the larger sizes generated are above their caps and rejected before
-any work.
+any work. A second test draws in-range lattices at halfwidth 8 or 9, where
+every path point goes through the block eigensolver, and runs ``bands`` with
+each model and ``validate`` on each.
 """
+import csv
 import json
 import math
 import os
@@ -138,3 +141,51 @@ def test_main_returns_contract_exit_code(doc, command):
             warnings.simplefilter("ignore")
             rc = main([sub, cfg, "-o", out, *argv])
     assert rc in (0, 1, 2)
+
+
+# The lattice keys of VALUES over their in-range values only, at a basis
+# wide enough for the block eigensolver.
+wide_docs = st.fixed_dictionaries({
+    **{key: VALUES[key] for key in ("lambda_nm", "n", "pitch_um", "ff",
+                                    "dphi", "omega_rad_s")},
+    "basis_halfwidth": st.sampled_from([8, 9]),
+})
+
+
+def _assert_finite_cells(path):
+    """Every cell of the CSV at ``path`` that reads as a number is finite."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        for row in csv.reader(fh):
+            for cell in row:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue  # a header or a label
+                assert math.isfinite(value), (os.path.basename(path), row)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=wide_docs, samples=st.sampled_from([1, 2]))
+def test_wide_basis_commands_return_contract_exit_code(doc, samples):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for model in ("opw", "kp", "both"):
+            out = os.path.join(tmp, model)
+            os.mkdir(out)
+            with warnings.catch_warnings(), np.errstate(all="ignore"):
+                warnings.simplefilter("ignore")
+                rc = main(["bands", cfg, "-o", os.path.join(out, "bands.csv"),
+                           "--model", model, f"--samples={samples}"])
+            assert rc in (0, 1, 2)
+            if rc == 0:
+                written = sorted(os.listdir(out))
+                assert len(written) == (3 if model == "both" else 1)
+                for name in written:
+                    _assert_finite_cells(os.path.join(out, name))
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            rc = main(["validate", cfg, "-o", os.path.join(tmp, "report.json")])
+        assert rc in (0, 1, 2)

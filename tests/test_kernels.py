@@ -10,6 +10,7 @@ from phczeeman import (
     reciprocal_basis,
     solve_bands,
     t_centered_basis,
+    t_edges,
 )
 from phczeeman import _kernels, planewave
 
@@ -106,7 +107,7 @@ def test_solve_bands_outside_cli_keeps_callers_thread_count(bands_config,
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
     cfg = replace(bands_config, basis_halfwidth=3, samples_per_segment=3)
     with _kernels.blas_threads(2):
-        solve_bands(cfg)
+        solve_bands(cfg, t_edges(cfg.lattice, 3))
         assert _kernels.blas_thread_count() == 2
     assert seen == {2}
 

@@ -12,19 +12,22 @@ from phczeeman import (
     KpModel,
     LatticeSpec,
     RotationSpec,
+    build_kpath,
     derive_params,
     eigh,
     fsum_fd_masses,
     fsum_target_masses,
     kp_bands,
     kp_from_opw,
+    named_kpoint,
     perturbative_edges,
+    t_edges,
     zeeman_splittings_at_T,
 )
 from phczeeman.constants import HBAR
 from phczeeman import kp
 from phczeeman.kp import _block_matrices
-from oracles import eigh_splittings_at_T, mp_closed_form_total
+from oracles import eigh_splittings_at_T, mp_closed_form_total, mp_kp_omegas
 
 ROT0 = RotationSpec(0.0)
 
@@ -221,6 +224,28 @@ class TestKpBands:
 
         s1, s2 = pair_split(10.0), pair_split(20.0)
         assert s2 / s1 == pytest.approx(4.0, rel=0.01)
+
+
+class TestKpBandsPrecision:
+    def test_omegas_within_an_ulp_of_mpmath(self, bands_config):
+        # the reference config's model, from its T sector edges at h = 7, on
+        # 21 points of the default path: solved in detuning units, each
+        # omega is the 50-digit one to within an ulp of 2e15 rad/s (solved
+        # in absolute units, up to 1.25 rad/s off)
+        import mpmath as mp
+
+        lattice = bands_config.lattice
+        model = kp_from_opw(t_edges(lattice, 7), lattice)
+        t_pt = named_kpoint("T", lattice.pitch)
+        kpts = build_kpath(bands_config.kpath, lattice.pitch,
+                           bands_config.samples_per_segment)[::6]
+        k_rel = np.array([[p.kx - t_pt[0], p.ky - t_pt[1]] for p in kpts])
+        assert len(k_rel) == 21
+        omegas = kp_bands(model, k_rel, ROT0).omegas
+        exact = mp_kp_omegas(model, k_rel, 0.0)
+        worst = max(abs(mp.mpf(w) - x) for row, oracle in zip(omegas, exact)
+                    for w, x in zip(row.tolist(), oracle))
+        assert worst <= 0.25
 
 
 class TestZeemanSplittings:

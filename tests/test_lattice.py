@@ -171,6 +171,15 @@ class TestReciprocalBasis:
         with pytest.raises(ValidationError, match="width"):
             Window(0, 0, 4e-6)
 
+    @pytest.mark.parametrize("pitch", [math.nan, math.inf, -math.inf])
+    def test_non_finite_pitch_rejected(self, pitch):
+        # NaN passes a "<= 0" test, and inf would make every G zero
+        for window in (reciprocal_basis, t_centered_basis):
+            with pytest.raises(ValidationError, match="pitch must be finite"):
+                window(2, pitch)
+        with pytest.raises(ValidationError, match="pitch must be finite"):
+            Window(-1, 3, pitch)
+
     def test_t_centered_window(self):
         basis = t_centered_basis(2, 4e-6)
         idx = set(zip(basis.m.tolist(), basis.n.tolist()))

@@ -75,6 +75,12 @@ def _traced(fn):
     return result, held - before, peak - before
 
 
+def _bands(cfg):
+    """``solve_bands`` on ``cfg`` with the T sector edges that ``bands``
+    solves first."""
+    return solve_bands(cfg, t_edges(cfg.lattice, cfg.basis_halfwidth))
+
+
 def _record_shapes(monkeypatch, solver):
     """Record the shape of every matrix passed to ``np.linalg.<solver>``."""
     shapes = []
@@ -88,21 +94,21 @@ def _record_shapes(monkeypatch, solver):
     return shapes
 
 
-def _path_blocks(problem, points, n_bands=8):
+def _path_blocks(problem, points):
     """``_block_solve`` at each of ``points`` in order, each started from the
     last two points' blocks as ``solve_path`` starts it: yields (w, block)."""
     blocks = ()
     for kx, ky in points:
-        w, block = _block_solve(problem, kx, ky, n_bands, blocks)
+        w, block = _block_solve(problem, kx, ky, blocks)
         blocks = (block, *blocks[:1])
         yield w, block
 
 
-def _assert_contract(problem, kx, ky, w, block, n_bands=8):
+def _assert_contract(problem, kx, ky, w, block):
     """The block solver's contract at (kx, ky): ascending ``w``, each wanted
     residual within the bound through a fresh apply, an orthonormal
     ``block``."""
-    v = block[:, :n_bands]
+    v = block[:, :DEFAULT_N_BANDS]
     residual = np.linalg.norm(
         problem.apply(problem.kinetic(kx, ky), v) - v * w, axis=0)
     assert np.all(residual <= problem.residual_bound)
@@ -176,7 +182,7 @@ class TestBuildHamiltonian:
 class TestSolveBands:
     def test_empty_lattice_fourfold_at_t(self, empty_config):
         cfg = replace(empty_config, kpath=("T",), samples_per_segment=1)
-        bs = solve_bands(cfg)
+        bs = _bands(cfg)
         w = bs.omegas[0]
         dp = derive_params(cfg.lattice)
         # frozen: omega0 + hbar*(2*pi^2/pitch^2)/(2*m0)
@@ -190,13 +196,13 @@ class TestSolveBands:
     def test_empty_lattice_folding_oracle_generic_k(self, empty_config):
         basis = reciprocal_basis(7, empty_config.lattice.pitch)
         kx, ky = 0.3 * math.pi / 4e-6, 0.15 * math.pi / 4e-6
-        w, _ = _solve(_problem(empty_config.lattice, basis), kx, ky, 8)
+        w, _ = _solve(_problem(empty_config.lattice, basis), kx, ky)
         oracle = folded_free_bands(empty_config.lattice, kx, ky, 7, 8)
         assert np.allclose(w, oracle, rtol=1e-12)
 
     def test_patterned_t_multiplicities(self, bands_config):
         cfg = replace(bands_config, kpath=("T",), samples_per_segment=1)
-        bs = solve_bands(cfg)
+        bs = _bands(cfg)
         w = bs.omegas[0]
         groups = cluster_degenerate(w[:4])
         assert [len(g) for g in groups] == [1, 2, 1]
@@ -205,7 +211,7 @@ class TestSolveBands:
     def test_t_labels_attached(self, bands_config, halfwidth):
         cfg = replace(bands_config, kpath=("Z", "T"), samples_per_segment=4,
                       basis_halfwidth=halfwidth)
-        bs = solve_bands(cfg)
+        bs = _bands(cfg)
         assert list(bs.rep_labels[-1, :4]) == [LABEL_S, LABEL_PAIR,
                                                LABEL_PAIR, LABEL_XY]
         if halfwidth == 3:
@@ -225,16 +231,16 @@ class TestSolveBands:
     def test_deterministic(self, bands_config):
         cfg = replace(bands_config, kpath=("G", "T"), samples_per_segment=3,
                       basis_halfwidth=4)
-        a = solve_bands(cfg)
-        b = solve_bands(cfg)
+        a = _bands(cfg)
+        b = _bands(cfg)
         assert np.array_equal(a.omegas, b.omegas)
         assert np.array_equal(a.rep_labels, b.rep_labels)
 
     def test_band_count_constant(self, bands_config):
         cfg = replace(bands_config, kpath=("G", "Z"), samples_per_segment=3,
                       basis_halfwidth=3)
-        bs = solve_bands(cfg, n_bands=6)
-        assert bs.omegas.shape == bs.rep_labels.shape == (4, 6)
+        bs = solve_bands(cfg, None)
+        assert bs.omegas.shape == bs.rep_labels.shape == (4, DEFAULT_N_BANDS)
         assert np.all(np.diff(bs.omegas, axis=1) >= 0)
 
     def test_c4v_spectrum_invariance(self, bands_config):
@@ -242,15 +248,15 @@ class TestSolveBands:
         rng = np.random.default_rng(5)
         kx, ky = rng.uniform(0.05, 0.45, size=2) * math.pi / 4e-6
         problem = _problem(bands_config.lattice, basis)
-        w0, _ = _solve(problem, kx, ky, 6)
+        w0, _ = _solve(problem, kx, ky)
         for kim in ((ky, kx), (-kx, ky), (kx, -ky), (-ky, -kx)):
-            wi, _ = _solve(problem, kim[0], kim[1], 6)
+            wi, _ = _solve(problem, kim[0], kim[1])
             assert np.allclose(wi, w0, rtol=1e-10)
 
     def test_variational_bounds(self, bands_config):
         cfg = replace(bands_config, kpath=("G", "Z", "T"),
                       samples_per_segment=5, basis_halfwidth=5)
-        bs = solve_bands(cfg)
+        bs = _bands(cfg)
         dp = derive_params(cfg.lattice)
         depth = dp.v_prefactor * cfg.lattice.dphi
         floor = dp.omega0 - depth
@@ -259,10 +265,16 @@ class TestSolveBands:
             free = folded_free_bands(cfg.lattice, kp_pt.kx, kp_pt.ky, 5, 1)[0]
             assert row[0] <= free + depth
 
-    def test_n_bands_above_basis_size_rejected(self, bands_config):
-        cfg = replace(bands_config, basis_halfwidth=2)
-        with pytest.raises(ValidationError, match="n_bands"):
-            solve_bands(cfg, n_bands=100)
+    def test_t_node_needs_edges(self, bands_config, monkeypatch):
+        # a path through T without its sector edges is refused before any
+        # point is solved (a path without T needs none: see above)
+        solves = []
+        monkeypatch.setattr(planewave, "solve_path",
+                            lambda *a, **k: solves.append(a))
+        cfg = replace(bands_config, basis_halfwidth=2, samples_per_segment=1)
+        with pytest.raises(ValidationError, match="T sector edges"):
+            solve_bands(cfg, None)
+        assert solves == []
 
     def test_potential_gathered_once(self, bands_config, monkeypatch):
         # the dense pattern term is written only at the points solved dense:
@@ -276,7 +288,7 @@ class TestSolveBands:
 
         monkeypatch.setattr(_kernels, "fill_hamiltonian", counting)
         cfg = replace(bands_config, samples_per_segment=3, basis_halfwidth=3)
-        bs = solve_bands(cfg)
+        bs = _bands(cfg)
         assert len(bs.kpoints) == 10
         dense = [kp for kp in bs.kpoints if kp.ky != 0.0 and kp.kx != kp.ky]
         assert len(dense) == 2
@@ -301,19 +313,18 @@ class TestSolveBands:
 
         monkeypatch.setattr(planewave, "_swap_fold", counting)
         cfg = replace(bands_config, samples_per_segment=3, basis_halfwidth=3)
-        g_z = solve_bands(replace(cfg, kpath=("G", "Z")))
+        g_z = solve_bands(replace(cfg, kpath=("G", "Z")), None)
         assert gathers == []
-        full = solve_bands(cfg)
+        full = _bands(cfg)
         # each parity once
         assert [g for g in gathers if g[0] == (7, 7)] == [((7, 7), False),
                                                           ((7, 7), True)]
         assert np.array_equal(full.omegas[:4], g_z.omegas)
         # the same omegas as with the blocks gathered up front
-        eager = _problem(cfg.lattice, full.basis)
+        eager = _problem(cfg.lattice, reciprocal_basis(3, cfg.lattice.pitch))
         eager.diagonal
         for kp in full.kpoints:
-            w, _ = _solve(eager, kp.kx, kp.ky, DEFAULT_N_BANDS,
-                          vectors=bool(kp.label))
+            w, _ = _solve(eager, kp.kx, kp.ky)
             assert np.array_equal(w, full.omegas[kp.index])
 
 
@@ -350,8 +361,9 @@ class TestProblem:
         cfg = replace(bands_config, basis_halfwidth=_BLOCK_MIN_HALFWIDTH - 1,
                       samples_per_segment=2)
         n = (2 * cfg.basis_halfwidth + 1) ** 2
-        solve_bands(replace(cfg, basis_halfwidth=2))  # first-call allocations
-        bs, _, peak = _traced(lambda: solve_bands(cfg))
+        _bands(replace(cfg, basis_halfwidth=2))  # first-call allocations
+        edges = t_edges(cfg.lattice, cfg.basis_halfwidth)
+        bs, _, peak = _traced(lambda: solve_bands(cfg, edges))
         assert len(bs.kpoints) == 7
         assert peak <= 2.25 * n * n * 8
 
@@ -370,7 +382,7 @@ class TestEigenpairContract:
         basis = window(7, bands_lattice.pitch)
         kx, ky = named_kpoint(node, bands_lattice.pitch)
         problem = _problem(bands_lattice, basis)
-        w, v = _solve(problem, kx, ky, 8, vectors=True)
+        w, v = _solve(problem, kx, ky, vectors=True)
         h = problem.hamiltonian(kx, ky)
         residual = np.max(np.linalg.norm(h @ v - v * (w - bands_dp.omega0),
                                          axis=0))
@@ -521,26 +533,36 @@ class TestTPointSectors:
 
 
 class TestFrequencyOnlyInterior:
-    """Interior path points carry omegas only; named nodes keep vectors."""
+    """A path's points carry omegas only; ``solve_path`` keeps vectors only
+    at the positions asked for."""
 
     @pytest.fixture(scope="class")
     def small_path(self, bands_config):
         cfg = replace(bands_config, kpath=("G", "Z", "T"),
                       samples_per_segment=3, basis_halfwidth=4)
-        return solve_bands(cfg)
+        return _bands(cfg)
 
     def test_vectors_only_at_named_nodes(self, small_path):
         labels = [kp.label for kp in small_path.kpoints]
         assert labels == ["G", "", "", "Z", "", "", "T"]
-        assert sorted(small_path.vectors) == [0, 3, 6]
-        for v in small_path.vectors.values():
-            assert v.shape == (len(small_path.basis), small_path.n_bands)
+        lattice = small_path.config.lattice
+        basis = reciprocal_basis(4, lattice.pitch)
+        points = [(kp.kx, kp.ky) for kp in small_path.kpoints]
+        omegas, vectors = planewave.solve_path(lattice, basis, points,
+                                               keep={0, 3, 6})
+        assert sorted(vectors) == [0, 3, 6]
+        for v in vectors.values():
+            assert v.shape == (len(basis), DEFAULT_N_BANDS)
             assert np.allclose(np.sum(v ** 2, axis=0), 1.0, rtol=0,
                                atol=1e-10)
+        # a kept point is solved with eigh, the others as solve_bands does
+        assert np.array_equal(omegas[[1, 2, 4, 5]],
+                              small_path.omegas[[1, 2, 4, 5]])
+        assert np.max(np.abs(omegas - small_path.omegas)) <= 1.0
 
     def test_interior_omegas_match_refined_solve(self, small_path):
         cfg = small_path.config
-        problem = _problem(cfg.lattice, small_path.basis)
+        problem = _problem(cfg.lattice, reciprocal_basis(4, cfg.lattice.pitch))
         for kp_pt, w in zip(small_path.kpoints, small_path.omegas):
             if kp_pt.label:
                 continue
@@ -549,14 +571,21 @@ class TestFrequencyOnlyInterior:
             assert np.max(np.abs(w - w_ref)) <= 16.0
 
     def test_eigenvalue_failure_names_kpoint(self, bands_config, monkeypatch):
-        def fail(_h):
-            raise np.linalg.LinAlgError("no convergence")
+        # each G-Z point solves two mirror blocks; the third solve fails
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def fail(h):
+            calls.append(h.shape)
+            if len(calls) > 2:
+                raise np.linalg.LinAlgError("no convergence")
+            return eigvalsh(h)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         cfg = replace(bands_config, kpath=("G", "Z"), samples_per_segment=2,
                       basis_halfwidth=2)
         with pytest.raises(ComputationError, match="at k-point 1 "):
-            solve_bands(cfg)
+            solve_bands(cfg, None)
 
 
 class TestBlockSolver:
@@ -626,7 +655,7 @@ class TestBlockSolver:
             return out + error[:, None] * x if len(applied) == 1 else out
 
         monkeypatch.setattr(planewave._Problem, "apply", drifting)
-        w, block = _block_solve(problem, kx, ky, 8)
+        w, block = _block_solve(problem, kx, ky)
         monkeypatch.undo()
         _assert_contract(problem, kx, ky, w, block)
 
@@ -641,7 +670,7 @@ class TestBlockSolver:
                   for kp in build_kpath(nodes, bands_lattice.pitch, 3)]
         for (kx, ky), (w, block) in zip(points, _path_blocks(problem, points)):
             _assert_contract(problem, kx, ky, w, block)
-        omegas, _ = planewave.solve_path(bands_lattice, basis, points, 8)
+        omegas, _ = planewave.solve_path(bands_lattice, basis, points)
         for i, j in itertools.combinations(range(len(points)), 2):
             if points[i] == points[j]:
                 assert np.max(np.abs(omegas[i] - omegas[j])) <= 0.5
@@ -650,71 +679,78 @@ class TestBlockSolver:
                                                    monkeypatch):
         # one eigh of order > 8 per point for its start and one per step:
         # the bands_wide path (h = 14, 8 samples, 25 points) takes 146
+        cfg = replace(bands_config, basis_halfwidth=14, samples_per_segment=8)
+        edges = t_edges(cfg.lattice, 14)
         shapes = _record_shapes(monkeypatch, "eigh")
-        solve_bands(replace(bands_config, basis_halfwidth=14,
-                            samples_per_segment=8))
+        solve_bands(cfg, edges)
         assert sum(shape[0] > 8 for shape in shapes) == 146
 
     def test_solve_bands_above_crossover(self, bands_config, monkeypatch):
-        # no dense H and no large eigensolve; the nodes keep the block's
-        # vectors, and T is labelled from the sector edges
+        # no dense H and no large eigensolve; a kept point keeps the
+        # block's vectors, and T is labelled from the sector edges
         fills = []
         monkeypatch.setattr(_kernels, "fill_hamiltonian",
                             lambda *a: fills.append(a))
-        shapes = _record_shapes(monkeypatch, "eigh")
         cfg = replace(bands_config, basis_halfwidth=_BLOCK_MIN_HALFWIDTH,
                       samples_per_segment=2)
-        bs = solve_bands(cfg)
+        edges = t_edges(cfg.lattice, cfg.basis_halfwidth)
+        shapes = _record_shapes(monkeypatch, "eigh")
+        bs = solve_bands(cfg, edges)
         assert fills == []
         assert max(shape[0] for shape in shapes) <= 36
-        assert sorted(bs.vectors) == [0, 2, 4, 6]
-        for v in bs.vectors.values():
-            assert v.shape == (len(bs.basis), 8)
+        basis = reciprocal_basis(cfg.basis_halfwidth, cfg.lattice.pitch)
+        _, vectors = planewave.solve_path(
+            cfg.lattice, basis, [(kp.kx, kp.ky) for kp in bs.kpoints],
+            keep={0, 2, 4, 6})
+        assert sorted(vectors) == [0, 2, 4, 6]
+        for v in vectors.values():
+            assert v.shape == (len(basis), 8)
             assert np.max(np.abs(v.T @ v - np.eye(8))) <= 1e-12
         assert list(bs.rep_labels[4, :4]) == [LABEL_S, LABEL_PAIR,
                                               LABEL_PAIR, LABEL_XY]
-        assert np.array_equal(solve_bands(cfg).omegas, bs.omegas)
+        assert np.array_equal(solve_bands(cfg, edges).omegas, bs.omegas)
 
     def test_peak_memory_linear_in_basis(self, bands_config):
         # the block's arrays, O(N * 36) entries (measured 345 N * 8 B at
         # h = 14), where one dense H alone is N^2 * 8 B = 841 N * 8 B
         cfg = replace(bands_config, basis_halfwidth=14, samples_per_segment=2)
         n = (2 * cfg.basis_halfwidth + 1) ** 2
-        solve_bands(replace(cfg, basis_halfwidth=2))  # first-call allocations
-        _, _, peak = _traced(lambda: solve_bands(cfg))
+        _bands(replace(cfg, basis_halfwidth=2))  # first-call allocations
+        edges = t_edges(cfg.lattice, cfg.basis_halfwidth)
+        _, _, peak = _traced(lambda: solve_bands(cfg, edges))
         assert peak <= 450 * n * 8
 
-    @pytest.mark.parametrize("halfwidth,n_bands", [
-        (_BLOCK_MIN_HALFWIDTH - 1, 8),
-        (_BLOCK_MIN_HALFWIDTH, 93),  # three blocks of 93 + 4 exceed 289 waves
-    ])
-    def test_dense_below_crossover(self, bands_config, monkeypatch,
-                                   halfwidth, n_bands):
+    def test_dense_below_crossover(self, bands_config, monkeypatch):
         solves = []
         monkeypatch.setattr(planewave, "_block_solve",
                             lambda *a: solves.append(a))
-        cfg = replace(bands_config, basis_halfwidth=halfwidth,
+        cfg = replace(bands_config, basis_halfwidth=_BLOCK_MIN_HALFWIDTH - 1,
                       samples_per_segment=2)
-        assert solve_bands(cfg, n_bands=n_bands).omegas.shape == (7, n_bands)
+        assert _bands(cfg).omegas.shape == (7, DEFAULT_N_BANDS)
         assert solves == []
 
     @pytest.mark.parametrize("halfwidth", [_BLOCK_MIN_HALFWIDTH - 1,
                                            _BLOCK_MIN_HALFWIDTH])
     def test_solve_path_is_solve_bands_loop(self, bands_config, halfwidth):
-        # keeping the named nodes gives the rows and node vectors that
-        # solve_bands returns; vectors only at the positions kept
+        # solve_path over the path's points gives the rows solve_bands
+        # returns; keeping points gives their vectors, and moves their rows
+        # (eigh in place of eigvalsh) only below the crossover, by less
+        # than 1 rad/s
         cfg = replace(bands_config, basis_halfwidth=halfwidth,
                       samples_per_segment=2)
-        bs = solve_bands(cfg)
+        bs = _bands(cfg)
+        basis = reciprocal_basis(halfwidth, cfg.lattice.pitch)
         points = [(kp.kx, kp.ky) for kp in bs.kpoints]
-        omegas, vectors = planewave.solve_path(cfg.lattice, bs.basis, points,
-                                               8, {0, 2, 4, 6})
+        omegas, vectors = planewave.solve_path(cfg.lattice, basis, points)
         assert np.array_equal(omegas, bs.omegas)
-        assert sorted(vectors) == sorted(bs.vectors) == [0, 2, 4, 6]
-        for i, v in vectors.items():
-            assert np.array_equal(v, bs.vectors[i])
-        assert planewave.solve_path(cfg.lattice, bs.basis, points[:3],
-                                    8)[1] == {}
+        assert vectors == {}
+        omegas, vectors = planewave.solve_path(cfg.lattice, basis, points,
+                                               keep={0, 2, 4, 6})
+        assert sorted(vectors) == [0, 2, 4, 6]
+        assert np.array_equal(omegas[1::2], bs.omegas[1::2])
+        if halfwidth >= _BLOCK_MIN_HALFWIDTH:
+            assert np.array_equal(omegas, bs.omegas)
+        assert np.max(np.abs(omegas - bs.omegas)) <= 1.0
 
     def test_solve_path_names_the_failing_point(self, bands_config,
                                                 monkeypatch):
@@ -729,7 +765,7 @@ class TestBlockSolver:
         with pytest.raises(ComputationError,
                            match=r"^no convergence at k-point 1 \(kx=1, ky=2\)$"):
             planewave.solve_path(bands_config.lattice, basis,
-                                 [(0.0, 0.0), (1.0, 2.0)], 8)
+                                 [(0.0, 0.0), (1.0, 2.0)])
 
     def test_empty_lattice_free_bands(self, empty_config):
         # c = 0: the bound falls back to the apply's round-off scale
@@ -750,11 +786,12 @@ class TestPathAccuracy:
 
     def test_within_one_rad_s_of_oracle(self, bands_config):
         cfg = replace(bands_config, basis_halfwidth=14, samples_per_segment=8)
-        bs = solve_bands(cfg)
+        bs = _bands(cfg)
+        basis = reciprocal_basis(14, cfg.lattice.pitch)
         # interior points of G-Z, Z-T and T-G, and the T node
         for index in (4, 12, 21, 16):
             kp = bs.kpoints[index]
-            oracle = rayleigh_omegas(cfg.lattice, bs.basis, kp.kx, kp.ky, 8)
+            oracle = rayleigh_omegas(cfg.lattice, basis, kp.kx, kp.ky, 8)
             assert np.max(np.abs(bs.omegas[index] - oracle)) <= 1.0
 
 
@@ -775,7 +812,7 @@ class TestMirrorBlockedSolve:
             assert problem.fold_at(kp.kx, kp.ky) is not None
             h = problem.hamiltonian(kp.kx, kp.ky)
             dense = np.linalg.eigvalsh(h)[:8]
-            w, _ = _solve(problem, kp.kx, kp.ky, 8)
+            w, _ = _solve(problem, kp.kx, kp.ky)
             assert np.max(np.abs((w - bands_dp.omega0) - dense)) <= (
                 1e-12 * np.linalg.norm(h))
 
@@ -797,7 +834,7 @@ class TestMirrorBlockedSolve:
         shapes = _record_shapes(monkeypatch, "eigvalsh")
         kx = 2 * math.pi * kx_frac / bands_lattice.pitch
         ky = 2 * math.pi * ky_frac / bands_lattice.pitch
-        _solve(problem, kx, ky, 8)
+        _solve(problem, kx, ky)
         assert shapes == [(120, 120), (105, 105)]
 
     @pytest.mark.parametrize("nodes,mirror", [
@@ -822,7 +859,7 @@ class TestMirrorBlockedSolve:
         assert problem.diagonal is not None
         kx = 0.6 * math.pi / bands_lattice.pitch
         shapes = _record_shapes(monkeypatch, "eigvalsh")
-        w, _ = _solve(problem, kx, 0.0, 8)
+        w, _ = _solve(problem, kx, 0.0)
         assert shapes == [(64, 64)]
         h = problem.hamiltonian(kx, 0.0)
         assert np.array_equal(w, bands_dp.omega0 + np.linalg.eigvalsh(h)[:8])
@@ -949,7 +986,7 @@ class TestFoldedNamedNodes:
             assert problem.fold_at(kx, ky) is not None
             h = problem.hamiltonian(kx, ky)
             scale = np.linalg.norm(h)
-            w, v = _solve(problem, kx, ky, DEFAULT_N_BANDS, vectors=True)
+            w, v = _solve(problem, kx, ky, vectors=True)
             w_dense, _ = dense_eigh(problem, kx, ky, DEFAULT_N_BANDS)
             assert np.max(np.abs(w - w_dense)) <= 1e-14 * scale, node
             detuned = w - problem.omega0
@@ -960,16 +997,20 @@ class TestFoldedNamedNodes:
     def test_path_nodes_solved_in_blocks(self, bands_config, monkeypatch):
         cfg = replace(bands_config, samples_per_segment=2, basis_halfwidth=3)
         problem = _problem(cfg.lattice, reciprocal_basis(3, cfg.lattice.pitch))
-        w, v = _solve(problem, 0.0, 0.0, DEFAULT_N_BANDS, vectors=True)
-        shapes = _record_shapes(monkeypatch, "eigh")
-        bs = solve_bands(cfg)
-        # G and Z under y -> -y, T under x <-> y: 28 + 21 waves each; the
-        # closing G reuses the first G's solve, bit for bit
-        assert shapes == [(28, 28), (21, 21)] * 3
+        w, _ = _solve(problem, 0.0, 0.0)
+        edges = t_edges(cfg.lattice, 3)
+        shapes = _record_shapes(monkeypatch, "eigvalsh")
+        eigh_shapes = _record_shapes(monkeypatch, "eigh")
+        bs = solve_bands(cfg, edges)
+        # eigenvalue-only, every point: G and Z under y -> -y, T under
+        # x <-> y, 28 + 21 waves each, the Z-T point dense; the closing G is
+        # solved again, bit for bit as the first
+        blocks = [(28, 28), (21, 21)]
+        assert shapes == blocks * 3 + [(49, 49)] + blocks * 3
+        assert eigh_shapes == []
         for row in (0, len(bs.kpoints) - 1):
             assert bs.kpoints[row].label == "G"
             assert np.array_equal(bs.omegas[row], w)
-            assert np.array_equal(bs.vectors[row], v)
 
     @pytest.mark.parametrize("halfwidth", [3, 7, 14])
     def test_t_labels_match_dense_oracle(self, bands_config, halfwidth):
@@ -977,11 +1018,12 @@ class TestFoldedNamedNodes:
         # eigh's vectors
         cfg = replace(bands_config, kpath=("T",), samples_per_segment=1,
                       basis_halfwidth=halfwidth)
-        bs = solve_bands(cfg)
-        problem = _problem(cfg.lattice, bs.basis)
+        bs = _bands(cfg)
+        basis = reciprocal_basis(halfwidth, cfg.lattice.pitch)
+        problem = _problem(cfg.lattice, basis)
         w, v = dense_eigh(problem, *named_kpoint("T", cfg.lattice.pitch),
                           DEFAULT_N_BANDS)
-        expected = channel_labels(w, v, bs.basis)
+        expected = channel_labels(w, v, basis)
         assert list(bs.rep_labels[0]) == expected
         assert expected[:4] == [LABEL_S, LABEL_PAIR, LABEL_PAIR, LABEL_XY]
 
@@ -1011,11 +1053,11 @@ with warnings.catch_warnings():
     _LABEL_LATTICES = _label_lattices()
 
 
-def _t_row(lattice, halfwidth, n_bands=DEFAULT_N_BANDS):
+def _t_row(lattice, halfwidth):
     """The band structure of the one-point path T."""
-    return solve_bands(ExperimentConfig(
+    return _bands(ExperimentConfig(
         lattice=lattice, kpath=("T",), samples_per_segment=1,
-        basis_halfwidth=halfwidth), n_bands=n_bands)
+        basis_halfwidth=halfwidth))
 
 
 class TestClassification:
@@ -1025,9 +1067,15 @@ class TestClassification:
     @pytest.mark.parametrize("halfwidth", [2, 3, 7, 10])
     @pytest.mark.parametrize("name", list(_LABEL_LATTICES))
     def test_labels_match_channel_oracle(self, name, halfwidth):
-        bs = _t_row(_LABEL_LATTICES[name], halfwidth)
-        assert list(bs.rep_labels[0]) == channel_labels(
-            bs.omegas[0], bs.vectors[0], bs.basis)
+        lattice = _LABEL_LATTICES[name]
+        bs = _t_row(lattice, halfwidth)
+        # the oracle reads the vectors of T kept in the same path solve
+        basis = reciprocal_basis(halfwidth, lattice.pitch)
+        t_point = [named_kpoint("T", lattice.pitch)]
+        omegas, vectors = planewave.solve_path(lattice, basis, t_point,
+                                               keep={0})
+        assert list(bs.rep_labels[0]) == channel_labels(omegas[0], vectors[0],
+                                                        basis)
 
     def test_nearest_rows_within_a_quarter_gap(self):
         # edges 0, 4 and 10: the smallest gap is 4, so the reach is 1,
@@ -1070,11 +1118,13 @@ class TestClassification:
 
     @pytest.mark.parametrize("n_bands", [1, 2, 3])
     def test_fewer_bands_than_corner_states(self, bands_lattice, n_bands):
-        bs = _t_row(bands_lattice, 3, n_bands=n_bands)
-        assert list(bs.rep_labels[0]) == [LABEL_S, LABEL_PAIR,
-                                          LABEL_PAIR][:n_bands]
+        # rows cut below the corner manifold label as far as they reach
+        omegas = _t_row(bands_lattice, 3).omegas[0, :n_bands]
+        assert classify_t_states(omegas, t_edges(bands_lattice, 3)) == [
+            LABEL_S, LABEL_PAIR, LABEL_PAIR][:n_bands]
 
     def test_edges_solved_once_per_path(self, bands_config, monkeypatch):
+        # solve_bands solves no T sector: both T nodes take the edges given
         calls = []
         solve = planewave.t_edges
 
@@ -1082,15 +1132,14 @@ class TestClassification:
             calls.append(args)
             return solve(*args)
 
-        monkeypatch.setattr(planewave, "t_edges", counting)
         cfg = replace(bands_config, kpath=("T", "G", "T"),
                       samples_per_segment=2, basis_halfwidth=3)
-        bs = solve_bands(cfg)
-        assert calls == [(cfg.lattice, 3)]
-        assert bs.edges == t_edges(cfg.lattice, 3)  # kept for the k.p model
-        assert list(bs.rep_labels[0, :4]) == list(bs.rep_labels[-1, :4])
-        assert solve_bands(replace(cfg, kpath=("G", "Z"))).edges is None
-        assert len(calls) == 1
+        edges = t_edges(cfg.lattice, 3)
+        monkeypatch.setattr(planewave, "t_edges", counting)
+        bs = solve_bands(cfg, edges)
+        assert calls == []
+        assert list(bs.rep_labels[0, :4]) == list(bs.rep_labels[-1, :4]) == [
+            LABEL_S, LABEL_PAIR, LABEL_PAIR, LABEL_XY]
 
     def test_empty_lattice_symmetric_combo_is_s(self, bands_lattice):
         basis = reciprocal_basis(3, bands_lattice.pitch)
@@ -1338,20 +1387,20 @@ class TestLongitudinalProfile:
         profile = longitudinal_profile(coeffs, basis, bands_lattice)
         assert profile.alpha == pytest.approx(0.013, rel=1e-12, abs=0)
 
-    def test_ground_state_alpha_bounds(self, bands_config):
-        cfg = replace(bands_config, kpath=("G",), samples_per_segment=1)
-        bs = solve_bands(cfg)
-        profile = longitudinal_profile(bs.vectors[0][:, 0], bs.basis,
-                                       cfg.lattice)
-        mean = cfg.lattice.dphi * cfg.lattice.fill_factor
-        assert mean < profile.alpha < cfg.lattice.dphi
+    def test_ground_state_alpha_bounds(self, bands_lattice):
+        basis = reciprocal_basis(7, bands_lattice.pitch)
+        _, vectors = planewave.solve_path(bands_lattice, basis, [(0.0, 0.0)],
+                                          keep={0})
+        profile = longitudinal_profile(vectors[0][:, 0], basis, bands_lattice)
+        mean = bands_lattice.dphi * bands_lattice.fill_factor
+        assert mean < profile.alpha < bands_lattice.dphi
 
     def test_unimodular(self, bands_config):
-        cfg = replace(bands_config, kpath=("G",), samples_per_segment=1,
-                      basis_halfwidth=4)
-        bs = solve_bands(cfg)
-        profile = longitudinal_profile(bs.vectors[0][:, 0], bs.basis,
-                                       cfg.lattice, samples=512)
+        basis = reciprocal_basis(4, bands_config.lattice.pitch)
+        _, vectors = planewave.solve_path(bands_config.lattice, basis,
+                                          [(0.0, 0.0)], keep={0})
+        profile = longitudinal_profile(vectors[0][:, 0], basis,
+                                       bands_config.lattice, samples=512)
         assert np.max(np.abs(np.abs(1 + profile.eta_samples) - 1)) <= 1e-12
 
     def test_gauge_invariance(self, bands_lattice):
