@@ -6,10 +6,12 @@ is depth * s_m * s_n, with depth = dphi*FF and s_j = sinc(pi*j*sqrt(FF)).
 On a ``lattice.Window``, m-major and square by construction, the matrix
 phi[(mi - mj, ni - nj)] is therefore the Kronecker product (depth*S) ⊗ S of
 the Toeplitz factor S[a, b] = s[a - b] over the window's axis.
-``axis_factor`` builds S, ``fill_hamiltonian`` writes the product out from
-S, and ``pattern_overlap`` applies S along both axes of the coefficients
-reshaped onto the window instead. ``BACKEND`` names the implementation for
-run reports.
+``axis_factor`` builds S, and ``pattern_overlap`` applies S along both axes
+of the coefficients reshaped onto the window. ``fill_hamiltonian`` writes
+out a scaled Kronecker product of two factors: the dense pattern term
+(depth*S) ⊗ S, and the (x-odd, y-even) T sector's S- ⊗ S+ of the corner
+window's folded factors. ``BACKEND`` names the implementation for run
+reports.
 
 ``serial_blas`` runs OpenBLAS on one thread, except that ``pooled`` gives a
 dense solve of order ``POOL_MIN_ORDER`` or more the thread count found on
@@ -122,17 +124,20 @@ def axis_factor(s) -> np.ndarray:
     return s[axis[:, None] - axis[None, :] + width - 1]
 
 
-def fill_hamiltonian(factor, depth, v_prefactor):
-    """Assemble the pattern term H[i,j] = -v*phi[(mi-mj, ni-nj)], with
-    phi = ((depth*s[mi-mj])*s[ni-nj]) for every pair of waves, from the
-    window's ``axis_factor`` S."""
-    # np.kron(depth * factor, factor), written into one array without the
-    # temporaries np.kron makes
-    h = np.empty((factor.size, factor.size))
-    np.multiply((depth * factor)[:, None, :, None], factor[None, :, None, :],
-                out=h.reshape(factor.shape * 2))
-    h *= -v_prefactor
-    return h
+def fill_hamiltonian(left, right, scale):
+    """-scale * (left ⊗ right), written into one array without the
+    temporaries np.kron makes: each entry is (left[a, b] * right[c, d]) *
+    -scale, as np.kron(left, right) * -scale rounds it.
+
+    The plane-wave pattern term is (depth*S, S, v): H[i, j] =
+    -v*((depth*s[mi-mj])*s[ni-nj]) over the window's ``axis_factor`` S. A
+    T sector's is (S_p, S_q, c) over the corner window's folded factors."""
+    shape = (left.shape[0], right.shape[0], left.shape[1], right.shape[1])
+    out = np.empty((shape[0] * shape[1], shape[2] * shape[3]))
+    np.multiply(left[:, None, :, None], right[None, :, None, :],
+                out=out.reshape(shape))
+    out *= -scale
+    return out
 
 
 def pattern_overlap(coeffs, factor, depth) -> float:

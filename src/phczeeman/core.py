@@ -249,9 +249,9 @@ MAX_BASIS_HALFWIDTH = 40
 # Largest dump-fourier halfwidth: every index difference of a capped basis.
 MAX_FOURIER_HALFWIDTH = 2 * MAX_BASIS_HALFWIDTH
 DEFAULT_SAMPLES_PER_SEGMENT = 40
-# Most samples per k-path segment: each sample is one eigensolve (dense or
-# mirror-blocked, or from halfwidth 8 a block solve), so a three-segment path
-# at the cap is 30001 solves.
+# Most samples per k-path segment: each sample is one eigensolve (dense, or
+# from the block solver's crossover halfwidth a block solve), so a
+# three-segment path at the cap is 30001 solves.
 MAX_SAMPLES_PER_SEGMENT = 10_000
 # Most values in one sweep: each is a row of closed forms and of the CSV, so
 # the cap only stops a typo from computing and writing that many rows.

@@ -22,7 +22,7 @@ one path through T, both call it. Every point is solved afresh, and
 keeps eigenvectors only where its caller asks (``validate``'s Γ state);
 ``solve_bands`` keeps none (``BandStructure``).
 
-From halfwidth ``_BLOCK_MIN_HALFWIDTH`` (8, the measured crossover) every
+From halfwidth ``_BLOCK_MIN_HALFWIDTH`` (7, the measured crossover) every
 path point is solved by a warm-started block eigensolver (LOBPCG,
 ``_block_solve``) on the matrix-free apply kin∘X - c*S X S^T, X the block's
 columns reshaped onto the window (``_Problem.apply``): 12 vectors, 8 of
@@ -31,28 +31,22 @@ two points' blocks. Its omegas are the Rayleigh quotients of a fresh
 apply to the converged vectors, which also certifies their residuals, so
 they carry no round-off that grows with the basis as a dense
 eigensolve's do, and a point holds O(24 N) entries, never H. Below the
-crossover the mirror blocks and dense solves described next are faster,
-and points there are solved eigenvalue-only unless kept.
+crossover a dense solve of each point is faster: H is written afresh at
+each point (``_kernels.fill_hamiltonian``) and solved eigenvalue-only
+unless the point is kept.
 
-Every mirror block comes from two folds of the 1D factors: an axis mirror
-folds S into S+-[a, b] = s[|a-b|] +- s[a+b+shift] (``_axis_fold``), and
-x <-> y folds -c*(A ⊗ A) for a symmetric A (``_swap_fold``). The kinetic
-diagonal stays diagonal under both, and block vectors are lifted back onto
-the basis. Below the crossover every point on a mirror line of a k-path,
-named nodes included, is solved as two parity blocks of (h+1)(2h+1) and
-h(2h+1) waves: on G-Z (ky == 0) the blocks of y -> -y, -c*(S+- ⊗ S) with
-shift 0, are written at each point; on T-G (kx == ky) those of x <-> y,
-the swap fold of S, are gathered at the path's first such point and copied
-at each. Z-T points are solved dense, the pattern term written afresh at
-each point: their mirror maps m to -1-m, under which the symmetric window
-is not closed. The T point itself is analysed on the corner window,
-closed under the whole C4v little group of T: its axis mirrors fold S with
-shift 1, each axis-parity sector is -c*(S_p ⊗ S_q) plus the kinetic
-diagonal, and the swap folds of S+ and S- split two of them
+The T point itself is analysed on the corner window, closed under the
+whole C4v little group of T, in its exact sectors. The axis mirror
+between waves, m -> -1-m, folds S into S+-[a, b] = s[|a-b|] +- s[a+b+1]
+(``_axis_fold``), so each axis-parity sector is -c*(S_p ⊗ S_q) plus the
+kinetic diagonal; x <-> y folds -c*(A ⊗ A) for a symmetric A
+(``_swap_fold``), and the swap folds of S+ and S- split two of them
 (``_t_sectors``, which builds each sector's block by name, one parity of a
-fold at a time, only when it is asked for). H is never formed, the
-degenerate pair comes out exactly degenerate and every state's label is
-the sector it was solved in. The S and XY edge masses are the exact
+fold at a time, only when it is asked for; the (x-odd, y-even) sector's
+-c*(S- ⊗ S+) is written by ``_kernels.fill_hamiltonian``, as a dense path
+point's pattern term is). H is never formed, the degenerate pair comes
+out exactly degenerate and every state's label is the sector it was
+solved in. The S and XY edge masses are the exact
 second-order k.p sums over the (x-odd, y-even) sector, the only one
 kappa_x S and kappa_y XY reach. ``t_edges`` builds and solves,
 eigenvalue-only, just the three sectors whose lowest states are the edges,
@@ -65,8 +59,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,11 +84,11 @@ from .lattice import (
 DEFAULT_N_BANDS = 8  # bands per path point: the corner manifold plus guards
 
 # The warm-started block eigensolver (``_block_solve``) solves every path
-# point of a basis at least _BLOCK_MIN_HALFWIDTH wide; below it the mirror
-# blocks and dense solves of ``_solve`` are faster. At 8 the two take the
-# same time on the default path, and the block solver's omegas are the
-# more accurate (measured crossover, see README).
-_BLOCK_MIN_HALFWIDTH = 8
+# point of a basis at least _BLOCK_MIN_HALFWIDTH wide; below it the dense
+# solves of ``_solve`` are faster. 7 is the smallest halfwidth at which it
+# beat them on the default path, and its omegas are the more accurate
+# (measured crossover, see README).
+_BLOCK_MIN_HALFWIDTH = 7
 _BLOCK_GUARD = 4  # block vectors beyond the wanted bands
 _BLOCK_SEARCHED_GUARD = 1  # ... of which each step searches along the first
 _BLOCK_MAX_ITERATIONS = 100
@@ -264,24 +257,18 @@ class _MirrorFold:
         return out
 
 
-def _axis_fold(s: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray]:
+def _axis_fold(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The even and odd folds S+- of the Toeplitz factor S[i, j] = s[|i - j|]
-    under an axis mirror, from its half factor ``s`` = s_0, s_1, ....
+    under the axis mirror between waves, i -> -1-i, from its half factor
+    ``s`` = s_0, s_1, ....
 
-    S+-[a, b] = s[|a - b|] +- s[a + b + shift] over the distances a, b of
-    the half axis from the mirror, as far as ``s`` reaches. A mirror through
-    a wave (shift 0, i -> -i) fixes a = 0: S+ weights that row and column by
-    sqrt(1/2), and S- drops them. A mirror between waves (shift 1,
-    i -> -1-i) fixes none.
+    S+-[a, b] = s[|a - b|] +- s[a + b + 1] over the distances a, b of the
+    half axis from the mirror, as far as ``s`` reaches; the mirror fixes no
+    wave.
     """
-    a = np.arange((s.size + 1 - shift) // 2)
-    toeplitz, hankel = s[np.abs(a[:, None] - a)], s[a[:, None] + a + shift]
-    plus, minus = toeplitz + hankel, toeplitz - hankel
-    if shift == 0:
-        plus[0] *= math.sqrt(0.5)
-        plus[:, 0] *= math.sqrt(0.5)
-        minus = minus[1:, 1:]
-    return plus, minus
+    a = np.arange(s.size // 2)
+    toeplitz, hankel = s[np.abs(a[:, None] - a)], s[a[:, None] + a + 1]
+    return toeplitz + hankel, toeplitz - hankel
 
 
 def _swap_fold(a: np.ndarray, c: float) -> _MirrorFold:
@@ -318,27 +305,6 @@ def _swap_fold(a: np.ndarray, c: float) -> _MirrorFold:
                        odd_image=j * width + i, potential=potential)
 
 
-def _axis_blocks(factor: np.ndarray, c: float) -> _MirrorFold:
-    """The fold of the symmetric window with axis factor S = ``factor``
-    under n -> -n, with the blocks of -c*(S ⊗ S) written at each call.
-
-    The fold lists its waves by n and then m: the fixed waves (m, 0), then
-    (m, n) for n = 1..h, each over m in axis order; their images are
-    (m, -n). On that grid -c*(S ⊗ S) folds to -c*(S+- ⊗ S), with S+- the
-    shift-0 ``_axis_fold`` of S's first column s_0..s_2h.
-    """
-    width = factor.shape[0]
-    h = width // 2  # the axis position of index 0
-    grid = np.arange(width * width).reshape(width, width).T  # [n, m]
-    plus, minus = _axis_fold(factor[:, 0], 0)
-    scaled = -c * factor
-    return _MirrorFold(n_fixed=width, even=grid[h:].ravel(),
-                       even_image=grid[h::-1].ravel(), odd=grid[h + 1:].ravel(),
-                       odd_image=grid[h - 1::-1].ravel(),
-                       potential=lambda odd: np.kron(minus if odd else plus,
-                                                     scaled))
-
-
 @dataclass(frozen=True, eq=False)
 class _Problem:
     """The k-independent pieces of the detuned eigenproblem on one window.
@@ -349,13 +315,7 @@ class _Problem:
     N x N array. ``apply`` applies H to a block of vectors without forming
     it, for the block eigensolver, whose stopping bound is
     ``residual_bound``. Below that solver's crossover, ``hamiltonian``
-    writes the dense H afresh for each k (``_kernels.fill_hamiltonian``);
-    the two path mirrors give smaller blocks instead. ``along_x`` is the
-    fold under n -> -n, the mirror y -> -y of every k with ky == 0, whose
-    blocks -c*(S+- ⊗ S) are written at each k (None when the window is not
-    symmetric); ``diagonal`` is the fold under (m, n) -> (n, m), the mirror
-    x <-> y of every k with kx == ky, whose blocks (about N^2 / 2 entries)
-    are gathered from S at its first use and copied at each k.
+    writes the dense H afresh for each k (``_kernels.fill_hamiltonian``).
     """
 
     omega0: float
@@ -365,13 +325,6 @@ class _Problem:
     factor: np.ndarray
     gx: np.ndarray
     gy: np.ndarray
-    along_x: _MirrorFold | None
-
-    @cached_property
-    def diagonal(self) -> _MirrorFold:
-        fold = _swap_fold(self.factor, self.v_prefactor * self.depth)
-        cached = fold.potential(False), fold.potential(True)
-        return replace(fold, potential=lambda odd: cached[odd].copy())
 
     def kinetic(self, kx: float, ky: float) -> np.ndarray:
         """The kinetic diagonal hbar|k+G|^2/(2 m0) at (kx, ky)."""
@@ -380,17 +333,10 @@ class _Problem:
     def hamiltonian(self, kx: float, ky: float) -> np.ndarray:
         """Dense detuned H at (kx, ky): the pattern term written afresh plus
         the kinetic diagonal."""
-        h = _kernels.fill_hamiltonian(self.factor, self.depth, self.v_prefactor)
+        h = _kernels.fill_hamiltonian(self.depth * self.factor, self.factor,
+                                      self.v_prefactor)
         h[np.diag_indices_from(h)] += self.kinetic(kx, ky)
         return h
-
-    def fold_at(self, kx: float, ky: float) -> _MirrorFold | None:
-        """The mirror fold H splits under at (kx, ky), or None (solve dense)."""
-        if ky == 0.0:
-            return self.along_x
-        if kx == ky:
-            return self.diagonal
-        return None
 
     def apply(self, kinetic: np.ndarray, x: np.ndarray) -> np.ndarray:
         """H with the kinetic diagonal ``kinetic`` (``kinetic(kx, ky)``)
@@ -418,16 +364,13 @@ class _Problem:
 
 
 def _problem(lattice: LatticeSpec, window: Window) -> _Problem:
-    """Build the problem on ``window`` from the 1D pattern factors; only a
-    symmetric window gets the fold ``along_x``."""
+    """Build the problem on ``window`` from the 1D pattern factors."""
     dp = derive_params(lattice)
     factor = _kernels.axis_factor(pattern_factors(lattice, window.width - 1))
     depth = lattice.dphi * lattice.fill_factor
     return _Problem(
         omega0=dp.omega0, m0=dp.m0, v_prefactor=dp.v_prefactor, depth=depth,
         factor=factor, gx=window.gx, gy=window.gy,
-        along_x=(_axis_blocks(factor, dp.v_prefactor * depth)
-                 if 2 * window.start + window.width == 1 else None),
     )
 
 
@@ -444,52 +387,39 @@ def _lapack(solver, h):
 
 
 def _solve(problem: _Problem, kx, ky, vectors: bool = False):
-    """Lowest ``DEFAULT_N_BANDS`` omegas at (kx, ky), and their unit
-    eigenvectors over the basis when ``vectors`` (else None).
-
-    On a mirror line of the path (ky == 0, or kx == ky) whose blocks the
-    problem holds, H splits exactly into the mirror's even and odd blocks.
-    Each is solved on its own (``eigh`` for vectors, else ``eigvalsh``), the
-    lowest of their merged eigenvalues are kept, and their block vectors
-    are lifted onto the basis. Elsewhere H is solved dense.
-    """
-    n_bands = DEFAULT_N_BANDS
-
-    def solve(h):
-        if vectors:
-            w, u = _lapack(np.linalg.eigh, h)
-            return w[:n_bands], u[:, :n_bands]
-        return _lapack(np.linalg.eigvalsh, h)[:n_bands], None
-
-    mirror = problem.fold_at(kx, ky)
-    if mirror is None:
-        w, v = solve(problem.hamiltonian(kx, ky))
-        return problem.omega0 + w, v
-    kinetic = problem.kinetic(kx, ky)
-    (w_even, u_even), (w_odd, u_odd) = (
-        solve(mirror.block(kinetic, odd)) for odd in (False, True))
-    w = np.concatenate([w_even, w_odd])
-    order = np.argsort(w, kind="stable")[:n_bands]
-    v = None
+    """Lowest ``DEFAULT_N_BANDS`` omegas at (kx, ky) from a dense solve of
+    H, and their unit eigenvectors over the basis when ``vectors`` (``eigh``;
+    else ``eigvalsh``, and None)."""
+    h = problem.hamiltonian(kx, ky)
     if vectors:
-        v = np.hstack([mirror.lift(u_even), mirror.lift(u_odd, True)])[:, order]
-    return problem.omega0 + w[order], v
+        w, u = _lapack(np.linalg.eigh, h)
+        return problem.omega0 + w[:DEFAULT_N_BANDS], u[:, :DEFAULT_N_BANDS]
+    return problem.omega0 + _lapack(np.linalg.eigvalsh, h)[:DEFAULT_N_BANDS], None
 
 
 def _orthonormal(z: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning the part of ``z`` orthogonal to the
-    orthonormal columns ``x``: two passes of projection and Cholesky-QR,
-    with Householder QR of [x, z] where the Gram matrix is not numerically
-    positive definite."""
+    orthonormal columns ``x``: two passes of projection and Cholesky-QR.
+    Householder QR of [x, z] instead where the Gram matrix is not
+    numerically positive definite, or where the second pass finds the
+    first pass's columns far from orthonormal: ``z`` was so nearly
+    dependent, on itself or on ``x``, that the first pass blew its
+    round-off up into columns that are neither."""
     norms = np.sqrt(np.einsum("ij,ij->j", z, z))
     z = z[:, norms > 0] / norms[norms > 0]  # a zero column spans nothing
-    for _ in range(2):
-        z -= x @ (x.T @ z)
+    q = z
+    for sweep in range(2):
+        q = q - x @ (x.T @ q)
+        gram = q.T @ q
+        if sweep and np.max(np.abs(gram - np.eye(len(gram)))) > 0.5:
+            break
         try:
-            z = z @ np.linalg.inv(np.linalg.cholesky(z.T @ z)).T
+            q = q @ np.linalg.inv(np.linalg.cholesky(gram)).T
         except np.linalg.LinAlgError:
-            return np.linalg.qr(np.hstack([x, z]))[0][:, x.shape[1]:]
-    return z
+            break
+    else:
+        return q
+    return np.linalg.qr(np.hstack([x, z]))[0][:, x.shape[1]:]
 
 
 def _block_solve(problem: _Problem, kx, ky, previous=()):
@@ -591,10 +521,9 @@ def solve_path(lattice: LatticeSpec, window: Window, kpoints, keep=()):
     on the matrix-free apply (``_block_solve``), started from the previous
     two points' blocks, whose span holds the vectors' linear extrapolation
     along the path; the wanted columns are its vectors. Below it each point
-    is assembled and solved on its own (``_solve``): points on a path
-    mirror line as that mirror's even and odd blocks, others dense, and
-    eigenvalue-only unless kept. A point that recurs, like the closing G of
-    G:Z:T:G, is solved again.
+    is assembled and solved dense on its own (``_solve``), eigenvalue-only
+    unless kept. A point that recurs, like the closing G of G:Z:T:G, is
+    solved again.
     """
     problem = _problem(lattice, window)
     blocked = problem.factor.shape[0] // 2 >= _BLOCK_MIN_HALFWIDTH
@@ -733,7 +662,7 @@ class _TSectors:
 
     With k = halfwidth + 1, the mirror m -> -1-m folds the window's axis
     [-k, k-1] onto its half m = -k..-1, and the Toeplitz factor S of the
-    corner window's ``problem`` into the shift-1 ``_axis_fold`` ``plus`` and
+    corner window's ``problem`` into the ``_axis_fold`` ``plus`` and
     ``minus`` (S+-) over the distances a = -1-m from the mirror (descending
     along the half axis); the kinetic term, with ``kappa`` =
     (pi/pitch)(2m+1), stays diagonal and is the problem's ``kinetic`` on the
@@ -757,8 +686,7 @@ class _TSectors:
     def block(self, name: str) -> np.ndarray:
         """The block of the sector ``name``: "S", "S'", "XY", "XY'" or "X"."""
         if name == "X":
-            block = np.kron(self.minus, self.plus)
-            block *= -self.c
+            block = _kernels.fill_hamiltonian(self.minus, self.plus, self.c)
             block[np.diag_indices_from(block)] += self.kinetic
             return block
         fold, odd = self.folds[name]
@@ -771,7 +699,7 @@ def _t_sectors(lattice: LatticeSpec, halfwidth: int) -> _TSectors:
     k = halfwidth + 1
     problem = _problem(lattice, t_centered_basis(halfwidth, lattice.pitch))
     t_point = named_kpoint("T", lattice.pitch)
-    plus, minus = (f[::-1, ::-1] for f in _axis_fold(problem.factor[:, 0], 1))
+    plus, minus = (f[::-1, ::-1] for f in _axis_fold(problem.factor[:, 0]))
     # (v*dphi)*FF, not the problem's v*(dphi*FF): the two differ by an ulp
     # on some lattices, and the T edges are written with this rounding
     c = problem.v_prefactor * lattice.dphi * lattice.fill_factor

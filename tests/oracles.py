@@ -151,13 +151,12 @@ def mirror_fold(waves, image):
     return fixed + pairs, pairs
 
 
-def mirror_blocks(h, waves, image, even=None, odd=None):
+def mirror_blocks(h, waves, image):
     """The even and odd blocks of the dense ``h`` over ``waves`` under the
     map ``image(*wave) -> wave``: H[a, b] + H[a, R b] with a fixed wave's
     row and column weighted by sqrt(1/2), and H[a, b] - H[a, R b]. The rows
-    are the positions ``even`` and ``odd``, by default ``mirror_fold``'s."""
-    if even is None:
-        even, odd = mirror_fold(waves, image)
+    are ``mirror_fold``'s even and odd positions."""
+    even, odd = mirror_fold(waves, image)
     pos = {wave: i for i, wave in enumerate(waves)}
     blocks = []
     for rows, sign in ((even, 1.0), (odd, -1.0)):

@@ -492,6 +492,25 @@ class TestValidateCommand:
         assert analyses == [None]
         assert edges == [9]
 
+    def test_convergence_detail_against_corner_span(self, bands_cfg_file,
+                                                    tmp_path):
+        # the status reads the change against the absolute edge (8.4e-8 at
+        # h = 7); the detail also gives the largest edge change (the XY
+        # edge's, 1.65e8 rad/s) against the corner span edges[2] - edges[0]
+        from phczeeman import ExperimentConfig, planewave
+        report_path = tmp_path / "report.json"
+        assert main(["validate", bands_cfg_file, "-o", str(report_path)]) == 0
+        check = {c["name"]: c for c in json.loads(
+            report_path.read_text())["checks"]}["convergence"]
+        assert check["detail"] == (
+            "edge change 8.401e-08 for halfwidth 7 -> 9 (advisory bound "
+            "1e-6); 9.678e-05 of the corner span")
+        lattice = LatticeSpec(960e-9, 3.53, 4e-6, 0.65, 0.02)
+        edges = planewave.t_point_analysis(ExperimentConfig(lattice)).edges
+        change = max(abs(a - b) for a, b in zip(planewave.t_edges(lattice, 9),
+                                                edges))
+        assert f"{change / (edges[2] - edges[0]):.3e}" == "9.678e-05"
+
     def test_kp_vs_opw_block_solved_above_crossover(self, monkeypatch):
         # at h = 10 the path through T that holds both rays goes through
         # the warm-started block solver, never _solve, and agrees with the
@@ -564,18 +583,19 @@ class TestValidateCommand:
         assert rc == 2
 
 
-def _t_sector_solves(monkeypatch, halfwidth):
-    """Record (solver, order) of every eigensolve of a T-sector block at
-    ``halfwidth`` or ``halfwidth + 2``, told apart by the sectors' orders;
-    at h = 7 no other matrix the CLI solves has one of them."""
-    orders = set()
-    for k in (halfwidth + 1, halfwidth + 3):
-        orders |= {k * (k + 1) // 2, k * (k - 1) // 2, k * k}
-    solves = []
+def _t_sector_solves(monkeypatch):
+    """Record (solver, order) of every eigensolve of a block that
+    ``_TSectors.block`` built, and of no other matrix, such as the block
+    path solver's Rayleigh-Ritz matrices of the same orders."""
+    from phczeeman import planewave
+    blocks, solves = [], []
+    build = planewave._TSectors.block
+    monkeypatch.setattr(planewave._TSectors, "block", lambda self, name: (
+        blocks.append(build(self, name)) or blocks[-1]))
 
     def recording(solver, original):
         def solve(a, *args, **kwargs):
-            if np.shape(a)[-1] in orders:
+            if any(a is block for block in blocks):
                 solves.append((solver, np.shape(a)[-1]))
             return original(a, *args, **kwargs)
         return solve
@@ -595,13 +615,13 @@ class TestTSectorSolves:
 
     @pytest.mark.parametrize("model", ["both", "kp"])
     def test_bands(self, bands_cfg_file, tmp_path, monkeypatch, model):
-        solves = _t_sector_solves(monkeypatch, 7)
+        solves = _t_sector_solves(monkeypatch)
         assert main(["bands", bands_cfg_file, "-o", str(tmp_path / "b.csv"),
                      "--samples", "4", "--model", model]) == 0
         assert solves == self.EDGES
 
     def test_validate(self, bands_cfg_file, tmp_path, monkeypatch):
-        solves = _t_sector_solves(monkeypatch, 7)
+        solves = _t_sector_solves(monkeypatch)
         assert main(["validate", bands_cfg_file,
                      "-o", str(tmp_path / "report.json")]) == 0
         # S, S', XY, XY', X at h, then the h + 2 rung's edges
@@ -610,7 +630,7 @@ class TestTSectorSolves:
                           ("eigvalsh", 55), ("eigvalsh", 100)]
 
     def test_split(self, bands_cfg_file, tmp_path, monkeypatch):
-        solves = _t_sector_solves(monkeypatch, 7)
+        solves = _t_sector_solves(monkeypatch)
         assert main(["split", bands_cfg_file,
                      "-o", str(tmp_path / "s.csv")]) == 0
         assert solves == self.EDGES

@@ -7,9 +7,9 @@ negative numbers, wrong types, bad k-path tokens and bad rate lists. Costs
 stay small: valid basis halfwidths are at most 3, valid sample counts at most
 2, valid dump-fourier halfwidths at most 4 and valid sweep point counts at
 most 3; the larger sizes generated are above their caps and rejected before
-any work. A second test draws in-range lattices at halfwidth 8 or 9, where
-every path point goes through the block eigensolver, and runs ``bands`` with
-each model and ``validate`` on each.
+any work. A second test draws in-range lattices at halfwidths from the
+block eigensolver's crossover to 9, where every path point goes through it,
+and runs ``bands`` with each model and ``validate`` on each.
 """
 import csv
 import json
@@ -26,6 +26,7 @@ from phczeeman.cli import main
 from phczeeman.core import (
     MAX_FOURIER_HALFWIDTH, MAX_SAMPLES_PER_SEGMENT, MAX_SWEEP_POINTS,
 )
+from phczeeman.planewave import _BLOCK_MIN_HALFWIDTH
 
 REFERENCE = {"lambda_nm": 960, "n": 3.53, "pitch_um": 4, "ff": 0.65,
              "dphi": 0.02}
@@ -148,7 +149,7 @@ def test_main_returns_contract_exit_code(doc, command):
 wide_docs = st.fixed_dictionaries({
     **{key: VALUES[key] for key in ("lambda_nm", "n", "pitch_um", "ff",
                                     "dphi", "omega_rad_s")},
-    "basis_halfwidth": st.sampled_from([8, 9]),
+    "basis_halfwidth": st.sampled_from(range(_BLOCK_MIN_HALFWIDTH, 10)),
 })
 
 

@@ -31,13 +31,24 @@ def test_numpy_fill_matches_direct_formula(bands_lattice):
     for window in (reciprocal_basis, t_centered_basis):
         args = _fill_args(bands_lattice, window(4, bands_lattice.pitch))
         m_idx, n_idx, s, depth, v = args
-        h = _kernels.fill_hamiltonian(_kernels.axis_factor(s), depth, v)
+        factor = _kernels.axis_factor(s)
+        h = _kernels.fill_hamiltonian(depth * factor, factor, v)
         expected = np.array([
             [-v * fourier_coefficient(bands_lattice, int(mi - mj), int(ni - nj))
              for mj, nj in zip(m_idx, n_idx)]
             for mi, ni in zip(m_idx, n_idx)
         ])
         assert np.array_equal(h, expected), window.__name__
+
+
+def test_fill_is_scaled_kron():
+    # -scale * (left ⊗ right), bit for bit as np.kron rounds it, also for
+    # factors of different shapes and strides
+    rng = np.random.default_rng(7)
+    left, right = rng.standard_normal((3, 4)), rng.standard_normal((5, 2))
+    for a, b in ((left, right), (left[::-1, ::-1], right.T)):
+        assert np.array_equal(_kernels.fill_hamiltonian(a, b, 0.3),
+                              np.kron(a, b) * -0.3)
 
 
 def test_overlap_matches_quadratic_form(bands_lattice, fill_args):

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import strategies as st
 
 from phczeeman import (
     ComputationError,
@@ -277,60 +279,27 @@ class TestSolveBands:
         assert solves == []
 
     def test_potential_gathered_once(self, bands_config, monkeypatch):
-        # the dense pattern term is written only at the points solved dense:
-        # once per Z-T interior point, never for a mirror line
+        # below the crossover the dense pattern term is written once per
+        # point, named nodes and the closing G included; the T sector edges,
+        # solved before the path, write only their (x-odd, y-even) block
         calls = []
         original = _kernels.fill_hamiltonian
 
         def counting(*args, **kwargs):
-            calls.append(1)
+            calls.append(args[0].shape)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(_kernels, "fill_hamiltonian", counting)
         cfg = replace(bands_config, samples_per_segment=3, basis_halfwidth=3)
-        bs = _bands(cfg)
+        edges = t_edges(cfg.lattice, 3)
+        assert calls == [(4, 4)]
+        calls.clear()
+        bs = solve_bands(cfg, edges)
         assert len(bs.kpoints) == 10
-        dense = [kp for kp in bs.kpoints if kp.ky != 0.0 and kp.kx != kp.ky]
-        assert len(dense) == 2
-        assert len(calls) == len(dense)
-
-    def test_swap_blocks_gathered_at_first_diagonal_point(self, bands_config,
-                                                          monkeypatch):
-        # the x <-> y blocks of the symmetric window, (2h+1, 2h+1) factors,
-        # are gathered once, and only on a path that reaches kx == ky; the
-        # T node's labels fold the corner window's half factors (t_edges)
-        gathers = []
-        original = planewave._swap_fold
-
-        def counting(a, c):
-            fold = original(a, c)
-
-            def potential(odd):
-                gathers.append((a.shape, odd))
-                return fold.potential(odd)
-
-            return replace(fold, potential=potential)
-
-        monkeypatch.setattr(planewave, "_swap_fold", counting)
-        cfg = replace(bands_config, samples_per_segment=3, basis_halfwidth=3)
-        g_z = solve_bands(replace(cfg, kpath=("G", "Z")), None)
-        assert gathers == []
-        full = _bands(cfg)
-        # each parity once
-        assert [g for g in gathers if g[0] == (7, 7)] == [((7, 7), False),
-                                                          ((7, 7), True)]
-        assert np.array_equal(full.omegas[:4], g_z.omegas)
-        # the same omegas as with the blocks gathered up front
-        eager = _problem(cfg.lattice, reciprocal_basis(3, cfg.lattice.pitch))
-        eager.diagonal
-        for kp in full.kpoints:
-            w, _ = _solve(eager, kp.kx, kp.ky)
-            assert np.array_equal(w, full.omegas[kp.index])
-
+        assert calls == [(7, 7)] * len(bs.kpoints)
 
 class TestProblem:
-    """The per-basis problem: 1D pieces and S, x <-> y blocks gathered at
-    their first use, H fresh at each k."""
+    """The per-basis problem: 1D pieces and S, H fresh at each k."""
 
     def test_hamiltonian_is_fresh(self, bands_lattice):
         basis = reciprocal_basis(3, bands_lattice.pitch)
@@ -342,22 +311,15 @@ class TestProblem:
         assert np.array_equal(problem.hamiltonian(kx, ky), expected)
 
     def test_problem_holds_no_dense_array(self, bands_lattice):
-        # S and the 1D pieces (measured 7.3 N * 8 B at h = 10); the x <-> y
-        # blocks, about N^2 / 2 entries (measured 0.52 N^2 * 8 B), only
-        # once a k-point on the diagonal asks for them
+        # S and the 1D pieces only (measured 7.3 N * 8 B at h = 10)
         basis = reciprocal_basis(10, bands_lattice.pitch)
         n = len(basis)
-        problem, held, _ = _traced(lambda: _problem(bands_lattice, basis))
+        _, held, _ = _traced(lambda: _problem(bands_lattice, basis))
         assert held <= 16 * n * 8
-        _, gathered, _ = _traced(lambda: problem.diagonal)
-        assert 0.45 * n * n * 8 <= gathered <= 0.6 * n * n * 8
 
     def test_solve_bands_peak_memory(self, bands_config):
-        # at most one dense H (a Z-T point) besides the cached x <-> y
-        # blocks: measured 1.76 N^2 * 8 B at h = 10 and 1.78 at h = 7 (the
-        # widest window below the block solver's crossover), against 3.19
-        # when the potential and both mirrors' blocks were held across
-        # k-points
+        # at most one dense H at a time: measured 1.51 N^2 * 8 B at h = 6,
+        # the widest window below the block solver's crossover
         cfg = replace(bands_config, basis_halfwidth=_BLOCK_MIN_HALFWIDTH - 1,
                       samples_per_segment=2)
         n = (2 * cfg.basis_halfwidth + 1) ** 2
@@ -371,9 +333,8 @@ class TestProblem:
 class TestEigenpairContract:
     """The eigh contract (residual and orthonormality) on production solves.
 
-    The pairs checked are those ``_solve`` returns at a named node, lifted
-    from the mirror blocks where the window is closed under the node's
-    mirror; the matrix is the whole detuned Hamiltonian at that node.
+    The pairs checked are those ``_solve`` returns at a named node, from a
+    dense solve of the whole detuned Hamiltonian at that node.
     """
 
     @pytest.mark.parametrize("window", [reciprocal_basis, t_centered_basis])
@@ -418,7 +379,7 @@ class TestTPointSectors:
                                             * bands_lattice.fill_factor)
         k = 4
         s = pattern_factors(bands_lattice, 2 * k - 1)[2 * k - 1:]
-        even, odd = (f[::-1, ::-1] for f in _axis_fold(s, 1))
+        even, odd = (f[::-1, ::-1] for f in _axis_fold(s))
         pair = _t_sectors(bands_lattice, k - 1).block("X")
         off = ~np.eye(k * k, dtype=bool)
         assert np.array_equal(pair[off], (-c * np.kron(odd, even))[off])
@@ -427,11 +388,19 @@ class TestTPointSectors:
     def test_eigh_only_on_sectors(self, bands_config, monkeypatch, halfwidth):
         shapes = _record_shapes(monkeypatch, "eigh")
         fills = []
-        monkeypatch.setattr(_kernels, "fill_hamiltonian",
-                            lambda *args: fills.append(args))
+        fill = _kernels.fill_hamiltonian
+
+        def recording(*args):
+            block = fill(*args)
+            fills.append(block.shape)
+            return block
+
+        monkeypatch.setattr(_kernels, "fill_hamiltonian", recording)
         t_point_analysis(bands_config, halfwidth=halfwidth)
-        assert fills == []  # the corner H is never formed
         k = halfwidth + 1
+        # the corner H is never formed: the kernel writes only the k^2-order
+        # (x-odd, y-even) block
+        assert fills == [(k * k, k * k)]
         sym, anti, pair = k * (k + 1) // 2, k * (k - 1) // 2, k * k
         # S, its x <-> y-odd partner, XY, its partner, (x-odd, y-even)
         assert [s[0] for s in shapes] == [sym, anti, sym, anti, pair]
@@ -514,19 +483,19 @@ class TestTPointSectors:
         assert np.all(vectors[pos[0, 0]] >= 0.0)
 
     def test_fold_lift_gives_eigenvectors(self, bands_lattice):
-        # the x <-> y fold of the symmetric window has fixed waves (m == n)
-        basis = reciprocal_basis(3, bands_lattice.pitch)
-        problem = _problem(bands_lattice, basis)
-        kx = 0.3 * math.pi / bands_lattice.pitch
-        h = problem.hamiltonian(kx, kx)
-        fold = problem.diagonal
-        assert fold.n_fixed == 7
-        folded = mirror_blocks(h, _waves(basis),
-                               lambda m, n: (n, m), fold.even, fold.odd)
-        for odd, block in zip((False, True), folded):
-            w, u = np.linalg.eigh(block)
+        # the x <-> y fold of the (x-even, y-even) sector has fixed waves
+        # (i, i); its even and odd blocks' vectors, lifted, are eigenvectors
+        # of that sector -c*(S+ ⊗ S+) plus the kinetic diagonal
+        sectors = _t_sectors(bands_lattice, 3)
+        k = 4
+        fold, _ = sectors.folds["S"]
+        assert fold is sectors.folds["S'"][0] and fold.n_fixed == k
+        h = -sectors.c * np.kron(sectors.plus, sectors.plus)
+        h[np.diag_indices_from(h)] += sectors.kinetic
+        for odd, name in ((False, "S"), (True, "S'")):
+            w, u = np.linalg.eigh(sectors.block(name))
             v = fold.lift(u, odd)
-            assert v.shape == (len(basis), block.shape[0])
+            assert v.shape == (k * k, u.shape[1])
             assert np.max(np.linalg.norm(h @ v - v * w, axis=0)) <= (
                 1e-10 * np.linalg.norm(h))
             assert np.max(np.abs(v.T @ v - np.eye(w.size))) <= 1e-12
@@ -571,13 +540,13 @@ class TestFrequencyOnlyInterior:
             assert np.max(np.abs(w - w_ref)) <= 16.0
 
     def test_eigenvalue_failure_names_kpoint(self, bands_config, monkeypatch):
-        # each G-Z point solves two mirror blocks; the third solve fails
+        # each point is one dense solve; the second fails
         calls = []
         eigvalsh = np.linalg.eigvalsh
 
         def fail(h):
             calls.append(h.shape)
-            if len(calls) > 2:
+            if len(calls) > 1:
                 raise np.linalg.LinAlgError("no convergence")
             return eigvalsh(h)
 
@@ -637,6 +606,22 @@ class TestBlockSolver:
         assert np.max(np.abs(x.T @ q)) <= 1e-14
         assert np.array_equal(q, planewave._orthonormal(np.delete(z, 1, 1), x))
 
+    def test_orthonormal_of_columns_inside_the_block(self):
+        # columns in the span of x leave only round-off after projection,
+        # and where x touches few waves (as plane waves do at dphi ~ 0)
+        # that round-off lies in the span of x too: Cholesky-QR would
+        # return it as unit columns far from orthogonal to x (0.76 here)
+        rng = np.random.default_rng(5)
+        x = np.zeros((50, 4))
+        x[:4] = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        z = np.hstack([x @ rng.standard_normal((4, 2)),
+                       rng.standard_normal((50, 2))])
+        q = planewave._orthonormal(z, x)
+        assert np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) <= 1e-14
+        assert np.max(np.abs(x.T @ q)) <= 1e-14
+        outside = z[:, 2:] - x @ (x.T @ z[:, 2:])
+        assert np.max(np.abs(outside - q @ (q.T @ outside))) <= 1e-14
+
     def test_drifted_image_is_not_returned(self, bands_lattice, monkeypatch):
         # a start apply off by a diagonal of 1e-6 c leaves the updated AX
         # inconsistent with X: the implicit residuals fall within the bound
@@ -687,13 +672,14 @@ class TestBlockSolver:
 
     def test_solve_bands_above_crossover(self, bands_config, monkeypatch):
         # no dense H and no large eigensolve; a kept point keeps the
-        # block's vectors, and T is labelled from the sector edges
-        fills = []
-        monkeypatch.setattr(_kernels, "fill_hamiltonian",
-                            lambda *a: fills.append(a))
+        # block's vectors, and T is labelled from the sector edges (whose
+        # (x-odd, y-even) block is the kernel's one write, before the path)
         cfg = replace(bands_config, basis_halfwidth=_BLOCK_MIN_HALFWIDTH,
                       samples_per_segment=2)
         edges = t_edges(cfg.lattice, cfg.basis_halfwidth)
+        fills = []
+        monkeypatch.setattr(_kernels, "fill_hamiltonian",
+                            lambda *a: fills.append(a))
         shapes = _record_shapes(monkeypatch, "eigh")
         bs = solve_bands(cfg, edges)
         assert fills == []
@@ -721,16 +707,27 @@ class TestBlockSolver:
         assert peak <= 450 * n * 8
 
     def test_dense_below_crossover(self, bands_config, monkeypatch):
+        # every point, named nodes included, is one eigenvalue-only dense
+        # solve of the whole H; the closing G is solved again, bit for bit
+        # as the first
         solves = []
         monkeypatch.setattr(planewave, "_block_solve",
                             lambda *a: solves.append(a))
         cfg = replace(bands_config, basis_halfwidth=_BLOCK_MIN_HALFWIDTH - 1,
                       samples_per_segment=2)
-        assert _bands(cfg).omegas.shape == (7, DEFAULT_N_BANDS)
-        assert solves == []
+        n = (2 * cfg.basis_halfwidth + 1) ** 2
+        edges = t_edges(cfg.lattice, cfg.basis_halfwidth)
+        values = _record_shapes(monkeypatch, "eigvalsh")
+        vectors = _record_shapes(monkeypatch, "eigh")
+        bs = solve_bands(cfg, edges)
+        assert bs.omegas.shape == (7, DEFAULT_N_BANDS)
+        assert solves == [] and vectors == []
+        assert values == [(n, n)] * 7
+        assert [kp.label for kp in bs.kpoints[::6]] == ["G", "G"]
+        assert np.array_equal(bs.omegas[0], bs.omegas[-1])
 
     @pytest.mark.parametrize("halfwidth", [_BLOCK_MIN_HALFWIDTH - 1,
-                                           _BLOCK_MIN_HALFWIDTH])
+                                           _BLOCK_MIN_HALFWIDTH, 8])
     def test_solve_path_is_solve_bands_loop(self, bands_config, halfwidth):
         # solve_path over the path's points gives the rows solve_bands
         # returns; keeping points gives their vectors, and moves their rows
@@ -779,6 +776,45 @@ class TestBlockSolver:
             assert np.allclose(problem.omega0 + w, oracle, rtol=1e-12)
 
 
+# In-range lattices of the CLI contract test (tests/test_cli_contract.py),
+# plus dphi = 0 and +-1e-12, where c = v*dphi*FF vanishes and the block
+# solver's stopping bound falls to its kinetic floor.
+_CONTRACT_LATTICES = st.builds(
+    lambda lam, n, pitch, ff, dphi: (lam * 1e-9, n, pitch * 1e-6, ff, dphi),
+    st.floats(500.0, 1500.0), st.floats(1.0, 4.0), st.floats(2.0, 8.0),
+    st.floats(0.05, 0.95),
+    st.one_of(st.floats(-0.1, 0.1), st.sampled_from([0.0, 1e-12, -1e-12])))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(params=_CONTRACT_LATTICES,
+       halfwidth=st.sampled_from(range(_BLOCK_MIN_HALFWIDTH, 10)),
+       samples=st.sampled_from([1, 2]))
+def test_block_path_contract_on_drawn_lattices(params, halfwidth, samples):
+    # every point of G:Z:T:G kept: each pair's residual through a fresh
+    # apply within residual_bound, and each point's columns orthonormal
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # |dphi| > 0.02
+            lattice = LatticeSpec(*params)
+    except ValidationError:
+        reject()  # pitch * n / lambda < 2
+    basis = reciprocal_basis(halfwidth, lattice.pitch)
+    problem = _problem(lattice, basis)
+    points = [(kp.kx, kp.ky) for kp in build_kpath(("G", "Z", "T", "G"),
+                                                    lattice.pitch, samples)]
+    omegas, vectors = planewave.solve_path(lattice, basis, points,
+                                           keep=range(len(points)))
+    assert sorted(vectors) == list(range(len(points)))
+    for (kx, ky), w, v in zip(points, omegas, vectors.values()):
+        residual = np.linalg.norm(problem.apply(problem.kinetic(kx, ky), v)
+                                  - v * (w - problem.omega0), axis=0)
+        assert np.all(residual <= problem.residual_bound), (kx, ky)
+        assert np.max(np.abs(v.T @ v - np.eye(DEFAULT_N_BANDS))) <= 1e-10
+        assert np.all(np.diff(w) >= 0)
+
+
 class TestPathAccuracy:
     """Path omegas against the extended-precision Rayleigh-quotient oracle
     at h = 14 (the bands_wide workload), where the eigenvalues of a dense
@@ -795,131 +831,23 @@ class TestPathAccuracy:
             assert np.max(np.abs(bs.omegas[index] - oracle)) <= 1.0
 
 
-class TestMirrorBlockedSolve:
-    """Points on G-Z (ky == 0) and T-G (kx == ky) are solved as the even
-    and odd blocks of the mirror that fixes their line."""
-
-    @pytest.mark.parametrize("halfwidth", [2, 3, 7])
-    def test_blocked_omegas_match_dense(self, bands_lattice, bands_dp,
-                                        halfwidth):
-        basis = reciprocal_basis(halfwidth, bands_lattice.pitch)
-        problem = _problem(bands_lattice, basis)
-        kpts = [kp for kp in build_kpath(("G", "Z", "T", "G"),
-                                         bands_lattice.pitch, 4)
-                if not kp.label and (kp.ky == 0.0 or kp.kx == kp.ky)]
-        assert len(kpts) == 6  # three on G-Z, three on T-G
-        for kp in kpts:
-            assert problem.fold_at(kp.kx, kp.ky) is not None
-            h = problem.hamiltonian(kp.kx, kp.ky)
-            dense = np.linalg.eigvalsh(h)[:8]
-            w, _ = _solve(problem, kp.kx, kp.ky)
-            assert np.max(np.abs((w - bands_dp.omega0) - dense)) <= (
-                1e-12 * np.linalg.norm(h))
-
-    @pytest.mark.parametrize("halfwidth", [2, 3, 7])
-    def test_block_sizes(self, bands_lattice, halfwidth):
-        basis = reciprocal_basis(halfwidth, bands_lattice.pitch)
-        problem = _problem(bands_lattice, basis)
-        for mirror in (problem.along_x, problem.diagonal):
-            even, odd = mirror.even.size, mirror.odd.size
-            assert even == (halfwidth + 1) * (2 * halfwidth + 1)
-            assert odd == halfwidth * (2 * halfwidth + 1)
-            assert even + odd == (2 * halfwidth + 1) ** 2
-
-    @pytest.mark.parametrize("kx_frac,ky_frac", [(0.3, 0.0), (0.3, 0.3)])
-    def test_block_solves_reach_eigvalsh(self, bands_lattice, monkeypatch,
-                                         kx_frac, ky_frac):
-        basis = reciprocal_basis(7, bands_lattice.pitch)
-        problem = _problem(bands_lattice, basis)
-        shapes = _record_shapes(monkeypatch, "eigvalsh")
-        kx = 2 * math.pi * kx_frac / bands_lattice.pitch
-        ky = 2 * math.pi * ky_frac / bands_lattice.pitch
-        _solve(problem, kx, ky)
-        assert shapes == [(120, 120), (105, 105)]
-
-    @pytest.mark.parametrize("nodes,mirror", [
-        (("Z", "G"), "along_x"), (("G", "T"), "diagonal"), (("T", "Z"), None),
-    ])
-    def test_user_path_mirror(self, bands_lattice, nodes, mirror):
-        basis = reciprocal_basis(3, bands_lattice.pitch)
-        problem = _problem(bands_lattice, basis)
-        expected = None if mirror is None else getattr(problem, mirror)
-        interior = [kp for kp in build_kpath(nodes, bands_lattice.pitch, 4)
-                    if not kp.label]
-        assert len(interior) == 3
-        for kp in interior:
-            assert problem.fold_at(kp.kx, kp.ky) is expected
-
-    def test_t_centered_window_solves_g_z_dense(self, bands_lattice,
-                                                bands_dp, monkeypatch):
-        # n -> -n maps the window [-h-1, h] onto [-h, h+1]: not closed
-        basis = t_centered_basis(3, bands_lattice.pitch)
-        problem = _problem(bands_lattice, basis)
-        assert problem.along_x is None
-        assert problem.diagonal is not None
-        kx = 0.6 * math.pi / bands_lattice.pitch
-        shapes = _record_shapes(monkeypatch, "eigvalsh")
-        w, _ = _solve(problem, kx, 0.0)
-        assert shapes == [(64, 64)]
-        h = problem.hamiltonian(kx, 0.0)
-        assert np.array_equal(w, bands_dp.omega0 + np.linalg.eigvalsh(h)[:8])
-
-
-class TestPathBlocksFromFactors:
-    """The G-Z and T-G blocks built from the 1D pattern factors against the
-    fold of the oracle's dense H; Z-T points solve the dense H itself."""
-
-    @pytest.mark.parametrize("halfwidth", [2, 3, 7])
-    def test_blocks_match_fold_of_oracle(self, bands_lattice, halfwidth):
-        basis = reciprocal_basis(halfwidth, bands_lattice.pitch)
-        problem = _problem(bands_lattice, basis)
-        waves = _waves(basis)
-        for fold in (problem.along_x, problem.diagonal):
-            # every wave once: an orbit's first, or its image
-            assert np.array_equal(
-                np.sort(np.concatenate([fold.even, fold.odd_image])),
-                np.arange(len(basis)))
-        images = {"G-Z": lambda m, n: (m, -n), "T-G": lambda m, n: (n, m)}
-        kinds = []
-        for kp in build_kpath(("G", "Z", "T", "G"), bands_lattice.pitch, 4):
-            h = dense_hamiltonian(bands_lattice, basis, kp.kx, kp.ky)
-            mirror = problem.fold_at(kp.kx, kp.ky)
-            if mirror is None:
-                kinds.append("dense")
-                assert np.array_equal(problem.hamiltonian(kp.kx, kp.ky), h)
-                continue
-            kinds.append("G-Z" if kp.ky == 0.0 else "T-G")
-            expected = mirror_blocks(h, waves, images[kinds[-1]],
-                                     mirror.even, mirror.odd)
-            kinetic = problem.kinetic(kp.kx, kp.ky)
-            blocks = [mirror.block(kinetic, odd) for odd in (False, True)]
-            for block, folded in zip(blocks, expected, strict=True):
-                assert block.shape == folded.shape
-                assert np.max(np.abs(block - folded)) <= (
-                    1e-15 * np.linalg.norm(h))
-        assert kinds == ["G-Z"] * 5 + ["dense"] * 3 + ["T-G"] * 4 + ["G-Z"]
-
-
 class TestFoldHelpers:
     """``_axis_fold`` and ``_swap_fold`` against the oracle's wave-by-wave
     fold of the dense matrices they stand for."""
 
-    @pytest.mark.parametrize("shift", [0, 1])
     @pytest.mark.parametrize("width", [2, 3, 4, 5])
-    def test_axis_fold_matches_oracle(self, width, shift):
-        s = np.random.default_rng(width + 10 * shift).standard_normal(
-            2 * width - 1 + shift)  # s_0 .. s_{2 width - 2 + shift}
-        # the half axis 0..width-1 first, then its images under m -> -shift-m
-        axis = np.concatenate([np.arange(width),
-                               -shift - np.arange(1 - shift, width)])
+    def test_axis_fold_matches_oracle(self, width):
+        s = np.random.default_rng(width + 10).standard_normal(
+            2 * width)  # s_0 .. s_{2 width - 1}
+        # the half axis 0..width-1 first, then its images under m -> -1-m
+        axis = np.concatenate([np.arange(width), -1 - np.arange(width)])
         toeplitz = s[np.abs(axis[:, None] - axis)]
         expected = mirror_blocks(toeplitz, [(m,) for m in axis],
-                                 lambda m: (-shift - m,))
-        for block, folded in zip(_axis_fold(s, shift), expected, strict=True):
-            assert block.shape == folded.shape
+                                 lambda m: (-1 - m,))
+        for block, folded in zip(_axis_fold(s), expected, strict=True):
+            assert block.shape == folded.shape == (width, width)
             assert np.max(np.abs(block - folded)) <= (
                 1e-15 * np.linalg.norm(toeplitz))
-        assert expected[0].shape[0] == width
 
     @pytest.mark.parametrize("width", [2, 3, 4, 5])
     def test_swap_fold_matches_oracle(self, width):
@@ -952,65 +880,30 @@ class TestFoldHelpers:
 
 
 class TestFoldedNamedNodes:
-    """The named nodes are solved in the mirror blocks too, built from the
-    1D pattern factors, and checked against one dense eigh."""
-
-    @pytest.mark.parametrize("kx_frac,ky_frac", [(0.3, 0.0), (0.3, 0.3)])
-    def test_cached_blocks_match_fold_of_dense(self, bands_lattice, kx_frac,
-                                               ky_frac):
-        basis = reciprocal_basis(7, bands_lattice.pitch)
-        problem = _problem(bands_lattice, basis)
-        kx = 2 * math.pi * kx_frac / bands_lattice.pitch
-        ky = 2 * math.pi * ky_frac / bands_lattice.pitch
-        mirror = problem.fold_at(kx, ky)
-        h = problem.hamiltonian(kx, ky)
-        kinetic = problem.kinetic(kx, ky)
-        cached = [mirror.block(kinetic, odd) for odd in (False, True)]
-        image = (lambda m, n: (m, -n)) if ky == 0.0 else (lambda m, n: (n, m))
-        folded_h = mirror_blocks(h, _waves(basis), image,
-                                 mirror.even, mirror.odd)
-        for block, folded in zip(cached, folded_h, strict=True):
-            assert np.max(np.abs(block - folded)) <= 1e-15 * np.linalg.norm(h)
-        expected = [block.copy() for block in cached]
-        for block in cached:
-            block[:] = 0.0  # each call returns fresh blocks
-        for odd, block in enumerate(expected):
-            assert np.array_equal(block, mirror.block(kinetic, bool(odd)))
+    """The named nodes against one dense eigh: G, Z and T solved as path
+    points like any other, and T labelled from the edges of the folded
+    corner-window sectors."""
 
     @pytest.mark.parametrize("halfwidth", [3, 7, 14])
     def test_node_pairs_match_dense_oracle(self, bands_lattice, halfwidth):
+        # dense below the crossover, block-solved from it
         basis = reciprocal_basis(halfwidth, bands_lattice.pitch)
         problem = _problem(bands_lattice, basis)
-        for node in ("G", "Z", "T"):
-            kx, ky = named_kpoint(node, bands_lattice.pitch)
-            assert problem.fold_at(kx, ky) is not None
-            h = problem.hamiltonian(kx, ky)
+        kpts = build_kpath(("G", "Z", "T"), bands_lattice.pitch, 2)
+        nodes = {kp.index: kp for kp in kpts if kp.label}
+        omegas, vectors = planewave.solve_path(
+            bands_lattice, basis, [(kp.kx, kp.ky) for kp in kpts], keep=nodes)
+        assert sorted(vectors) == [0, 2, 4]
+        for i, kp in nodes.items():
+            h = problem.hamiltonian(kp.kx, kp.ky)
             scale = np.linalg.norm(h)
-            w, v = _solve(problem, kx, ky, vectors=True)
-            w_dense, _ = dense_eigh(problem, kx, ky, DEFAULT_N_BANDS)
-            assert np.max(np.abs(w - w_dense)) <= 1e-14 * scale, node
+            w, v = omegas[i], vectors[i]
+            w_dense, _ = dense_eigh(problem, kp.kx, kp.ky, DEFAULT_N_BANDS)
+            assert np.max(np.abs(w - w_dense)) <= 1e-14 * scale, kp.label
             detuned = w - problem.omega0
             residual = np.max(np.linalg.norm(h @ v - v * detuned, axis=0))
-            assert residual <= 1e-10 * scale, node
+            assert residual <= 1e-10 * scale, kp.label
             assert np.max(np.abs(v.T @ v - np.eye(DEFAULT_N_BANDS))) <= 1e-12
-
-    def test_path_nodes_solved_in_blocks(self, bands_config, monkeypatch):
-        cfg = replace(bands_config, samples_per_segment=2, basis_halfwidth=3)
-        problem = _problem(cfg.lattice, reciprocal_basis(3, cfg.lattice.pitch))
-        w, _ = _solve(problem, 0.0, 0.0)
-        edges = t_edges(cfg.lattice, 3)
-        shapes = _record_shapes(monkeypatch, "eigvalsh")
-        eigh_shapes = _record_shapes(monkeypatch, "eigh")
-        bs = solve_bands(cfg, edges)
-        # eigenvalue-only, every point: G and Z under y -> -y, T under
-        # x <-> y, 28 + 21 waves each, the Z-T point dense; the closing G is
-        # solved again, bit for bit as the first
-        blocks = [(28, 28), (21, 21)]
-        assert shapes == blocks * 3 + [(49, 49)] + blocks * 3
-        assert eigh_shapes == []
-        for row in (0, len(bs.kpoints) - 1):
-            assert bs.kpoints[row].label == "G"
-            assert np.array_equal(bs.omegas[row], w)
 
     @pytest.mark.parametrize("halfwidth", [3, 7, 14])
     def test_t_labels_match_dense_oracle(self, bands_config, halfwidth):
