@@ -217,7 +217,7 @@ class _MirrorFold:
 
     With R the wave permutation, ``even`` lists the ``n_fixed`` fixed waves
     (R f = f) and then one wave p of each swapped pair, with ``even_image``
-    = R[even]; ``odd`` lists the pair waves p, with ``odd_image`` = R[odd].
+    = R[even]; ``odd`` lists the pair waves p.
     The even block of a matrix H that commutes with R is H[a, b] + H[a, R b]
     with each fixed row and column scaled by 1/sqrt(2), and the odd block
     H[p, q] - H[p, R q]. ``potential(odd)`` returns a fresh block of the
@@ -231,7 +231,6 @@ class _MirrorFold:
     even: np.ndarray
     even_image: np.ndarray
     odd: np.ndarray
-    odd_image: np.ndarray
     potential: Callable[[bool], np.ndarray]
 
     def block(self, kinetic: np.ndarray, odd: bool) -> np.ndarray:
@@ -242,18 +241,16 @@ class _MirrorFold:
                                                       else self.even]
         return block
 
-    def lift(self, u: np.ndarray, odd: bool = False) -> np.ndarray:
-        """Columns ``u`` over the even (or odd) block as unit-norm vectors
-        over the folded waves: u[f] on a fixed wave, u[p] / sqrt(2) on p and
-        +-u[p] / sqrt(2) on its image R p."""
-        src, image = (self.odd, self.odd_image) if odd else (self.even,
-                                                             self.even_image)
-        n_fixed = 0 if odd else self.n_fixed
-        out = np.zeros((self.n_fixed + 2 * self.odd.size, u.shape[1]))
-        out[src[:n_fixed]] = u[:n_fixed]
+    def lift(self, u: np.ndarray) -> np.ndarray:
+        """Columns ``u`` over the even block as unit-norm vectors over the
+        folded waves: u[f] on a fixed wave, and u[p] / sqrt(2) on p and on
+        its image R p."""
+        n_fixed = self.n_fixed
+        out = np.zeros((n_fixed + 2 * self.odd.size, u.shape[1]))
+        out[self.even[:n_fixed]] = u[:n_fixed]
         pair = math.sqrt(0.5) * u[n_fixed:]
-        out[src[n_fixed:]] = pair
-        out[image[n_fixed:]] = -pair if odd else pair
+        out[self.even[n_fixed:]] = pair
+        out[self.even_image[n_fixed:]] = pair
         return out
 
 
@@ -302,7 +299,7 @@ def _swap_fold(a: np.ndarray, c: float) -> _MirrorFold:
 
     return _MirrorFold(n_fixed=width, even=rows * width + cols,
                        even_image=cols * width + rows, odd=i * width + j,
-                       odd_image=j * width + i, potential=potential)
+                       potential=potential)
 
 
 @dataclass(frozen=True, eq=False)
@@ -577,16 +574,15 @@ def solve_bands(config: ExperimentConfig, edges) -> BandStructure:
 # --------------------------------------------------------------------------
 # T-point symmetry analysis
 
-def cluster_degenerate(omegas: np.ndarray, tol: float | None = None) -> list[list[int]]:
+def cluster_degenerate(omegas: np.ndarray) -> list[list[int]]:
     """Group ascending eigenvalues into degenerate clusters.
 
-    Default tolerance absorbs finite-basis and round-off splittings
-    (max(1 rad/s, 1e-11 * scale)) while keeping the physical gaps (>= 1e6
-    rad/s in the perturbative regime) resolved.
+    The tolerance max(1 rad/s, 1e-11 * max |omega|) absorbs finite-basis and
+    round-off splittings while keeping the physical gaps (>= 1e6 rad/s in
+    the perturbative regime) resolved.
     """
     omegas = np.asarray(omegas)
-    if tol is None:
-        tol = max(1.0, 1e-11 * float(np.max(np.abs(omegas))))
+    tol = max(1.0, 1e-11 * float(np.max(np.abs(omegas))))
     groups: list[list[int]] = [[0]]
     for i in range(1, omegas.size):
         if omegas[i] - omegas[groups[-1][-1]] <= tol:
@@ -620,19 +616,20 @@ def classify_t_states(omegas, edges) -> list[str]:
 
 @dataclass(frozen=True, eq=False)
 class TPointAnalysis:
-    """Eigenvalues at the T point on the corner window, by C4v sector.
+    """Eigenvalues at the T point on the corner window, by C4v sector
+    (``t_point_analysis``).
 
     ``omegas`` are the lowest ``DEFAULT_N_BANDS`` states of the corner
     window ``t_centered_basis(h, pitch)``, the waves (m, n) with m, n in
-    [-h-1, h]. ``groups`` are their degenerate clusters and
-    ``labels`` each group's common sector (``unclassified`` when a group
-    mixes sectors or lies in one of the two x <-> y-odd partner sectors,
-    which hold none of the four corner waves). ``edges`` are the lowest T1(S), T5(X,Y) and T4(XY) sector
-    omegas, which ``KpModel`` calls omega_T5, omega_T1 and omega_T5p (its
-    docstring holds the map).
-    ``masses`` maps LABEL_S and LABEL_XY to the curvature mass
-    hbar / (d^2 omega / dk^2) of that label's first group, for each label
-    whose first group is a single state; a nondegenerate state at T has an
+    [-h-1, h]. ``groups`` are their degenerate clusters
+    (``cluster_degenerate``) and ``labels`` each group's common sector
+    (``unclassified`` when a group mixes sectors or lies in one of the two
+    x <-> y-odd partner sectors, which hold none of the four corner waves).
+    ``edges`` are the lowest T1(S), T5(X,Y) and T4(XY) sector omegas, which
+    ``KpModel`` calls omega_T5, omega_T1 and omega_T5p (its docstring holds
+    the map). ``masses`` maps LABEL_S and LABEL_XY to the curvature mass
+    hbar / (d^2 omega / dk^2) of that edge itself, where the edge is among
+    ``omegas`` and alone in its group; a nondegenerate state at T has an
     isotropic mass. ``contract`` is ``core.eigh``'s on the five sector
     solves: the residual ||B v - w v|| worst against its bound
     1e-10 ||B||_F, that bound, the largest |V^T V - I| entry, and whether
@@ -645,14 +642,6 @@ class TPointAnalysis:
     edges: tuple[float, float, float]  # T1(S), T5(X,Y), T4(XY) sector edges
     masses: dict[str, float]
     contract: tuple[float, float, float, bool]
-
-    def group_of(self, label: str) -> tuple[int, ...]:
-        for grp, lab in zip(self.groups, self.labels):
-            if lab == label:
-                return grp
-        raise ComputationError(
-            f"no T-point group labeled {label}; found {list(self.labels)}"
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -714,8 +703,7 @@ def _t_sectors(lattice: LatticeSpec, halfwidth: int) -> _TSectors:
     )
 
 
-def t_point_analysis(config: ExperimentConfig,
-                     halfwidth: int | None = None) -> TPointAnalysis:
+def t_point_analysis(lattice: LatticeSpec, halfwidth: int) -> TPointAnalysis:
     """Solve the T point on the corner window in its exact C4v sectors.
 
     The window m, n in [-h-1, h] is closed under x -> -x (m -> -1-m),
@@ -736,10 +724,10 @@ def t_point_analysis(config: ExperimentConfig,
     with kappa = k + G along the step. kappa_x maps S, and kappa_y maps XY,
     into the (x-odd, y-even) sector, so the sum runs over that sector's whole
     spectrum; kappa is odd under its axis mirror, a diagonal on the grid.
+    Only the two edge states are lifted onto the grid, one column each.
     """
-    hw = halfwidth if halfwidth is not None else config.basis_halfwidth
-    sectors = _t_sectors(config.lattice, hw)
-    problem, k, n_bands = sectors.problem, hw + 1, DEFAULT_N_BANDS
+    sectors = _t_sectors(lattice, halfwidth)
+    problem, k, n_bands = sectors.problem, halfwidth + 1, DEFAULT_N_BANDS
     checks = []  # per block: (residual, bound), orthonormality, ascending
 
     def solve(name):  # the whole spectrum, with its contract checked
@@ -753,39 +741,37 @@ def t_point_analysis(config: ExperimentConfig,
                        bool(np.all(np.diff(w) >= 0))))
         return w, u
 
-    def lowest(name):  # lowest omegas and their k x k grids
-        fold, odd = sectors.folds[name]
-        w, u = solve(name)
-        return w[:n_bands], fold.lift(u[:, :n_bands], odd).T.reshape(-1, k, k)
+    def edge(name):  # lowest omegas and the lowest state on the k x k grid
+        w, u = solve(name)  # an even block of its swap fold
+        return w[:n_bands], sectors.folds[name][0].lift(u[:, :1]).reshape(k, k)
 
-    # per sector: lowest omegas, their grids, label
-    found = [(*lowest(name), label) for name, label in (
-        ("S", LABEL_S), ("S'", LABEL_NONE), ("XY", LABEL_XY),
-        ("XY'", LABEL_NONE))]
+    w_s, s_grid = edge("S")
+    w_s2 = solve("S'")[0][:n_bands]
+    w_xy, xy_grid = edge("XY")
+    w_xy2 = solve("XY'")[0][:n_bands]
     w_x, u_x = solve("X")  # whole, for the masses
-    x_grids = u_x[:, :n_bands].T.reshape(-1, k, k)
-    found += [(w_x[:n_bands], x_grids, LABEL_PAIR),
-              (w_x[:n_bands], x_grids.transpose(0, 2, 1), LABEL_PAIR)]
+    # per sector: lowest omegas, label; X twice, its pairs' x and y members
+    found = ((w_s, LABEL_S), (w_s2, LABEL_NONE), (w_xy, LABEL_XY),
+             (w_xy2, LABEL_NONE), *[(w_x[:n_bands], LABEL_PAIR)] * 2)
 
-    w = np.concatenate([sec[0] for sec in found])
+    w = np.concatenate([low for low, _ in found])
     order = np.argsort(w, kind="stable")[:n_bands]
     omegas = problem.omega0 + w[order]
-    kept = np.concatenate([sec[1] for sec in found])[order]
-    state = [sec[2] for sec in found for _ in sec[0]]  # each omega's label
+    state = [label for low, label in found for _ in low]  # each omega's label
     groups = cluster_degenerate(omegas)
     labels = []
     for grp in groups:
         members = {state[order[i]] for i in grp}
         labels.append(members.pop() if len(members) == 1 else LABEL_NONE)
-    edges = tuple(float(problem.omega0 + found[i][0][0]) for i in (0, 4, 2))
+    edges = tuple(float(problem.omega0 + low[0]) for low in (w_s, w_x, w_xy))
+    alone = {order[g[0]] for g in groups if len(g) == 1}  # positions in w
     masses = {}
-    kappa = sectors.kappa
-    for lab, kap in ((LABEL_S, kappa[:, None]), (LABEL_XY, kappa[None, :])):
-        grp = next((g for g, g_lab in zip(groups, labels) if g_lab == lab), ())
-        if len(grp) == 1:
-            i = grp[0]
-            coupling = u_x.T @ (kap * kept[i]).ravel()
-            k2_sum = float(np.sum(coupling ** 2 / (w[order[i]] - w_x)))
+    for lab, at, grid, kap in (
+            (LABEL_S, 0, s_grid, sectors.kappa[:, None]),
+            (LABEL_XY, w_s.size + w_s2.size, xy_grid, sectors.kappa[None, :])):
+        if at in alone:
+            coupling = u_x.T @ (kap * grid).ravel()
+            k2_sum = float(np.sum(coupling ** 2 / (w[at] - w_x)))
             masses[lab] = problem.m0 / (1.0 + 2.0 * HBAR / problem.m0 * k2_sum)
     pairs, ortho, ascending = zip(*checks)
     return TPointAnalysis(
@@ -814,26 +800,19 @@ def t_edges(lattice: LatticeSpec, halfwidth: int) -> tuple[float, float, float]:
     return tuple(float(sectors.problem.omega0 + w) for w in (s, pair, xy))
 
 
-def opw_mass_at_t(config: ExperimentConfig, edge_label: str,
-                  analysis: TPointAnalysis | None = None) -> float:
-    """Curvature mass of a nondegenerate T edge (S or XY), from
-    ``analysis.masses`` (see ``t_point_analysis``); ``analysis`` is computed
-    from ``config`` when None."""
-    if analysis is None:
-        analysis = t_point_analysis(config)
-    grp = analysis.group_of(edge_label)
-    if len(grp) != 1:
+def opw_mass_at_t(analysis: TPointAnalysis, edge_label: str) -> float:
+    """Curvature mass of the T edge ``edge_label`` from ``analysis.masses``
+    (see ``t_point_analysis``). ComputationError for an edge without one:
+    the pair, a degenerate S or XY edge (or one not among the analysis's
+    omegas), or any other label."""
+    if edge_label not in analysis.masses:
         raise ComputationError(
-            f"edge {edge_label} is degenerate; the curvature mass needs a "
-            "nondegenerate band"
-        )
-    try:
-        return analysis.masses[edge_label]
-    except KeyError:
-        raise ComputationError(
-            f"no curvature mass for edge {edge_label}; only the S and XY "
-            "edges have one"
-        ) from None
+            (f"edge {edge_label} is degenerate; the curvature mass needs a "
+             "nondegenerate band")
+            if edge_label in (LABEL_S, LABEL_PAIR, LABEL_XY) else
+            (f"no curvature mass for edge {edge_label}; only the S and XY "
+             "edges have one"))
+    return analysis.masses[edge_label]
 
 
 def perturbative_edges(lattice: LatticeSpec) -> tuple[float, float, float]:

@@ -41,12 +41,14 @@ def bands_dp(bands_lattice):
 
 @pytest.fixture(scope="session")
 def bands_t_analysis(bands_config):
-    return t_point_analysis(bands_config)
+    return t_point_analysis(bands_config.lattice,
+                            bands_config.basis_halfwidth)
 
 
 @pytest.fixture(scope="session")
 def weak_t_analysis(weak_config):
-    return t_point_analysis(weak_config)
+    return t_point_analysis(weak_config.lattice,
+                            weak_config.basis_halfwidth)
 
 
 @pytest.fixture(scope="session")

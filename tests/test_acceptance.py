@@ -78,7 +78,7 @@ def test_criterion_02_t_degeneracy_structure(bands_lattice):
     details = []
     for dphi in (1e-4, 0.02):
         cfg = ExperimentConfig(lattice=replace(bands_lattice, dphi=dphi))
-        analysis = t_point_analysis(cfg)
+        analysis = t_point_analysis(cfg.lattice, cfg.basis_halfwidth)
         w = analysis.omegas[:4]
         spreads = (0.0, w[2] - w[1], 0.0)
         gaps = (w[1] - w[0], w[3] - w[2])
@@ -136,14 +136,13 @@ def test_criterion_05_fsum_round_trip(weak_lattice):
             f"{rel:.3g} (bound 1e-6)")
 
 
-def test_criterion_06_closed_form_vs_opw_masses(weak_config,
-                                                weak_t_analysis,
+def test_criterion_06_closed_form_vs_opw_masses(weak_t_analysis,
                                                 weak_lattice):
     """Plane-wave masses at T give m_plus/m_minus within 25% of closed form."""
     dp = derive_params(weak_lattice)
     m_plus_cf, m_minus_cf = m_closed_form(weak_lattice, dp)
-    m_t5 = opw_mass_at_t(weak_config, LABEL_S, analysis=weak_t_analysis)
-    m_t5p = opw_mass_at_t(weak_config, LABEL_XY, analysis=weak_t_analysis)
+    m_t5 = opw_mass_at_t(weak_t_analysis, LABEL_S)
+    m_t5p = opw_mass_at_t(weak_t_analysis, LABEL_XY)
     m_plus_fd = -0.5 * (dp.m0 / m_t5 - 1.0)
     m_minus_fd = 0.5 * (dp.m0 / m_t5p - 1.0)
     dev_p = abs(m_plus_fd - m_plus_cf) / m_plus_cf

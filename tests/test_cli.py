@@ -23,6 +23,11 @@ WEAK_DOC = {**BANDS_DOC, "dphi": 1e-4}
 # perfbench's seed-12345 jittered lattice (workloads.lattice_for_seed)
 JITTERED_DOC = {"lambda_nm": 960, "n": 3.53, "pitch_um": 3.916619872545341,
                 "ff": 0.5520338338914137, "dphi": 0.018252065092537434}
+# a lattice whose XY edge lies within the clustering tolerance of the pair
+# at h = 3, below a lone, higher XY state
+CLUSTERED_XY_DOC = {"lambda_nm": 1426.8052023585864, "n": 2.8669400911457803,
+                    "pitch_um": 2.700259140686013, "ff": 0.1518567440417801,
+                    "dphi": 6.742185406289386e-10, "basis_halfwidth": 3}
 
 
 @pytest.fixture
@@ -483,13 +488,13 @@ class TestValidateCommand:
         from phczeeman import planewave
         analyses, edges = [], []
         analyse, solve = planewave.t_point_analysis, planewave.t_edges
-        monkeypatch.setattr(planewave, "t_point_analysis", lambda *a, **k: (
-            analyses.append(k.get("halfwidth")) or analyse(*a, **k)))
+        monkeypatch.setattr(planewave, "t_point_analysis", lambda lattice, h: (
+            analyses.append(h) or analyse(lattice, h)))
         monkeypatch.setattr(planewave, "t_edges", lambda lattice, h: (
             edges.append(h) or solve(lattice, h)))
         assert main(["validate", bands_cfg_file,
                      "-o", str(tmp_path / "report.json")]) == 0
-        assert analyses == [None]
+        assert analyses == [7]
         assert edges == [9]
 
     def test_convergence_detail_against_corner_span(self, bands_cfg_file,
@@ -497,7 +502,7 @@ class TestValidateCommand:
         # the status reads the change against the absolute edge (8.4e-8 at
         # h = 7); the detail also gives the largest edge change (the XY
         # edge's, 1.65e8 rad/s) against the corner span edges[2] - edges[0]
-        from phczeeman import ExperimentConfig, planewave
+        from phczeeman import planewave
         report_path = tmp_path / "report.json"
         assert main(["validate", bands_cfg_file, "-o", str(report_path)]) == 0
         check = {c["name"]: c for c in json.loads(
@@ -506,7 +511,7 @@ class TestValidateCommand:
             "edge change 8.401e-08 for halfwidth 7 -> 9 (advisory bound "
             "1e-6); 9.678e-05 of the corner span")
         lattice = LatticeSpec(960e-9, 3.53, 4e-6, 0.65, 0.02)
-        edges = planewave.t_point_analysis(ExperimentConfig(lattice)).edges
+        edges = planewave.t_point_analysis(lattice, 7).edges
         change = max(abs(a - b) for a, b in zip(planewave.t_edges(lattice, 9),
                                                 edges))
         assert f"{change / (edges[2] - edges[0]):.3e}" == "9.678e-05"
@@ -518,7 +523,8 @@ class TestValidateCommand:
         from phczeeman import ExperimentConfig, kp, planewave
         config = ExperimentConfig(LatticeSpec(960e-9, 3.53, 4e-6, 0.65, 0.02),
                                   basis_halfwidth=10)
-        analysis = planewave.t_point_analysis(config)
+        analysis = planewave.t_point_analysis(config.lattice,
+                                                config.basis_halfwidth)
         model = kp.kp_from_opw(analysis.edges, config.lattice)
         span = analysis.edges[2] - analysis.edges[0]
         calls = []
@@ -544,7 +550,8 @@ class TestValidateCommand:
             LatticeSpec(doc["lambda_nm"] * 1e-9, doc["n"],
                         doc["pitch_um"] * 1e-6, doc["ff"], doc["dphi"]),
             basis_halfwidth=halfwidth)
-        analysis = planewave.t_point_analysis(config)
+        analysis = planewave.t_point_analysis(config.lattice,
+                                                config.basis_halfwidth)
         model = kp.kp_from_opw(analysis.edges, config.lattice)
         span = analysis.edges[2] - analysis.edges[0]
         assert cli._kp_vs_opw_worst(config, model, span) == (
@@ -565,6 +572,49 @@ class TestValidateCommand:
                               doc["pitch_um"] * 1e-6, doc["ff"], doc["dphi"])
             assert cli._fourier_vs_quadrature(lat) <= 1e-16
             assert calls == [(m, n) for m in range(-5, 6) for n in range(-5, 6)]
+
+    @pytest.mark.parametrize("dphi", [1e-11, 1e-16, 1e-300])
+    def test_tiny_contrast_writes_its_report(self, tmp_path, capsys, dphi):
+        # the corner states cluster into one group (1e-11), or the edges
+        # round to one omega (1e-16, 1e-300): the checks that need a k.p
+        # model or an edge mass fail with the reason, and the rest still run
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps({**BANDS_DOC, "dphi": dphi}))
+        report_path = tmp_path / "report.json"
+        assert main(["validate", str(cfg), "-o", str(report_path)]) == 1
+        checks = {c["name"]: c for c in json.loads(
+            report_path.read_text())["checks"]}
+        assert list(checks) == [
+            "fourier_vs_quadrature", "eigh_contract", "t_degeneracy",
+            "kp_vs_opw", "fsum_roundtrip", "mass_vs_closed_form",
+            "eta_unimodular", "consistency_ratio", "convergence"]
+        assert checks["t_degeneracy"]["status"] == "fail"
+        assert checks["mass_vs_closed_form"] == {
+            "name": "mass_vs_closed_form", "status": "fail",
+            "detail": "edge T1(S) is degenerate; the curvature mass needs a "
+                      "nondegenerate band"}
+        if dphi == 1e-11:
+            assert checks["kp_vs_opw"]["status"] == "pass"
+        else:
+            for name in ("kp_vs_opw", "fsum_roundtrip", "consistency_ratio"):
+                assert checks[name]["status"] == "fail"
+                assert checks[name]["detail"].startswith(
+                    "band-edge ordering violated")
+            # a zero corner span: no change against it
+            assert "corner span" not in checks["convergence"]["detail"]
+        assert "FAILED checks:" in capsys.readouterr().err
+
+    def test_clustered_xy_edge_has_no_mass(self, tmp_path):
+        # the lone XY state above the pair group is not the edge, so the
+        # mass check fails instead of reading that state's mass
+        cfg = tmp_path / "clustered.json"
+        cfg.write_text(json.dumps(CLUSTERED_XY_DOC))
+        report_path = tmp_path / "report.json"
+        assert main(["validate", str(cfg), "-o", str(report_path)]) == 1
+        check = {c["name"]: c for c in json.loads(
+            report_path.read_text())["checks"]}["mass_vs_closed_form"]
+        assert check["status"] == "fail"
+        assert check["detail"].startswith("edge T4(XY) is degenerate")
 
     def test_corrupted_config(self, tmp_path):
         cfg = tmp_path / "bad.json"

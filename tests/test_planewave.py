@@ -396,7 +396,7 @@ class TestTPointSectors:
             return block
 
         monkeypatch.setattr(_kernels, "fill_hamiltonian", recording)
-        t_point_analysis(bands_config, halfwidth=halfwidth)
+        t_point_analysis(bands_config.lattice, halfwidth)
         k = halfwidth + 1
         # the corner H is never formed: the kernel writes only the k^2-order
         # (x-odd, y-even) block
@@ -416,7 +416,7 @@ class TestTPointSectors:
                    "other": replace(bands_lattice, pitch=4.37e-6,
                                     fill_factor=0.713, dphi=0.0137),
                    "negative": replace(bands_lattice, dphi=-0.01)}[lattice]
-        analysis = t_point_analysis(ExperimentConfig(lattice), halfwidth)
+        analysis = t_point_analysis(lattice, halfwidth)
         assert analysis.contract == eigh_contract_at_t(lattice, halfwidth)
         residual, bound, ortho, ascending = analysis.contract
         assert residual <= bound and ortho <= 1e-10 and ascending
@@ -424,7 +424,7 @@ class TestTPointSectors:
     @pytest.mark.parametrize("halfwidth", [3, 7])
     def test_lifted_pairs_meet_contract(self, bands_config, halfwidth):
         # the omegas with the oracle's sector states unfolded onto the window
-        analysis = t_point_analysis(bands_config, halfwidth=halfwidth)
+        analysis = t_point_analysis(bands_config.lattice, halfwidth)
         h = self._hamiltonian(bands_config, halfwidth)
         w = analysis.omegas - derive_params(bands_config.lattice).omega0
         _, v = unfold_t_states(bands_config.lattice, halfwidth)
@@ -434,24 +434,35 @@ class TestTPointSectors:
 
     @pytest.mark.parametrize("halfwidth", [3, 7])
     def test_merged_omegas_match_dense(self, bands_config, halfwidth):
-        analysis = t_point_analysis(bands_config, halfwidth=halfwidth)
+        analysis = t_point_analysis(bands_config.lattice, halfwidth)
         h = self._hamiltonian(bands_config, halfwidth)
         dense = np.linalg.eigvalsh(h)[:DEFAULT_N_BANDS]
         w = analysis.omegas - derive_params(bands_config.lattice).omega0
         assert np.max(np.abs(w - dense)) <= 1e-12 * np.linalg.norm(h)
 
+    @pytest.mark.parametrize("halfwidth", [3, 7])
+    def test_lifts_only_the_edge_states(self, bands_lattice, monkeypatch,
+                                        halfwidth):
+        # the S and XY edges, one column each; no other state is lifted
+        columns = []
+        lift = planewave._MirrorFold.lift
+        monkeypatch.setattr(planewave._MirrorFold, "lift", lambda self, u: (
+            columns.append(u.shape[1]) or lift(self, u)))
+        t_point_analysis(bands_lattice, halfwidth)
+        assert columns == [1, 1]
+
     @pytest.mark.parametrize("halfwidth", [3, 7, 10])
     def test_pair_exactly_degenerate(self, bands_config, halfwidth):
-        analysis = t_point_analysis(bands_config, halfwidth=halfwidth)
+        analysis = t_point_analysis(bands_config.lattice, halfwidth)
         assert analysis.omegas[1] == analysis.omegas[2]
-        assert analysis.group_of(LABEL_PAIR) == (1, 2)
+        assert analysis.groups[analysis.labels.index(LABEL_PAIR)] == (1, 2)
         assert analysis.edges[1] == analysis.omegas[1]
 
     @pytest.mark.parametrize("halfwidth", [3, 7])
     def test_labels_and_signs_follow_parities(self, bands_config, halfwidth):
         # each group's label is the sector of the oracle's states at its
         # omegas, read from their parities on the window
-        analysis = t_point_analysis(bands_config, halfwidth=halfwidth)
+        analysis = t_point_analysis(bands_config.lattice, halfwidth)
         w, vectors = unfold_t_states(bands_config.lattice, halfwidth)
         omega0 = derive_params(bands_config.lattice).omega0
         h = self._hamiltonian(bands_config, halfwidth)
@@ -483,18 +494,20 @@ class TestTPointSectors:
         assert np.all(vectors[pos[0, 0]] >= 0.0)
 
     def test_fold_lift_gives_eigenvectors(self, bands_lattice):
-        # the x <-> y fold of the (x-even, y-even) sector has fixed waves
-        # (i, i); its even and odd blocks' vectors, lifted, are eigenvectors
-        # of that sector -c*(S+ ⊗ S+) plus the kinetic diagonal
+        # the x <-> y folds of the (x-even, y-even) and (x-odd, y-odd)
+        # sectors have fixed waves (i, i); the vectors of their even blocks,
+        # S and XY, lifted, are eigenvectors of that sector -c*(S+- ⊗ S+-)
+        # plus the kinetic diagonal
         sectors = _t_sectors(bands_lattice, 3)
         k = 4
-        fold, _ = sectors.folds["S"]
-        assert fold is sectors.folds["S'"][0] and fold.n_fixed == k
-        h = -sectors.c * np.kron(sectors.plus, sectors.plus)
-        h[np.diag_indices_from(h)] += sectors.kinetic
-        for odd, name in ((False, "S"), (True, "S'")):
+        for name, factor in (("S", sectors.plus), ("XY", sectors.minus)):
+            fold, odd = sectors.folds[name]
+            assert fold is sectors.folds[name + "'"][0]
+            assert fold.n_fixed == k and not odd
+            h = -sectors.c * np.kron(factor, factor)
+            h[np.diag_indices_from(h)] += sectors.kinetic
             w, u = np.linalg.eigh(sectors.block(name))
-            v = fold.lift(u, odd)
+            v = fold.lift(u)
             assert v.shape == (k * k, u.shape[1])
             assert np.max(np.linalg.norm(h @ v - v * w, axis=0)) <= (
                 1e-10 * np.linalg.norm(h))
@@ -868,8 +881,6 @@ class TestFoldHelpers:
         assert fold.even.tolist() == even and fold.odd.tolist() == odd
         assert fold.even_image.tolist() == [waves.index(swap(*waves[i]))
                                             for i in even]
-        assert fold.odd_image.tolist() == [waves.index(swap(*waves[i]))
-                                           for i in odd]
         h = -c * np.kron(a, a)
         h[np.diag_indices_from(h)] += kinetic
         expected = mirror_blocks(h, waves, swap)
@@ -1076,7 +1087,8 @@ class TestClassification:
         assert channel_labels([0.0], vec[:, None], basis) == ["unclassified"]
 
     def test_empty_lattice_fourfold_group_unclassified(self, empty_config):
-        analysis = t_point_analysis(empty_config)
+        analysis = t_point_analysis(empty_config.lattice,
+                                    empty_config.basis_halfwidth)
         assert len(analysis.groups[0]) == 4
         assert analysis.labels[0] == "unclassified"
 
@@ -1085,7 +1097,8 @@ class TestClassification:
         # the pair group is the sector solve's x member and its transpose,
         # (x-odd, y-even) and (x-even, y-odd), not a mixture of the two;
         # the oracle's canonical phase makes their channel overlaps positive
-        grp = bands_t_analysis.group_of(LABEL_PAIR)
+        grp = bands_t_analysis.groups[
+            bands_t_analysis.labels.index(LABEL_PAIR)]
         h = bands_config.basis_halfwidth
         _, vectors = unfold_t_states(bands_config.lattice, h)
         basis = t_centered_basis(h, bands_config.lattice.pitch)
@@ -1104,7 +1117,8 @@ class TestClassification:
 
 class TestBandEdges:
     def test_empty_lattice_edges_coincide(self, empty_config):
-        analysis = t_point_analysis(empty_config)
+        analysis = t_point_analysis(empty_config.lattice,
+                                    empty_config.basis_halfwidth)
         e = analysis.edges
         assert e[0] == pytest.approx(e[1], rel=1e-14)
         assert e[1] == pytest.approx(e[2], rel=1e-14)
@@ -1116,8 +1130,7 @@ class TestBandEdges:
     def test_edge_splittings_linear_in_dphi(self, bands_lattice):
         gaps = {}
         for dphi in (1e-5, 1e-3):
-            cfg = ExperimentConfig(lattice=replace(bands_lattice, dphi=dphi))
-            e = t_point_analysis(cfg).edges
+            e = t_point_analysis(replace(bands_lattice, dphi=dphi), 7).edges
             gaps[dphi] = (e[1] - e[0], e[2] - e[1])
         for i in (0, 1):
             ratio = gaps[1e-3][i] / gaps[1e-5][i]
@@ -1141,8 +1154,7 @@ class TestTEdges:
         lattice = bands_lattice if lattice == "reference" else LatticeSpec(
             **JITTERED)
         edges = t_edges(lattice, halfwidth)
-        expected = t_point_analysis(ExperimentConfig(lattice=lattice),
-                                    halfwidth=halfwidth).edges
+        expected = t_point_analysis(lattice, halfwidth).edges
         assert all(type(e) is float for e in edges)
         assert edges[0] < edges[1] < edges[2]
         for got, want in zip(edges, expected, strict=True):
@@ -1186,7 +1198,7 @@ class TestTEdges:
         assert parities == [False, False]
         built.clear()
         parities.clear()
-        t_point_analysis(bands_config, halfwidth)
+        t_point_analysis(bands_config.lattice, halfwidth)
         assert built == ["S", "S'", "XY", "XY'", "X"]
         assert parities == [False, True, False, True]
 
@@ -1216,7 +1228,7 @@ class TestEffectiveMass:
         """The k.p sum against the curvature of the eigenvalue nearest the
         edge of the full corner-window H(k), along x and along (1, 1)."""
         cfg = ExperimentConfig(lattice=replace(bands_lattice, dphi=dphi))
-        analysis = t_point_analysis(cfg)
+        analysis = t_point_analysis(cfg.lattice, cfg.basis_halfwidth)
         pitch = cfg.lattice.pitch
         problem = _problem(cfg.lattice,
                            t_centered_basis(cfg.basis_halfwidth, pitch))
@@ -1224,7 +1236,7 @@ class TestEffectiveMass:
         step = step_fraction * math.pi / pitch
         for label, edge in ((LABEL_S, analysis.edges[0]),
                             (LABEL_XY, analysis.edges[2])):
-            mass = opw_mass_at_t(cfg, label, analysis=analysis)
+            mass = opw_mass_at_t(analysis, label)
             detuned_edge = edge - problem.omega0
             for d in ((1.0, 0.0), (math.sqrt(0.5), math.sqrt(0.5))):
                 def omega(t):  # detuned, as the carrier would cost digits
@@ -1235,40 +1247,57 @@ class TestEffectiveMass:
                 oracle = HBAR / _fd_curvature(omega, step, levels)
                 assert abs(mass - oracle) / abs(oracle) <= bound, (label, d)
 
-    def test_unclassified_singleton_has_no_mass(self, bands_config,
-                                                bands_t_analysis):
-        assert len(bands_t_analysis.group_of(LABEL_NONE)) == 1
+    def test_unclassified_singleton_has_no_mass(self, bands_t_analysis):
+        labels = bands_t_analysis.labels
+        assert len(bands_t_analysis.groups[labels.index(LABEL_NONE)]) == 1
         with pytest.raises(ComputationError, match="no curvature mass"):
-            opw_mass_at_t(bands_config, LABEL_NONE, analysis=bands_t_analysis)
+            opw_mass_at_t(bands_t_analysis, LABEL_NONE)
+
+    def test_mass_is_the_edges_own(self):
+        # the XY edge clusters with the pair into an unclassified group; the
+        # lone XY state above it is not the edge and lends it no mass
+        lattice = LatticeSpec(lambda_vac=1426.8052023585864e-9,
+                              n_refr=2.8669400911457803,
+                              pitch=2.700259140686013e-6,
+                              fill_factor=0.1518567440417801,
+                              dphi=6.742185406289386e-10)
+        analysis = t_point_analysis(lattice, 3)
+        assert analysis.labels == (LABEL_S, LABEL_NONE, LABEL_NONE, LABEL_XY)
+        assert analysis.edges[2] == analysis.omegas[3]
+        assert list(analysis.masses) == [LABEL_S]
+        with pytest.raises(ComputationError,
+                           match=r"edge T4\(XY\) is degenerate"):
+            opw_mass_at_t(analysis, LABEL_XY)
 
     def test_empty_lattice_mass_raises(self, empty_config):
-        analysis = t_point_analysis(empty_config)
+        analysis = t_point_analysis(empty_config.lattice,
+                                    empty_config.basis_halfwidth)
         assert analysis.masses == {}
         for label in (LABEL_S, LABEL_XY):
             with pytest.raises(ComputationError):
-                opw_mass_at_t(empty_config, label, analysis=analysis)
+                opw_mass_at_t(analysis, label)
 
-    def test_weak_lattice_s_band_strongly_inverted(self, weak_config,
-                                            weak_t_analysis, weak_lattice):
+    def test_weak_lattice_s_band_strongly_inverted(self, weak_t_analysis,
+                                                   weak_lattice):
         dp = derive_params(weak_lattice)
         m_plus, _ = m_closed_form(weak_lattice, dp)
-        mass = opw_mass_at_t(weak_config, LABEL_S, analysis=weak_t_analysis)
+        mass = opw_mass_at_t(weak_t_analysis, LABEL_S)
         assert dp.m0 / mass == pytest.approx(1 - 2 * m_plus, rel=0.25)
         assert mass < 0  # negative curvature at the zone corner
 
     def test_weak_lattice_orbital_parameters_match_closed_form(
-            self, weak_config, weak_t_analysis, weak_lattice):
+            self, weak_t_analysis, weak_lattice):
         # measured at h = 7: 6.2e-4 (m_plus) and 1.2e-4 (m_minus)
         dp = derive_params(weak_lattice)
         m_plus, m_minus = m_closed_form(weak_lattice, dp)
-        m_s = opw_mass_at_t(weak_config, LABEL_S, analysis=weak_t_analysis)
-        m_xy = opw_mass_at_t(weak_config, LABEL_XY, analysis=weak_t_analysis)
+        m_s = opw_mass_at_t(weak_t_analysis, LABEL_S)
+        m_xy = opw_mass_at_t(weak_t_analysis, LABEL_XY)
         assert -0.5 * (dp.m0 / m_s - 1.0) == pytest.approx(m_plus, rel=1e-3)
         assert 0.5 * (dp.m0 / m_xy - 1.0) == pytest.approx(m_minus, rel=1e-3)
 
-    def test_degenerate_tracking_raises(self, bands_config, bands_t_analysis):
+    def test_degenerate_tracking_raises(self, bands_t_analysis):
         with pytest.raises(ComputationError, match="degenerate"):
-            opw_mass_at_t(bands_config, LABEL_PAIR, analysis=bands_t_analysis)
+            opw_mass_at_t(bands_t_analysis, LABEL_PAIR)
 
 
 class TestLongitudinalProfile:
@@ -1330,6 +1359,6 @@ class TestLongitudinalProfile:
 class TestConvergence:
     def test_edges_converged_at_default_halfwidth(self, bands_config,
                                                   bands_t_analysis):
-        bigger = t_point_analysis(bands_config, halfwidth=9)
+        bigger = t_point_analysis(bands_config.lattice, 9)
         for a, b in zip(bands_t_analysis.edges, bigger.edges):
             assert abs(a - b) / abs(a) < 1e-6
