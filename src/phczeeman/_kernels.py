@@ -17,10 +17,16 @@ reports.
 dense solve of order ``POOL_MIN_ORDER`` or more the thread count found on
 entry: on smaller matrices a second thread gains no wall time and only
 spins, and its reductions can move eigenvalues in the last digits.
-``cli.main`` runs every subcommand inside it. The thread count is set
-through the loaded OpenBLAS's own functions (numpy exposes no setter),
-looked up at first use; where none is found (another BLAS, no
-/proc/self/maps) both do nothing.
+``cli.main`` runs every subcommand inside it. One thread alone does not
+stop the spinning: the worker pool that OpenBLAS starts when numpy is
+imported busy-waits for about 0.1 s before its workers sleep, so
+``serial_blas`` also parks the pool (stops its workers) on entry. A pooled
+solve rebuilds it and parks it again when it drops back to one thread, and
+the exit restores the count found on entry, which rebuilds the pool for
+the caller. The thread count and the pool are set through the loaded
+OpenBLAS's own functions (numpy exposes no setter), looked up at first
+use; where none is found (another BLAS, no /proc/self/maps) all do
+nothing, and where the park function is missing the count is still set.
 """
 from __future__ import annotations
 
@@ -42,14 +48,18 @@ _THREAD_FUNCTIONS = (  # (set, get) by OpenBLAS build: scipy wheel, ILP64, plain
     ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
     ("openblas_set_num_threads", "openblas_get_num_threads"),
 )
+# stops the pool's workers, as OpenBLAS's own fork handler does; the next
+# thread-count change or threaded call rebuilds the pool
+_PARK_FUNCTION = "blas_thread_shutdown_"
 # the thread count serial_blas found on entry, while it holds
 _POOL = contextvars.ContextVar("blas_pool", default=None)
 
 
 @functools.cache
 def _openblas():
-    """The (set, get) thread-count functions of the OpenBLAS this process
-    has loaded, found by its path in /proc/self/maps; None without one."""
+    """The (set, get, park) thread functions of the OpenBLAS this process
+    has loaded, found by its path in /proc/self/maps; None without one.
+    park is None where the build does not export ``_PARK_FUNCTION``."""
     try:
         with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
             # the path is the sixth field, present on file-backed mappings
@@ -69,7 +79,10 @@ def _openblas():
                 continue
             set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
             get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-            return set_threads, get_threads
+            park = getattr(lib, _PARK_FUNCTION, None)
+            if park is not None:
+                park.argtypes, park.restype = [], ctypes.c_int
+            return set_threads, get_threads, park
     return None
 
 
@@ -88,7 +101,7 @@ def blas_threads(n: int | None):
     if control is None or n is None:
         yield
         return
-    set_threads, get_threads = control
+    set_threads, get_threads, _ = control
     found = get_threads()
     set_threads(n)
     try:
@@ -97,23 +110,51 @@ def blas_threads(n: int | None):
         set_threads(found)
 
 
+def _park(control):
+    """One thread, then the pool parked: any count change rebuilds a
+    parked pool, so the park comes last."""
+    set_threads, _, park = control
+    set_threads(1)
+    if park is not None:
+        park()
+
+
 @contextlib.contextmanager
 def serial_blas():
-    """Run the body with OpenBLAS on one thread; ``pooled`` solves inside it
-    get the thread count found on entry."""
-    token = _POOL.set(blas_thread_count())
+    """Run the body with OpenBLAS on one thread and its worker pool parked;
+    ``pooled`` solves inside it get the thread count found on entry, which
+    the exit restores. The count and the pool are process-wide: do not
+    enter it while another thread is inside BLAS."""
+    control = _openblas()
+    if control is None:
+        yield
+        return
+    found = control[1]()
+    token = _POOL.set(found)
     try:
-        with blas_threads(1):
-            yield
+        _park(control)
+        yield
     finally:
+        control[0](found)
         _POOL.reset(token)
 
 
+@contextlib.contextmanager
 def pooled(order: int):
     """Context for a dense solve of ``order``: inside ``serial_blas``, one of
-    order ``POOL_MIN_ORDER`` or more runs on the count it found on entry;
-    anything else runs on the count as it is."""
-    return blas_threads(_POOL.get() if order >= POOL_MIN_ORDER else None)
+    order ``POOL_MIN_ORDER`` or more runs on the count it found on entry,
+    and the pool is parked again after it; anything else runs on the count
+    as it is."""
+    found = _POOL.get()
+    if found is None or order < POOL_MIN_ORDER:
+        yield
+        return
+    control = _openblas()
+    control[0](found)
+    try:
+        yield
+    finally:
+        _park(control)
 
 
 def axis_factor(s) -> np.ndarray:

@@ -1,3 +1,5 @@
+import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -128,3 +130,91 @@ def test_thread_control_does_nothing_without_openblas(monkeypatch):
     assert _kernels.blas_thread_count() is None
     with _kernels.serial_blas(), _kernels.pooled(10 * _kernels.POOL_MIN_ORDER):
         assert _kernels._POOL.get() is None
+
+
+def _fake_openblas(monkeypatch, found, park=True):
+    """Stand in (set, get, park) functions that record the set and park
+    calls, with ``found`` threads to begin with; no park where ``park`` is
+    False."""
+    calls = []
+    count = [found]
+
+    def set_threads(n):
+        calls.append(("set", n))
+        count[0] = n
+
+    control = (set_threads, lambda: count[0],
+               (lambda: calls.append(("park",))) if park else None)
+    monkeypatch.setattr(_kernels, "_openblas", lambda: control)
+    return calls
+
+
+def test_serial_blas_parks_after_one_thread_and_restores_last(monkeypatch):
+    calls = _fake_openblas(monkeypatch, found=3)
+    large = np.eye(_kernels.POOL_MIN_ORDER)
+    with _kernels.serial_blas():
+        assert calls == [("set", 1), ("park",)]
+        calls.clear()
+        planewave._lapack(np.diag, large)
+        assert calls == [("set", 3), ("set", 1), ("park",)]
+        calls.clear()
+        planewave._lapack(np.diag, large[1:, 1:])
+        assert calls == []
+    assert calls == [("set", 3)]
+
+
+def test_serial_blas_restores_count_when_the_body_raises(monkeypatch):
+    calls = _fake_openblas(monkeypatch, found=3)
+
+    def failing(h):
+        raise RuntimeError
+
+    with pytest.raises(RuntimeError), _kernels.serial_blas():
+        planewave._lapack(failing, np.eye(_kernels.POOL_MIN_ORDER))
+    assert calls == [("set", 1), ("park",), ("set", 3), ("set", 1),
+                     ("park",), ("set", 3)]
+
+
+def test_serial_blas_without_park_still_sets_and_restores(monkeypatch):
+    calls = _fake_openblas(monkeypatch, found=3, park=False)
+    with _kernels.serial_blas():
+        planewave._lapack(np.diag, np.eye(_kernels.POOL_MIN_ORDER))
+    assert calls == [("set", 1), ("set", 3), ("set", 1), ("set", 3)]
+
+
+def _os_threads(limit):
+    """The process's OS thread count, once it is at most ``limit`` or after
+    a second: a joined thread can stay listed for a moment after its join
+    returns."""
+    deadline = time.monotonic() + 1.0
+    while True:
+        count = len(os.listdir("/proc/self/task"))
+        if count <= limit or time.monotonic() > deadline:
+            return count
+        time.sleep(0.001)
+
+
+def _can_park_real_pool():
+    control = _kernels._openblas()
+    try:
+        os.listdir("/proc/self/task")
+    except OSError:
+        return False
+    return control is not None and control[2] is not None
+
+
+@pytest.mark.skipif(not _can_park_real_pool(),
+                    reason="no OpenBLAS park function or no /proc/self/task")
+def test_serial_blas_parks_the_real_pool():
+    with _kernels.blas_threads(2):
+        pooled_threads = len(os.listdir("/proc/self/task"))
+        with _kernels.serial_blas():
+            parked = _os_threads(limit=pooled_threads - 1)
+            assert parked < pooled_threads
+            h = np.diag(np.arange(600.0)) + 1e-3
+            planewave._lapack(np.linalg.eigvalsh, h)
+            assert _os_threads(limit=parked) == parked
+        assert _kernels.blas_thread_count() == 2
+        h = np.diag(np.arange(1.0, 201.0))
+        np.testing.assert_allclose(np.linalg.eigvalsh(h), np.arange(1.0, 201.0),
+                                   rtol=1e-12)
