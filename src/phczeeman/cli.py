@@ -404,7 +404,7 @@ def cmd_dump_fourier(args) -> int:
 # --------------------------------------------------------------------------
 # validate
 
-def _fourier_vs_quadrature(lattice, order: int = 48) -> float:
+def _fourier_vs_quadrature(lattice) -> float:
     """Largest |analytic - Gauss-Legendre quadrature| pattern Fourier
     coefficient over |m|, |n| <= 5.
 
@@ -412,10 +412,10 @@ def _fourier_vs_quadrature(lattice, order: int = 48) -> float:
     pattern vanishes outside), where it is smooth, so fixed-order GL is
     accurate to round-off. The pattern is even, so every coefficient is the
     cosine integral w_m^T P w_n, w_m the weights times cos(g_m x) at the
-    nodes: all of them are one product W P W^T of the (11, order) rows.
+    nodes: all of them are one product W P W^T of the (11, 48) rows.
     """
     half = 0.5 * lattice.pitch * math.sqrt(lattice.fill_factor)
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = np.polynomial.legendre.leggauss(48)
     x = half * nodes
     xx, yy = np.meshgrid(x, x, indexing="ij")
     pattern = phase_pattern(lattice, xx, yy)
@@ -453,139 +453,138 @@ def _kp_vs_opw_worst(config: ExperimentConfig, model: kpmod.KpModel,
     return float(np.max(np.abs(spectra - _nearest(opw, spectra)))) / span
 
 
-def run_validation(config: ExperimentConfig) -> dict:
-    """Cross-validation suite; returns a machine-readable report."""
-    checks = []
-    lattice = config.lattice
-    dp = derive_params(lattice)
+def _check_fourier_vs_quadrature(config, analysis):
+    worst = _fourier_vs_quadrature(config.lattice)
+    return worst <= 1e-10, (f"max |analytic - quadrature| = {worst:.3e} over "
+                            "|m|,|n| <= 5 (bound 1e-10)")
 
-    def record(name, status, detail):
-        checks.append({"name": name, "status": status, "detail": detail})
 
-    # 1. analytic Fourier coefficients vs quadrature
-    worst = _fourier_vs_quadrature(lattice)
-    record("fourier_vs_quadrature",
-           "pass" if worst <= 1e-10 else "fail",
-           f"max |analytic - quadrature| = {worst:.3e} over |m|,|n| <= 5 "
-           "(bound 1e-10)")
-
-    # 2. eigensolver contract on the T-sector blocks t_point_analysis solves;
-    # the detail names the block whose residual is largest against its bound
-    analysis = pw.t_point_analysis(lattice, config.basis_halfwidth)
+def _check_eigh_contract(config, analysis):
+    # the residual and bound of the T-sector block whose ratio is largest
     residual, bound, ortho, ascending = analysis.contract
-    ok = residual <= bound and ortho <= 1e-10 and ascending
-    record("eigh_contract", "pass" if ok else "fail",
-           f"residual {residual:.3e} (bound {bound:.3e}), "
-           f"orthonormality {ortho:.3e} (bound 1e-10)")
+    return (residual <= bound and ortho <= 1e-10 and ascending,
+            f"residual {residual:.3e} (bound {bound:.3e}), "
+            f"orthonormality {ortho:.3e} (bound 1e-10)")
 
-    if lattice.dphi <= 0:
-        for name in ("t_degeneracy", "kp_vs_opw", "fsum_roundtrip",
-                     "mass_vs_closed_form", "eta_unimodular",
-                     "consistency_ratio", "convergence"):
-            record(name, "skipped", "requires dphi > 0")
-        passed = all(c["status"] != "fail" for c in checks)
-        return {"passed": passed, "checks": checks}
 
-    # 3. corner-point degeneracy structure
-    sizes = [len(g) for g in analysis.groups[:3]]
-    gaps_ok = True
-    low = analysis.omegas
-    groups = analysis.groups
-    for a_grp, b_grp in zip(groups[:2], groups[1:3]):
-        gap = low[b_grp[0]] - low[a_grp[-1]]
-        gaps_ok = gaps_ok and gap >= 1e6
-    deg_ok = sizes == [1, 2, 1] and gaps_ok and list(analysis.labels[:3]) == [
-        pw.LABEL_S, pw.LABEL_PAIR, pw.LABEL_XY,
-    ]
-    record("t_degeneracy", "pass" if deg_ok else "fail",
-           f"group sizes {sizes} labels {list(analysis.labels[:3])}, "
-           f"gaps >= 1e6 rad/s: {gaps_ok}")
+def _check_t_degeneracy(config, analysis):
+    groups, low = analysis.groups, analysis.omegas
+    sizes = [len(g) for g in groups[:3]]
+    labels = list(analysis.labels[:3])
+    gaps_ok = all(low[b[0]] - low[a[-1]] >= 1e6
+                  for a, b in zip(groups[:2], groups[1:3]))
+    return (sizes == [1, 2, 1] and gaps_ok
+            and labels == [pw.LABEL_S, pw.LABEL_PAIR, pw.LABEL_XY],
+            f"group sizes {sizes} labels {labels}, gaps >= 1e6 rad/s: {gaps_ok}")
 
-    # 4. k.p vs plane-wave band agreement near T. From here on, a k.p model
-    # or edge mass that cannot be formed (edges out of order, a degenerate
-    # edge) fails each check that reads it with its ComputationError message.
-    span = analysis.edges[2] - analysis.edges[0]
-    try:
-        model = kpmod.kp_from_opw(analysis.edges, lattice)
-    except ComputationError as exc:
-        model, no_model = None, str(exc)
-        record("kp_vs_opw", "fail", no_model)
-    else:
-        worst_rel = _kp_vs_opw_worst(config, model, span)
-        record("kp_vs_opw", "pass" if worst_rel <= 0.05 else "fail",
-               f"worst |omega_kp - omega_opw| / span = {worst_rel:.3e} "
-               "(bound 0.05) within 0.25*pi/pitch of T")
 
-    # 5. f-sum round trip on a consistent model
-    try:
-        model_c = kpmod.kp_from_opw(pw.perturbative_edges(lattice), lattice)
-    except ComputationError as exc:
-        record("fsum_roundtrip", "fail", str(exc))
-    else:
-        fd = kpmod.fsum_fd_masses(model_c)
-        target = kpmod.fsum_target_masses(model_c)
-        rel = max(abs(fd[0] - target[0]) / abs(target[0]),
-                  abs(fd[1] - target[1]) / abs(target[1]))
-        record("fsum_roundtrip", "pass" if rel <= 1e-6 else "fail",
-               f"worst relative mass deviation {rel:.3e} (bound 1e-6)")
+def _check_kp_vs_opw(config, analysis):
+    model = kpmod.kp_from_opw(analysis.edges, config.lattice)
+    worst = _kp_vs_opw_worst(config, model, analysis.edges[2] - analysis.edges[0])
+    return worst <= 0.05, (f"worst |omega_kp - omega_opw| / span = {worst:.3e} "
+                           "(bound 0.05) within 0.25*pi/pitch of T")
 
-    # 6. closed-form orbital parameters vs plane-wave masses
-    try:
-        m_t5 = pw.opw_mass_at_t(analysis, pw.LABEL_S)
-        m_t5p = pw.opw_mass_at_t(analysis, pw.LABEL_XY)
-    except ComputationError as exc:
-        record("mass_vs_closed_form", "fail", str(exc))
-    else:
-        if model is None:
-            record("mass_vs_closed_form", "fail", no_model)
-        else:
-            mp_fd = -0.5 * (dp.m0 / m_t5 - 1.0)
-            mm_fd = 0.5 * (dp.m0 / m_t5p - 1.0)
-            dev_p = abs(mp_fd - model.m_plus) / abs(model.m_plus)
-            dev_m = abs(mm_fd - model.m_minus) / abs(model.m_minus)
-            record("mass_vs_closed_form",
-                   "pass" if max(dev_p, dev_m) <= 0.25 else "fail",
-                   f"m_plus deviation {dev_p:.3%}, m_minus deviation "
-                   f"{dev_m:.3%} (bound 25%)")
 
-    # 7. unimodular longitudinal factor and bounded alpha at Gamma
+def _check_fsum_roundtrip(config, analysis):
+    # on a consistent model
+    model = kpmod.kp_from_opw(pw.perturbative_edges(config.lattice),
+                              config.lattice)
+    fd = kpmod.fsum_fd_masses(model)
+    target = kpmod.fsum_target_masses(model)
+    rel = max(abs(fd[0] - target[0]) / abs(target[0]),
+              abs(fd[1] - target[1]) / abs(target[1]))
+    return rel <= 1e-6, f"worst relative mass deviation {rel:.3e} (bound 1e-6)"
+
+
+def _check_mass_vs_closed_form(config, analysis):
+    # the edge masses before the model: a degenerate edge is the reason given
+    m_t5 = pw.opw_mass_at_t(analysis, pw.LABEL_S)
+    m_t5p = pw.opw_mass_at_t(analysis, pw.LABEL_XY)
+    model = kpmod.kp_from_opw(analysis.edges, config.lattice)
+    mp_fd = -0.5 * (model.m0 / m_t5 - 1.0)
+    mm_fd = 0.5 * (model.m0 / m_t5p - 1.0)
+    dev_p = abs(mp_fd - model.m_plus) / abs(model.m_plus)
+    dev_m = abs(mm_fd - model.m_minus) / abs(model.m_minus)
+    return max(dev_p, dev_m) <= 0.25, (f"m_plus deviation {dev_p:.3%}, m_minus "
+                                       f"deviation {dev_m:.3%} (bound 25%)")
+
+
+def _check_eta_unimodular(config, analysis):
+    # unimodular longitudinal factor and bounded alpha at Gamma
+    lattice = config.lattice
     basis = reciprocal_basis(config.basis_halfwidth, lattice.pitch)
     _, vectors = pw.solve_path(lattice, basis, [(0.0, 0.0)], keep={0})
     profile = pw.longitudinal_profile(vectors[0][:, 0], basis, lattice)
     dev_eta = float(np.max(np.abs(np.abs(1.0 + profile.eta_samples) - 1.0)))
     mean_floor = lattice.dphi * lattice.fill_factor
     alpha_ok = mean_floor < profile.alpha < lattice.dphi
-    record("eta_unimodular",
-           "pass" if dev_eta <= 1e-12 and alpha_ok else "fail",
-           f"max ||1+eta|-1| = {dev_eta:.3e} (bound 1e-12); alpha = "
-           f"{profile.alpha:.6g} in ({mean_floor:.6g}, {lattice.dphi:.6g}): "
-           f"{alpha_ok}")
+    return (dev_eta <= 1e-12 and alpha_ok,
+            f"max ||1+eta|-1| = {dev_eta:.3e} (bound 1e-12); alpha = "
+            f"{profile.alpha:.6g} in ({mean_floor:.6g}, {lattice.dphi:.6g}): "
+            f"{alpha_ok}")
 
-    # 8. consistency ratio of the two orbital-splitting forms
-    if model is None:
-        record("consistency_ratio", "fail", no_model)
-    else:
-        s = zm.pattern_sinc(lattice.fill_factor)
-        ratio = zm.consistency_ratio(lattice, model.m_plus, model.m_minus,
-                                     lattice.n_refr, dp)
-        expected = 1.0 / math.sqrt(1.0 + s * s)
-        ratio_ok = abs(ratio - expected) <= 1e-10
-        record("consistency_ratio", "pass" if ratio_ok else "fail",
-               f"R2/R1 = {ratio:.12f}, algebraic 1/sqrt(1+s^2) = {expected:.12f} "
-               "(documented discrepancy between the two printed forms)")
 
-    # 9. basis convergence (advisory: warns, never fails)
-    bigger = pw.t_edges(lattice, config.basis_halfwidth + 2)
-    conv = max(abs(a - b) / abs(a) for a, b in zip(bigger, analysis.edges))
-    # against the corner span, the scale the splittings are read on, if any
-    change = max(abs(a - b) for a, b in zip(bigger, analysis.edges))
-    record("convergence", "pass" if conv < 1e-6 else "warn",
-           f"edge change {conv:.3e} for halfwidth {config.basis_halfwidth} "
-           f"-> {config.basis_halfwidth + 2} (advisory bound 1e-6)"
-           + (f"; {change / span:.3e} of the corner span" if span else ""))
+def _check_consistency_ratio(config, analysis):
+    model = kpmod.kp_from_opw(analysis.edges, config.lattice)
+    ratio = zm.consistency_ratio(config.lattice, model.m_plus, model.m_minus)
+    s = zm.pattern_sinc(config.lattice.fill_factor)
+    expected = 1.0 / math.sqrt(1.0 + s * s)
+    return (abs(ratio - expected) <= 1e-10,
+            f"R2/R1 = {ratio:.12f}, algebraic 1/sqrt(1+s^2) = {expected:.12f} "
+            "(documented discrepancy between the two printed forms)")
 
-    passed = all(c["status"] != "fail" for c in checks)
-    return {"passed": passed, "checks": checks}
+
+def _check_convergence(config, analysis):
+    # advisory: warns, never fails. The detail also gives the largest change
+    # against the corner span, the scale the splittings are read on, if any.
+    h, edges = config.basis_halfwidth, analysis.edges
+    bigger = pw.t_edges(config.lattice, h + 2)
+    conv = max(abs(a - b) / abs(a) for a, b in zip(bigger, edges))
+    change = max(abs(a - b) for a, b in zip(bigger, edges))
+    span = edges[2] - edges[0]
+    return ("pass" if conv < 1e-6 else "warn",
+            f"edge change {conv:.3e} for halfwidth {h} -> {h + 2} "
+            "(advisory bound 1e-6)"
+            + (f"; {change / span:.3e} of the corner span" if span else ""))
+
+
+_CHECKS = (
+    ("fourier_vs_quadrature", _check_fourier_vs_quadrature),
+    ("eigh_contract", _check_eigh_contract),
+    ("t_degeneracy", _check_t_degeneracy),
+    ("kp_vs_opw", _check_kp_vs_opw),
+    ("fsum_roundtrip", _check_fsum_roundtrip),
+    ("mass_vs_closed_form", _check_mass_vs_closed_form),
+    ("eta_unimodular", _check_eta_unimodular),
+    ("consistency_ratio", _check_consistency_ratio),
+    ("convergence", _check_convergence),
+)
+
+
+def run_validation(config: ExperimentConfig) -> dict:
+    """Cross-validation suite; returns a machine-readable report.
+
+    Each check of ``_CHECKS`` takes the config and its T-point analysis and
+    returns (status, detail), a status of True or False reading "pass" or
+    "fail". One rule for errors: a check that raises a computation error (a
+    k.p model or edge mass that cannot be formed, a solve that does not
+    converge) fails with its message, and the other checks still run. At
+    dphi <= 0 the checks after eigh_contract are skipped.
+    """
+    analysis = pw.t_point_analysis(config.lattice, config.basis_halfwidth)
+    checks = []
+    for index, (name, check) in enumerate(_CHECKS):
+        if index > 1 and config.lattice.dphi <= 0:  # after eigh_contract
+            status, detail = "skipped", "requires dphi > 0"
+        else:
+            try:
+                status, detail = check(config, analysis)
+            except ComputationError as exc:
+                status, detail = "fail", str(exc)
+        if not isinstance(status, str):
+            status = "pass" if status else "fail"
+        checks.append({"name": name, "status": status, "detail": detail})
+    return {"passed": all(c["status"] != "fail" for c in checks), "checks": checks}
 
 
 def cmd_validate(args) -> int:

@@ -126,23 +126,20 @@ def spread_rms(m_plus, m_minus, p_interband):
                 / p_interband)
 
 
-def consistency_ratio(lattice: LatticeSpec, m_plus, m_minus, n_refr,
-                      dp: DerivedParams | None = None):
+def consistency_ratio(lattice: LatticeSpec, m_plus, m_minus):
     """Ratio of the spread-based orbital splitting to the direct 2M/n^2 form.
 
     R1 = 2*(m_plus + m_minus)/n^2; R2 = 2*pi*sqrt(2*<r^2>)/(n^2*pitch) /
-    (1 + s^2). The two printed forms of the same quantity disagree by
-    exactly 1/sqrt(1 + s^2) when m_plus/m_minus take their closed-form
-    values (about 2.5% at FF = 0.65); this diagnostic reports the ratio
-    rather than hiding the discrepancy. Independent of dphi and of the
-    rotation rate. ``dp`` is derive_params(lattice), derived here if not
-    given.
+    (1 + s^2), n the lattice's refractive index. The two printed forms of
+    the same quantity disagree by exactly 1/sqrt(1 + s^2) when
+    m_plus/m_minus take their closed-form values (about 2.5% at FF = 0.65);
+    this diagnostic reports the ratio rather than hiding the discrepancy.
+    Independent of dphi and of the rotation rate.
     """
-    if dp is None:
-        dp = derive_params(lattice)
+    n_refr = lattice.n_refr
     s = pattern_sinc(lattice.fill_factor)
     r1 = 2.0 * (m_plus + m_minus) / n_refr ** 2
-    spread = spread_rms(m_plus, m_minus, dp.p_interband)
+    spread = spread_rms(m_plus, m_minus, derive_params(lattice).p_interband)
     r2 = (
         2.0 * math.pi * np.sqrt(2.0 * (spread * spread))
         / (n_refr ** 2 * lattice.pitch) / (1.0 + s * s)
@@ -183,6 +180,5 @@ def zeeman_result(lattice: LatticeSpec) -> ZeemanResult:
         delta_omega_S_per_Omega=dws,
         delta_omega_L_per_Omega=dwl,
         spread_rms=spread_rms(m_plus, m_minus, dp.p_interband),
-        consistency_ratio=consistency_ratio(lattice, m_plus, m_minus,
-                                            lattice.n_refr, dp),
+        consistency_ratio=consistency_ratio(lattice, m_plus, m_minus),
     )

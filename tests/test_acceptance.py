@@ -211,8 +211,7 @@ def test_criterion_10_consistency_ratio(weak_lattice):
     from phczeeman import consistency_ratio
     dp = derive_params(weak_lattice)
     m_plus, m_minus = m_closed_form(weak_lattice, dp)
-    ratio = consistency_ratio(weak_lattice, m_plus, m_minus,
-                              weak_lattice.n_refr)
+    ratio = consistency_ratio(weak_lattice, m_plus, m_minus)
     s = pattern_sinc(weak_lattice.fill_factor)
     expected = 1.0 / math.sqrt(1.0 + s * s)
     dev = abs(ratio - expected)

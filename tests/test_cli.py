@@ -28,6 +28,10 @@ JITTERED_DOC = {"lambda_nm": 960, "n": 3.53, "pitch_um": 3.916619872545341,
 CLUSTERED_XY_DOC = {"lambda_nm": 1426.8052023585864, "n": 2.8669400911457803,
                     "pitch_um": 2.700259140686013, "ff": 0.1518567440417801,
                     "dphi": 6.742185406289386e-10, "basis_halfwidth": 3}
+# validate's checks, in report order
+CHECK_NAMES = ["fourier_vs_quadrature", "eigh_contract", "t_degeneracy",
+               "kp_vs_opw", "fsum_roundtrip", "mass_vs_closed_form",
+               "eta_unimodular", "consistency_ratio", "convergence"]
 
 
 @pytest.fixture
@@ -584,10 +588,7 @@ class TestValidateCommand:
         assert main(["validate", str(cfg), "-o", str(report_path)]) == 1
         checks = {c["name"]: c for c in json.loads(
             report_path.read_text())["checks"]}
-        assert list(checks) == [
-            "fourier_vs_quadrature", "eigh_contract", "t_degeneracy",
-            "kp_vs_opw", "fsum_roundtrip", "mass_vs_closed_form",
-            "eta_unimodular", "consistency_ratio", "convergence"]
+        assert list(checks) == CHECK_NAMES
         assert checks["t_degeneracy"]["status"] == "fail"
         assert checks["mass_vs_closed_form"] == {
             "name": "mass_vs_closed_form", "status": "fail",
@@ -603,6 +604,42 @@ class TestValidateCommand:
             # a zero corner span: no change against it
             assert "corner span" not in checks["convergence"]["detail"]
         assert "FAILED checks:" in capsys.readouterr().err
+
+    def test_solve_error_fails_only_its_checks(self, bands_cfg_file, tmp_path,
+                                               capsys, monkeypatch):
+        # a path solve that does not converge fails the two checks that
+        # solve a path, with the solver's message; the report is still
+        # written and the other checks run
+        from phczeeman import planewave
+        monkeypatch.setattr(planewave, "_BLOCK_MAX_ITERATIONS", 1)
+        report_path = tmp_path / "report.json"
+        assert main(["validate", bands_cfg_file, "-o", str(report_path)]) == 1
+        checks = json.loads(report_path.read_text())["checks"]
+        assert [c["name"] for c in checks] == CHECK_NAMES
+        for check in checks:
+            if check["name"] in ("kp_vs_opw", "eta_unimodular"):
+                assert check["status"] == "fail"
+                assert check["detail"].startswith(
+                    "block eigensolver left a residual")
+            else:
+                assert check["status"] == "pass", check["name"]
+        assert capsys.readouterr().err == (
+            "FAILED checks: kp_vs_opw, eta_unimodular\n")
+
+    @pytest.mark.parametrize("dphi", [-0.01, 0.0])
+    def test_nonpositive_contrast_skips_corner_checks(self, tmp_path, dphi):
+        # without dphi > 0 the corner bands have no order to check: the
+        # Fourier and eigensolver checks run, the other seven are skipped
+        cfg = tmp_path / "flat.json"
+        cfg.write_text(json.dumps({**BANDS_DOC, "dphi": dphi}))
+        report_path = tmp_path / "report.json"
+        assert main(["validate", str(cfg), "-o", str(report_path)]) == 0
+        checks = json.loads(report_path.read_text())["checks"]
+        assert [c["name"] for c in checks] == CHECK_NAMES
+        assert [c["status"] for c in checks[:2]] == ["pass", "pass"]
+        for check in checks[2:]:
+            assert (check["status"], check["detail"]) == (
+                "skipped", "requires dphi > 0")
 
     def test_clustered_xy_edge_has_no_mass(self, tmp_path):
         # the lone XY state above the pair group is not the edge, so the

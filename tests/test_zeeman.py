@@ -178,7 +178,7 @@ class TestConsistencyRatio:
     def test_weak_lattice_value(self, weak_lattice):
         dp = derive_params(weak_lattice)
         m_plus, m_minus = m_closed_form(weak_lattice, dp)
-        ratio = consistency_ratio(weak_lattice, m_plus, m_minus, 3.53)
+        ratio = consistency_ratio(weak_lattice, m_plus, m_minus)
         s = pattern_sinc(0.65)
         assert ratio == pytest.approx(1 / math.sqrt(1 + s * s), rel=1e-12,
                                       abs=0)
@@ -187,7 +187,7 @@ class TestConsistencyRatio:
     def test_limit_full_fill(self, weak_lattice):
         lattice = replace(weak_lattice, fill_factor=0.9999)
         m_plus, m_minus = m_closed_form(lattice, derive_params(lattice))
-        ratio = consistency_ratio(lattice, m_plus, m_minus, 3.53)
+        ratio = consistency_ratio(lattice, m_plus, m_minus)
         assert ratio == pytest.approx(1.0, abs=1e-8)
 
     def test_independent_of_dphi(self, weak_lattice):
@@ -195,7 +195,7 @@ class TestConsistencyRatio:
         for dphi in (1e-5, 1e-3):
             lattice = replace(weak_lattice, dphi=dphi)
             m_plus, m_minus = m_closed_form(lattice, derive_params(lattice))
-            ratios.append(consistency_ratio(lattice, m_plus, m_minus, 3.53))
+            ratios.append(consistency_ratio(lattice, m_plus, m_minus))
         assert ratios[0] == pytest.approx(ratios[1], rel=1e-12, abs=0)
 
 
