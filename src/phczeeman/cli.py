@@ -436,7 +436,7 @@ def _kp_vs_opw_worst(config: ExperimentConfig, model: kpmod.KpModel,
     The plane-wave omegas come from one path through T
     (``planewave.solve_path``): in along the -x ray to T, then out along the
     diagonal one. So T is solved once, and from the block solver's
-    crossover each point starts from the blocks of the two before it.
+    crossover each point starts from the blocks of the three before it.
     """
     lattice = config.lattice
     t_pt = np.array(pw.named_kpoint("T", lattice.pitch))

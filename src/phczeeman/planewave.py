@@ -27,13 +27,14 @@ path point is solved by a warm-started block eigensolver (LOBPCG,
 ``_block_solve``) on the matrix-free apply kin∘X - c*S X S^T, X the block's
 columns reshaped onto the window (``_Problem.apply``): 12 vectors, 8 of
 them wanted, each point starting from the Ritz vectors over the previous
-two points' blocks. Its omegas are the Rayleigh quotients of a fresh
-apply to the converged vectors, which also certifies their residuals, so
-they carry no round-off that grows with the basis as a dense
-eigensolve's do, and a point holds O(24 N) entries, never H. Below the
-crossover a dense solve of each point is faster: H is written afresh at
-each point (``_kernels.fill_hamiltonian``) and solved eigenvalue-only
-unless the point is kept.
+three points' blocks, whose span holds the states' second-order
+extrapolation along the path. Its omegas are the Rayleigh quotients of a
+fresh apply to the converged vectors, which also certifies their
+residuals, so they carry no round-off that grows with the basis as a
+dense eigensolve's do, and a point holds O(36 N) entries, never H. Below
+the crossover each point is solved dense: H is written afresh at each
+point (``_kernels.fill_hamiltonian``) and solved eigenvalue-only unless
+the point is kept.
 
 The T point itself is analysed on the corner window, closed under the
 whole C4v little group of T, in its exact sectors. The axis mirror
@@ -84,10 +85,11 @@ from .lattice import (
 DEFAULT_N_BANDS = 8  # bands per path point: the corner manifold plus guards
 
 # The warm-started block eigensolver (``_block_solve``) solves every path
-# point of a basis at least _BLOCK_MIN_HALFWIDTH wide; below it the dense
-# solves of ``_solve`` are faster. 7 is the smallest halfwidth at which it
-# beat them on the default path, and its omegas are the more accurate
-# (measured crossover, see README).
+# point of a basis at least _BLOCK_MIN_HALFWIDTH wide, and the dense solves
+# of ``_solve`` the narrower ones. 7 is the smallest halfwidth at which it
+# beat them on the default path from two blocks, and its omegas are the
+# more accurate (measured crossover, see README); from three blocks it
+# also beats them at 6.
 _BLOCK_MIN_HALFWIDTH = 7
 _BLOCK_GUARD = 4  # block vectors beyond the wanted bands
 _BLOCK_SEARCHED_GUARD = 1  # ... of which each step searches along the first
@@ -426,10 +428,14 @@ def _block_solve(problem: _Problem, kx, ky, previous=()):
     ``problem.apply``.
 
     The block holds ``_BLOCK_GUARD`` more vectors than wanted. ``previous``
-    holds the blocks of the last one or two path points, latest first, as
+    holds the blocks of the last one to three path points, latest first;
+    the solve starts from the lowest Ritz vectors over their joint span (36
+    vectors from three), or with none from the lowest-kinetic plane waves.
+    Two blocks span the states' linear extrapolation along the path, as
     MPB warm-starts (Johnson and Joannopoulos, Opt. Express 8, 173 (2001));
-    the solve starts from the lowest Ritz vectors over their joint span (24
-    vectors from two), or with none from the lowest-kinetic plane waves.
+    three also span the second-order one that plane-wave molecular dynamics
+    uses for its wave functions (Arias, Payne and Joannopoulos, Phys. Rev.
+    B 45, 1538 (1992)).
     Each step preconditions the residuals of the unconverged wanted columns
     and of the first ``_BLOCK_SEARCHED_GUARD`` guard columns by
     1/(|H_ii - lambda| + 1e-3 max kin), H_ii = kin - c the diagonal of H,
@@ -456,8 +462,8 @@ def _block_solve(problem: _Problem, kx, ky, previous=()):
     elif len(previous) == 1:
         start = previous[0]
     else:
-        start = np.hstack([previous[0],
-                           _orthonormal(previous[1], previous[0])])
+        start = np.hstack(
+            [previous[0], _orthonormal(np.hstack(previous[1:]), previous[0])])
     diagonal = kinetic - problem.v_prefactor * problem.depth  # s_0 = 1
     shift = 1e-3 * np.max(kinetic)
     bound = problem.residual_bound
@@ -516,22 +522,23 @@ def solve_path(lattice: LatticeSpec, window: Window, kpoints, keep=()):
     The problem's 1D pieces are built once (``_problem``). From halfwidth
     ``_BLOCK_MIN_HALFWIDTH`` each point is solved by the block eigensolver
     on the matrix-free apply (``_block_solve``), started from the previous
-    two points' blocks, whose span holds the vectors' linear extrapolation
-    along the path; the wanted columns are its vectors. Below it each point
-    is assembled and solved dense on its own (``_solve``), eigenvalue-only
-    unless kept. A point that recurs, like the closing G of G:Z:T:G, is
-    solved again.
+    three points' blocks, whose span holds the vectors' second-order
+    extrapolation along the path: 286 steps on the default 121-point path
+    at h = 7, against 445 from two blocks and 571 from one. The wanted
+    columns are its vectors. Below it each point is assembled and solved
+    dense on its own (``_solve``), eigenvalue-only unless kept. A point
+    that recurs, like the closing G of G:Z:T:G, is solved again.
     """
     problem = _problem(lattice, window)
     blocked = problem.factor.shape[0] // 2 >= _BLOCK_MIN_HALFWIDTH
     omegas = np.empty((len(kpoints), DEFAULT_N_BANDS))
     vectors = {}
-    blocks = ()  # the last two points' blocks, latest first
+    blocks = ()  # the last three points' blocks, latest first
     for i, (kx, ky) in enumerate(kpoints):
         try:
             if blocked:
                 w, block = _block_solve(problem, kx, ky, blocks)
-                blocks = (block, *blocks[:1])
+                blocks = (block, *blocks[:2])
                 w, v = problem.omega0 + w, block[:, :DEFAULT_N_BANDS]
             else:
                 w, v = _solve(problem, kx, ky, vectors=i in keep)

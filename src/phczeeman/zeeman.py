@@ -136,10 +136,15 @@ def consistency_ratio(lattice: LatticeSpec, m_plus, m_minus):
     this diagnostic reports the ratio rather than hiding the discrepancy.
     Independent of dphi and of the rotation rate.
     """
+    spread = spread_rms(m_plus, m_minus, derive_params(lattice).p_interband)
+    return _consistency_ratio(lattice, m_plus, m_minus, spread)
+
+
+def _consistency_ratio(lattice: LatticeSpec, m_plus, m_minus, spread):
+    """``consistency_ratio`` from the ``spread_rms`` the caller has."""
     n_refr = lattice.n_refr
     s = pattern_sinc(lattice.fill_factor)
     r1 = 2.0 * (m_plus + m_minus) / n_refr ** 2
-    spread = spread_rms(m_plus, m_minus, derive_params(lattice).p_interband)
     r2 = (
         2.0 * math.pi * np.sqrt(2.0 * (spread * spread))
         / (n_refr ** 2 * lattice.pitch) / (1.0 + s * s)
@@ -173,12 +178,13 @@ def zeeman_result(lattice: LatticeSpec) -> ZeemanResult:
     dp = derive_params(lattice)
     m_plus, m_minus = m_closed_form(lattice, dp)
     dws, dwl = splittings(m_plus, m_minus, lattice.n_refr, 1.0)
+    spread = spread_rms(m_plus, m_minus, dp.p_interband)
     return ZeemanResult(
         m_plus=m_plus,
         m_minus=m_minus,
         m_total=m_plus + m_minus,
         delta_omega_S_per_Omega=dws,
         delta_omega_L_per_Omega=dwl,
-        spread_rms=spread_rms(m_plus, m_minus, dp.p_interband),
-        consistency_ratio=consistency_ratio(lattice, m_plus, m_minus),
+        spread_rms=spread,
+        consistency_ratio=_consistency_ratio(lattice, m_plus, m_minus, spread),
     )

@@ -98,12 +98,22 @@ def _record_shapes(monkeypatch, solver):
 
 def _path_blocks(problem, points):
     """``_block_solve`` at each of ``points`` in order, each started from the
-    last two points' blocks as ``solve_path`` starts it: yields (w, block)."""
+    last three points' blocks as ``solve_path`` starts it: yields
+    (w, block)."""
     blocks = ()
     for kx, ky in points:
         w, block = _block_solve(problem, kx, ky, blocks)
-        blocks = (block, *blocks[:1])
+        blocks = (block, *blocks[:2])
         yield w, block
+
+
+def _rayleigh_ritz_solves(cfg, monkeypatch):
+    """The ``eigh`` calls of order > 8 that ``solve_bands`` makes on
+    ``cfg``'s path."""
+    edges = t_edges(cfg.lattice, cfg.basis_halfwidth)
+    shapes = _record_shapes(monkeypatch, "eigh")
+    solve_bands(cfg, edges)
+    return sum(shape[0] > 8 for shape in shapes)
 
 
 def _assert_contract(problem, kx, ky, w, block):
@@ -591,7 +601,7 @@ class TestBlockSolver:
 
     def test_eigenpair_contract(self, lattice):
         # at h = 8, 10 and 14, every returned pair meets the stopping bound
-        # through a fresh apply, and each block, started from the last two
+        # through a fresh apply, and each block, started from the last three
         # along the path as solve_path starts it, is orthonormal
         points = [(kp.kx, kp.ky)
                   for kp in build_kpath(("G", "Z", "T", "G"), lattice.pitch, 3)]
@@ -658,10 +668,11 @@ class TestBlockSolver:
         _assert_contract(problem, kx, ky, w, block)
 
     @pytest.mark.parametrize("nodes", [("G", "G"), ("Z", "G", "Z")])
-    def test_paths_that_defeat_the_two_block_start(self, bands_lattice, nodes):
-        # all points at one k (the previous two blocks span one space), and a
-        # path that turns back on itself: both keep the contract, and equal
-        # k-points give equal rows
+    def test_paths_that_defeat_the_warm_start(self, bands_lattice, nodes):
+        # all points at one k (the previous blocks span one space, all three
+        # from the fourth point on, and _orthonormal falls back to QR), and
+        # a path that turns back on itself: both keep the contract, and
+        # equal k-points give equal rows
         basis = reciprocal_basis(_BLOCK_MIN_HALFWIDTH, bands_lattice.pitch)
         problem = _problem(bands_lattice, basis)
         points = [(kp.kx, kp.ky)
@@ -676,12 +687,47 @@ class TestBlockSolver:
     def test_rayleigh_ritz_solves_on_the_wide_path(self, bands_config,
                                                    monkeypatch):
         # one eigh of order > 8 per point for its start and one per step:
-        # the bands_wide path (h = 14, 8 samples, 25 points) takes 146
+        # the bands_wide path (h = 14, 8 samples, 25 points) takes 128
         cfg = replace(bands_config, basis_halfwidth=14, samples_per_segment=8)
-        edges = t_edges(cfg.lattice, 14)
-        shapes = _record_shapes(monkeypatch, "eigh")
-        solve_bands(cfg, edges)
-        assert sum(shape[0] > 8 for shape in shapes) == 146
+        assert _rayleigh_ritz_solves(cfg, monkeypatch) == 128
+
+    def test_rayleigh_ritz_solves_on_the_default_path(self, bands_config,
+                                                      monkeypatch):
+        # the default path (h = 7, 40 samples, 121 points) takes 407
+        assert _rayleigh_ritz_solves(bands_config, monkeypatch) == 407
+
+    @pytest.mark.parametrize("halfwidth", [_BLOCK_MIN_HALFWIDTH, 10])
+    def test_start_spans_the_last_three_blocks(self, bands_config,
+                                               monkeypatch, halfwidth):
+        # the first apply of each point on the default path is its start:
+        # the plane waves, then the first block, then the last two blocks,
+        # and from the fourth point on 36 columns that hold each of the
+        # last three points' blocks
+        cfg = replace(bands_config, basis_halfwidth=halfwidth)
+        starts, blocks = [], []
+        solve, apply = planewave._block_solve, planewave._Problem.apply
+
+        def solving(*args):
+            starts.append(None)
+            w, block = solve(*args)
+            blocks.append(block)
+            return w, block
+
+        def applying(self, kinetic, x):
+            if starts[-1] is None:
+                starts[-1] = x.copy()
+            return apply(self, kinetic, x)
+
+        monkeypatch.setattr(planewave, "_block_solve", solving)
+        monkeypatch.setattr(planewave._Problem, "apply", applying)
+        _bands(cfg)
+        monkeypatch.undo()
+        assert len(starts) == 121
+        assert [q.shape[1] for q in starts] == [12, 12, 24] + [36] * 118
+        for i in range(3, len(starts)):
+            q = starts[i]
+            for block in blocks[i - 3:i]:
+                assert np.max(np.abs(block - q @ (q.T @ block))) <= 1e-10
 
     def test_solve_bands_above_crossover(self, bands_config, monkeypatch):
         # no dense H and no large eigensolve; a kept point keeps the
@@ -710,7 +756,7 @@ class TestBlockSolver:
         assert np.array_equal(solve_bands(cfg, edges).omegas, bs.omegas)
 
     def test_peak_memory_linear_in_basis(self, bands_config):
-        # the block's arrays, O(N * 36) entries (measured 345 N * 8 B at
+        # the block's arrays, O(N * 36) entries (measured 237 N * 8 B at
         # h = 14), where one dense H alone is N^2 * 8 B = 841 N * 8 B
         cfg = replace(bands_config, basis_halfwidth=14, samples_per_segment=2)
         n = (2 * cfg.basis_halfwidth + 1) ** 2
