@@ -92,24 +92,6 @@ def blas_thread_count() -> int | None:
     return None if control is None else control[1]()
 
 
-@contextlib.contextmanager
-def blas_threads(n: int | None):
-    """Run the body with OpenBLAS on ``n`` threads, and restore the count
-    found on entry when it exits, also on an exception. Does nothing when
-    ``n`` is None or OpenBLAS is not found."""
-    control = _openblas()
-    if control is None or n is None:
-        yield
-        return
-    set_threads, get_threads, _ = control
-    found = get_threads()
-    set_threads(n)
-    try:
-        yield
-    finally:
-        set_threads(found)
-
-
 def _park(control):
     """One thread, then the pool parked: any count change rebuilds a
     parked pool, so the park comes last."""

@@ -516,11 +516,12 @@ def _check_eta_unimodular(config, analysis):
     _, vectors = pw.solve_path(lattice, basis, [(0.0, 0.0)], keep={0})
     profile = pw.longitudinal_profile(vectors[0][:, 0], basis, lattice)
     dev_eta = float(np.max(np.abs(np.abs(1.0 + profile.eta_samples) - 1.0)))
+    # alpha can round to exactly dphi*FF, its floor (at dphi = 1e-300)
     mean_floor = lattice.dphi * lattice.fill_factor
-    alpha_ok = mean_floor < profile.alpha < lattice.dphi
+    alpha_ok = mean_floor <= profile.alpha < lattice.dphi
     return (dev_eta <= 1e-12 and alpha_ok,
             f"max ||1+eta|-1| = {dev_eta:.3e} (bound 1e-12); alpha = "
-            f"{profile.alpha:.6g} in ({mean_floor:.6g}, {lattice.dphi:.6g}): "
+            f"{profile.alpha:.6g} in [{mean_floor:.6g}, {lattice.dphi:.6g}): "
             f"{alpha_ok}")
 
 

@@ -38,28 +38,30 @@ the point is kept.
 
 The T point itself is analysed on the corner window, closed under the
 whole C4v little group of T, in its exact sectors. The axis mirror
-between waves, m -> -1-m, folds S into S+-[a, b] = s[|a-b|] +- s[a+b+1]
-(``_axis_fold``), so each axis-parity sector is -c*(S_p ⊗ S_q) plus the
-kinetic diagonal; x <-> y folds -c*(A ⊗ A) for a symmetric A
-(``_swap_fold``), and the swap folds of S+ and S- split two of them
-(``_t_sectors``, which builds each sector's block by name, one parity of a
-fold at a time, only when it is asked for; the (x-odd, y-even) sector's
--c*(S- ⊗ S+) is written by ``_kernels.fill_hamiltonian``, as a dense path
-point's pattern term is). H is never formed, the degenerate pair comes
-out exactly degenerate and every state's label is the sector it was
-solved in. The S and XY edge masses are the exact
-second-order k.p sums over the (x-odd, y-even) sector, the only one
-kappa_x S and kappa_y XY reach. ``t_edges`` builds and solves,
-eigenvalue-only, just the three sectors whose lowest states are the edges,
-for callers that need nothing else; ``bands`` solves them first, for its
-k.p model and the labels of a k-path's T node, solved on the symmetric
-window. ``t_point_analysis`` checks ``core.eigh``'s contract on its solves.
+between waves, m -> -1-m, folds S into S+-, the rows and columns of S on
+the half axis m = -k..-1 (k = halfwidth + 1) plus or minus the same rows'
+columns -1-m: two slices of S added. So each axis-parity sector is
+-c*(S_p ⊗ S_q) plus the kinetic diagonal. x <-> y splits the (even, even)
+and (odd, odd) sectors, -c*(A ⊗ A) for A = S+ and S-, into their even and
+odd blocks (``_swap_block``, over the fixed waves (i, i) and the pairs
+i < j), and ``_t_sectors`` builds each block by name only when it is
+asked for. The (x-odd, y-even) sector's -c*(S- ⊗ S+) is written by
+``_kernels.fill_hamiltonian``, as a dense path point's pattern term is.
+H is never formed, the degenerate pair comes out exactly degenerate and
+every state's label is the sector it was solved in. The S and XY edge
+masses are the exact second-order k.p sums over the (x-odd, y-even)
+sector, the only one kappa_x S and kappa_y XY reach. ``t_edges`` builds
+and solves, eigenvalue-only, just the three sectors whose lowest states
+are the edges, for callers that need nothing else; ``bands`` solves them
+first, for its k.p model and the labels of a k-path's T node, solved on
+the symmetric window. ``t_point_analysis`` checks ``core.eigh``'s
+contract on its solves.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +95,7 @@ DEFAULT_N_BANDS = 8  # bands per path point: the corner manifold plus guards
 _BLOCK_MIN_HALFWIDTH = 7
 _BLOCK_GUARD = 4  # block vectors beyond the wanted bands
 _BLOCK_SEARCHED_GUARD = 1  # ... of which each step searches along the first
-_BLOCK_MAX_ITERATIONS = 100
+_BLOCK_MAX_ITERATIONS = 300
 _BLOCK_RESIDUAL = 1e-8  # wanted residual norms, relative to c = v*dphi*FF
 _BLOCK_FLOOR = 1e-14  # ... and relative to the window's largest kinetic energy
 
@@ -212,96 +214,62 @@ class LongitudinalProfile:
 # --------------------------------------------------------------------------
 # Hamiltonian assembly
 
-@dataclass(frozen=True, eq=False)
-class _MirrorFold:
-    """A mirror of the basis as the waves of its even and odd blocks, with
-    the pattern term's blocks under it.
-
-    With R the wave permutation, ``even`` lists the ``n_fixed`` fixed waves
-    (R f = f) and then one wave p of each swapped pair, with ``even_image``
-    = R[even]; ``odd`` lists the pair waves p.
-    The even block of a matrix H that commutes with R is H[a, b] + H[a, R b]
-    with each fixed row and column scaled by 1/sqrt(2), and the odd block
-    H[p, q] - H[p, R q]. ``potential(odd)`` returns a fresh block of the
-    pattern term, the odd one when ``odd``, which ``block`` adds to in
-    place; one parity is built at a time. The kinetic diagonal K stays
-    diagonal under the fold: K[p, R p] = 0 for a pair wave p, and the two
-    1/sqrt(2) scalings of a fixed wave undo its doubled entry.
-    """
-
-    n_fixed: int
-    even: np.ndarray
-    even_image: np.ndarray
-    odd: np.ndarray
-    potential: Callable[[bool], np.ndarray]
-
-    def block(self, kinetic: np.ndarray, odd: bool) -> np.ndarray:
-        """The even (or odd) block of H for the kinetic diagonal
-        ``kinetic``."""
-        block = self.potential(odd)
-        block[np.diag_indices_from(block)] += kinetic[self.odd if odd
-                                                      else self.even]
-        return block
-
-    def lift(self, u: np.ndarray) -> np.ndarray:
-        """Columns ``u`` over the even block as unit-norm vectors over the
-        folded waves: u[f] on a fixed wave, and u[p] / sqrt(2) on p and on
-        its image R p."""
-        n_fixed = self.n_fixed
-        out = np.zeros((n_fixed + 2 * self.odd.size, u.shape[1]))
-        out[self.even[:n_fixed]] = u[:n_fixed]
-        pair = math.sqrt(0.5) * u[n_fixed:]
-        out[self.even[n_fixed:]] = pair
-        out[self.even_image[n_fixed:]] = pair
-        return out
+@functools.cache
+def _swap_waves(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The waves of the even block of the x <-> y fold, (i, j) -> (j, i), of
+    the m-major width x width grid, as their rows and columns: the fixed
+    waves (i, i), then the pairs (i, j), i < j, m-major. The odd block's
+    waves are the pairs. Read-only: every call for a width shares them."""
+    i, j = np.triu_indices(width, 1)
+    fixed = np.arange(width)
+    waves = np.concatenate([fixed, i]), np.concatenate([fixed, j])
+    for index in waves:
+        index.flags.writeable = False
+    return waves
 
 
-def _axis_fold(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The even and odd folds S+- of the Toeplitz factor S[i, j] = s[|i - j|]
-    under the axis mirror between waves, i -> -1-i, from its half factor
-    ``s`` = s_0, s_1, ....
+def _swap_block(a: np.ndarray, c: float, kinetic: np.ndarray,
+                odd: bool) -> np.ndarray:
+    """The even (or, when ``odd``, odd) block under x <-> y of
+    -c*(A ⊗ A) plus the diagonal ``kinetic``, on the m-major grid over the
+    axis of the symmetric ``a``, built afresh over ``_swap_waves``.
 
-    S+-[a, b] = s[|a - b|] +- s[a + b + 1] over the distances a, b of the
-    half axis from the mirror, as far as ``s`` reaches; the mirror fixes no
-    wave.
-    """
-    a = np.arange(s.size // 2)
-    toeplitz, hankel = s[np.abs(a[:, None] - a)], s[a[:, None] + a + 1]
-    return toeplitz + hankel, toeplitz - hankel
-
-
-def _swap_fold(a: np.ndarray, c: float) -> _MirrorFold:
-    """The fold of the m-major square grid over the axis of the symmetric
-    ``a`` under x <-> y, (i, j) -> (j, i), with the blocks of -c*(A ⊗ A).
-
-    The fold lists the fixed waves (i, i), then the pairs (i, j), i < j, in
-    m-major order. For waves (i, j) and (k, l) its entries are
+    For waves (i, j) and (k, l) its entries are
     -c*(A[i, k] A[j, l] +- A[i, l] A[j, k]), each product of a row gather
-    and then a column gather of ``a``, made afresh at each ``potential``
-    call for the one parity asked for.
+    and then a column gather of ``a``; the even block's fixed rows and then
+    its fixed columns are scaled by 1/sqrt(2). The kinetic diagonal stays
+    diagonal under the fold: a pair wave's image is another wave, and the
+    two scalings of a fixed wave undo its doubled entry.
     """
     width = a.shape[0]
-    i, j = np.triu_indices(width, 1)
-    rows = np.concatenate([np.arange(width), i])
-    cols = np.concatenate([np.arange(width), j])
+    p, q = _swap_waves(width)
+    if odd:
+        p, q = p[width:], q[width:]
+    a_p, a_q = a[p], a[q]
+    block = a_p[:, p]
+    block *= a_q[:, q]
+    swapped = a_p[:, q]
+    swapped *= a_q[:, p]
+    (np.subtract if odd else np.add)(block, swapped, out=block)
+    block *= -c
+    if not odd:
+        block[:width] *= math.sqrt(0.5)
+        block[:, :width] *= math.sqrt(0.5)
+    block[np.diag_indices_from(block)] += kinetic.reshape(width, width)[p, q]
+    return block
 
-    def potential(odd):
-        p, q = (i, j) if odd else (rows, cols)
-        a_p, a_q = a[p], a[q]
-        block = a_p[:, p]
-        block *= a_q[:, q]
-        swapped = a_p[:, q]
-        swapped *= a_q[:, p]
-        (np.subtract if odd else np.add)(block, swapped, out=block)
-        block *= -c
-        if not odd:
-            block[:width] *= math.sqrt(0.5)
-            block[:, :width] *= math.sqrt(0.5)
-        return block
 
-    return _MirrorFold(n_fixed=width, even=rows * width + cols,
-                       even_image=cols * width + rows, odd=i * width + j,
-                       potential=potential)
+def _swap_lift(u: np.ndarray, width: int) -> np.ndarray:
+    """Columns ``u`` over the even block of ``_swap_block`` as unit-norm
+    vectors over the m-major width x width grid: u[f] on a fixed wave, and
+    u[p] / sqrt(2) on a pair wave p and on its transpose."""
+    rows, cols = _swap_waves(width)
+    lifted = u.copy()
+    lifted[width:] *= math.sqrt(0.5)
+    grid = np.zeros((width, width, u.shape[1]))
+    grid[rows, cols] = lifted
+    grid[cols, rows] = lifted
+    return grid.reshape(width * width, -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -658,17 +626,16 @@ class _TSectors:
 
     With k = halfwidth + 1, the mirror m -> -1-m folds the window's axis
     [-k, k-1] onto its half m = -k..-1, and the Toeplitz factor S of the
-    corner window's ``problem`` into the ``_axis_fold`` ``plus`` and
-    ``minus`` (S+-) over the distances a = -1-m from the mirror (descending
-    along the half axis); the kinetic term, with ``kappa`` =
-    (pi/pitch)(2m+1), stays diagonal and is the problem's ``kinetic`` on the
-    m-major k x k grid of the half axes. So each axis-parity sector is
-    -c*(S_p ⊗ S_q), c = v*dphi*FF, plus that kinetic diagonal, and the
-    x <-> y fold of the grid (``_swap_fold`` of S+ and of S-) splits the
-    (even, even) and (odd, odd) sectors. ``folds`` maps the four sectors it
-    splits off, T1(S) "S", T4(XY) "XY" and their x <-> y-odd partners "S'"
-    and "XY'", to their fold and parity; "X" is the (x-odd, y-even) sector,
-    which holds the x member of each T5(X,Y) pair.
+    corner window's ``problem`` into ``plus`` and ``minus``: S+- =
+    S[:k, :k] +- its image, the same rows' columns -1-m, two slices of S.
+    The kinetic term, with ``kappa`` = (pi/pitch)(2m+1), stays diagonal and
+    is the problem's ``kinetic`` on the m-major k x k grid of the half
+    axes. So each axis-parity sector is -c*(S_p ⊗ S_q),
+    c = v*dphi*FF, plus that kinetic diagonal. The x <-> y fold of the
+    grid (``_swap_block``) splits the (even, even) sector, of S+, into
+    T1(S) "S" and its x <-> y-odd partner "S'", and the (odd, odd) one, of
+    S-, into T4(XY) "XY" and "XY'". "X" is the (x-odd, y-even) sector,
+    -c*(S- ⊗ S+), which holds the x member of each T5(X,Y) pair.
     """
 
     problem: _Problem
@@ -677,7 +644,6 @@ class _TSectors:
     plus: np.ndarray
     minus: np.ndarray
     c: float
-    folds: dict[str, tuple[_MirrorFold, bool]]
 
     def block(self, name: str) -> np.ndarray:
         """The block of the sector ``name``: "S", "S'", "XY", "XY'" or "X"."""
@@ -685,8 +651,8 @@ class _TSectors:
             block = _kernels.fill_hamiltonian(self.minus, self.plus, self.c)
             block[np.diag_indices_from(block)] += self.kinetic
             return block
-        fold, odd = self.folds[name]
-        return fold.block(self.kinetic, odd)
+        factor = self.plus if name.startswith("S") else self.minus
+        return _swap_block(factor, self.c, self.kinetic, name.endswith("'"))
 
 
 def _t_sectors(lattice: LatticeSpec, halfwidth: int) -> _TSectors:
@@ -695,18 +661,16 @@ def _t_sectors(lattice: LatticeSpec, halfwidth: int) -> _TSectors:
     k = halfwidth + 1
     problem = _problem(lattice, t_centered_basis(halfwidth, lattice.pitch))
     t_point = named_kpoint("T", lattice.pitch)
-    plus, minus = (f[::-1, ::-1] for f in _axis_fold(problem.factor[:, 0]))
+    # column j of image is column 2k-1-j of S: m -> -1-m on the half axis
+    half, image = problem.factor[:k, :k], problem.factor[:k, :k - 1:-1]
     # (v*dphi)*FF, not the problem's v*(dphi*FF): the two differ by an ulp
     # on some lattices, and the T edges are written with this rounding
     c = problem.v_prefactor * lattice.dphi * lattice.fill_factor
-    even, odd = _swap_fold(plus, c), _swap_fold(minus, c)
     return _TSectors(
         problem=problem,
         kappa=t_point[0] + problem.gx.reshape(2 * k, 2 * k)[:k, 0],
         kinetic=problem.kinetic(*t_point).reshape(2 * k, 2 * k)[:k, :k].ravel(),
-        plus=plus, minus=minus, c=c,
-        folds={"S": (even, False), "S'": (even, True), "XY": (odd, False),
-               "XY'": (odd, True)},
+        plus=half + image, minus=half - image, c=c,
     )
 
 
@@ -749,8 +713,8 @@ def t_point_analysis(lattice: LatticeSpec, halfwidth: int) -> TPointAnalysis:
         return w, u
 
     def edge(name):  # lowest omegas and the lowest state on the k x k grid
-        w, u = solve(name)  # an even block of its swap fold
-        return w[:n_bands], sectors.folds[name][0].lift(u[:, :1]).reshape(k, k)
+        w, u = solve(name)  # an even block of the x <-> y fold
+        return w[:n_bands], _swap_lift(u[:, :1], k).reshape(k, k)
 
     w_s, s_grid = edge("S")
     w_s2 = solve("S'")[0][:n_bands]

@@ -28,6 +28,13 @@ JITTERED_DOC = {"lambda_nm": 960, "n": 3.53, "pitch_um": 3.916619872545341,
 CLUSTERED_XY_DOC = {"lambda_nm": 1426.8052023585864, "n": 2.8669400911457803,
                     "pitch_um": 2.700259140686013, "ff": 0.1518567440417801,
                     "dphi": 6.742185406289386e-10, "basis_halfwidth": 3}
+# strong repulsive contrast: a cold block solve at T or Z takes more than
+# 100 steps at h = 7
+STRONG_REPULSIVE_DOC = {"lambda_nm": 525.4458609934608,
+                        "n": 2.6242374183804897,
+                        "pitch_um": 37.74851902280489,
+                        "ff": 0.3835801529344482,
+                        "dphi": -0.05668012057387733}
 # validate's checks, in report order
 CHECK_NAMES = ["fourier_vs_quadrature", "eigh_contract", "t_degeneracy",
                "kp_vs_opw", "fsum_roundtrip", "mass_vs_closed_form",
@@ -285,6 +292,18 @@ class TestBandsCommand:
         assert err.startswith("computation failed: block eigensolver")
         assert "at k-point 0 (kx=0, ky=0)" in err
         assert not out.exists()
+
+    def test_strong_repulsive_pattern_converges(self, tmp_path):
+        # a cold block solve at T on this lattice takes more than 100 steps
+        cfg = tmp_path / "strong.json"
+        cfg.write_text(json.dumps(STRONG_REPULSIVE_DOC))
+        out = tmp_path / "bands.csv"
+        with pytest.warns(UserWarning, match="weak-contrast"):
+            rc = main(["bands", str(cfg), "-o", str(out), "--model", "opw",
+                       "--kpath", "T", "--samples", "1"])
+        assert rc == 0
+        _, rows = _read_rows(out)
+        assert len(rows) == 8
 
 
 class TestSplitCommand:
@@ -590,6 +609,8 @@ class TestValidateCommand:
             report_path.read_text())["checks"]}
         assert list(checks) == CHECK_NAMES
         assert checks["t_degeneracy"]["status"] == "fail"
+        # alpha rounds to exactly its floor dphi*FF at 1e-300
+        assert checks["eta_unimodular"]["status"] == "pass"
         assert checks["mass_vs_closed_form"] == {
             "name": "mass_vs_closed_form", "status": "fail",
             "detail": "edge T1(S) is degenerate; the curvature mass needs a "

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import time
 from dataclasses import replace
@@ -72,17 +73,17 @@ needs_openblas = pytest.mark.skipif(_kernels.blas_thread_count() is None,
                                     reason="no OpenBLAS thread control found")
 
 
-@needs_openblas
-def test_blas_threads_sets_and_restores():
-    with _kernels.blas_threads(2):
-        with _kernels.blas_threads(1):
-            assert _kernels.blas_thread_count() == 1
-        assert _kernels.blas_thread_count() == 2
-        with pytest.raises(RuntimeError):
-            with _kernels.blas_threads(1):
-                assert _kernels.blas_thread_count() == 1
-                raise RuntimeError
-        assert _kernels.blas_thread_count() == 2
+@contextlib.contextmanager
+def _blas_threads(n):
+    """OpenBLAS on ``n`` threads in the body, and the count found on entry
+    after it, also on an exception."""
+    set_threads, get_threads, _ = _kernels._openblas()
+    found = get_threads()
+    set_threads(n)
+    try:
+        yield
+    finally:
+        set_threads(found)
 
 
 @needs_openblas
@@ -94,7 +95,7 @@ def test_lapack_pools_only_large_solves_inside_serial_blas():
         return np.linalg.eigvalsh(h)
 
     large = _kernels.POOL_MIN_ORDER
-    with _kernels.blas_threads(2), _kernels.serial_blas():
+    with _blas_threads(2), _kernels.serial_blas():
         assert _kernels.blas_thread_count() == 1
         for order in (600, 225, large, large - 1):
             planewave._lapack(solver, np.eye(order))
@@ -102,7 +103,7 @@ def test_lapack_pools_only_large_solves_inside_serial_blas():
         assert seen == [(600, 2), (225, 1), (large, 2), (large - 1, 1)]
     # outside serial_blas the count is left as the caller set it
     seen.clear()
-    with _kernels.blas_threads(2):
+    with _blas_threads(2):
         planewave._lapack(solver, np.eye(225))
         assert seen == [(225, 2)]
 
@@ -119,7 +120,7 @@ def test_solve_bands_outside_cli_keeps_callers_thread_count(bands_config,
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
     cfg = replace(bands_config, basis_halfwidth=3, samples_per_segment=3)
-    with _kernels.blas_threads(2):
+    with _blas_threads(2):
         solve_bands(cfg, t_edges(cfg.lattice, 3))
         assert _kernels.blas_thread_count() == 2
     assert seen == {2}
@@ -206,7 +207,7 @@ def _can_park_real_pool():
 @pytest.mark.skipif(not _can_park_real_pool(),
                     reason="no OpenBLAS park function or no /proc/self/task")
 def test_serial_blas_parks_the_real_pool():
-    with _kernels.blas_threads(2):
+    with _blas_threads(2):
         pooled_threads = len(os.listdir("/proc/self/task"))
         with _kernels.serial_blas():
             parked = _os_threads(limit=pooled_threads - 1)

@@ -33,8 +33,8 @@ from phczeeman.lattice import pattern_factors, t_centered_basis
 from phczeeman import _kernels, planewave
 from phczeeman.planewave import (
     _BLOCK_MIN_HALFWIDTH, DEFAULT_N_BANDS, LABEL_NONE, LABEL_PAIR, LABEL_S,
-    LABEL_XY, _axis_fold, _block_solve, _problem, _solve,
-    _swap_fold, _t_sectors,
+    LABEL_XY, _block_solve, _problem, _solve, _swap_block, _swap_lift,
+    _swap_waves, _t_sectors,
 )
 from phczeeman.zeeman import m_closed_form
 from oracles import (T_SECTORS, channel_labels, dense_eigh,
@@ -45,6 +45,14 @@ from oracles import (T_SECTORS, channel_labels, dense_eigh,
 # perfbench's seed-12345 jittered lattice (workloads.lattice_for_seed)
 JITTERED = dict(lambda_vac=960e-9, n_refr=3.53, pitch=3.916619872545341e-6,
                 fill_factor=0.5520338338914137, dphi=0.018252065092537434)
+
+# a lattice of strong repulsive contrast (dphi < 0, |dphi| > 0.02) on which
+# the block solver needs more than 100 steps from a cold start
+STRONG_REPULSIVE = dict(lambda_vac=525.4458609934608 * 1e-9,
+                        n_refr=2.6242374183804897,
+                        pitch=37.74851902280489 * 1e-6,
+                        fill_factor=0.3835801529344482,
+                        dphi=-0.05668012057387733)
 
 
 def _waves(basis):
@@ -388,11 +396,11 @@ class TestTPointSectors:
         assert c != bands_dp.v_prefactor * (bands_lattice.dphi
                                             * bands_lattice.fill_factor)
         k = 4
-        s = pattern_factors(bands_lattice, 2 * k - 1)[2 * k - 1:]
-        even, odd = (f[::-1, ::-1] for f in _axis_fold(s))
-        pair = _t_sectors(bands_lattice, k - 1).block("X")
+        sectors = _t_sectors(bands_lattice, k - 1)
+        pair = sectors.block("X")
         off = ~np.eye(k * k, dtype=bool)
-        assert np.array_equal(pair[off], (-c * np.kron(odd, even))[off])
+        assert np.array_equal(
+            pair[off], (-c * np.kron(sectors.minus, sectors.plus))[off])
 
     @pytest.mark.parametrize("halfwidth", [3, 7, 14])
     def test_eigh_only_on_sectors(self, bands_config, monkeypatch, halfwidth):
@@ -455,9 +463,9 @@ class TestTPointSectors:
                                         halfwidth):
         # the S and XY edges, one column each; no other state is lifted
         columns = []
-        lift = planewave._MirrorFold.lift
-        monkeypatch.setattr(planewave._MirrorFold, "lift", lambda self, u: (
-            columns.append(u.shape[1]) or lift(self, u)))
+        lift = planewave._swap_lift
+        monkeypatch.setattr(planewave, "_swap_lift", lambda u, width: (
+            columns.append(u.shape[1]) or lift(u, width)))
         t_point_analysis(bands_lattice, halfwidth)
         assert columns == [1, 1]
 
@@ -511,13 +519,10 @@ class TestTPointSectors:
         sectors = _t_sectors(bands_lattice, 3)
         k = 4
         for name, factor in (("S", sectors.plus), ("XY", sectors.minus)):
-            fold, odd = sectors.folds[name]
-            assert fold is sectors.folds[name + "'"][0]
-            assert fold.n_fixed == k and not odd
             h = -sectors.c * np.kron(factor, factor)
             h[np.diag_indices_from(h)] += sectors.kinetic
             w, u = np.linalg.eigh(sectors.block(name))
-            v = fold.lift(u)
+            v = _swap_lift(u, k)
             assert v.shape == (k * k, u.shape[1])
             assert np.max(np.linalg.norm(h @ v - v * w, axis=0)) <= (
                 1e-10 * np.linalg.norm(h))
@@ -666,6 +671,20 @@ class TestBlockSolver:
         w, block = _block_solve(problem, kx, ky)
         monkeypatch.undo()
         _assert_contract(problem, kx, ky, w, block)
+
+    @pytest.mark.parametrize("node", ["T", "Z"])
+    def test_cold_start_on_a_strong_repulsive_pattern(self, node):
+        # a cold start at Z or T on this lattice takes 103-117 steps, more
+        # than a cap of 100 allowed; its omegas match one dense eigvalsh
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # |dphi| > 0.02
+            lattice = LatticeSpec(**STRONG_REPULSIVE)
+        basis = reciprocal_basis(_BLOCK_MIN_HALFWIDTH, lattice.pitch)
+        problem = _problem(lattice, basis)
+        kx, ky = named_kpoint(node, lattice.pitch)
+        w, _ = _block_solve(problem, kx, ky)
+        dense = np.linalg.eigvalsh(dense_hamiltonian(lattice, basis, kx, ky))
+        assert np.max(np.abs(w - dense[:DEFAULT_N_BANDS])) <= 1.0
 
     @pytest.mark.parametrize("nodes", [("G", "G"), ("Z", "G", "Z")])
     def test_paths_that_defeat_the_warm_start(self, bands_lattice, nodes):
@@ -891,22 +910,23 @@ class TestPathAccuracy:
 
 
 class TestFoldHelpers:
-    """``_axis_fold`` and ``_swap_fold`` against the oracle's wave-by-wave
-    fold of the dense matrices they stand for."""
+    """S+- of ``_t_sectors`` and ``_swap_block`` against the oracle's
+    wave-by-wave fold of the dense matrices they stand for."""
 
     @pytest.mark.parametrize("width", [2, 3, 4, 5])
-    def test_axis_fold_matches_oracle(self, width):
-        s = np.random.default_rng(width + 10).standard_normal(
-            2 * width)  # s_0 .. s_{2 width - 1}
-        # the half axis 0..width-1 first, then its images under m -> -1-m
-        axis = np.concatenate([np.arange(width), -1 - np.arange(width)])
-        toeplitz = s[np.abs(axis[:, None] - axis)]
-        expected = mirror_blocks(toeplitz, [(m,) for m in axis],
+    def test_axis_fold_matches_oracle(self, bands_lattice, width):
+        # at halfwidth width - 1, bit for bit: each entry is one sum of two
+        # entries of S
+        sectors = _t_sectors(bands_lattice, width - 1)
+        axis = np.arange(-width, width)  # the corner window's m
+        s = pattern_factors(bands_lattice, 2 * width - 1)
+        factor = s[axis[:, None] - axis + 2 * width - 1]  # S[a, b] = s_(a-b)
+        expected = mirror_blocks(factor, [(m,) for m in axis],
                                  lambda m: (-1 - m,))
-        for block, folded in zip(_axis_fold(s), expected, strict=True):
+        for block, folded in zip((sectors.plus, sectors.minus), expected,
+                                 strict=True):
             assert block.shape == folded.shape == (width, width)
-            assert np.max(np.abs(block - folded)) <= (
-                1e-15 * np.linalg.norm(toeplitz))
+            assert np.array_equal(block, folded)
 
     @pytest.mark.parametrize("width", [2, 3, 4, 5])
     def test_swap_fold_matches_oracle(self, width):
@@ -916,21 +936,19 @@ class TestFoldHelpers:
         assert not np.allclose(a[1:, 1:], a[:-1, :-1])
         c, diag = 0.7, rng.standard_normal(width)
         kinetic = (diag[:, None] + diag).ravel()  # even under x <-> y
-        fold = _swap_fold(a, c)
         waves = [(i, j) for i in range(width) for j in range(width)]
 
         def swap(i, j):
             return j, i
 
         even, odd = mirror_fold(waves, swap)
-        assert fold.n_fixed == width
-        assert fold.even.tolist() == even and fold.odd.tolist() == odd
-        assert fold.even_image.tolist() == [waves.index(swap(*waves[i]))
-                                            for i in even]
+        rows, cols = _swap_waves(width)
+        assert (rows * width + cols).tolist() == even
+        assert (rows * width + cols)[width:].tolist() == odd
         h = -c * np.kron(a, a)
         h[np.diag_indices_from(h)] += kinetic
         expected = mirror_blocks(h, waves, swap)
-        blocks = [fold.block(kinetic, odd) for odd in (False, True)]
+        blocks = [_swap_block(a, c, kinetic, odd) for odd in (False, True)]
         for block, folded in zip(blocks, expected, strict=True):
             assert block.shape == folded.shape
             assert np.max(np.abs(block - folded)) <= 1e-15 * np.linalg.norm(h)
@@ -1227,18 +1245,9 @@ class TestTEdges:
         block = planewave._TSectors.block
         monkeypatch.setattr(planewave._TSectors, "block", lambda self, name: (
             built.append(name) or block(self, name)))
-        original = planewave._swap_fold
-
-        def counting(a, c):
-            fold = original(a, c)
-
-            def potential(odd):
-                parities.append(odd)
-                return fold.potential(odd)
-
-            return replace(fold, potential=potential)
-
-        monkeypatch.setattr(planewave, "_swap_fold", counting)
+        swap_block = planewave._swap_block
+        monkeypatch.setattr(planewave, "_swap_block", lambda a, c, kin, odd: (
+            parities.append(odd) or swap_block(a, c, kin, odd)))
         t_edges(bands_config.lattice, halfwidth)
         assert built == ["S", "XY", "X"]
         assert parities == [False, False]
